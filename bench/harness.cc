@@ -310,9 +310,6 @@ std::vector<PhaseResult> RunBench(const BenchConfig& config,
     std::unique_ptr<MemoryNodeService> service;
     std::unique_ptr<DB> db;
     DB* raw = nullptr;
-    // Uncached-index systems (RocksDB-RDMA) reject async probing with a
-    // Status; read synchronously there (set per engine options below).
-    ReadOptions read_opts;
 
     if (config.system == SystemKind::kSherman) {
       baselines::ShermanOptions sherman;
@@ -326,7 +323,6 @@ std::vector<PhaseResult> RunBench(const BenchConfig& config,
           &fabric, memory, config.compaction_workers);
       service->Start();
       Options options = MakeEngineOptions(config, &env);
-      read_opts.async_reads = options.cache_index_blocks;
       DbDeps deps;
       deps.fabric = &fabric;
       deps.compute = compute;
@@ -449,7 +445,7 @@ std::vector<PhaseResult> RunBench(const BenchConfig& config,
       (void)i;
       uint64_t k = choose_key(rnd, zipf);
       std::string value;
-      Status s = db->Get(read_opts, MakeKey(k, config.key_width), &value);
+      Status s = db->Get(ReadOptions(), MakeKey(k, config.key_width), &value);
       DLSM_CHECK_MSG(s.ok() || s.IsNotFound(), s.ToString().c_str());
     };
     auto mixed_op = [&](uint64_t i, Random* rnd, ZipfianGenerator* zipf) {
@@ -500,7 +496,7 @@ std::vector<PhaseResult> RunBench(const BenchConfig& config,
           ThreadHandle h = env.StartThread(compute->env_node(), "scanner",
                                            [&] {
               b0.Arrive();
-              std::unique_ptr<Iterator> it(db->NewIterator(read_opts));
+              std::unique_ptr<Iterator> it(db->NewIterator(ReadOptions()));
               uint64_t count = 0;
               for (it->SeekToFirst(); it->Valid(); it->Next()) {
                 count++;

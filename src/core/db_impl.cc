@@ -1,6 +1,8 @@
 #include "src/core/db_impl.h"
 
 #include <algorithm>
+#include <memory_resource>
+#include <optional>
 
 #include "src/core/db_iter.h"
 #include "src/core/merger.h"
@@ -679,166 +681,9 @@ void DLsmDB::FlushJob(MemTable* mem, uint64_t l0_order) {
 Status DLsmDB::Get(const ReadOptions& options, const Slice& key,
                    std::string* value) {
   trace::TraceOp span("Get", "db");
-  DLSM_RETURN_NOT_OK(BgError());
-  if (options.async_reads && read_paths_[0].uncached_index) {
-    // An uncached-index probe must fetch the index before it can size the
-    // data read, so it can never join a doorbell wave. Reject instead of
-    // silently degrading to synchronous probes (see table_reader.h).
-    return Status::InvalidArgument(
-        "async_reads requires compute-side index caching; pass "
-        "ReadOptions::async_reads = false when Options::cache_index_blocks "
-        "is off");
-  }
-  stat_reads_.fetch_add(1, std::memory_order_relaxed);
-  SequenceNumber snapshot = options.snapshot_sequence != ~0ull
-                                ? options.snapshot_sequence
-                                : sequence_.load(std::memory_order_acquire);
-  LookupKey lkey(key, snapshot);
-
-  // Pin the MemTable chain (current + immutables), newest first.
-  trace::TraceSpan mem_span("mem_probe", "db");
-  std::vector<MemTable*> tables;
-  {
-    MutexLock l(&mem_mu_);
-    MemTable* cur = mem_.load(std::memory_order_acquire);
-    cur->Ref();
-    tables.push_back(cur);
-    for (auto it = imms_.rbegin(); it != imms_.rend(); ++it) {
-      (*it)->Ref();
-      tables.push_back(*it);
-    }
-  }
-  Status result = Status::NotFound(Slice());
-  bool done = false;
-  for (MemTable* m : tables) {
-    std::string v;
-    Status s;
-    if (!done && m->Get(lkey, &v, &s)) {
-      done = true;
-      result = s;
-      if (s.ok()) *value = std::move(v);
-    }
-  }
-  for (MemTable* m : tables) m->Unref();
-  mem_span.End();
-  if (done) return result;
-
-  // SSTables: pinned via the version reference.
-  VersionRef version = versions_->current();
-  size_t num_l0 = 0;
-  std::vector<const FileMetaData*> order;
-  version->CollectSearchOrder(icmp_, key, &order, &num_l0);
-  size_t start = 0;
-  if (options.async_reads && num_l0 > 1 &&
-      SupportsAsyncProbe(read_paths_[0])) {
-    // Async L0 wave: post the data READs for every may-match L0 file in
-    // one doorbell batch per memory node, then harvest completions
-    // newest-first so the newest file's hit wins (the age order the
-    // serial loop relies on). A definitive probe (per-record index
-    // matched the user key) ends the wave early: older files cannot hold
-    // a newer visible version.
-    trace::TraceSpan wave_span("l0_wave", "db");
-    wave_span.arg("l0_files", num_l0);
-    std::vector<TableProbe> probes(num_l0);
-    size_t wave_end = 0;
-    for (size_t i = 0; i < num_l0; i++) {
-      bool bloom_skip = false;
-      Status s = TableProbePrepare(icmp_, bloom_, *order[i], lkey,
-                                   &probes[i], &bloom_skip);
-      if (bloom_skip) {
-        stat_bloom_useful_.fetch_add(1, std::memory_order_relaxed);
-      }
-      DLSM_RETURN_NOT_OK(s);  // Nothing posted yet; safe to bail.
-      wave_end = i + 1;
-      if (probes[i].need_read && probes[i].definitive) break;
-    }
-    // One ReadBatch per memory node the wave touches (ReadBatch rides a
-    // single connection); still one doorbell ring each, harvested in one
-    // pass.
-    std::vector<std::unique_ptr<rdma::ReadBatch>> batches(nodes_.size());
-    std::vector<size_t> slots(wave_end, 0);
-    std::vector<uint32_t> pnode(wave_end, 0);
-    std::vector<char> cached(wave_end, 0);
-    for (size_t i = 0; i < wave_end; i++) {
-      if (!probes[i].need_read) continue;
-      // Compute-side cache: a hit joins the wave as an already-complete
-      // slot (no verb posted) and is still resolved at its age-order
-      // position below, so newest-wins semantics are untouched.
-      if (block_cache_ != nullptr &&
-          block_cache_->Lookup(order[i]->number, probes[i].read_off,
-                               probes[i].buf.data(), probes[i].buf.size())) {
-        cached[i] = 1;
-        continue;
-      }
-      uint32_t node = order[i]->memory_node < nodes_.size()
-                          ? order[i]->memory_node
-                          : 0;
-      pnode[i] = node;
-      if (batches[node] == nullptr) {
-        batches[node] =
-            std::make_unique<rdma::ReadBatch>(nodes_[node].mgr.get());
-      }
-      order[i]->heat.fetch_add(1, std::memory_order_relaxed);
-      slots[i] = batches[node]->Add(probes[i].buf.data(),
-                                    order[i]->chunk.addr + probes[i].read_off,
-                                    order[i]->chunk.rkey,
-                                    probes[i].buf.size());
-    }
-    for (auto& b : batches) {
-      if (b != nullptr) b->WaitAll();  // Per-slot outcomes checked below.
-    }
-    for (size_t i = 0; i < wave_end; i++) {
-      if (!probes[i].need_read) continue;
-      Status s = cached[i] ? Status::OK() : batches[pnode[i]]->status(slots[i]);
-      TableLookupResult lookup = TableLookupResult::kNotPresent;
-      if (s.ok()) {
-        if (!cached[i] && block_cache_ != nullptr) {
-          block_cache_->Insert(order[i]->number, probes[i].read_off,
-                               probes[i].buf.data(), probes[i].buf.size());
-        }
-        s = TableProbeFinish(icmp_, lkey, &probes[i], &lookup, value);
-      } else if (s.IsIOError() && read_paths_[0].max_retries > 0) {
-        // This slot's READ died with its batch QP. Recover that node's
-        // connection once (no-op if a sibling slot already did) and
-        // re-probe the file serially: TableGet rides MgrRead's retry
-        // policy, so only an exhausted retry budget propagates.
-        stat_read_retries_.fetch_add(1, std::memory_order_relaxed);
-        trace::Tracer::EmitInstant("read_retry", "db", "file",
-                                   order[i]->number);
-        nodes_[pnode[i]].mgr->ThreadVq()->Recover();
-        s = TableGet(router_.route(*order[i]), icmp_, bloom_, *order[i],
-                     lkey, &lookup, value);
-      }
-      DLSM_RETURN_NOT_OK(s);
-      if (lookup == TableLookupResult::kFound) return Status::OK();
-      if (lookup == TableLookupResult::kDeleted) {
-        return Status::NotFound(Slice());
-      }
-    }
-    start = wave_end;
-  }
-  for (size_t i = start; i < order.size(); i++) {
-    const FileMetaData* f = order[i];
-    TableLookupResult lookup;
-    bool bloom_skip = false;
-    // Per-level remote probe: the span covers the one-sided READ wait
-    // inside TableGet (bloom-skipped probes are ~instant).
-    trace::TraceSpan probe_span("table_probe", "db");
-    probe_span.arg("file", f->number);
-    f->heat.fetch_add(1, std::memory_order_relaxed);
-    Status s = TableGet(router_.route(*f), icmp_, bloom_, *f, lkey, &lookup,
-                        value, &bloom_skip);
-    probe_span.End();
-    DLSM_RETURN_NOT_OK(s);
-    if (bloom_skip) {
-      stat_bloom_useful_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (lookup == TableLookupResult::kFound) return Status::OK();
-    if (lookup == TableLookupResult::kDeleted) {
-      return Status::NotFound(Slice());
-    }
-  }
-  return Status::NotFound(Slice());
+  Status s;
+  ProbeKeys(options, std::span<const Slice>(&key, 1), value, &s);
+  return s;
 }
 
 void DLsmDB::MultiGet(const ReadOptions& options, std::span<const Slice> keys,
@@ -847,40 +692,47 @@ void DLsmDB::MultiGet(const ReadOptions& options, std::span<const Slice> keys,
   trace::TraceOp span("MultiGet", "db");
   span.arg("keys", keys.size());
   values->assign(keys.size(), std::string());
-  statuses->assign(keys.size(), Status::NotFound(Slice()));
+  statuses->assign(keys.size(), Status());
   if (keys.empty()) return;
+  ProbeKeys(options, keys, values->data(), statuses->data());
+}
+
+void DLsmDB::ProbeKeys(const ReadOptions& options, std::span<const Slice> keys,
+                       std::string* values, Status* statuses) {
+  const size_t n = keys.size();
   Status bg = BgError();
   if (!bg.ok()) {
-    statuses->assign(keys.size(), bg);
+    std::fill_n(statuses, n, bg);
     return;
   }
-  if (options.async_reads && read_paths_[0].uncached_index) {
-    // Same contract as Get: async probing cannot model per-probe index
-    // fetches, and silently degrading hid misconfiguration.
-    statuses->assign(keys.size(),
-                     Status::InvalidArgument(
-                         "async_reads requires compute-side index caching; "
-                         "pass ReadOptions::async_reads = false when "
-                         "Options::cache_index_blocks is off"));
-    return;
-  }
-  SequenceNumber snapshot = options.snapshot_sequence != ~0ull
-                                ? options.snapshot_sequence
-                                : sequence_.load(std::memory_order_acquire);
-  if (!options.async_reads || !SupportsAsyncProbe(read_paths_[0])) {
-    // Baseline read paths (RPC reads, staging copies) keep their modeled
-    // per-read costs: serial lookups at one snapshot.
-    ReadOptions ro = options;
-    ro.snapshot_sequence = snapshot;
-    for (size_t i = 0; i < keys.size(); i++) {
-      (*statuses)[i] = Get(ro, keys[i], &(*values)[i]);
-    }
-    return;
-  }
-  stat_reads_.fetch_add(keys.size(), std::memory_order_relaxed);
+  stat_reads_.fetch_add(n, std::memory_order_relaxed);
+  const SequenceNumber snapshot =
+      options.snapshot_sequence != ~0ull
+          ? options.snapshot_sequence
+          : sequence_.load(std::memory_order_acquire);
 
-  // Pin the MemTable chain once for the whole batch, newest first.
-  std::vector<MemTable*> tables;
+  // A Get (n = 1) keeps its key state, MemTable pins and wave slots in
+  // this stack buffer; only large batches spill to the heap.
+  alignas(std::max_align_t) char stack[4096];
+  std::pmr::monotonic_buffer_resource arena(stack, sizeof(stack));
+  struct KeyState {
+    std::optional<LookupKey> lkey;
+    std::vector<const FileMetaData*> order;  // Probe order: newest first.
+    size_t num_l0 = 0;
+    size_t cursor = 0;  // Next candidate in order.
+    bool resolved = false;
+  };
+  std::pmr::vector<KeyState> state(n, &arena);
+  size_t unresolved = n;
+  auto resolve = [&](size_t k, Status s) {
+    statuses[k] = std::move(s);
+    state[k].resolved = true;
+    unresolved--;
+  };
+
+  // Pin the MemTable chain (current + immutables) once, newest first.
+  trace::TraceSpan mem_span("mem_probe", "db");
+  std::pmr::vector<MemTable*> tables(&arena);
   {
     MutexLock l(&mem_mu_);
     MemTable* cur = mem_.load(std::memory_order_acquire);
@@ -891,156 +743,157 @@ void DLsmDB::MultiGet(const ReadOptions& options, std::span<const Slice> keys,
       tables.push_back(*it);
     }
   }
-  struct KeyState {
-    size_t idx = 0;                // Position in the caller's batch.
-    const LookupKey* lkey = nullptr;
-    // Remaining probe order (age order); borrowed from `version`.
-    std::vector<const FileMetaData*> order;
-    size_t num_l0 = 0;
-    size_t cursor = 0;             // Next candidate in order.
-  };
-  std::deque<LookupKey> lkeys;     // Stable addresses; LookupKey is pinned.
-  std::vector<KeyState> pending;
-  for (size_t i = 0; i < keys.size(); i++) {
-    lkeys.emplace_back(keys[i], snapshot);
-    const LookupKey& lk = lkeys.back();
-    bool done = false;
+  for (size_t k = 0; k < n; k++) {
+    state[k].lkey.emplace(keys[k], snapshot);
     for (MemTable* m : tables) {
-      std::string v;
       Status s;
-      if (m->Get(lk, &v, &s)) {
-        (*statuses)[i] = s;
-        if (s.ok()) (*values)[i] = std::move(v);
-        done = true;
+      if (m->Get(*state[k].lkey, &values[k], &s)) {
+        resolve(k, std::move(s));
         break;
       }
     }
-    if (!done) pending.push_back(KeyState{i, &lk, {}, 0, 0});
   }
   for (MemTable* m : tables) m->Unref();
-  if (pending.empty()) return;
+  mem_span.End();
+  if (unresolved == 0) return;
 
-  // SSTables: pinned via the version reference; the bloom/index filtering
-  // for the whole batch is local, only may-match data READs cross the wire.
+  // SSTables, pinned by the version reference. Bloom and index filtering
+  // is local; only may-match probes cost a remote read.
   VersionRef version = versions_->current();
-  for (KeyState& ks : pending) {
-    version->CollectSearchOrder(icmp_, keys[ks.idx], &ks.order, &ks.num_l0);
+  size_t max_wave = 0;
+  for (size_t k = 0; k < n; k++) {
+    if (state[k].resolved) continue;
+    version->CollectSearchOrder(icmp_, keys[k], &state[k].order,
+                                &state[k].num_l0);
+    max_wave += std::max<size_t>(state[k].num_l0, 1);
   }
-
-  // Level waves: each round, every unresolved key contributes its next
-  // needed READs — all of its remaining may-match L0 files up to the
-  // first definitive probe, or one candidate from its next deeper level —
-  // to a single doorbell batch. Completions are harvested in one drain
-  // and resolved per key in age order (newest wins).
-  struct WaveProbe {
-    size_t key;     // Index into pending.
-    size_t slot;    // Batch slot for the posted READ (unused when cached).
-    uint32_t node;  // Memory-node slot whose batch holds the READ.
-    bool cached;    // Bytes came from the block cache; no verb posted.
+  const bool async =
+      options.async_reads && SupportsAsyncProbe(read_paths_[0]);
+  // One may-match table probe of a wave. Its bytes come from the block
+  // cache, from the READ posted into `read` (async transport), or from a
+  // blocking RemoteReadPath::Read at drain (sync transport).
+  struct WaveSlot {
+    WaveSlot(size_t k, TableProbe&& p) : key(k), probe(std::move(p)) {}
+    size_t key;           // Index into the caller's batch.
     TableProbe probe;
+    bool cached = false;  // Served by the block cache; no verb posted.
+    rdma::WrHandle read;  // Async transport: the posted READ.
+    Status status;        // Outcome of the read once the wave drained.
   };
-  std::vector<char> resolved(pending.size(), 0);
-  size_t unresolved = pending.size();
+  // Posted READs land in slot buffers, so the slots must never move: a
+  // wave holds at most max(L0 candidates, 1) slots per key.
+  std::pmr::vector<WaveSlot> wave(&arena);
+  wave.reserve(max_wave);
+
+  // Waves: each round, every unresolved key posts its next probes. An
+  // async-transport key posts its may-match L0 files up to the first
+  // definitive probe, or one candidate of its next deeper level; a
+  // sync-transport key posts one probe. Completions are harvested per key
+  // in age order, so the newest table wins.
   while (unresolved > 0) {
     trace::TraceSpan wave_span("level_wave", "db");
     wave_span.arg("unresolved", unresolved);
-    // One ReadBatch per memory node the wave touches; all are posted
-    // before any is drained, so the wave is still one round trip wide.
-    std::vector<std::unique_ptr<rdma::ReadBatch>> batches(nodes_.size());
-    std::vector<WaveProbe> wave;
-    for (size_t k = 0; k < pending.size(); k++) {
-      if (resolved[k]) continue;
-      KeyState& ks = pending[k];
-      size_t reads_this_wave = 0;
+    wave.clear();
+    bool misses = false;
+    for (size_t k = 0; k < n; k++) {
+      KeyState& ks = state[k];
+      if (ks.resolved) continue;
+      size_t posted = 0;
       while (ks.cursor < ks.order.size()) {
-        bool in_l0 = ks.cursor < ks.num_l0;
-        if (reads_this_wave > 0 && !in_l0) break;  // L0 results pending.
-        const FileMetaData* f = ks.order[ks.cursor];
+        const bool in_l0 = ks.cursor < ks.num_l0;
+        if (posted > 0 && !in_l0) break;  // This key's L0 results pending.
+        const FileMetaData* f = ks.order[ks.cursor++];
+        const RemoteReadPath& path = router_.route(*f);
         TableProbe probe;
         bool bloom_skip = false;
         Status s = TableProbePrepare(icmp_, bloom_, *f, *ks.lkey, &probe,
                                      &bloom_skip);
         if (bloom_skip) {
           stat_bloom_useful_.fetch_add(1, std::memory_order_relaxed);
+        } else if (s.ok() && path.uncached_index) {
+          // Ports without a compute-side index cache fetch the index
+          // before every bloom-passing probe, whether or not data follows.
+          f->heat.fetch_add(1, std::memory_order_relaxed);
+          s = FetchIndexBlock(path, *f);
         }
         if (!s.ok()) {
-          (*statuses)[ks.idx] = s;
-          resolved[k] = 1;
-          unresolved--;
+          resolve(k, std::move(s));
           break;
         }
-        ks.cursor++;
         if (!probe.need_read) continue;  // Not in this table; no wire cost.
-        bool definitive = probe.definitive;
-        // Cache hits still enter the wave (as pre-completed probes) so
-        // they resolve at their age-order position during harvest; only
-        // the verb is elided.
-        bool cached =
-            block_cache_ != nullptr &&
-            block_cache_->Lookup(f->number, probe.read_off,
-                                 probe.buf.data(), probe.buf.size());
-        size_t slot = 0;
-        uint32_t node = f->memory_node < nodes_.size() ? f->memory_node : 0;
-        if (!cached) {
-          if (batches[node] == nullptr) {
-            batches[node] =
-                std::make_unique<rdma::ReadBatch>(nodes_[node].mgr.get());
-          }
+        WaveSlot& slot = wave.emplace_back(k, std::move(probe));
+        TableProbe& p = slot.probe;
+        // A cache hit joins the wave as a pre-completed slot, so it still
+        // resolves at its age-order position during harvest.
+        slot.cached = block_cache_ != nullptr &&
+                      block_cache_->Lookup(f->number, p.read_off,
+                                           p.buf.data(), p.buf.size());
+        if (!slot.cached) {
+          misses = true;
           f->heat.fetch_add(1, std::memory_order_relaxed);
-          slot = batches[node]->Add(probe.buf.data(),
-                                    f->chunk.addr + probe.read_off,
-                                    f->chunk.rkey, probe.buf.size());
+          if (async) {
+            slot.read = path.mgr->ThreadVq()->Read(
+                p.buf.data(), f->chunk.addr + p.read_off, f->chunk.rkey,
+                p.buf.size());
+          }
         }
-        wave.push_back(WaveProbe{k, slot, node, cached, std::move(probe)});
-        reads_this_wave++;
-        if (definitive || !in_l0) break;
+        posted++;
+        if (!async || p.definitive || !in_l0) break;
       }
-      if (!resolved[k] && reads_this_wave == 0 &&
-          pending[k].cursor >= pending[k].order.size()) {
-        resolved[k] = 1;  // Exhausted without a hit: stays NotFound.
-        unresolved--;
+      if (!ks.resolved && posted == 0) {
+        resolve(k, Status::NotFound(Slice()));  // Exhausted without a hit.
       }
     }
-    if (wave.empty()) break;
-    for (auto& b : batches) {
-      if (b != nullptr) b->WaitAll();  // One CQ drain per touched node.
+
+    // Drain: wait for the posted READs, or issue the sync transport's
+    // reads. On a cache-backed engine this wire time is miss-fill time.
+    std::optional<trace::TraceSpan> fill_span;
+    if (misses && block_cache_ != nullptr) {
+      fill_span.emplace("cache_miss_fill", "db");
     }
-    for (WaveProbe& wp : wave) {
-      size_t k = wp.key;
-      if (resolved[k]) continue;  // A newer probe already decided this key.
-      KeyState& ks = pending[k];
-      Status s = wp.cached ? Status::OK() : batches[wp.node]->status(wp.slot);
+    for (WaveSlot& slot : wave) {
+      if (slot.cached) continue;
+      const FileMetaData* f = slot.probe.file;
+      TableProbe& p = slot.probe;
+      slot.status = async ? slot.read.Wait()
+                          : router_.route(*f).Read(
+                                p.buf.data(), f->chunk.addr + p.read_off,
+                                f->chunk.rkey, p.buf.size());
+    }
+    fill_span.reset();
+
+    // Harvest in post order: per key, newest table first.
+    for (WaveSlot& slot : wave) {
+      const size_t k = slot.key;
+      if (state[k].resolved) continue;  // A newer probe decided this key.
+      const FileMetaData* f = slot.probe.file;
+      const RemoteReadPath& path = router_.route(*f);
+      TableProbe& p = slot.probe;
+      Status s = std::move(slot.status);
+      if (async && s.IsIOError() && path.max_retries > 0) {
+        // This READ died with its QP. Recover the node's connection (a
+        // no-op if a sibling slot already did) and re-read the slot
+        // through Read, whose MgrRead retry policy decides the outcome.
+        stat_read_retries_.fetch_add(1, std::memory_order_relaxed);
+        trace::Tracer::EmitInstant("read_retry", "db", "file", f->number);
+        path.mgr->ThreadVq()->Recover();
+        s = path.Read(p.buf.data(), f->chunk.addr + p.read_off,
+                      f->chunk.rkey, p.buf.size());
+      }
       TableLookupResult lookup = TableLookupResult::kNotPresent;
       if (s.ok()) {
-        if (!wp.cached && block_cache_ != nullptr) {
-          block_cache_->Insert(wp.probe.file->number, wp.probe.read_off,
-                               wp.probe.buf.data(), wp.probe.buf.size());
+        if (!slot.cached && block_cache_ != nullptr) {
+          block_cache_->Insert(f->number, p.read_off, p.buf.data(),
+                               p.buf.size());
         }
-        s = TableProbeFinish(icmp_, *ks.lkey, &wp.probe, &lookup,
-                             &(*values)[ks.idx]);
-      } else if (s.IsIOError() && read_paths_[0].max_retries > 0) {
-        // Same per-slot recovery as Get's L0 wave: recover that node's QP
-        // and fall back to a serial retrying probe of this file.
-        stat_read_retries_.fetch_add(1, std::memory_order_relaxed);
-        trace::Tracer::EmitInstant("read_retry", "db", "file",
-                                   wp.probe.file->number);
-        nodes_[wp.node].mgr->ThreadVq()->Recover();
-        s = TableGet(router_.route(*wp.probe.file), icmp_, bloom_,
-                     *wp.probe.file, *ks.lkey, &lookup, &(*values)[ks.idx]);
+        s = TableProbeFinish(icmp_, *state[k].lkey, &p, &lookup, &values[k]);
       }
       if (!s.ok()) {
-        (*statuses)[ks.idx] = s;
-        resolved[k] = 1;
-        unresolved--;
-        continue;
-      }
-      if (lookup == TableLookupResult::kFound) {
-        (*statuses)[ks.idx] = Status::OK();
-        resolved[k] = 1;
-        unresolved--;
+        resolve(k, std::move(s));
+      } else if (lookup == TableLookupResult::kFound) {
+        resolve(k, Status::OK());
       } else if (lookup == TableLookupResult::kDeleted) {
-        resolved[k] = 1;  // Tombstone: stays NotFound.
-        unresolved--;
+        resolve(k, Status::NotFound(Slice()));
       }
       // kNotPresent: the key stays unresolved for the next wave.
     }

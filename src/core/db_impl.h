@@ -82,6 +82,17 @@ class DLsmDB : public DB {
 
   Status Init();
 
+  // -- Read path (Secs. III, VI) ---------------------------------------------
+  /// The one point-lookup engine: Get is n = 1, MultiGet any n. Resolves
+  /// keys[i] into statuses[i] (and values[i] when found) at one snapshot,
+  /// probing tables in waves. A may-match probe's bytes come from the
+  /// block cache, from a one-sided READ posted asynchronously (async
+  /// transport: ReadOptions::async_reads on a plain one-sided read path),
+  /// or from a blocking RemoteReadPath::Read (sync transport: RPC reads,
+  /// staging copies, uncached indexes, async_reads off).
+  void ProbeKeys(const ReadOptions& options, std::span<const Slice> keys,
+                 std::string* values, Status* statuses);
+
   // -- Write path (Sec. IV) --------------------------------------------------
   Status WriteInternal(WriteBatch* batch);
   /// Inserts a batch of n entries at a pre-allocated sequence base (group

@@ -40,8 +40,10 @@ struct FileMetaData {
   /// one metadata swap: readers route by this id, never by shard wiring.
   uint32_t memory_node = 0;
 
-  /// READ-path touch counter for the heat-based rebalancer. Relaxed: an
-  /// approximate rank is all migration victim selection needs.
+  /// Remote reads of this table (one per read a point lookup puts on the
+  /// wire; cache hits and bloom skips do not count), ranking victims for
+  /// the heat-based rebalancer. Relaxed: an approximate rank is all
+  /// migration victim selection needs.
   mutable std::atomic<uint64_t> heat{0};
 
   /// Invoked once when the last reference drops; recycles chunk.

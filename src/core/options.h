@@ -325,16 +325,12 @@ struct ReadOptions {
   /// "latest". Filled by DB::GetSnapshot users.
   uint64_t snapshot_sequence = ~0ull;
 
-  /// Allow doorbell-batched asynchronous READs on the point-lookup path
-  /// (concurrent L0 probes, MultiGet waves). Only honored on read paths
-  /// that go through plain one-sided READs; baselines with RPC reads or
-  /// staging copies always probe synchronously (a transport detail, not a
-  /// semantic one). Combining async_reads with an uncached-index config
-  /// (Options::cache_index_blocks == false) is rejected with
-  /// Status::InvalidArgument — the per-probe index fetch cannot be folded
-  /// into a doorbell wave, and silently degrading to synchronous probes
-  /// used to hide real misconfiguration (see table_reader.h). Exposed
-  /// mainly for the read-batching ablation bench.
+  /// Selects the point-lookup transport: doorbell-batched asynchronous
+  /// READs (concurrent L0 probes, MultiGet waves) when on, one blocking
+  /// read per probe when off. Only honored on read paths that go through
+  /// plain one-sided READs; baselines with RPC reads, staging copies or
+  /// uncached indexes always probe synchronously (a transport detail, not
+  /// a semantic one). Exposed mainly for the read-batching ablation bench.
   bool async_reads = true;
 };
 

@@ -9,10 +9,6 @@
 
 namespace dlsm {
 
-namespace {
-/// Models the index-block fetch a port without compute-side index caching
-/// pays before every table probe: one remote read of the (per-table)
-/// index block. The bytes land in a scratch buffer; only the cost matters.
 Status FetchIndexBlock(const RemoteReadPath& rp, const FileMetaData& file) {
   // One index partition per probe (RocksDB's two-level index keeps
   // partitions around 4 KB), not the whole per-table index.
@@ -24,7 +20,6 @@ Status FetchIndexBlock(const RemoteReadPath& rp, const FileMetaData& file) {
   scratch.resize(len);
   return rp.MgrRead(scratch.data(), file.chunk.addr, file.chunk.rkey, len);
 }
-}  // namespace
 
 Status RemoteReadPath::MgrRead(void* dst, uint64_t addr, uint32_t rkey,
                                size_t len) const {
@@ -806,55 +801,6 @@ Status TableProbeFinish(const InternalKeyComparator& icmp,
     *result = TableLookupResult::kFound;
   }
   return Status::OK();
-}
-
-Status TableGet(const RemoteReadPath& read_path,
-                const InternalKeyComparator& icmp,
-                const BloomFilterPolicy& bloom, const FileMetaData& file,
-                const LookupKey& lkey, TableLookupResult* result,
-                std::string* value, bool* skipped_by_bloom) {
-  *result = TableLookupResult::kNotPresent;
-  TableProbe probe;
-  bool bloom_skip = false;
-  DLSM_RETURN_NOT_OK(
-      TableProbePrepare(icmp, bloom, file, lkey, &probe, &bloom_skip));
-  if (skipped_by_bloom != nullptr) *skipped_by_bloom = bloom_skip;
-  // Ports without compute-side index caching pay the index-block fetch on
-  // every bloom-passing probe, whether or not the data read happens.
-  if (read_path.uncached_index && !bloom_skip) {
-    DLSM_RETURN_NOT_OK(FetchIndexBlock(read_path, file));
-  }
-  if (!probe.need_read) {
-    return Status::OK();
-  }
-  // Compute-side cache: a hit hands back the exact bytes the READ below
-  // would fetch, eliding the fabric round trip (and, for baselines, the
-  // RPC / staging copy as well).
-  BlockCache* cache = read_path.cache;
-  if (cache != nullptr && file.number != 0 &&
-      cache->Lookup(file.number, probe.read_off, probe.buf.data(),
-                    probe.buf.size())) {
-    return TableProbeFinish(icmp, lkey, &probe, result, value);
-  }
-  // One RDMA READ of exactly the record (byte-addressability payoff), or
-  // of the whole enclosing block under the block layout.
-  if (cache != nullptr) {
-    trace::TraceSpan fill_span("cache_miss_fill", "db");
-    Status rs = read_path.Read(probe.buf.data(),
-                               file.chunk.addr + probe.read_off,
-                               file.chunk.rkey, probe.buf.size());
-    fill_span.End();
-    DLSM_RETURN_NOT_OK(rs);
-    if (file.number != 0) {
-      cache->Insert(file.number, probe.read_off, probe.buf.data(),
-                    probe.buf.size());
-    }
-  } else {
-    DLSM_RETURN_NOT_OK(read_path.Read(probe.buf.data(),
-                                      file.chunk.addr + probe.read_off,
-                                      file.chunk.rkey, probe.buf.size()));
-  }
-  return TableProbeFinish(icmp, lkey, &probe, result, value);
 }
 
 Iterator* NewRemoteTableIterator(const RemoteReadPath& read_path,

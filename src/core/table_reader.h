@@ -39,21 +39,16 @@ struct RemoteReadPath {
   /// Adds one staging-buffer copy per read (the FS layer of the ports).
   bool extra_copy = false;
   /// When set, table probes pay an extra remote fetch of the table's
-  /// index block before touching data (no compute-side index cache).
-  ///
-  /// Interaction with ReadOptions::async_reads: an uncached-index path
-  /// cannot probe asynchronously — the index fetch must complete before
-  /// the data read can even be sized, so it can never join a doorbell
-  /// wave. Earlier revisions silently fell back to synchronous probing,
-  /// which masked misconfigured baselines; DLsmDB::Get/MultiGet now
-  /// reject the combination with Status::InvalidArgument. Callers must
-  /// pass async_reads = false (see Options::cache_index_blocks).
+  /// index block before touching data (no compute-side index cache). The
+  /// index fetch must complete before the data read can be sized, so such
+  /// a path always probes through the sync transport (SupportsAsyncProbe).
   bool uncached_index = false;
 
   /// Optional compute-side cache of remote bytes (may be null). Read()
   /// and MgrRead() stay cache-oblivious; consult/insert decisions live
-  /// with the callers (TableGet, probe harvest, scan prefetch) keyed by
-  /// cache_table, the owning table's file number.
+  /// with the callers (the point-lookup waves, scan prefetch). Scan
+  /// prefetch keys its entries by cache_table, the owning table's file
+  /// number.
   BlockCache* cache = nullptr;
   /// Scan prefetch fills may enter the cache (Options::cache_scans).
   bool cache_scans = false;
@@ -103,25 +98,25 @@ enum class TableLookupResult {
   kDeleted,     ///< The newest visible version is a tombstone.
 };
 
-/// Point lookup in one SSTable at the snapshot encoded in lkey.
-Status TableGet(const RemoteReadPath& read_path,
-                const InternalKeyComparator& icmp,
-                const BloomFilterPolicy& bloom, const FileMetaData& file,
-                const LookupKey& lkey, TableLookupResult* result,
-                std::string* value, bool* skipped_by_bloom = nullptr);
-
 /// True when the read path is a plain one-sided READ (no RPC detour, no
 /// staging copy, no per-probe index fetch) and so its data reads may be
 /// posted asynchronously in a doorbell batch. The baseline read paths
 /// must keep their modeled per-read costs and stay synchronous.
 bool SupportsAsyncProbe(const RemoteReadPath& read_path);
 
-/// One table's share of a doorbell-batched point lookup. Prepare()
-/// consults the locally cached bloom filter and index; when the table
-/// needs bytes it sizes buf and records the read's table-relative offset
-/// so the caller can post [file.chunk.addr + read_off, +buf.size()) into
-/// buf. After the batch drains, Finish() resolves the fetched bytes.
-/// The probed file must outlive the probe (callers pin it via FileRef).
+/// Models the index-block fetch a port without compute-side index caching
+/// pays before every bloom-passing table probe: one remote read of an
+/// index partition. The bytes land in a scratch buffer; only the cost
+/// matters.
+Status FetchIndexBlock(const RemoteReadPath& read_path,
+                       const FileMetaData& file);
+
+/// One table's share of a point lookup. Prepare() consults the locally
+/// cached bloom filter and index; when the table needs bytes it sizes buf
+/// and records the read's table-relative offset so the caller can read
+/// [file.chunk.addr + read_off, +buf.size()) into buf. Once the read
+/// completes, Finish() resolves the fetched bytes. The probed file must
+/// outlive the probe (callers pin it via FileRef).
 struct TableProbe {
   bool need_read = false;
   /// The per-record index matched the user key, so the posted read alone
@@ -137,8 +132,8 @@ struct TableProbe {
 };
 
 /// Phase 1: local filtering; fills *probe. Callers that model uncached
-/// indexes must fetch the index block themselves before posting data
-/// reads (see TableGet) — async batching requires cached indexes.
+/// indexes must call FetchIndexBlock after a bloom pass, before reading
+/// data.
 Status TableProbePrepare(const InternalKeyComparator& icmp,
                          const BloomFilterPolicy& bloom,
                          const FileMetaData& file, const LookupKey& lkey,

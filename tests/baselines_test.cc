@@ -190,10 +190,7 @@ void CheckEngineCorrect(const Options& tuned) {
         if (options->shards > 8) options->shards = 4;  // Test scale.
       },
       [&](DB* db, Env*) {
-        // Uncached-index presets reject async probing outright (see
-        // table_reader.h), so read synchronously there.
         ReadOptions ro;
-        ro.async_reads = tuned.cache_index_blocks;
         const int kN = 2500;
         for (int i = 0; i < kN; i++) {
           ASSERT_TRUE(

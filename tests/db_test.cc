@@ -520,15 +520,36 @@ TEST(DBTest, StatsAreAccounted) {
 
 // --- MultiGet ---------------------------------------------------------------
 
+// Remote reads issued so far: one-sided READ verbs on the engine's
+// connections, and verbs the memory node posted to serve RPCs (read RPCs
+// on baselines that read via RPC).
+struct WireReads {
+  uint64_t read_verbs = 0;
+  uint64_t rpc_verbs = 0;
+};
+
+WireReads CountWireReads(DB* db, MemoryNodeService* service) {
+  return WireReads{db->GetStats().rdma.read.ops,
+                   service->reply_verb_stats().posted};
+}
+
 // Runs both MultiGet and per-key Get at the same pinned snapshot and
 // demands byte-identical answers: same status code per key, same value
-// bytes for found keys.
+// bytes for found keys. Callers that run no background work (and no
+// cache, whose fills would let the second pass skip reads) pass the
+// memory-node service: Get and MultiGet are one read engine, so the batch
+// must also cost exactly the remote reads of its serial Gets.
 void ExpectMultiGetMatchesSerial(DB* db, const ReadOptions& options,
-                                 const std::vector<std::string>& keys) {
+                                 const std::vector<std::string>& keys,
+                                 MemoryNodeService* quiet_service = nullptr) {
   std::vector<Slice> slices(keys.begin(), keys.end());
   std::vector<std::string> values;
   std::vector<Status> statuses;
+  WireReads before;
+  if (quiet_service != nullptr) before = CountWireReads(db, quiet_service);
   db->MultiGet(options, slices, &values, &statuses);
+  WireReads batched;
+  if (quiet_service != nullptr) batched = CountWireReads(db, quiet_service);
   ASSERT_EQ(keys.size(), values.size());
   ASSERT_EQ(keys.size(), statuses.size());
   for (size_t i = 0; i < keys.size(); i++) {
@@ -541,10 +562,19 @@ void ExpectMultiGetMatchesSerial(DB* db, const ReadOptions& options,
       EXPECT_EQ(serial_value, values[i]) << "key " << keys[i];
     }
   }
+  if (quiet_service != nullptr) {
+    WireReads serial = CountWireReads(db, quiet_service);
+    EXPECT_EQ(batched.read_verbs - before.read_verbs,
+              serial.read_verbs - batched.read_verbs)
+        << "MultiGet and serial Gets posted different READ counts";
+    EXPECT_EQ(batched.rpc_verbs - before.rpc_verbs,
+              serial.rpc_verbs - batched.rpc_verbs)
+        << "MultiGet and serial Gets issued different RPC counts";
+  }
 }
 
 TEST(DBTest, MultiGetMatchesSerialGetsUnderConcurrentWriters) {
-  RunDbTest(nullptr, [](DB* db, Env* env) {
+  RunDbTest(nullptr, [](DB* db, Env* env, MemoryNodeService* service) {
     const int kKeys = 2000;
     // Seed every key, then delete a stripe so tombstones are in play.
     for (int i = 0; i < kKeys; i++) {
@@ -595,7 +625,7 @@ TEST(DBTest, MultiGetMatchesSerialGetsUnderConcurrentWriters) {
     ASSERT_TRUE(db->WaitForBackgroundIdle().ok());
     std::vector<std::string> keys;
     for (int i = 0; i < kKeys + 100; i += 13) keys.push_back(TestKey(i));
-    ExpectMultiGetMatchesSerial(db, ReadOptions(), keys);
+    ExpectMultiGetMatchesSerial(db, ReadOptions(), keys, service);
   });
 }
 
@@ -612,7 +642,7 @@ TEST(DBTest, MultiGetWithL0BacklogNewestWins) {
         options->l0_compaction_trigger = 64;  // Never compacts in-test.
         options->l0_stop_writes_trigger = 128;
       },
-      [](DB* db, Env*) {
+      [](DB* db, Env*, MemoryNodeService* service) {
         const int kKeys = 300;
         for (int round = 0; round < 6; round++) {
           for (int i = 0; i < kKeys; i++) {
@@ -631,7 +661,7 @@ TEST(DBTest, MultiGetWithL0BacklogNewestWins) {
 
         std::vector<std::string> keys;
         for (int i = 0; i < kKeys + 50; i++) keys.push_back(TestKey(i));
-        ExpectMultiGetMatchesSerial(db, ReadOptions(), keys);
+        ExpectMultiGetMatchesSerial(db, ReadOptions(), keys, service);
 
         // Newest-wins spot check against the known write history.
         std::vector<Slice> slices(keys.begin(), keys.end());
@@ -652,8 +682,8 @@ TEST(DBTest, MultiGetWithL0BacklogNewestWins) {
 }
 
 TEST(DBTest, MultiGetSerialFallbackMatches) {
-  // async_reads=false must take the serial path and still agree.
-  RunDbTest(nullptr, [](DB* db, Env*) {
+  // async_reads=false must take the sync transport and still agree.
+  RunDbTest(nullptr, [](DB* db, Env*, MemoryNodeService* service) {
     for (int i = 0; i < 1500; i++) {
       ASSERT_TRUE(db->Put(WriteOptions(), TestKey(i), TestValue(i)).ok());
     }
@@ -666,14 +696,14 @@ TEST(DBTest, MultiGetSerialFallbackMatches) {
     no_async.async_reads = false;
     std::vector<std::string> keys;
     for (int i = 0; i < 1600; i += 9) keys.push_back(TestKey(i));
-    ExpectMultiGetMatchesSerial(db, no_async, keys);
+    ExpectMultiGetMatchesSerial(db, no_async, keys, service);
   });
 }
 
 TEST(DBTest, MultiGetAcrossShards) {
   RunDbTest(
       [](Options* options) { options->shards = 8; },
-      [](DB* db, Env*) {
+      [](DB* db, Env*, MemoryNodeService* service) {
         const int kN = 2000;
         const uint64_t kStride = 4500000000000ull;  // Spans all shards.
         for (int i = 0; i < kN; i++) {
@@ -692,7 +722,7 @@ TEST(DBTest, MultiGetAcrossShards) {
         for (int i = kN + 40; i >= 0; i -= 3) {
           keys.push_back(TestKey(i * kStride));
         }
-        ExpectMultiGetMatchesSerial(db, ReadOptions(), keys);
+        ExpectMultiGetMatchesSerial(db, ReadOptions(), keys, service);
       });
 }
 
@@ -725,7 +755,7 @@ TEST(DBTest, MultiGetStdEnvMatchesSerialGets) {
   ASSERT_TRUE(db->WaitForBackgroundIdle().ok());
   std::vector<std::string> keys;
   for (int i = 0; i < 1300; i += 7) keys.push_back(TestKey(i));
-  ExpectMultiGetMatchesSerial(db.get(), ReadOptions(), keys);
+  ExpectMultiGetMatchesSerial(db.get(), ReadOptions(), keys, &service);
 
   ASSERT_TRUE(db->Close().ok());
   db.reset();
@@ -738,11 +768,14 @@ TEST(DBTest, MultiGetStdEnvMatchesSerialGets) {
 // handle waves vs one synchronous verb at a time) — never which bytes come
 // back. This sweep replays a seeded randomized workload against an
 // in-memory reference model and demands byte-identical answers from Get,
-// MultiGet, and scans, across both environments and both read modes.
+// MultiGet, and scans, across both environments, both read modes, and the
+// dLSM and baseline read paths.
 
 // Seeded so every parameterization replays the identical workload; the DB
-// is compared against the model, and MultiGet against serial Gets.
-void EquivalenceWorkload(DB* db, bool async_reads, int write_ops) {
+// is compared against the model, and MultiGet against serial Gets (and,
+// given quiet_service, against their remote-read counts too).
+void EquivalenceWorkload(DB* db, bool async_reads, int write_ops,
+                         MemoryNodeService* quiet_service) {
   const uint64_t kKeySpace = 3000;
   Random rnd(42);
   std::map<std::string, std::string> model;
@@ -790,7 +823,7 @@ void EquivalenceWorkload(DB* db, bool async_reads, int write_ops) {
   // MultiGet: a striped batch (hits and misses mixed) vs serial Gets.
   std::vector<std::string> keys;
   for (uint64_t k = 0; k < kKeySpace + 100; k += 7) keys.push_back(TestKey(k));
-  ExpectMultiGetMatchesSerial(db, options, keys);
+  ExpectMultiGetMatchesSerial(db, options, keys, quiet_service);
 
   // Full forward scan: exactly the model, in order.
   std::unique_ptr<Iterator> iter(db->NewIterator(options));
@@ -821,17 +854,43 @@ void EquivalenceWorkload(DB* db, bool async_reads, int write_ops) {
   }
 }
 
-// Param: (use_std_env, async_reads).
+// Read paths the sweep covers: dLSM's one-sided READs, and the baselines'
+// read paths, which probe through the sync transport.
+enum class ReadPreset {
+  kDLsm,
+  kNovaLsm,      // Server-mediated reads (reads_via_rpc).
+  kRocksDbRdma,  // Per-probe index fetch plus the file-system staging copy.
+};
+
+void ApplyReadPreset(ReadPreset preset, Options* options) {
+  switch (preset) {
+    case ReadPreset::kDLsm:
+      break;
+    case ReadPreset::kNovaLsm:
+      options->reads_via_rpc = true;
+      break;
+    case ReadPreset::kRocksDbRdma:
+      options->cache_index_blocks = false;
+      options->extra_io_copy = true;
+      break;
+  }
+}
+
+// Param: (use_std_env, async_reads, read preset).
 class ReadPathEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<bool, bool, ReadPreset>> {};
 
 TEST_P(ReadPathEquivalenceTest, RandomizedWorkloadIsByteIdentical) {
   const bool use_std_env = std::get<0>(GetParam());
   const bool async = std::get<1>(GetParam());
+  const ReadPreset preset = std::get<2>(GetParam());
 
   if (!use_std_env) {
-    RunDbTest(nullptr,
-              [async](DB* db, Env*) { EquivalenceWorkload(db, async, 6000); });
+    RunDbTest(
+        [preset](Options* options) { ApplyReadPreset(preset, options); },
+        [async](DB* db, Env*, MemoryNodeService* service) {
+          EquivalenceWorkload(db, async, 6000, service);
+        });
     return;
   }
 
@@ -845,6 +904,7 @@ TEST_P(ReadPathEquivalenceTest, RandomizedWorkloadIsByteIdentical) {
   service.Start();
 
   Options options = test::SmallOptions(env);
+  ApplyReadPreset(preset, &options);
   DbDeps deps;
   deps.fabric = &fabric;
   deps.compute = compute;
@@ -856,7 +916,7 @@ TEST_P(ReadPathEquivalenceTest, RandomizedWorkloadIsByteIdentical) {
   // Smaller workload than the SimEnv combos: wire latencies are real
   // sleeps here, and the coverage target is the StdEnv wait paths, not
   // compaction volume.
-  EquivalenceWorkload(db.get(), async, 2500);
+  EquivalenceWorkload(db.get(), async, 2500, &service);
 
   ASSERT_TRUE(db->Close().ok());
   db.reset();
@@ -865,10 +925,18 @@ TEST_P(ReadPathEquivalenceTest, RandomizedWorkloadIsByteIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     EnvAndMode, ReadPathEquivalenceTest,
-    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<bool, bool>>& info) {
+    ::testing::Combine(::testing::Bool(), ::testing::Bool(),
+                       ::testing::Values(ReadPreset::kDLsm,
+                                         ReadPreset::kNovaLsm,
+                                         ReadPreset::kRocksDbRdma)),
+    [](const ::testing::TestParamInfo<std::tuple<bool, bool, ReadPreset>>&
+           info) {
+      const ReadPreset preset = std::get<2>(info.param);
       return std::string(std::get<0>(info.param) ? "StdEnv" : "SimEnv") +
-             (std::get<1>(info.param) ? "AsyncReads" : "SyncReads");
+             (std::get<1>(info.param) ? "AsyncReads" : "SyncReads") +
+             (preset == ReadPreset::kNovaLsm       ? "NovaLsm"
+              : preset == ReadPreset::kRocksDbRdma ? "RocksDbRdma"
+                                                   : "");
     });
 
 // --- Cache equivalence ------------------------------------------------------
@@ -893,8 +961,9 @@ TEST_P(CacheEquivalenceTest, RandomizedWorkloadIsByteIdentical) {
   };
 
   if (!use_std_env) {
-    RunDbTest(tune, [cache_on](DB* db, Env*) {
-      EquivalenceWorkload(db, /*async_reads=*/true, 6000);
+    RunDbTest(tune, [cache_on](DB* db, Env*, MemoryNodeService* service) {
+      EquivalenceWorkload(db, /*async_reads=*/true, 6000,
+                          cache_on ? nullptr : service);
       if (cache_on) {
         // The workload's point-read volume must actually exercise the
         // cache, or this sweep proves nothing.
@@ -924,7 +993,8 @@ TEST_P(CacheEquivalenceTest, RandomizedWorkloadIsByteIdentical) {
   ASSERT_TRUE(DLsmDB::Open(options, deps, &raw).ok());
   std::unique_ptr<DB> db(raw);
 
-  EquivalenceWorkload(db.get(), /*async_reads=*/true, 2500);
+  EquivalenceWorkload(db.get(), /*async_reads=*/true, 2500,
+                      cache_on ? nullptr : &service);
 
   ASSERT_TRUE(db->Close().ok());
   db.reset();
@@ -986,37 +1056,51 @@ TEST(CacheInvalidationTest, NoStaleReadsAcrossCompaction) {
       });
 }
 
-// Pins the uncached-index x async-reads contract (see table_reader.h):
-// the combination is rejected with InvalidArgument up front instead of
-// silently probing synchronously.
-TEST(CacheInvalidationTest, AsyncReadsWithUncachedIndexIsRejected) {
+// Uncached-index ports (Options::cache_index_blocks = false) probe through
+// the sync transport under any ReadOptions: the answers are right, and
+// every bloom-passing probe costs one index READ plus one data READ.
+TEST(CacheInvalidationTest, UncachedIndexProbesOnSyncTransport) {
   RunDbTest(
       [](Options* options) { options->cache_index_blocks = false; },
       [](DB* db, Env*) {
-        ASSERT_TRUE(db->Put(WriteOptions(), TestKey(1), TestValue(1)).ok());
+        // One flushed table holding every key: each lookup is exactly one
+        // bloom-passing probe.
+        const int kN = 200;
+        for (int i = 0; i < kN; i++) {
+          ASSERT_TRUE(db->Put(WriteOptions(), TestKey(i), TestValue(i)).ok());
+        }
         ASSERT_TRUE(db->Flush().ok());
         ASSERT_TRUE(db->WaitForBackgroundIdle().ok());
+        ASSERT_EQ(1, db->NumFilesAtLevel(0));
 
-        ReadOptions async;
-        async.async_reads = true;
-        std::string value;
-        EXPECT_TRUE(db->Get(async, TestKey(1), &value).IsInvalidArgument());
+        std::vector<std::string> key_storage;
+        for (int i = 0; i < kN; i++) key_storage.push_back(TestKey(i));
+        std::vector<Slice> keys(key_storage.begin(), key_storage.end());
+        for (bool async : {true, false}) {
+          ReadOptions ro;
+          ro.async_reads = async;
+          DbStats before = db->GetStats();
+          for (int i = 0; i < kN; i++) {
+            std::string value;
+            ASSERT_TRUE(db->Get(ro, TestKey(i), &value).ok()) << "key " << i;
+            EXPECT_EQ(TestValue(i), value);
+          }
+          DbStats after_gets = db->GetStats();
+          EXPECT_EQ(before.bloom_useful, after_gets.bloom_useful);
+          EXPECT_EQ(2u * kN, after_gets.rdma.read.ops - before.rdma.read.ops)
+              << "async_reads=" << async;
 
-        std::vector<Slice> keys;
-        std::vector<std::string> key_storage = {TestKey(1), TestKey(2)};
-        for (const auto& k : key_storage) keys.emplace_back(k);
-        std::vector<std::string> values;
-        std::vector<Status> statuses;
-        db->MultiGet(async, keys, &values, &statuses);
-        for (const Status& s : statuses) {
-          EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+          std::vector<std::string> values;
+          std::vector<Status> statuses;
+          db->MultiGet(ro, keys, &values, &statuses);
+          for (int i = 0; i < kN; i++) {
+            ASSERT_TRUE(statuses[i].ok()) << "key " << i;
+            EXPECT_EQ(TestValue(i), values[i]);
+          }
+          EXPECT_EQ(2u * kN,
+                    db->GetStats().rdma.read.ops - after_gets.rdma.read.ops)
+              << "async_reads=" << async;
         }
-
-        // The synchronous path still works.
-        ReadOptions sync;
-        sync.async_reads = false;
-        ASSERT_TRUE(db->Get(sync, TestKey(1), &value).ok());
-        EXPECT_EQ(TestValue(1), value);
       });
 }
 

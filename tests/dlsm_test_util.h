@@ -41,9 +41,12 @@ inline Options SmallOptions(Env* env) {
   return options;
 }
 
-/// Builds the deployment, opens a DB, runs body, closes everything.
-inline void RunDbTest(const std::function<void(Options*)>& tune,
-                      const std::function<void(DB*, Env*)>& body) {
+/// Builds the deployment, opens a DB, runs body, closes everything. This
+/// form also hands the body the memory-node service (e.g. to count the
+/// RPCs it served).
+inline void RunDbTest(
+    const std::function<void(Options*)>& tune,
+    const std::function<void(DB*, Env*, MemoryNodeService*)>& body) {
   SimEnv env;
   rdma::Fabric fabric(&env);
   rdma::Node* compute = fabric.AddNode("compute", 24, 2ull << 30);
@@ -73,11 +76,18 @@ inline void RunDbTest(const std::function<void(Options*)>& tune,
     ASSERT_TRUE(s.ok()) << s.ToString();
     std::unique_ptr<DB> db(raw);
 
-    body(db.get(), &env);
+    body(db.get(), &env, &service);
 
     ASSERT_TRUE(db->Close().ok());
     db.reset();
     service.Stop();
+  });
+}
+
+inline void RunDbTest(const std::function<void(Options*)>& tune,
+                      const std::function<void(DB*, Env*)>& body) {
+  RunDbTest(tune, [&body](DB* db, Env* env, MemoryNodeService*) {
+    body(db, env);
   });
 }
 

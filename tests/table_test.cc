@@ -35,6 +35,23 @@ std::string UKey(uint64_t n) {
   return std::string(buf);
 }
 
+/// One table's point lookup as the engine runs it: local bloom/index
+/// filtering, then one remote read of exactly the probed bytes.
+Status ProbeTable(const RemoteReadPath& read_path,
+                  const InternalKeyComparator& icmp,
+                  const BloomFilterPolicy& bloom, const FileMetaData& file,
+                  const LookupKey& lkey, TableLookupResult* result,
+                  std::string* value) {
+  *result = TableLookupResult::kNotPresent;
+  TableProbe probe;
+  Status s = TableProbePrepare(icmp, bloom, file, lkey, &probe);
+  if (!s.ok() || !probe.need_read) return s;
+  s = read_path.Read(probe.buf.data(), file.chunk.addr + probe.read_off,
+                     file.chunk.rkey, probe.buf.size());
+  if (!s.ok()) return s;
+  return TableProbeFinish(icmp, lkey, &probe, result, value);
+}
+
 // Sanitizer instrumentation inflates the measured host CPU that SimEnv
 // charges into virtual time, so WRITE completions become "ready" before
 // the next poll and the pipeline legitimately never holds a deferred
@@ -280,8 +297,8 @@ TEST_P(TableLayoutTest, BuildThenPointLookupEveryKey) {
       LookupKey lkey(k, kMaxSequenceNumber);
       TableLookupResult lookup;
       std::string value;
-      ASSERT_TRUE(TableGet(read_path, icmp, bloom, *file, lkey, &lookup,
-                           &value)
+      ASSERT_TRUE(ProbeTable(read_path, icmp, bloom, *file, lkey, &lookup,
+                             &value)
                       .ok());
       ASSERT_EQ(TableLookupResult::kFound, lookup) << k;
       EXPECT_EQ(v, value);
@@ -292,8 +309,8 @@ TEST_P(TableLayoutTest, BuildThenPointLookupEveryKey) {
       LookupKey lkey(UKey(i * 3 + 1), kMaxSequenceNumber);
       TableLookupResult lookup;
       std::string value;
-      ASSERT_TRUE(TableGet(read_path, icmp, bloom, *file, lkey, &lookup,
-                           &value)
+      ASSERT_TRUE(ProbeTable(read_path, icmp, bloom, *file, lkey, &lookup,
+                             &value)
                       .ok());
       if (lookup != TableLookupResult::kNotPresent) absent_found++;
     }
