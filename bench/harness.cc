@@ -279,7 +279,9 @@ std::vector<PhaseResult> RunBench(const BenchConfig& config,
                                   const std::vector<Phase>& phases) {
   std::vector<PhaseResult> results(phases.size());
 
-  SimEnv env;
+  SimEnv::Options sim_options;
+  sim_options.cpu_scale = config.cpu_scale;
+  SimEnv env(sim_options);
   rdma::Fabric fabric(&env);
   uint64_t entry = config.key_width + config.value_size + 28;
   // Memory node sized for the dataset with generous slack (MAP_NORESERVE:

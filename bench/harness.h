@@ -59,6 +59,10 @@ struct BenchConfig {
   size_t memtable_size = 4 << 20;
   size_t sstable_size = 4 << 20;
   uint64_t seed = 301;
+  /// SimEnv::Options::cpu_scale: 1 folds measured host CPU into virtual
+  /// time; 0 leaves only the modeled fabric, so the wire schedule depends
+  /// on the workload alone (the A/B guards' exact wire checks).
+  double cpu_scale = 1.0;
   /// Skewed key choice for the read / mixed phases: Zipfian theta
   /// (YCSB-style; 0.99 = heavy skew). 0 keeps the uniform default. Each
   /// worker scrambles the Zipfian rank through a 64-bit mix so the hot

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory_resource>
 #include <optional>
+#include <utility>
 
 #include "src/core/db_iter.h"
 #include "src/core/merger.h"
@@ -235,7 +236,11 @@ Status DLsmDB::Init() {
     mem = new MemTable(icmp_, 0, kMaxSequenceNumber);
   }
   mem->Ref();
-  mem_.store(mem, std::memory_order_release);
+  {
+    MutexLock l(&mem_mu_);
+    PublishMemViewLocked(mem);
+    mem_.store(mem, std::memory_order_release);
+  }
 
   for (int i = 0; i < options_.compaction_scheduler_threads; i++) {
     coordinators_.push_back(env_->StartThread(
@@ -519,8 +524,29 @@ void DLsmDB::SwitchMemTableLocked() {
   next->Ref();
   old->MarkImmutable();
   imms_.push_back(old);  // Transfers our reference.
+  // Publish before writers can reach `next`: a Put acknowledged from it
+  // must be in the view of every reader pinned after the ack.
+  PublishMemViewLocked(next);
   mem_.store(next, std::memory_order_release);
   ScheduleFlushLocked(old);
+}
+
+void DLsmDB::PublishMemViewLocked(MemTable* cur) {
+  auto view = std::make_shared<MemTableView>();
+  view->tables.reserve(1 + imms_.size());
+  view->tables.push_back(cur);
+  for (auto it = imms_.rbegin(); it != imms_.rend(); ++it) {
+    view->tables.push_back(*it);
+  }
+  for (MemTable* m : view->tables) m->Ref();
+  std::shared_ptr<const MemTableView> old;  // Released after the unlock.
+  std::lock_guard<std::mutex> lock(mem_view_mu_);
+  old = std::exchange(mem_view_, std::move(view));
+}
+
+std::shared_ptr<const DLsmDB::MemTableView> DLsmDB::PinMemTables() const {
+  std::lock_guard<std::mutex> lock(mem_view_mu_);
+  return mem_view_;
 }
 
 void DLsmDB::ScheduleFlushLocked(MemTable* mem) {
@@ -663,6 +689,11 @@ void DLsmDB::FlushJob(MemTable* mem, uint64_t l0_order) {
     MutexLock l(&mem_mu_);
     DLSM_CHECK(imms_.front() == mem);
     imms_.pop_front();
+    // Only now, after Apply above, may readers stop probing `mem`: a
+    // reader pins the view before the version, so a view without `mem`
+    // implies a version holding its L0 files. Publishing earlier opens a
+    // window where a key is in neither.
+    PublishMemViewLocked(mem_.load(std::memory_order_acquire));
     pending_flushes_--;
     backpressure_cv_.SignalAll();
   }
@@ -711,8 +742,8 @@ void DLsmDB::ProbeKeys(const ReadOptions& options, std::span<const Slice> keys,
           ? options.snapshot_sequence
           : sequence_.load(std::memory_order_acquire);
 
-  // A Get (n = 1) keeps its key state, MemTable pins and wave slots in
-  // this stack buffer; only large batches spill to the heap.
+  // A Get (n = 1) keeps its key state and wave slots in this stack
+  // buffer; only large batches spill to the heap.
   alignas(std::max_align_t) char stack[4096];
   std::pmr::monotonic_buffer_resource arena(stack, sizeof(stack));
   struct KeyState {
@@ -730,30 +761,23 @@ void DLsmDB::ProbeKeys(const ReadOptions& options, std::span<const Slice> keys,
     unresolved--;
   };
 
-  // Pin the MemTable chain (current + immutables) once, newest first.
+  // Pin the MemTable chain, then the version — in that order. FlushJob
+  // drops a table from the view only after its L0 files are in the
+  // version, so every acknowledged key is in one of the two pins.
   trace::TraceSpan mem_span("mem_probe", "db");
-  std::pmr::vector<MemTable*> tables(&arena);
   {
-    MutexLock l(&mem_mu_);
-    MemTable* cur = mem_.load(std::memory_order_acquire);
-    cur->Ref();
-    tables.push_back(cur);
-    for (auto it = imms_.rbegin(); it != imms_.rend(); ++it) {
-      (*it)->Ref();
-      tables.push_back(*it);
-    }
-  }
-  for (size_t k = 0; k < n; k++) {
-    state[k].lkey.emplace(keys[k], snapshot);
-    for (MemTable* m : tables) {
-      Status s;
-      if (m->Get(*state[k].lkey, &values[k], &s)) {
-        resolve(k, std::move(s));
-        break;
+    std::shared_ptr<const MemTableView> mems = PinMemTables();
+    for (size_t k = 0; k < n; k++) {
+      state[k].lkey.emplace(keys[k], snapshot);
+      for (MemTable* m : mems->tables) {
+        Status s;
+        if (m->Get(*state[k].lkey, &values[k], &s)) {
+          resolve(k, std::move(s));
+          break;
+        }
       }
     }
   }
-  for (MemTable* m : tables) m->Unref();
   mem_span.End();
   if (unresolved == 0) return;
 
@@ -908,28 +932,18 @@ Iterator* DLsmDB::NewIterator(const ReadOptions& options) {
                                 ? options.snapshot_sequence
                                 : sequence_.load(std::memory_order_acquire);
 
+  // MemTable view before version, as in ProbeKeys (see FlushJob).
+  std::shared_ptr<const MemTableView> mems = PinMemTables();
   std::vector<Iterator*> children;
-  std::vector<MemTable*> pinned;
-  {
-    MutexLock l(&mem_mu_);
-    MemTable* cur = mem_.load(std::memory_order_acquire);
-    cur->Ref();
-    pinned.push_back(cur);
-    children.push_back(cur->NewIterator());
-    for (auto it = imms_.rbegin(); it != imms_.rend(); ++it) {
-      (*it)->Ref();
-      pinned.push_back(*it);
-      children.push_back((*it)->NewIterator());
-    }
-  }
+  for (MemTable* m : mems->tables) children.push_back(m->NewIterator());
   VersionRef version = versions_->current();
   version->AddIterators(router_, icmp_, options_.scan_prefetch_size,
                         &children);
 
   Iterator* merged = NewMergingIterator(&icmp_, children.data(),
                                         static_cast<int>(children.size()));
-  auto cleanup = [pinned = std::move(pinned), version]() mutable {
-    for (MemTable* m : pinned) m->Unref();
+  auto cleanup = [mems = std::move(mems), version]() mutable {
+    mems.reset();
     version.reset();
   };
   return NewDBIterator(&icmp_, merged, snapshot, std::move(cleanup));
@@ -1892,6 +1906,10 @@ Status DLsmDB::Close() {
   // which enqueues their chunks for GC.
   {
     MutexLock l(&mem_mu_);
+    {
+      std::lock_guard<std::mutex> lock(mem_view_mu_);
+      mem_view_.reset();
+    }
     MemTable* cur = mem_.load();
     if (cur != nullptr) cur->Unref();
     mem_.store(nullptr);

@@ -116,6 +116,23 @@ class DLsmDB : public DB {
   Status HandleSwitch(SequenceNumber seq);
   void SwitchMemTableLocked();  // Requires mem_mu_.
 
+  /// What a reader probes before the SSTables: the current MemTable, then
+  /// the immutables, newest first. Immutable once published; holds one
+  /// Ref on each table and drops it when the last reader lets go.
+  struct MemTableView {
+    std::vector<MemTable*> tables;
+    ~MemTableView() {
+      for (MemTable* m : tables) m->Unref();
+    }
+  };
+  /// Publishes a view of `cur` + imms_. Requires mem_mu_; every change to
+  /// the chain a reader must see republishes before it takes effect.
+  void PublishMemViewLocked(MemTable* cur);
+  /// The reader's pin: a copy of the published view, taken under a host
+  /// mutex (no virtual-time ordering, no clock read), like
+  /// VersionSet::current().
+  std::shared_ptr<const MemTableView> PinMemTables() const;
+
   // -- Flush (Sec. X-C) --------------------------------------------------------
   void ScheduleFlushLocked(MemTable* mem);
   void FlushJob(MemTable* mem, uint64_t l0_order);
@@ -247,7 +264,11 @@ class DLsmDB : public DB {
   // Write state.
   std::atomic<uint64_t> sequence_{0};  // Last allocated sequence number.
   std::atomic<MemTable*> mem_{nullptr};
-  Mutex mem_mu_;             // Guards the switch & immutable queue.
+  Mutex mem_mu_;  // Writer side: the switch, imms_, flush & stall state.
+  // Readers' MemTable chain (PinMemTables). mem_view_mu_ is a host mutex
+  // that is never held across an Env call.
+  mutable std::mutex mem_view_mu_;
+  std::shared_ptr<const MemTableView> mem_view_;  // Guarded by mem_view_mu_.
   CondVar backpressure_cv_;  // Signalled when flush/compaction frees room.
   std::deque<MemTable*> imms_;  // Oldest first; referenced.
   int pending_flushes_ = 0;     // Guarded by mem_mu_.

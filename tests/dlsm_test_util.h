@@ -21,6 +21,29 @@
 namespace dlsm {
 namespace test {
 
+// SimEnv charges *measured* host CPU into virtual time. Sanitizer
+// instrumentation inflates it 5-20x, so assertions calibrated against
+// native-speed CPU (timing, in-flight counts, virtual-time scaling) only
+// hold in plain builds.
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+constexpr bool kSanitizedBuild = true;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+constexpr bool kSanitizedBuild = true;
+#else
+constexpr bool kSanitizedBuild = false;
+#endif
+#else
+constexpr bool kSanitizedBuild = false;
+#endif
+
+#define DLSM_SKIP_TIMING_UNDER_SANITIZERS()                               \
+  do {                                                                    \
+    if (::dlsm::test::kSanitizedBuild)                                    \
+      GTEST_SKIP() << "timing calibration is meaningless when sanitizer " \
+                      "instrumentation inflates the measured host CPU";   \
+  } while (0)
+
 /// Options tuned small so unit tests exercise flush and compaction with a
 /// few thousand keys.
 inline Options SmallOptions(Env* env) {
@@ -89,6 +112,37 @@ inline void RunDbTest(const std::function<void(Options*)>& tune,
   RunDbTest(tune, [&body](DB* db, Env* env, MemoryNodeService*) {
     body(db, env);
   });
+}
+
+/// RunDbTest's real-time form: the same two-node deployment on StdEnv,
+/// where threads are real and wire latencies are real sleeps, so waits and
+/// races run under actual scheduling. Runs body on the calling thread.
+inline void RunStdDbTest(
+    const std::function<void(Options*)>& tune,
+    const std::function<void(DB*, Env*, MemoryNodeService*)>& body) {
+  Env* env = Env::Std();
+  rdma::Fabric fabric(env);
+  rdma::Node* compute = fabric.AddNode("compute", 0, 1ull << 30);
+  rdma::Node* memory = fabric.AddNode("memory", 0, 2ull << 30);
+  MemoryNodeService service(&fabric, memory, 2);
+  service.Start();
+
+  Options options = SmallOptions(env);
+  if (tune) tune(&options);
+  DbDeps deps;
+  deps.fabric = &fabric;
+  deps.compute = compute;
+  deps.memory = &service;
+  DB* raw = nullptr;
+  Status s = DLsmDB::Open(options, deps, &raw);
+  if (s.ok()) {
+    std::unique_ptr<DB> db(raw);
+    body(db.get(), env, &service);
+    EXPECT_TRUE(db->Close().ok());
+  } else {
+    ADD_FAILURE() << s.ToString();
+  }
+  service.Stop();
 }
 
 /// Zero-padded 16-digit decimal key (the bench key format).

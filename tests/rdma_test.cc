@@ -10,6 +10,7 @@
 #include "src/rdma/fabric.h"
 #include "src/rdma/rdma_manager.h"
 #include "src/sim/sim_env.h"
+#include "tests/dlsm_test_util.h"
 
 namespace dlsm {
 namespace rdma {
@@ -20,26 +21,9 @@ constexpr size_t kMB = 1024 * 1024;
 // The SimEnv charges *measured* host CPU into virtual time, so the fabric's
 // timing-calibration assertions (latency-bound, bandwidth-bound) only hold
 // when the host runs at native speed. Sanitizer instrumentation inflates
-// host CPU 5-20x; skip the calibration tests there — the semantic and
-// ordering tests are what the sanitizer jobs exist to check.
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-constexpr bool kSanitizedBuild = true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-constexpr bool kSanitizedBuild = true;
-#else
-constexpr bool kSanitizedBuild = false;
-#endif
-#else
-constexpr bool kSanitizedBuild = false;
-#endif
-
-#define DLSM_SKIP_TIMING_UNDER_SANITIZERS()                               \
-  do {                                                                    \
-    if (kSanitizedBuild)                                                  \
-      GTEST_SKIP() << "timing calibration is meaningless when sanitizer " \
-                      "instrumentation inflates the measured host CPU";   \
-  } while (0)
+// host CPU 5-20x; the calibration tests skip there
+// (DLSM_SKIP_TIMING_UNDER_SANITIZERS) — the semantic and ordering tests
+// are what the sanitizer jobs exist to check.
 
 class FabricTest : public ::testing::Test {
  protected:

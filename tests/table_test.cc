@@ -17,6 +17,7 @@
 #include "src/rdma/fabric.h"
 #include "src/sim/sim_env.h"
 #include "src/util/random.h"
+#include "tests/dlsm_test_util.h"
 
 namespace dlsm {
 namespace {
@@ -57,17 +58,7 @@ Status ProbeTable(const RemoteReadPath& read_path,
 // the next poll and the pipeline legitimately never holds a deferred
 // handle. The in-flight-count assertions only hold at native speed; the
 // data-integrity and gauge assertions hold everywhere.
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-constexpr bool kSanitizedBuild = true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-constexpr bool kSanitizedBuild = true;
-#else
-constexpr bool kSanitizedBuild = false;
-#endif
-#else
-constexpr bool kSanitizedBuild = false;
-#endif
+using test::kSanitizedBuild;
 
 TEST(TableIndexTest, BuildParseRoundTrip) {
   TableIndex::Builder builder(TableIndex::kPerRecord);
