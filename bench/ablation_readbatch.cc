@@ -194,7 +194,7 @@ std::vector<LegResult> RunLayout(TableFormat format, uint64_t num_keys,
 }
 
 int Main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"keys", "reads", "rounds"});
   uint64_t keys = flags.GetInt("keys", 20000);
   int rounds = static_cast<int>(flags.GetInt("rounds", 8));
   uint64_t reads = flags.GetInt("reads", 32768);

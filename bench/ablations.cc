@@ -126,7 +126,7 @@ void AblateRpc(int calls) {
 }
 
 int Main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"calls", "keys", "mb", "threads", "which"});
   std::string which = flags.GetString("which", "all");
   uint64_t keys = flags.GetInt("keys", 60000);
   int threads = static_cast<int>(flags.GetInt("threads", 8));

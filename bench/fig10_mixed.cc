@@ -21,7 +21,7 @@ struct Entry {
 };
 
 int Main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"keys", "ratios", "threads", "zipfian"});
   uint64_t keys = flags.GetInt("keys", 100000);
   int threads = static_cast<int>(flags.GetInt("threads", 8));
   std::vector<int> ratios;

@@ -14,7 +14,7 @@ namespace bench {
 namespace {
 
 int Main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"keys", "verb_stats"});
   uint64_t keys = flags.GetInt("keys", 100000);
 
   std::vector<SystemKind> systems = {

@@ -25,7 +25,9 @@ std::vector<int> ParseList(const std::string& s) {
 }
 
 int Main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv,
+              {"async_write", "budget", "cores", "fault_rate", "fault_seed",
+               "keys", "rnr_rate", "stats_json", "verb_stats", "writers"});
   uint64_t keys = flags.GetInt("keys", 150000);
   std::vector<int> writers = ParseList(flags.GetString("writers", "1,4,12"));
   std::vector<int> cores = ParseList(flags.GetString("cores", "1,2,4,8,12"));

@@ -12,7 +12,7 @@ namespace bench {
 namespace {
 
 int Main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"keys", "threads"});
   uint64_t keys = flags.GetInt("keys", 100000);
   int threads = static_cast<int>(flags.GetInt("threads", 8));
 

@@ -62,7 +62,7 @@ void SweepCompute(uint64_t base_keys) {
 }
 
 int Main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"base", "sweep"});
   uint64_t base = flags.GetInt("base", 50000);
   std::string sweep = flags.GetString("sweep", "both");
   std::printf("\n=== Figure 14: dLSM scalability (CloudLab-style nodes) ===\n");

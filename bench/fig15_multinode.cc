@@ -94,7 +94,7 @@ ClusterBenchResult PlacementLeg(uint64_t base, double theta, bool rebalance,
 }
 
 int Main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"base", "placement_ab", "stats_json", "zipfian"});
   uint64_t base = flags.GetInt("base", 50000);
   double theta = flags.GetDouble("zipfian", 0.99);
   StatsJsonWriter json(flags.GetString("stats_json", ""));

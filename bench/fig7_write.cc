@@ -89,7 +89,9 @@ void RunMode(bool bulkload, uint64_t keys, const std::vector<int>& threads,
 }
 
 int Main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv,
+              {"async_write", "keys", "mode", "only", "stats_json", "threads",
+               "verb_stats"});
   uint64_t keys = flags.GetInt("keys", 100000);
   std::vector<int> threads =
       ParseThreads(flags.GetString("threads", "1,2,4,8,16"));

@@ -242,7 +242,13 @@ int RunTelemetryAb(uint64_t keys, const Flags& flags) {
 }
 
 int Main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv,
+              {"ab_threads", "budget", "cache_ab", "cache_mb", "exemplar_k",
+               "exemplar_window_ms", "fault_rate", "fault_seed", "keys",
+               "memtable_kb", "only", "rnr_rate", "slo_read_p99_us",
+               "slo_threads", "stats_json", "stats_period_ms", "stats_series",
+               "telemetry_ab", "threads", "trace_out", "verb_stats",
+               "watchdog_ms", "zipfian"});
   uint64_t keys = flags.GetInt("keys", 100000);
   if (flags.GetBool("cache_ab", false)) return RunCacheAb(keys, flags);
   if (flags.GetBool("telemetry_ab", false)) {

@@ -13,7 +13,7 @@ namespace bench {
 namespace {
 
 int Main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"base", "steps", "threads"});
   uint64_t base = flags.GetInt("base", 50000);
   int steps = static_cast<int>(flags.GetInt("steps", 4));
   int threads = static_cast<int>(flags.GetInt("threads", 8));

@@ -1,6 +1,7 @@
 #include "bench/harness.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <ctime>
 #include <memory>
 
@@ -847,7 +848,8 @@ ClusterBenchResult RunClusterBench(const ClusterBenchConfig& config) {
   return result;
 }
 
-Flags::Flags(int argc, char** argv) {
+Flags::Flags(int argc, char** argv, std::initializer_list<const char*> known)
+    : known_(known.begin(), known.end()) {
   // Capture the invocation for the BENCH_*.json meta record.
   g_command_line.clear();
   for (int i = 0; i < argc; i++) {
@@ -856,37 +858,54 @@ Flags::Flags(int argc, char** argv) {
   }
   for (int i = 1; i < argc; i++) {
     std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    arg = arg.substr(2);
-    size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      values_[arg] = "true";
-    } else {
-      values_[arg.substr(0, eq)] = arg.substr(eq + 1);
+    std::string name, value = "true";
+    if (arg.rfind("--", 0) == 0) {
+      name = arg.substr(2);
+      size_t eq = name.find('=');
+      if (eq != std::string::npos) {
+        value = name.substr(eq + 1);
+        name.resize(eq);
+      }
     }
+    if (known_.count(name) == 0) {
+      std::fprintf(stderr, "%s: unknown argument '%s'; flags:", argv[0],
+                   arg.c_str());
+      for (const std::string& k : known_) {
+        std::fprintf(stderr, " --%s", k.c_str());
+      }
+      std::fprintf(stderr, "\n");
+      std::exit(2);
+    }
+    values_[name] = value;
   }
 }
 
-uint64_t Flags::GetInt(const std::string& name, uint64_t def) const {
+const std::string* Flags::Find(const std::string& name) const {
+  DLSM_CHECK_MSG(known_.count(name) != 0, "flag read but not declared");
   auto it = values_.find(name);
-  return it == values_.end() ? def : std::stoull(it->second);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
+uint64_t Flags::GetInt(const std::string& name, uint64_t def) const {
+  const std::string* v = Find(name);
+  return v == nullptr ? def : std::stoull(*v);
 }
 
 double Flags::GetDouble(const std::string& name, double def) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? def : std::stod(it->second);
+  const std::string* v = Find(name);
+  return v == nullptr ? def : std::stod(*v);
 }
 
 bool Flags::GetBool(const std::string& name, bool def) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return def;
-  return it->second == "true" || it->second == "1";
+  const std::string* v = Find(name);
+  if (v == nullptr) return def;
+  return *v == "true" || *v == "1";
 }
 
 std::string Flags::GetString(const std::string& name,
                              const std::string& def) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? def : it->second;
+  const std::string* v = Find(name);
+  return v == nullptr ? def : *v;
 }
 
 }  // namespace bench

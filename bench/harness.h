@@ -14,7 +14,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -270,10 +272,14 @@ struct ClusterBenchResult {
 /// keys' owning compute node, as the paper's multi-node db_bench does.
 ClusterBenchResult RunClusterBench(const ClusterBenchConfig& config);
 
-/// Tiny --key=value flag parser for the figure binaries.
+/// Tiny --key=value flag parser for the figure binaries. Each binary
+/// names every flag it reads; any other argument (a typo would otherwise
+/// silently run the defaults and write a wrong BENCH file) prints the
+/// known flags and exits with status 2. Reading an unnamed flag is a
+/// programming error and aborts.
 class Flags {
  public:
-  Flags(int argc, char** argv);
+  Flags(int argc, char** argv, std::initializer_list<const char*> known);
   uint64_t GetInt(const std::string& name, uint64_t def) const;
   double GetDouble(const std::string& name, double def) const;
   bool GetBool(const std::string& name, bool def) const;
@@ -281,6 +287,10 @@ class Flags {
                         const std::string& def) const;
 
  private:
+  /// The value given for a known flag, or null when it was not given.
+  const std::string* Find(const std::string& name) const;
+
+  std::set<std::string> known_;
   std::map<std::string, std::string> values_;
 };
 

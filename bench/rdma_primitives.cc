@@ -215,7 +215,7 @@ void TelemetryOverheadSeries(SimEnv* env, rdma::RdmaManager* mgr,
 }
 
 int Main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"total_mb"});
   uint64_t total = flags.GetInt("total_mb", 64) << 20;
 
   SimEnv env;

@@ -173,8 +173,10 @@ struct Options {
   /// Buffers per flush pipeline before the writer must recycle.
   int flush_buffers_per_thread = 4;
 
-  /// Sequential-read prefetch granularity for scans (Sec. VI: "prefetches
-  /// large chunks of key-value pairs by sequential I/O").
+  /// Largest scan prefetch window (Sec. VI: "prefetches large chunks of
+  /// key-value pairs by sequential I/O"). SeekToFirst/SeekToLast passes
+  /// fetch chunks of this size; a scan positioned by Seek starts with an
+  /// 8 KiB window that doubles on each sequential overrun up to this cap.
   size_t scan_prefetch_size = 2 << 20;
 
   // -- Fault handling ---------------------------------------------------------

@@ -256,52 +256,86 @@ class BlockIter : public Iterator {
 // Remote iterators
 // ---------------------------------------------------------------------------
 
+/// How an iterator reached the record it asks its PrefetchWindow for.
+/// Explicit positioning picks the window size; Next/Prev continue it.
+enum class Move {
+  kSeek,   ///< Seek(target): likely a short scan; ramp from kRampStart.
+  kFirst,  ///< SeekToFirst: a full forward pass; full chunks at once.
+  kLast,   ///< SeekToLast: a full backward pass; full chunks at once.
+  kNext,   ///< Next: continues forward.
+  kPrev,   ///< Prev: continues backward.
+};
+
 /// Double-buffered sequential window over a remote table's data region.
-/// On the plain one-sided read path, every sequential window swap posts
-/// the following chunk's READ on a private verb queue before the caller
-/// consumes the current one, so chunk k+1 crosses the wire while the CPU
-/// drains chunk k. Random repositioning falls back to a synchronous
-/// fetch, cancelling any in-flight prefetch (the handle layer discards
-/// its completion; no drain stall). Baseline read paths (RPC / staging
-/// copy / uncached index) stay fully synchronous through
-/// RemoteReadPath::Read. The destructor never blocks: an outstanding
-/// prefetch handle cancels itself.
+/// The window is sized to what the scan consumes. After Seek it starts at
+/// kRampStart bytes and posts nothing ahead; each sequential overrun
+/// doubles it up to the chunk cap (Options::scan_prefetch_size), and from
+/// the second window on, every window swap posts the following window's
+/// READ on a private verb queue before the caller consumes the current
+/// one, so window k+1 crosses the wire while the CPU drains window k.
+/// SeekToFirst/SeekToLast passes start at the cap. A record that straddles
+/// the current window and the in-flight one is stitched from both into a
+/// small scratch buffer rather than re-read. Backward moves fetch the
+/// window that ends at the record. Any other repositioning cancels the
+/// in-flight window (the handle layer discards its completion; no drain
+/// stall), restarts the ramp and fetches synchronously. Baseline read
+/// paths (RPC / staging copy / uncached index) stay fully synchronous
+/// through RemoteReadPath::Read. The destructor never blocks: an
+/// outstanding prefetch handle cancels itself.
 class PrefetchWindow {
  public:
+  /// First window after Seek; a 16-entry scan of ~400 B records fits.
+  static constexpr size_t kRampStart = 8 << 10;
+
   PrefetchWindow(const RemoteReadPath& read_path, uint64_t base_addr,
                  uint32_t rkey, uint64_t data_len, size_t chunk_bytes)
       : rp_(read_path), base_(base_addr), rkey_(rkey), data_len_(data_len),
-        chunk_(chunk_bytes), async_(SupportsAsyncProbe(read_path)) {}
+        cap_(chunk_bytes), next_(chunk_bytes),
+        async_(SupportsAsyncProbe(read_path)) {}
 
   PrefetchWindow(const PrefetchWindow&) = delete;
   PrefetchWindow& operator=(const PrefetchWindow&) = delete;
 
   /// Makes [off, off+len) contiguously addressable; *out points at off.
   /// The pointer stays valid until the next Acquire call.
-  Status Acquire(uint64_t off, size_t len, const char** out) {
+  Status Acquire(uint64_t off, size_t len, Move move, const char** out) {
     if (off + len > data_len_) {
       return Status::Corruption("record extends past table data");
     }
+    if (move == Move::kSeek) RestartRamp();
+    if (move == Move::kFirst || move == Move::kLast) next_ = cap_;
     if (Covers(front_off_, front_.size(), off, len)) {
       *out = front_.data() + (off - front_off_);
       return Status::OK();
     }
+    const uint64_t front_end = front_off_ + front_.size();
+    const bool ahead = move == Move::kNext || move == Move::kFirst;
     if (pending_.valid()) {
-      uint64_t got_off = pending_off_;
-      size_t got_len = back_.size();
-      if (Covers(got_off, got_len, off, len)) {
+      // The in-flight window always starts at front_end.
+      const bool in_back = Covers(pending_off_, back_.size(), off, len);
+      const bool straddles = off >= front_off_ && off < front_end &&
+                             Covers(front_off_, front_.size() + back_.size(),
+                                    off, len);
+      if (in_back || straddles) {
         trace::TraceSpan prefetch_span("scan_prefetch_wait", "db");
         Status ps = WaitPending();
         prefetch_span.End();
         if (ps.ok()) {
+          if (straddles) {
+            const size_t head = static_cast<size_t>(front_end - off);
+            stitch_.assign(front_.data() + (off - front_off_), head);
+            stitch_.append(back_.data(), len - head);
+          }
           std::swap(front_, back_);
-          front_off_ = got_off;
-          PostNext();  // Keep the pipeline primed while the caller parses.
-          *out = front_.data() + (off - front_off_);
+          front_off_ = pending_off_;
+          // Keep the pipeline primed while the caller parses.
+          if (ahead) PostNext();
+          *out = straddles ? stitch_.data()
+                           : front_.data() + (off - front_off_);
           return Status::OK();
         }
         if (!ps.IsIOError() || rp_.max_retries == 0) return ps;
-        // Transient fault on the prefetched chunk: recover the private
+        // Transient fault on the prefetched window: recover the private
         // queue so later prefetches can flow, then refetch synchronously
         // below through the retrying read path.
         if (rp_.retry_counter != nullptr) {
@@ -315,24 +349,48 @@ class PrefetchWindow {
         pending_.Cancel();
       }
     }
-    bool forward = off >= front_off_;
-    size_t want = chunk_ > len ? chunk_ : len;
-    if (off + want > data_len_) want = static_cast<size_t>(data_len_ - off);
+    // Next/Prev continue the ramp only when sequential: a forward access
+    // that starts inside the window or just past it, or a backward one
+    // that ends inside it or just before it. (Explicit positioning sized
+    // the window above.)
+    const bool backward = move == Move::kPrev || move == Move::kLast;
+    const bool jumped =
+        (move == Move::kNext &&
+         (front_.empty() || off < front_off_ || off > front_end)) ||
+        (move == Move::kPrev &&
+         (front_.empty() || off + len < front_off_ || off + len > front_end));
+    if (jumped) RestartRamp();
+    size_t want = next_ > len ? next_ : len;
+    uint64_t start = off;
+    if (backward) {
+      // The window ends at the record, so the records before it are in.
+      start = off + len > want ? off + len - want : 0;
+      want = static_cast<size_t>(off + len - start);
+    } else if (off + want > data_len_) {
+      want = static_cast<size_t>(data_len_ - off);
+    }
+    Grow();
     front_.resize(want);
     // Scan fills only touch the cache when Options::cache_scans opted in;
     // by default sequential traffic never competes with the point-read
-    // hot set. Keys use the chunk geometry (table, chunk offset).
+    // hot set. Keys use the window geometry (table, window offset).
     BlockCache* cache =
         rp_.cache_scans && rp_.cache_table != 0 ? rp_.cache : nullptr;
     if (cache == nullptr ||
-        !cache->Lookup(rp_.cache_table, off, front_.data(), want)) {
-      DLSM_RETURN_NOT_OK(rp_.Read(front_.data(), base_ + off, rkey_, want));
+        !cache->Lookup(rp_.cache_table, start, front_.data(), want)) {
+      Status rs = rp_.Read(front_.data(), base_ + start, rkey_, want);
+      if (!rs.ok()) {
+        front_.clear();  // Half-overwritten bytes must never cover a read.
+        return rs;
+      }
       if (cache != nullptr) {
-        cache->Insert(rp_.cache_table, off, front_.data(), want);
+        cache->Insert(rp_.cache_table, start, front_.data(), want);
       }
     }
-    front_off_ = off;
-    if (forward) PostNext();
+    front_off_ = start;
+    // After Seek the first window posts nothing ahead: most such scans end
+    // inside it.
+    if (ahead) PostNext();
     *out = front_.data() + (off - front_off_);
     return Status::OK();
   }
@@ -343,12 +401,17 @@ class PrefetchWindow {
     return win_len > 0 && off >= win_off && off + len <= win_off + win_len;
   }
 
+  void RestartRamp() { next_ = kRampStart < cap_ ? kRampStart : cap_; }
+  /// The next window doubles, up to the cap.
+  void Grow() { next_ = next_ >= cap_ / 2 ? cap_ : next_ * 2; }
+
   void PostNext() {
     if (!async_) return;
     uint64_t off = front_off_ + front_.size();
     if (off >= data_len_) return;
-    size_t want = chunk_;
+    size_t want = next_;
     if (off + want > data_len_) want = static_cast<size_t>(data_len_ - off);
+    Grow();
     if (vq_ == nullptr) vq_ = rp_.mgr->CreateExclusiveVq();
     back_.resize(want);
     pending_ = vq_->Read(back_.data(), base_ + off, rkey_, want);
@@ -365,13 +428,15 @@ class PrefetchWindow {
   uint64_t base_;
   uint32_t rkey_;
   uint64_t data_len_;
-  size_t chunk_;
+  size_t cap_;
+  size_t next_;  // Size of the next window fetched or posted.
   bool async_;
   // Private verb queue: the iterator may outlive probes on the caller
-  // thread's queue, and its in-flight chunk must not queue behind them.
+  // thread's queue, and its in-flight window must not queue behind them.
   // Declared before pending_ so the handle dies first.
-  std::unique_ptr<rdma::VerbQueue> vq_;
+  rdma::ExclusiveVq vq_;
   std::string front_, back_;
+  std::string stitch_;  // A record assembled across the window swap.
   uint64_t front_off_ = 0;
   rdma::WrHandle pending_;
   uint64_t pending_off_ = 0;
@@ -393,21 +458,21 @@ class RemoteByteTableIterator : public Iterator {
   Slice key() const override { return key_; }
   Slice value() const override { return value_; }
 
-  void SeekToFirst() override { Position(0); }
+  void SeekToFirst() override { Position(0, Move::kFirst); }
   void SeekToLast() override {
     size_t n = file_->index->num_entries();
     if (n == 0) {
       valid_ = false;
       return;
     }
-    Position(n - 1);
+    Position(n - 1, Move::kLast);
   }
   void Seek(const Slice& target) override {
-    Position(file_->index->Find(icmp_, target));
+    Position(file_->index->Find(icmp_, target), Move::kSeek);
   }
   void Next() override {
     DLSM_CHECK(Valid());
-    Position(ordinal_ + 1);
+    Position(ordinal_ + 1, Move::kNext);
   }
   void Prev() override {
     DLSM_CHECK(Valid());
@@ -415,11 +480,11 @@ class RemoteByteTableIterator : public Iterator {
       valid_ = false;
       return;
     }
-    Position(ordinal_ - 1);
+    Position(ordinal_ - 1, Move::kPrev);
   }
 
  private:
-  void Position(size_t ordinal) {
+  void Position(size_t ordinal, Move move) {
     const TableIndex& index = *file_->index;
     if (ordinal >= index.num_entries()) {
       valid_ = false;
@@ -429,7 +494,7 @@ class RemoteByteTableIterator : public Iterator {
     // Sequential chunk prefetch (Sec. VI): one RDMA READ covers many
     // upcoming records, and the window double-buffers the next chunk.
     const char* p = nullptr;
-    Status s = window_.Acquire(e.offset, e.length, &p);
+    Status s = window_.Acquire(e.offset, e.length, move, &p);
     if (!s.ok()) {
       status_ = s;
       valid_ = false;
@@ -474,7 +539,7 @@ class RemoteBlockTableIterator : public Iterator {
 
   void SeekToFirst() override {
     MaybeFetchIndex();
-    if (!LoadBlock(0)) return;
+    if (!LoadBlock(0, Move::kFirst)) return;
     inner_->SeekToFirst();
     SkipForwardEmpty();
   }
@@ -482,14 +547,14 @@ class RemoteBlockTableIterator : public Iterator {
   void SeekToLast() override {
     MaybeFetchIndex();
     size_t n = file_->index->num_entries();
-    if (n == 0 || !LoadBlock(n - 1)) return;
+    if (n == 0 || !LoadBlock(n - 1, Move::kLast)) return;
     inner_->SeekToLast();
   }
 
   void Seek(const Slice& target) override {
     MaybeFetchIndex();
     size_t b = file_->index->Find(icmp_, target);
-    if (!LoadBlock(b)) return;
+    if (!LoadBlock(b, Move::kSeek)) return;
     inner_->Seek(target);
     SkipForwardEmpty();
   }
@@ -504,7 +569,7 @@ class RemoteBlockTableIterator : public Iterator {
     DLSM_CHECK(Valid());
     inner_->Prev();
     while (inner_ != nullptr && !inner_->Valid() && block_ > 0) {
-      if (!LoadBlock(block_ - 1)) return;
+      if (!LoadBlock(block_ - 1, Move::kPrev)) return;
       inner_->SeekToLast();
     }
   }
@@ -513,7 +578,7 @@ class RemoteBlockTableIterator : public Iterator {
   void SkipForwardEmpty() {
     while (inner_ != nullptr && !inner_->Valid() &&
            block_ + 1 < file_->index->num_entries()) {
-      if (!LoadBlock(block_ + 1)) return;
+      if (!LoadBlock(block_ + 1, Move::kNext)) return;
       inner_->SeekToFirst();
     }
   }
@@ -525,7 +590,7 @@ class RemoteBlockTableIterator : public Iterator {
     index_fetched_ = true;
   }
 
-  bool LoadBlock(size_t b) {
+  bool LoadBlock(size_t b, Move move) {
     const TableIndex& index = *file_->index;
     if (b >= index.num_entries()) {
       inner_.reset();
@@ -533,7 +598,7 @@ class RemoteBlockTableIterator : public Iterator {
     }
     TableIndex::Entry e = index.entry(b);
     const char* p = nullptr;
-    Status s = window_.Acquire(e.offset, e.length, &p);
+    Status s = window_.Acquire(e.offset, e.length, move, &p);
     if (!s.ok()) {
       status_ = s;
       inner_.reset();

@@ -5,8 +5,10 @@
 // the record, while the block layout fetches the whole enclosing block and
 // unwraps it locally (the read-amplification dLSM eliminates).
 //
-// Range scans prefetch large contiguous chunks of the data region with
-// sequential RDMA READs ("the sub-iterators prefetch the data chunks").
+// Range scans prefetch contiguous chunks of the data region with
+// sequential RDMA READs ("the sub-iterators prefetch the data chunks"):
+// full chunks for SeekToFirst/SeekToLast passes, a window that ramps up
+// from a few KB for scans positioned by Seek.
 //
 // Local iterators walk a table resident in the caller's own DRAM and are
 // what near-data compaction uses on the memory node — no wire traffic.
@@ -146,7 +148,7 @@ Status TableProbeFinish(const InternalKeyComparator& icmp,
                         TableLookupResult* result, std::string* value);
 
 /// Remote iterator over one SSTable; file is pinned for the iterator's
-/// lifetime. prefetch_bytes governs sequential chunk fetches.
+/// lifetime. prefetch_bytes caps the sequential prefetch window.
 Iterator* NewRemoteTableIterator(const RemoteReadPath& read_path,
                                  const InternalKeyComparator& icmp,
                                  FileRef file, size_t prefetch_bytes);

@@ -93,7 +93,7 @@ class FlushPipeline {
 
  private:
   // Declared before the handles so they die first on unwind.
-  std::unique_ptr<rdma::VerbQueue> vq_;
+  rdma::ExclusiveVq vq_;
   std::vector<rdma::WrHandle> deferred_;
 };
 
@@ -134,7 +134,7 @@ class AsyncRemoteSink : public TableSink {
 
   rdma::RdmaManager* mgr_;
   // Declared before the buffers so their handles die first on unwind.
-  std::unique_ptr<rdma::VerbQueue> owned_vq_;  // Null when pipelined.
+  rdma::ExclusiveVq owned_vq_;  // Null when pipelined.
   rdma::VerbQueue* vq_ = nullptr;  // owned_vq_ or the pipeline's queue.
   FlushPipeline* pipeline_ = nullptr;
   remote::RemoteChunk chunk_;

@@ -28,6 +28,7 @@ class LevelConcatIterator : public Iterator {
   }
 
   void SeekToFirst() override {
+    seeked_ = false;
     index_ = 0;
     OpenCurrent();
     if (table_ != nullptr) table_->SeekToFirst();
@@ -35,6 +36,7 @@ class LevelConcatIterator : public Iterator {
   }
 
   void SeekToLast() override {
+    seeked_ = false;
     index_ = files_.empty() ? 0 : files_.size() - 1;
     OpenCurrent();
     if (table_ != nullptr) table_->SeekToLast();
@@ -42,6 +44,7 @@ class LevelConcatIterator : public Iterator {
   }
 
   void Seek(const Slice& target) override {
+    seeked_ = true;
     // Binary search for the first file whose largest key is >= target.
     size_t lo = 0, hi = files_.size();
     while (lo < hi) {
@@ -85,7 +88,15 @@ class LevelConcatIterator : public Iterator {
            index_ + 1 < files_.size()) {
       index_++;
       OpenCurrent();
-      if (table_ != nullptr) table_->SeekToFirst();
+      if (table_ == nullptr) continue;
+      // A scan that started with Seek enters the next file the same way,
+      // so its prefetch window keeps ramping from a small first window
+      // instead of pulling a full chunk for the few entries it may read.
+      if (seeked_) {
+        table_->Seek(files_[index_]->smallest.Encode());
+      } else {
+        table_->SeekToFirst();
+      }
     }
   }
 
@@ -102,6 +113,7 @@ class LevelConcatIterator : public Iterator {
   std::vector<FileRef> files_;
   size_t prefetch_;
   size_t index_ = 0;
+  bool seeked_ = false;  // Positioned by Seek, not by SeekToFirst/Last.
   std::unique_ptr<Iterator> table_;
   Status status_;
 };

@@ -624,6 +624,11 @@ std::pair<QueuePair*, QueuePair*> Fabric::CreateQpPair(Node* a, Node* b) {
   return {qa, qb};
 }
 
+size_t Fabric::num_qps() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return qps_.size();
+}
+
 void Fabric::set_fault_params(const FaultParams& fp) {
   fault_params_ = fp;
   faults_enabled_.store(fp.any(), std::memory_order_relaxed);

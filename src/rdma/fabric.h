@@ -391,6 +391,10 @@ class Fabric {
   /// endpoints. Endpoints are owned by the fabric.
   std::pair<QueuePair*, QueuePair*> CreateQpPair(Node* a, Node* b);
 
+  /// Queue-pair endpoints created so far (two per CreateQpPair); the
+  /// fabric owns them for its whole lifetime.
+  size_t num_qps() const;
+
   /// Validates a remote access against the registration table.
   Status CheckRemoteAccess(uint32_t rkey, uint64_t addr, size_t len,
                            uint32_t target_node) const;

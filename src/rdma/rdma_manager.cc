@@ -91,11 +91,11 @@ size_t VerbQueue::FindPending(uint64_t wr_id) const {
   return pending_.size();
 }
 
-WrHandle VerbQueue::Track(uint64_t wr_id, VerbClass cls) {
+WrHandle VerbQueue::Track(uint64_t wr_id, VerbClass cls, size_t bytes) {
   pending_.push_back(Pending{wr_id, cls, false});
   // The QP stamped the post clock an instant ago; reuse it rather than
   // reading the clock a second time per verb.
-  RecordPost(wr_id, cls, qp_->last_post_ns());
+  RecordPost(OutstandingVerb{wr_id, cls, qp_->last_post_ns(), bytes});
   return WrHandle(this, wr_id);
 }
 
@@ -199,12 +199,12 @@ Status VerbQueue::Recover() {
   return s;
 }
 
-void VerbQueue::RecordPost(uint64_t wr_id, VerbClass cls, uint64_t post_ns) {
+void VerbQueue::RecordPost(const OutstandingVerb& v) {
   std::lock_guard<std::mutex> lock(stats_mu_);
   posted_++;
   outstanding_++;
   if (outstanding_ > max_outstanding_) max_outstanding_ = outstanding_;
-  outstanding_verbs_.push_back(OutstandingVerb{wr_id, cls, post_ns});
+  outstanding_verbs_.push_back(v);
 }
 
 void VerbQueue::RecordCompletion(VerbClass cls, const Completion& c) {
@@ -252,7 +252,7 @@ void VerbQueue::ListOutstanding(std::vector<OutstandingVerb>* out) const {
               outstanding_verbs_.end());
 }
 
-void VerbQueue::SnapshotInto(RdmaVerbStats* out) const {
+void VerbQueue::SnapshotInto(RdmaVerbStats* out, bool orphaned) const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   out->read.MergeFrom(cls_stats_[static_cast<int>(VerbClass::kRead)]);
   out->write.MergeFrom(cls_stats_[static_cast<int>(VerbClass::kWrite)]);
@@ -261,7 +261,22 @@ void VerbQueue::SnapshotInto(RdmaVerbStats* out) const {
   out->posted += posted_;
   out->completed += completed_;
   out->abandoned += abandoned_;
-  out->outstanding += outstanding_;
+  if (orphaned) {
+    // Verbs in flight on a queue without an owner can never be harvested
+    // by a handle: count them as abandoned instead of pinning the gauge,
+    // and count their bytes, which crossed the wire all the same.
+    out->abandoned += outstanding_;
+    for (const OutstandingVerb& v : outstanding_verbs_) {
+      VerbClassStats* cls = v.cls == VerbClass::kRead    ? &out->read
+                            : v.cls == VerbClass::kWrite ? &out->write
+                            : v.cls == VerbClass::kSend  ? &out->send
+                                                         : &out->atomic;
+      cls->ops++;
+      cls->bytes += v.bytes;
+    }
+  } else {
+    out->outstanding += outstanding_;
+  }
   if (max_outstanding_ > out->max_outstanding) {
     out->max_outstanding = max_outstanding_;
   }
@@ -271,45 +286,47 @@ void VerbQueue::SnapshotInto(RdmaVerbStats* out) const {
 WrHandle VerbQueue::Read(void* dst, uint64_t raddr, uint32_t rkey,
                          size_t len) {
   MaybeSweep();
-  return Track(qp_->PostRead(dst, raddr, rkey, len), VerbClass::kRead);
+  return Track(qp_->PostRead(dst, raddr, rkey, len), VerbClass::kRead, len);
 }
 
 WrHandle VerbQueue::Write(const void* src, uint64_t raddr, uint32_t rkey,
                           size_t len) {
   MaybeSweep();
-  return Track(qp_->PostWrite(src, raddr, rkey, len), VerbClass::kWrite);
+  return Track(qp_->PostWrite(src, raddr, rkey, len), VerbClass::kWrite,
+               len);
 }
 
 WrHandle VerbQueue::WriteStamped(const void* src, uint64_t raddr,
                                  uint32_t rkey, size_t len) {
   MaybeSweep();
   return Track(qp_->PostWriteStamped(src, raddr, rkey, len),
-               VerbClass::kWrite);
+               VerbClass::kWrite, len);
 }
 
 WrHandle VerbQueue::WriteWithImm(const void* src, uint64_t raddr,
                                  uint32_t rkey, size_t len, uint32_t imm) {
   MaybeSweep();
   return Track(qp_->PostWriteWithImm(src, raddr, rkey, len, imm),
-               VerbClass::kSend);
+               VerbClass::kSend, len);
 }
 
 WrHandle VerbQueue::Send(const void* src, size_t len) {
   MaybeSweep();
-  return Track(qp_->PostSend(src, len), VerbClass::kSend);
+  return Track(qp_->PostSend(src, len), VerbClass::kSend, len);
 }
 
 WrHandle VerbQueue::FetchAdd(uint64_t raddr, uint32_t rkey, uint64_t add,
                              uint64_t* prev) {
   MaybeSweep();
-  return Track(qp_->PostFetchAdd(raddr, rkey, add, prev), VerbClass::kAtomic);
+  return Track(qp_->PostFetchAdd(raddr, rkey, add, prev), VerbClass::kAtomic,
+               sizeof(uint64_t));
 }
 
 WrHandle VerbQueue::CmpSwap(uint64_t raddr, uint32_t rkey, uint64_t expected,
                             uint64_t desired, uint64_t* prev) {
   MaybeSweep();
   return Track(qp_->PostCmpSwap(raddr, rkey, expected, desired, prev),
-               VerbClass::kAtomic);
+               VerbClass::kAtomic, sizeof(uint64_t));
 }
 
 // ---------------------------------------------------------------------------
@@ -347,8 +364,36 @@ VerbQueue* RdmaManager::ThreadVq() {
   return raw;
 }
 
-std::unique_ptr<VerbQueue> RdmaManager::CreateExclusiveVq() {
-  return std::make_unique<VerbQueue>(CreateQp(), this);
+ExclusiveVq RdmaManager::CreateExclusiveVq() {
+  std::unique_ptr<VerbQueue> vq;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!idle_vqs_.empty()) {
+      vq = std::move(idle_vqs_.front());
+      idle_vqs_.pop_front();
+      vq->idle_ = false;
+    }
+  }
+  if (vq == nullptr) {
+    vq = std::make_unique<VerbQueue>(CreateQp(), this);
+  } else {
+    // Every handle of the previous owner is gone, so whatever is still in
+    // flight was cancelled: Recover() drops those completions and resets
+    // an errored QP. A failed reset (peer down) leaves the QP errored, as
+    // a fresh QP to that peer would be.
+    vq->Recover();
+  }
+  return ExclusiveVq(vq.release(), ExclusiveVqRelease{this});
+}
+
+void RdmaManager::ReleaseExclusiveVq(VerbQueue* vq) {
+  std::lock_guard<std::mutex> lock(mu_);
+  vq->idle_ = true;
+  idle_vqs_.emplace_back(vq);
+}
+
+void ExclusiveVqRelease::operator()(VerbQueue* vq) const {
+  mgr->ReleaseExclusiveVq(vq);
 }
 
 void RdmaManager::RegisterVq(VerbQueue* vq) {
@@ -358,13 +403,7 @@ void RdmaManager::RegisterVq(VerbQueue* vq) {
 
 void RdmaManager::UnregisterVq(VerbQueue* vq) {
   std::lock_guard<std::mutex> lock(mu_);
-  RdmaVerbStats last;
-  vq->SnapshotInto(&last);
-  // Verbs still in flight when their queue dies can never be harvested;
-  // fold them into the abandoned count instead of pinning the gauge.
-  last.abandoned += last.outstanding;
-  last.outstanding = 0;
-  retired_.MergeFrom(last);
+  vq->SnapshotInto(&retired_, /*orphaned=*/true);
   for (size_t i = 0; i < live_vqs_.size(); i++) {
     if (live_vqs_[i] == vq) {
       live_vqs_[i] = live_vqs_.back();
@@ -378,7 +417,7 @@ RdmaVerbStats RdmaManager::StatsSnapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   RdmaVerbStats out = retired_;
   for (VerbQueue* vq : live_vqs_) {
-    vq->SnapshotInto(&out);
+    vq->SnapshotInto(&out, vq->idle_);
   }
   return out;
 }
@@ -386,7 +425,7 @@ RdmaVerbStats RdmaManager::StatsSnapshot() const {
 void RdmaManager::ListOutstanding(std::vector<OutstandingVerb>* out) const {
   std::lock_guard<std::mutex> lock(mu_);
   for (VerbQueue* vq : live_vqs_) {
-    vq->ListOutstanding(out);
+    if (!vq->idle_) vq->ListOutstanding(out);
   }
 }
 

@@ -21,6 +21,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -36,6 +37,17 @@ namespace rdma {
 class RdmaManager;
 class VerbQueue;
 
+/// Deleter of an exclusive verb queue: hands the queue back to its
+/// manager's idle list instead of freeing it with its queue pair.
+struct ExclusiveVqRelease {
+  RdmaManager* mgr = nullptr;
+  void operator()(VerbQueue* vq) const;
+};
+
+/// A verb queue owned by one long-lived user (RdmaManager::
+/// CreateExclusiveVq). Dropping it never blocks and never leaks its QP.
+using ExclusiveVq = std::unique_ptr<VerbQueue, ExclusiveVqRelease>;
+
 /// One verb posted but not yet completed, as seen by an observer thread
 /// (watchdog, diagnostics). A point-in-time copy: by the time the caller
 /// inspects it the verb may have completed.
@@ -43,6 +55,7 @@ struct OutstandingVerb {
   uint64_t wr_id = 0;
   VerbClass cls = VerbClass::kRead;
   uint64_t post_ns = 0;  ///< Fabric post timestamp (virtual time).
+  uint64_t bytes = 0;    ///< Payload length the verb moves.
 };
 
 /// Completion handle for one posted verb; move-only, obtained from a
@@ -176,7 +189,7 @@ class VerbQueue {
   void ListOutstanding(std::vector<OutstandingVerb>* out) const;
 
  private:
-  WrHandle Track(uint64_t wr_id, VerbClass cls);
+  WrHandle Track(uint64_t wr_id, VerbClass cls, size_t bytes);
   /// Accounts one popped completion: telemetry, pending bookkeeping, and
   /// stash-or-drop depending on whether the handle was cancelled.
   void Admit(const Completion& c);
@@ -191,15 +204,21 @@ class VerbQueue {
   void Cancel(uint64_t wr_id);
 
   size_t FindPending(uint64_t wr_id) const;
-  void RecordPost(uint64_t wr_id, VerbClass cls, uint64_t post_ns);
+  void RecordPost(const OutstandingVerb& v);
   void RecordCompletion(VerbClass cls, const Completion& c);
   void RecordAbandoned();
   void RecordReconnect();
   /// Merges this queue's telemetry into *out (thread-safe vs the owner).
-  void SnapshotInto(RdmaVerbStats* out) const;
+  /// An orphaned queue (dead, or idle between exclusive owners) reports
+  /// its in-flight verbs as abandoned, with their bytes.
+  void SnapshotInto(RdmaVerbStats* out, bool orphaned = false) const;
 
   QueuePair* qp_;
   RdmaManager* mgr_;
+  // Set while the queue sits on its manager's idle list (guarded by the
+  // manager's mu_): its in-flight verbs were all cancelled by the
+  // previous owner and report as abandoned, as if the queue had died.
+  bool idle_ = false;
   std::vector<Pending> pending_;
   std::vector<Completion> stash_;
 
@@ -241,10 +260,16 @@ class RdmaManager {
   /// Handles from it must be waited on the posting thread.
   VerbQueue* ThreadVq();
 
-  /// Creates a verb queue over a fresh queue pair for a single owner with
+  /// Returns a verb queue with its own queue pair for a single owner with
   /// long-lived outstanding work (flush pipeline, scan prefetch), so its
   /// in-flight depth never queues behind the owner thread's other verbs.
-  std::unique_ptr<VerbQueue> CreateExclusiveVq();
+  /// Dropped queues go to an idle list and are reused oldest first, so
+  /// the fabric's QP count stays bounded by the peak number of live ones.
+  /// A reused queue is first drained of its previous owner's cancelled
+  /// verbs (waiting out any still on the wire, as later verbs on that QP
+  /// would anyway: a QP completes in post order) and reset if its QP is
+  /// errored.
+  ExclusiveVq CreateExclusiveVq();
 
   // Synchronous wrappers: post + wait on the calling thread's verb queue.
   // They interleave freely with outstanding async handles on the same
@@ -290,6 +315,9 @@ class RdmaManager {
 
  private:
   friend class VerbQueue;
+  friend struct ExclusiveVqRelease;
+
+  void ReleaseExclusiveVq(VerbQueue* vq);
 
   /// Every VerbQueue with a manager registers for snapshot aggregation;
   /// on destruction its final telemetry folds into retired_. A queue must
@@ -303,12 +331,13 @@ class RdmaManager {
   Node* local_;
   Node* remote_;
   uint64_t instance_id_;
-  mutable std::mutex mu_;  // Guards thread_vqs_, live_vqs_, retired_.
+  mutable std::mutex mu_;  // Guards the queue lists and retired_.
   std::vector<VerbQueue*> live_vqs_;
   RdmaVerbStats retired_;
   // Declared after the registry so the owned queues die first: their
   // destructors unregister through mu_/live_vqs_/retired_.
   std::vector<std::unique_ptr<VerbQueue>> thread_vqs_;
+  std::deque<std::unique_ptr<VerbQueue>> idle_vqs_;  // Oldest first.
 
   static std::atomic<uint64_t> next_instance_id_;
 };

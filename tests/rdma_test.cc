@@ -569,6 +569,39 @@ TEST_F(FabricTest, ReadBatchDestructorCancelsWithoutBlocking) {
   });
 }
 
+TEST_F(FabricTest, ExclusiveQueuesAreRecycledNotLeaked) {
+  // Every scan sub-iterator that posts ahead and every flush sink takes an
+  // exclusive queue. Dropping one (here with a cancelled READ still on the
+  // wire) must hand its QP back for reuse, not leave it in the fabric.
+  RunSim([](Fabric* f, Node* compute, Node* memory) {
+    char* remote = memory->AllocDram(8192);
+    memset(remote, 'x', 8192);
+    MemoryRegion mr = f->RegisterMemory(memory, remote, 8192);
+    RdmaManager mgr(f, compute, memory);
+    const size_t base = f->num_qps();
+
+    std::string buf(4096, '\0');
+    for (int i = 0; i < 1000; i++) {
+      ExclusiveVq vq = mgr.CreateExclusiveVq();
+      WrHandle h = vq->Read(buf.data(), mr.addr, mr.rkey, buf.size());
+      // h dies first: its READ is cancelled while still in flight.
+    }
+    EXPECT_LE(f->num_qps() - base, 4u);
+
+    // The cancelled READs count as abandoned, never as outstanding, and a
+    // reused queue starts empty and works.
+    RdmaVerbStats vs = mgr.StatsSnapshot();
+    EXPECT_EQ(0u, vs.outstanding);
+    EXPECT_EQ(1000u, vs.abandoned);
+    ExclusiveVq vq = mgr.CreateExclusiveVq();
+    EXPECT_EQ(0u, vq->in_flight());
+    std::string back(64, '\0');
+    ASSERT_TRUE(vq->Read(back.data(), mr.addr, mr.rkey, 64).Wait().ok());
+    EXPECT_EQ(std::string(64, 'x'), back);
+    EXPECT_LE(f->num_qps() - base, 4u);
+  });
+}
+
 TEST_F(FabricTest, ExplicitCancelDropsCompletionEvenIfAlreadyStashed) {
   RunSim([](Fabric* f, Node* compute, Node* memory) {
     char* remote = memory->AllocDram(1024);

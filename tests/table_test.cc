@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/core/file_meta.h"
 #include "src/core/options.h"
@@ -363,6 +366,228 @@ TEST_P(TableLayoutTest, RemoteIteratorFullScanAndSeek) {
     it->SeekToLast();
     ASSERT_TRUE(it->Valid());
     EXPECT_EQ(UKey(kN - 1), ExtractUserKey(it->key()).ToString());
+  });
+}
+
+/// Builds `records` (ascending user keys, one version each) into a remote
+/// table of the test's layout at chunk and returns its metadata.
+FileRef BuildRemoteTable(
+    rdma::RdmaManager* mgr, const remote::RemoteChunk& chunk,
+    const LayoutParam& param,
+    const std::vector<std::pair<std::string, std::string>>& records) {
+  BloomFilterPolicy bloom(10);
+  AsyncRemoteSink sink(mgr, chunk, 64 << 10, 3);
+  auto builder = param.format == TableFormat::kByteAddressable
+                     ? NewByteTableBuilder(&bloom, &sink)
+                     : NewBlockTableBuilder(&bloom, &sink, param.block_size);
+  for (const auto& [key, value] : records) {
+    EXPECT_TRUE(builder->Add(IKey(key, 1), value).ok());
+  }
+  TableBuildResult result;
+  EXPECT_TRUE(builder->Finish(&result).ok());
+  auto file = std::make_shared<FileMetaData>();
+  file->chunk = chunk;
+  file->data_len = result.data_len;
+  file->num_entries = result.num_entries;
+  file->index = TableIndex::Parse(result.index_blob);
+  return file;
+}
+
+TEST_P(TableLayoutTest, ReverseScanReadsWindowsNotRecords) {
+  // A backward window ends at the record it was fetched for, so the
+  // records before it are already in; a reverse pass costs one READ per
+  // window, not one per record (or block). A record straddling a window's
+  // start is re-read whole with the next window, so each window advances
+  // at least its size minus the largest record.
+  RunSim([&](rdma::Fabric* f, rdma::Node* compute, rdma::Node* memory,
+             Env*) {
+    InternalKeyComparator icmp(BytewiseComparator());
+    char* region = memory->AllocDram(8 << 20);
+    rdma::MemoryRegion mr = f->RegisterMemory(memory, region, 8 << 20);
+    rdma::RdmaManager mgr(f, compute, memory);
+    remote::RemoteChunk chunk{mr.addr, 8 << 20, mr.rkey, compute->id()};
+
+    const int kN = 2000;
+    std::vector<std::pair<std::string, std::string>> records;
+    for (int i = 0; i < kN; i++) {
+      records.emplace_back(UKey(i), std::string(100, 'a' + i % 26));
+    }
+    FileRef file = BuildRemoteTable(&mgr, chunk, GetParam(), records);
+
+    const size_t kWindow = 16 << 10;
+    RemoteReadPath read_path;
+    read_path.mgr = &mgr;
+    std::unique_ptr<Iterator> it(
+        NewRemoteTableIterator(read_path, icmp, file, kWindow));
+    const uint64_t before = mgr.StatsSnapshot().read.ops;
+    int n = 0;
+    for (it->SeekToLast(); it->Valid(); it->Prev(), n++) {
+      ASSERT_EQ(UKey(kN - 1 - n), ExtractUserKey(it->key()).ToString());
+      ASSERT_EQ(records[kN - 1 - n].second, it->value().ToString());
+    }
+    ASSERT_TRUE(it->status().ok()) << it->status().ToString();
+    EXPECT_EQ(kN, n);
+    const uint64_t reads = mgr.StatsSnapshot().read.ops - before;
+    size_t largest = 0;
+    for (size_t i = 0; i < file->index->num_entries(); i++) {
+      largest = std::max<size_t>(largest, file->index->entry(i).length);
+    }
+    const size_t advance = kWindow - largest;
+    EXPECT_LE(reads, (file->data_len + advance - 1) / advance + 1)
+        << "data_len " << file->data_len << ", largest " << largest;
+    EXPECT_LT(reads, file->index->num_entries() / 2);
+  });
+}
+
+TEST_P(TableLayoutTest, FailedWindowFetchNeverServesStaleBytes) {
+  // A window fetch that fails must not leave the window claiming bytes it
+  // never received: after the fault clears, a Seek into that range reads
+  // the record again instead of parsing a zero-filled buffer.
+  RunSim([&](rdma::Fabric* f, rdma::Node* compute, rdma::Node* memory,
+             Env*) {
+    InternalKeyComparator icmp(BytewiseComparator());
+    char* region = memory->AllocDram(8 << 20);
+    rdma::MemoryRegion mr = f->RegisterMemory(memory, region, 8 << 20);
+    rdma::RdmaManager mgr(f, compute, memory);
+    remote::RemoteChunk chunk{mr.addr, 8 << 20, mr.rkey, compute->id()};
+
+    const int kN = 400;
+    std::vector<std::pair<std::string, std::string>> records;
+    for (int i = 0; i < kN; i++) {
+      records.emplace_back(UKey(i), std::string(100, 'a' + i % 26));
+    }
+    FileRef file = BuildRemoteTable(&mgr, chunk, GetParam(), records);
+
+    RemoteReadPath read_path;
+    read_path.mgr = &mgr;
+    read_path.max_retries = 1;  // Recovers the QP once the fault clears.
+    std::unique_ptr<Iterator> it(
+        NewRemoteTableIterator(read_path, icmp, file, 64 << 10));
+    it->Seek(IKey(UKey(0), kMaxSequenceNumber));
+    ASSERT_TRUE(it->Valid());
+
+    rdma::FaultParams fp;
+    fp.wr_error_rate = 1.0;
+    f->set_fault_params(fp);
+    int reached = 0;
+    for (; it->Valid(); it->Next()) reached++;
+    EXPECT_TRUE(it->status().IsIOError()) << it->status().ToString();
+    ASSERT_LT(reached, kN);
+    f->set_fault_params(rdma::FaultParams());
+
+    it->Seek(IKey(UKey(reached), kMaxSequenceNumber));
+    ASSERT_TRUE(it->Valid()) << it->status().ToString();
+    EXPECT_EQ(UKey(reached), ExtractUserKey(it->key()).ToString());
+    EXPECT_EQ(records[reached].second, it->value().ToString());
+  });
+}
+
+TEST_P(TableLayoutTest, ScansAreByteIdenticalOnBothTransports) {
+  // Records of 300-1700 B under a 10007 B window cap: window boundaries
+  // fall inside records (blocks) everywhere, so the async transport
+  // stitches straddlers across its window swap while the sync transport
+  // (staging-copy path, no prefetch) re-reads them. Every scan shape must
+  // yield the same bytes on both, and those of the source records; a
+  // full forward pass on the async transport reads each byte once.
+  RunSim([&](rdma::Fabric* f, rdma::Node* compute, rdma::Node* memory,
+             Env*) {
+    InternalKeyComparator icmp(BytewiseComparator());
+    char* region = memory->AllocDram(8 << 20);
+    rdma::MemoryRegion mr = f->RegisterMemory(memory, region, 8 << 20);
+    rdma::RdmaManager mgr(f, compute, memory);
+    remote::RemoteChunk chunk{mr.addr, 8 << 20, mr.rkey, compute->id()};
+
+    const int kN = 600;
+    Random rnd(17);
+    std::vector<std::pair<std::string, std::string>> records;
+    for (int i = 0; i < kN; i++) {
+      std::string value(300 + rnd.Uniform(1400), '\0');
+      for (char& c : value) c = static_cast<char>('a' + rnd.Uniform(26));
+      records.emplace_back(UKey(i), std::move(value));
+    }
+    FileRef file = BuildRemoteTable(&mgr, chunk, GetParam(), records);
+
+    const size_t kCap = 10007;
+    auto append = [](std::string* out, Iterator* it) {
+      *out += ExtractUserKey(it->key()).ToString();
+      *out += '=';
+      *out += it->value().ToString();
+      *out += ';';
+    };
+    // One transcript of every scan shape: full forward, full reverse, then
+    // Seek followed by Next and by Prev runs at spread-out targets, and a
+    // direction change mid-run.
+    auto transcript = [&](const RemoteReadPath& rp) {
+      std::unique_ptr<Iterator> it(
+          NewRemoteTableIterator(rp, icmp, file, kCap));
+      std::string out = "fwd:";
+      for (it->SeekToFirst(); it->Valid(); it->Next()) append(&out, it.get());
+      out += "rev:";
+      for (it->SeekToLast(); it->Valid(); it->Prev()) append(&out, it.get());
+      for (int target : {0, 7, 123, 301, 520, 599}) {
+        out += "seek" + std::to_string(target) + ":";
+        it->Seek(IKey(UKey(target), kMaxSequenceNumber));
+        for (int i = 0; i < 60 && it->Valid(); i++, it->Next()) {
+          append(&out, it.get());
+        }
+        out += "back:";
+        it->Seek(IKey(UKey(target), kMaxSequenceNumber));
+        for (int i = 0; i < 60 && it->Valid(); i++, it->Prev()) {
+          append(&out, it.get());
+        }
+      }
+      out += "zigzag:";
+      it->Seek(IKey(UKey(250), kMaxSequenceNumber));
+      for (int i = 0; i < 40 && it->Valid(); i++, it->Next()) {
+        append(&out, it.get());
+      }
+      for (int i = 0; i < 70 && it->Valid(); i++, it->Prev()) {
+        append(&out, it.get());
+      }
+      EXPECT_TRUE(it->status().ok()) << it->status().ToString();
+      return out;
+    };
+
+    std::string expected = "fwd:";
+    auto add = [&expected, &records](int i) {
+      expected += records[i].first + "=" + records[i].second + ";";
+    };
+    for (int i = 0; i < kN; i++) add(i);
+    expected += "rev:";
+    for (int i = kN - 1; i >= 0; i--) add(i);
+    for (int target : {0, 7, 123, 301, 520, 599}) {
+      expected += "seek" + std::to_string(target) + ":";
+      for (int i = target; i < kN && i < target + 60; i++) add(i);
+      expected += "back:";
+      for (int i = target; i >= 0 && i > target - 60; i--) add(i);
+    }
+    expected += "zigzag:";
+    for (int i = 250; i < 290; i++) add(i);
+    for (int i = 290; i > 220; i--) add(i);
+
+    RemoteReadPath async_path;
+    async_path.mgr = &mgr;
+    RemoteReadPath sync_path = async_path;
+    sync_path.extra_copy = true;
+    ASSERT_FALSE(SupportsAsyncProbe(sync_path));
+    EXPECT_TRUE(transcript(async_path) == expected)
+        << "async transport diverged";
+    EXPECT_TRUE(transcript(sync_path) == expected)
+        << "sync transport diverged";
+
+    // A SeekToFirst pass fetches full chunks from the start, and stitching
+    // makes them tile the data region: each byte is read once, not once
+    // plus a cancelled chunk per straddling record.
+    std::unique_ptr<Iterator> it(
+        NewRemoteTableIterator(async_path, icmp, file, kCap));
+    const rdma::VerbClassStats before = mgr.StatsSnapshot().read;
+    int n = 0;
+    for (it->SeekToFirst(); it->Valid(); it->Next()) n++;
+    ASSERT_TRUE(it->status().ok()) << it->status().ToString();
+    EXPECT_EQ(kN, n);
+    const rdma::VerbClassStats after = mgr.StatsSnapshot().read;
+    EXPECT_LE(after.bytes - before.bytes, file->data_len * 105 / 100);
+    EXPECT_EQ((file->data_len + kCap - 1) / kCap, after.ops - before.ops);
   });
 }
 
