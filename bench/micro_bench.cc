@@ -1,10 +1,12 @@
 // Wall-clock microbenchmarks (google-benchmark) of the data structures on
 // dLSM's hot paths: skiplist insert/lookup, bloom filter build/probe,
-// varint coding, CRC32C, byte-record vs block build and parse. These are
+// varint coding, CRC32C, byte-record vs block build and parse, and the
+// SimEnv baton pass that every simulated scheduling point pays. These are
 // host-hardware numbers (not virtual time); they feed the CPU cost side of
 // the simulation and catch regressions in the real code.
 
 #include <benchmark/benchmark.h>
+#include <time.h>
 
 #include <string>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "src/core/dbformat.h"
 #include "src/core/memtable.h"
 #include "src/core/skiplist.h"
+#include "src/sim/sim_env.h"
 #include "src/util/arena.h"
 #include "src/util/coding.h"
 #include "src/util/crc32c.h"
@@ -154,6 +157,51 @@ void BM_Crc32c(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(1 << 20);
+
+uint64_t ProcessCpuNanos() {
+  struct timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<uint64_t>(ts.tv_sec) * 1000000000ull +
+         static_cast<uint64_t>(ts.tv_nsec);
+}
+
+// N simulated threads advance their clocks in lockstep (cpu_scale = 0, so
+// ties break by thread id), so each AdvanceTo passes the baton to the next
+// thread. cpu_ns_per_pass is process CPU, both sides of the hand-off, per
+// pass that actually let another thread run.
+void BM_SimEnvHandoff(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(0));
+  constexpr int kSteps = 2000;
+  uint64_t passes = 0;
+  uint64_t cpu_ns = 0;
+  for (auto _ : state) {
+    SimEnv::Options options;
+    options.cpu_scale = 0;
+    SimEnv env(options);
+    uint64_t last_runner = 0;
+    uint64_t start = ProcessCpuNanos();
+    env.Run(0, [&] {
+      std::vector<ThreadHandle> hs;
+      for (int i = 0; i < threads; i++) {
+        hs.push_back(env.StartThread(0, "p", [&] {
+          for (uint64_t k = 1; k <= kSteps; k++) {
+            uint64_t me = env.CurrentThreadId();
+            last_runner = me;
+            env.AdvanceTo(k * 1000);
+            if (last_runner != me) passes++;
+          }
+        }));
+      }
+      for (ThreadHandle h : hs) env.Join(h);
+    });
+    cpu_ns += ProcessCpuNanos() - start;
+  }
+  state.counters["cpu_ns_per_pass"] =
+      passes > 0 ? static_cast<double>(cpu_ns) / passes : 0;
+  state.counters["passes_per_run"] =
+      static_cast<double>(passes) / state.iterations();
+}
+BENCHMARK(BM_SimEnvHandoff)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace dlsm

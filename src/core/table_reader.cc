@@ -108,7 +108,9 @@ class BlockIter : public Iterator {
       return;
     }
     num_restarts_ = DecodeFixed32(data_ + size_ - 4);
-    if (4 + 4ull * num_restarts_ > size_) {
+    // A built block has at least restart 0; zero would underflow the
+    // num_restarts_ - 1 in Seek and SeekToLast.
+    if (num_restarts_ == 0 || 4 + 4ull * num_restarts_ > size_) {
       status_ = Status::Corruption("bad restart count");
       return;
     }

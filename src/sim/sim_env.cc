@@ -1,6 +1,11 @@
 #include "src/sim/sim_env.h"
 
+#include <linux/futex.h>
+#include <pthread.h>
+#include <sched.h>
+#include <sys/syscall.h>
 #include <time.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cinttypes>
@@ -12,6 +17,44 @@ namespace dlsm {
 
 namespace {
 thread_local SimEnv::SimThread* tls_current = nullptr;
+
+static_assert(sizeof(std::atomic<uint32_t>) == sizeof(uint32_t) &&
+                  std::atomic<uint32_t>::is_always_lock_free,
+              "the baton word must be usable as a futex");
+
+long Futex(std::atomic<uint32_t>* word, int op, uint32_t val) {
+  return syscall(SYS_futex, reinterpret_cast<uint32_t*>(word), op, val,
+                 nullptr, nullptr, 0);
+}
+
+/// Hands t the baton. Call without gm_ held, so t does not block on gm_ the
+/// moment it runs.
+void Wake(SimEnv::SimThread* t) {
+  t->baton.store(1, std::memory_order_release);
+  Futex(&t->baton, FUTEX_WAKE_PRIVATE, 1);
+}
+
+/// Sleeps until t holds the baton, then takes it. Call without gm_ held.
+void Park(SimEnv::SimThread* t) {
+  while (t->baton.load(std::memory_order_acquire) == 0) {
+    Futex(&t->baton, FUTEX_WAIT_PRIVATE, 0);
+  }
+  t->baton.store(0, std::memory_order_relaxed);
+}
+
+bool PinSelfTo(int cpu) {
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  return pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0;
+}
+
+uint64_t MonotonicNanos() {
+  struct timespec ts;
+  clock_gettime(CLOCK_MONOTONIC, &ts);
+  return static_cast<uint64_t>(ts.tv_sec) * 1000000000ull +
+         static_cast<uint64_t>(ts.tv_nsec);
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -235,6 +278,21 @@ void SimEnv::ChargeCpuLocked(SimThread* self) {
   max_lvt_seen_ = std::max(max_lvt_seen_, self->lvt);
 }
 
+void SimEnv::RotatePinLocked() {
+  if (pin_cpus_.size() < 2) return;
+  const uint64_t now = MonotonicNanos();
+  if (now < pin_until_ns_) return;
+  pin_ = (pin_ + 1) % pin_cpus_.size();
+  pin_until_ns_ = now + kPinPeriodNs;
+}
+
+void SimEnv::FollowPinLocked(SimThread* t) {
+  if (pin_cpus_.empty() || t->cpu == pin_cpus_[pin_]) return;
+  // Outside the slice: the migration is host scheduling, not modeled work.
+  t->cpu = pin_cpus_[pin_];
+  PinSelfTo(t->cpu);
+}
+
 void SimEnv::StartSliceLocked(SimThread* t) {
   t->cpu_start = ThreadCpuNanos();
   t->factor_cache = FactorLocked(t->node);
@@ -293,33 +351,18 @@ void SimEnv::SwitchOutLocked(SimThread* self,
     DeadlockAbortLocked();
   }
   ResumeLocked(next);
+  RotatePinLocked();
   // next calls StartSliceLocked itself on wake; the CPU clock is per-thread.
-  next->go = true;
-  next->cv.notify_one();
-  self->cv.wait(lk, [self] { return self->go; });
-  self->go = false;
+  lk.unlock();
+  Wake(next);
+  Park(self);
+  lk.lock();
   // Scheduled again; our state was set to kRunning by the waker.
+  FollowPinLocked(self);
   StartSliceLocked(self);
 }
 
-void SimEnv::PassBatonLocked(SimThread* self) {
-  (void)self;
-  SimThread* next = PickNextLocked();
-  if (next == nullptr) {
-    if (live_threads_ > 0) {
-      DeadlockAbortLocked();
-    }
-    all_done_cv_.notify_all();
-    return;
-  }
-  ResumeLocked(next);
-  next->go = true;
-  next->cv.notify_one();
-}
-
-void SimEnv::FinishThreadLocked(SimThread* self,
-                                std::unique_lock<std::mutex>& lk) {
-  (void)lk;
+SimEnv::SimThread* SimEnv::FinishThreadLocked(SimThread* self) {
   ChargeCpuLocked(self);
   for (SimThread* j : self->joiners) {
     MakeReadyLocked(j, self->lvt);
@@ -327,7 +370,16 @@ void SimEnv::FinishThreadLocked(SimThread* self,
   self->joiners.clear();
   SetStateLocked(self, State::kFinished);
   live_threads_--;
-  PassBatonLocked(self);
+  SimThread* next = PickNextLocked();
+  if (next == nullptr) {
+    if (live_threads_ > 0) {
+      DeadlockAbortLocked();
+    }
+    all_done_cv_.notify_all();
+    return nullptr;
+  }
+  ResumeLocked(next);
+  return next;
 }
 
 void SimEnv::DeadlockAbortLocked() {
@@ -361,17 +413,19 @@ void SimEnv::DeadlockAbortLocked() {
 
 void SimEnv::ThreadBody(SimThread* t) {
   tls_current = t;
+  Park(t);
   {
     std::unique_lock<std::mutex> lk(gm_);
-    t->cv.wait(lk, [t] { return t->go; });
-    t->go = false;
+    FollowPinLocked(t);
     StartSliceLocked(t);
   }
   t->fn();
+  SimThread* next;
   {
     std::unique_lock<std::mutex> lk(gm_);
-    FinishThreadLocked(t, lk);
+    next = FinishThreadLocked(t);
   }
+  if (next != nullptr) Wake(next);
   tls_current = nullptr;
 }
 
@@ -379,11 +433,30 @@ void SimEnv::Run(int node_id, std::function<void()> root) {
   DLSM_CHECK_MSG(!ran_, "SimEnv::Run may only be called once");
   ran_ = true;
 
+  // One host CPU at a time for every simulated thread: a baton pass then
+  // wakes a thread on the core the last one ran on, instead of a cold,
+  // remote one. The CPU rotates over the caller's mask (RotatePinLocked), so
+  // a run is not tied to one vCPU's speed on a shared host.
+  cpu_set_t caller_mask;
+  const int cpu = sched_getcpu();
+  if (cpu >= 0 &&
+      pthread_getaffinity_np(pthread_self(), sizeof(caller_mask),
+                             &caller_mask) == 0 &&
+      CPU_ISSET(cpu, &caller_mask) && PinSelfTo(cpu)) {
+    for (int c = 0; c < CPU_SETSIZE; c++) {
+      if (!CPU_ISSET(c, &caller_mask)) continue;
+      if (c == cpu) pin_ = pin_cpus_.size();
+      pin_cpus_.push_back(c);
+    }
+    pin_until_ns_ = MonotonicNanos() + kPinPeriodNs;
+  }
+
   auto rt = std::make_unique<SimThread>();
   SimThread* t = rt.get();
   t->id = next_thread_id_++;
   t->name = "root";
   t->node = node_id;
+  t->cpu = pin_cpus_.empty() ? -1 : cpu;
   t->state = State::kBlocked;  // So the kRunning transition counts it active.
   {
     std::unique_lock<std::mutex> lk(gm_);
@@ -394,13 +467,20 @@ void SimEnv::Run(int node_id, std::function<void()> root) {
   }
   tls_current = t;
   root();
-  {
-    std::unique_lock<std::mutex> lk(gm_);
-    FinishThreadLocked(t, lk);
-    // The baton (if any) has been passed; wait for the rest of the world.
-    all_done_cv_.wait(lk, [this] { return live_threads_ == 0; });
+  std::unique_lock<std::mutex> lk(gm_);
+  SimThread* next = FinishThreadLocked(t);
+  if (next != nullptr) {
+    lk.unlock();
+    Wake(next);
+    lk.lock();
   }
+  // The baton (if any) has been passed; wait for the rest of the world.
+  all_done_cv_.wait(lk, [this] { return live_threads_ == 0; });
+  lk.unlock();
   tls_current = nullptr;
+  if (!pin_cpus_.empty()) {
+    pthread_setaffinity_np(pthread_self(), sizeof(caller_mask), &caller_mask);
+  }
 }
 
 uint64_t SimEnv::NowNanos() {
@@ -487,7 +567,10 @@ ThreadHandle SimEnv::StartThread(int node_id, const std::string& name,
   t->fn = std::move(fn);
   t->state = State::kBlocked;  // Until the baton first reaches it.
   uint64_t creator_lvt = 0;
-  if (tls_current != nullptr) creator_lvt = tls_current->lvt;
+  if (tls_current != nullptr) {
+    creator_lvt = tls_current->lvt;
+    t->cpu = tls_current->cpu;  // The OS thread inherits the creator's mask.
+  }
   {
     std::unique_lock<std::mutex> lk(gm_);
     t->id = next_thread_id_++;

@@ -3,10 +3,14 @@
 // The paper's evaluation ran on a testbed we cannot assume: a 24-core
 // compute server and a large-memory server joined by a 100 Gb/s RDMA NIC,
 // plus 16-node CloudLab clusters. SimEnv reproduces those experiments on a
-// single-core machine by decoupling *simulated* time from wall time:
+// small host by decoupling *simulated* time from wall time:
 //
 //  * Every simulated thread is a real OS thread, but exactly one runs at a
 //    time (baton passing). Each carries a "local virtual time" (LVT).
+//    Run() pins all of them to one host CPU at a time, and a baton pass is a
+//    futex wake of the next thread's word, so the resumed thread starts on
+//    the core (and the caches) the previous one just used. The CPU rotates
+//    over the caller's mask every kPinPeriodNs of host time.
 //  * CPU cost is *measured*: at every scheduling point the thread's
 //    CLOCK_THREAD_CPUTIME_ID delta is added to its LVT, scaled by the
 //    processor-sharing factor of its node (active_threads / cores when the
@@ -33,6 +37,7 @@
 #ifndef DLSM_SIM_SIM_ENV_H_
 #define DLSM_SIM_SIM_ENV_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -72,7 +77,17 @@ class SimEnv : public Env {
 
   /// Runs root() as the first simulated thread, attributed to node_id.
   /// Returns once every simulated thread has finished. May be called once.
+  /// The caller and every simulated thread are pinned to one host CPU at a
+  /// time, starting with the one the caller is on at entry (unpinned if the
+  /// kernel refuses); the caller's affinity mask is restored on return.
   void Run(int node_id, std::function<void()> root);
+
+  /// Host time between moves of the pin to the next CPU of Run's caller
+  /// mask. One vCPU of a shared host runs at one speed for up to seconds and
+  /// at another after. Moving the pin makes a long run's host cost the
+  /// average over the CPUs instead of one CPU's luck, while a Run shorter
+  /// than the period (a unit test's measurement) stays on one CPU.
+  static constexpr uint64_t kPinPeriodNs = 200'000'000;
 
   // Env interface -----------------------------------------------------------
   bool is_simulated() const override { return true; }
@@ -112,8 +127,11 @@ class SimEnv : public Env {
     uint64_t lvt = 0;
     uint64_t wake_time = UINT64_MAX;  // Valid when state == kTimed.
     bool timed_out = false;           // Set when woken by deadline expiry.
-    std::condition_variable cv;
-    bool go = false;
+    // Futex word the parked OS thread sleeps on; 1 = holds the baton. The
+    // thread passing the baton sets it and wakes the sleeper after it has
+    // released gm_; the owner clears it once it runs.
+    std::atomic<uint32_t> baton{0};
+    int cpu = -1;  // Host CPU its OS thread is pinned to; -1 = unknown.
     uint64_t cpu_start = 0;      // Thread-CPU ns at slice start.
     double factor_cache = 1.0;   // Processor-sharing factor at slice start.
     std::function<void()> fn;
@@ -140,13 +158,18 @@ class SimEnv : public Env {
   /// mutex-handoff state first.
   void MakeReadyLocked(SimThread* t, uint64_t from_lvt);
   /// Parks self (already moved to a non-running state) and resumes the best
-  /// next thread. Returns when self is scheduled again.
+  /// next thread. Returns, with lk held again, when self is scheduled again.
   void SwitchOutLocked(SimThread* self, std::unique_lock<std::mutex>& lk);
-  /// Hands the baton to the best next thread without parking self (used
-  /// when self finishes).
-  void PassBatonLocked(SimThread* self);
   void ResumeLocked(SimThread* t);
-  void FinishThreadLocked(SimThread* self, std::unique_lock<std::mutex>& lk);
+  /// Moves the pin to the next CPU once kPinPeriodNs has passed since the
+  /// last move. Called on a baton pass; each thread follows as it resumes.
+  void RotatePinLocked();
+  /// Pins the calling thread t to the current pin CPU if it is elsewhere.
+  void FollowPinLocked(SimThread* t);
+  /// Retires self and marks the best next thread running. Returns that
+  /// thread, which the caller must Wake() after releasing gm_, or nullptr
+  /// once no thread remains.
+  SimThread* FinishThreadLocked(SimThread* self);
   [[noreturn]] void DeadlockAbortLocked();
 
   void ThreadBody(SimThread* t);
@@ -160,6 +183,11 @@ class SimEnv : public Env {
   int live_threads_ = 0;
   bool ran_ = false;
   uint64_t max_lvt_seen_ = 0;
+  // The caller's CPUs, in order; empty when Run could not pin. The pin is
+  // pin_cpus_[pin_] until host monotonic time pin_until_ns_.
+  std::vector<int> pin_cpus_;
+  size_t pin_ = 0;
+  uint64_t pin_until_ns_ = 0;
 };
 
 }  // namespace dlsm

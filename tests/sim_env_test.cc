@@ -2,9 +2,15 @@
 // virtual-time SimEnv scheduler that stands in for the paper's testbed.
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <atomic>
+#include <chrono>
+#include <deque>
 #include <memory>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "src/sim/env.h"
@@ -269,6 +275,164 @@ TEST(SimEnvTest, YieldToOthersLetsLaggardsRun) {
     env.Join(h);
     EXPECT_TRUE(flag.load());
   });
+}
+
+// True if this process may narrow a thread's affinity to one CPU (some
+// sandboxes refuse sched_setaffinity; SimEnv then runs unpinned).
+bool CanPinToOneCpu() {
+  bool ok = false;
+  std::thread probe([&ok] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(sched_getcpu(), &one);
+    ok = pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0;
+  });
+  probe.join();
+  return ok;
+}
+
+// Every simulated thread runs on the one CPU the pin is on, so the CPU seen
+// after each baton pass changes only when the pin moves, at most once per
+// SimEnv::kPinPeriodNs of host time; over several periods it does move.
+TEST(SimEnvTest, SimulatedThreadsShareOneHostCpuAtATime) {
+  if (!CanPinToOneCpu()) GTEST_SKIP() << "host refuses sched_setaffinity";
+  cpu_set_t before, after;
+  ASSERT_EQ(0, pthread_getaffinity_np(pthread_self(), sizeof(before), &before));
+  std::vector<int> seen;          // sched_getcpu() in run order.
+  std::vector<int> allowed(5, 0);  // CPUs in each thread's mask.
+  auto allowed_cpus = [] {
+    cpu_set_t mask;
+    pthread_getaffinity_np(pthread_self(), sizeof(mask), &mask);
+    return CPU_COUNT(&mask);
+  };
+  const auto start = std::chrono::steady_clock::now();
+  auto elapsed_ns = [start] {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+  };
+  SimEnv env;
+  env.Run(0, [&] {
+    seen.push_back(sched_getcpu());
+    allowed[0] = allowed_cpus();
+    std::vector<ThreadHandle> hs;
+    for (int i = 1; i <= 4; i++) {
+      hs.push_back(env.StartThread(0, "w", [&, i] {
+        allowed[i] = allowed_cpus();
+        for (int k = 0; k < 1000 || elapsed_ns() < 2 * SimEnv::kPinPeriodNs;
+             k++) {
+          // A baton pass: the target stays ahead of the CPU AdvanceTo
+          // charges before it compares.
+          env.AdvanceTo(env.NowNanos() + 1000000 + i);
+          seen.push_back(sched_getcpu());
+        }
+      }));
+    }
+    for (ThreadHandle h : hs) env.Join(h);
+    seen.push_back(sched_getcpu());
+  });
+  const uint64_t elapsed = elapsed_ns();
+  uint64_t moves = 0;
+  for (size_t i = 1; i < seen.size(); i++) moves += seen[i] != seen[i - 1];
+  EXPECT_LE(moves, elapsed / SimEnv::kPinPeriodNs + 1)
+      << "simulated threads ran on several host CPUs at once";
+  if (CPU_COUNT(&before) > 1) {
+    EXPECT_GT(std::set<int>(seen.begin(), seen.end()).size(), 1u)
+        << "the pin never moved";
+  }
+  for (int n : allowed) EXPECT_EQ(1, n) << "a simulated thread was not pinned";
+  ASSERT_EQ(0, pthread_getaffinity_np(pthread_self(), sizeof(after), &after));
+  EXPECT_TRUE(CPU_EQUAL(&before, &after)) << "Run left the caller pinned";
+}
+
+// Four producer/consumer pairs over bounded queues, all eight threads also
+// contending on one shared mutex, with virtual sleeps, timed waits and
+// yields in between. A lost wakeup either hangs Run (the deadlock abort
+// kills the test binary) or loses an item, which the exact counts catch.
+TEST(SimEnvTest, HandoffStressLosesNoWakeup) {
+  constexpr int kPairs = 4;
+  constexpr int kItems = 10000;
+  constexpr size_t kQueueCap = 3;
+  struct Pair {
+    explicit Pair(Env* env)
+        : mu(env), not_empty(env, &mu), not_full(env, &mu) {}
+    Mutex mu;
+    CondVar not_empty, not_full;
+    std::deque<int> q;
+    int received = 0;
+    bool in_order = true;
+  };
+  SimEnv::Options options;
+  options.cpu_scale = 0;  // Virtual time moves only at the calls below.
+  SimEnv env(options);
+  std::vector<int> shared_counts(2 * kPairs, 0);
+  uint64_t handoffs = 0;  // Resumptions after another thread ran.
+  env.Run(0, [&] {
+    Mutex shared(&env);
+    std::vector<std::unique_ptr<Pair>> pairs;
+    for (int p = 0; p < kPairs; p++) {
+      pairs.push_back(std::make_unique<Pair>(&env));
+    }
+    uint64_t last_runner = 0;
+    // Runs one scheduling call and counts a hand-off if it let another
+    // thread run. Only the baton holder runs, so plain variables suffice.
+    auto step = [&](auto&& call) {
+      uint64_t me = env.CurrentThreadId();
+      last_runner = me;
+      call();
+      if (last_runner != me) handoffs++;
+      last_runner = me;
+    };
+    auto bump_shared = [&](int who) {
+      step([&] { shared.Lock(); });
+      shared_counts[who]++;
+      shared.Unlock();
+    };
+    std::vector<ThreadHandle> hs;
+    for (int p = 0; p < kPairs; p++) {
+      Pair* pr = pairs[p].get();
+      hs.push_back(env.StartThread(0, "producer", [&, pr, p] {
+        for (int k = 0; k < kItems; k++) {
+          step([&] { env.AdvanceTo(env.NowNanos() + 50 + (k * 7 + p) % 31); });
+          {
+            MutexLock l(&pr->mu);
+            while (pr->q.size() == kQueueCap) {
+              step([&] { pr->not_full.Wait(); });
+            }
+            pr->q.push_back(k);
+            pr->not_empty.Signal();
+          }
+          bump_shared(2 * p);
+          if (k % 3 == 0) step([&] { env.MaybeYield(); });
+        }
+      }));
+      hs.push_back(env.StartThread(0, "consumer", [&, pr, p] {
+        for (int k = 0; k < kItems; k++) {
+          {
+            MutexLock l(&pr->mu);
+            while (pr->q.empty()) {
+              step([&] { pr->not_empty.TimedWait(20 + (k + p) % 40); });
+            }
+            if (pr->q.front() != k) pr->in_order = false;
+            pr->q.pop_front();
+            pr->received++;
+            pr->not_full.Signal();
+          }
+          bump_shared(2 * p + 1);
+          step([&] { env.AdvanceTo(env.NowNanos() + 40 + (k * 5 + p) % 29); });
+        }
+      }));
+    }
+    for (ThreadHandle h : hs) env.Join(h);
+    for (const auto& pr : pairs) {
+      EXPECT_EQ(kItems, pr->received);
+      EXPECT_TRUE(pr->in_order);
+      EXPECT_TRUE(pr->q.empty());
+    }
+  });
+  for (int c : shared_counts) EXPECT_EQ(kItems, c);
+  EXPECT_GE(handoffs, 100000u);
 }
 
 TEST(ThreadPoolTest, RunsTasksStdEnv) {

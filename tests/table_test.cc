@@ -729,6 +729,37 @@ TEST(LocalIteratorTest, BlockTableLocalScan) {
   EXPECT_EQ(kN, count);
 }
 
+TEST(LocalIteratorTest, ZeroFilledBlockIsCorruptionNotAHang) {
+  // A zero-filled block decodes a restart count of 0; every positioning
+  // call must report Corruption instead of indexing restart 0 - 1.
+  InternalKeyComparator icmp(BytewiseComparator());
+  BloomFilterPolicy bloom(10);
+  std::string storage(1 << 16, '\0');
+  LocalMemorySink sink(storage.data(), storage.size());
+  auto builder = NewBlockTableBuilder(&bloom, &sink, 1 << 15);
+  for (int i = 0; i < 20; i++) {
+    ASSERT_TRUE(builder->Add(IKey(UKey(i), 9), "v").ok());
+  }
+  TableBuildResult result;
+  ASSERT_TRUE(builder->Finish(&result).ok());
+  auto index = TableIndex::Parse(result.index_blob);
+  ASSERT_NE(nullptr, index);
+  ASSERT_EQ(1u, index->num_entries());
+  std::fill(storage.begin(), storage.begin() + result.data_len, '\0');
+
+  std::unique_ptr<Iterator> it(NewLocalBlockTableIterator(
+      storage.data(), result.data_len, index, icmp));
+  it->Seek(IKey(UKey(7), 9));
+  EXPECT_FALSE(it->Valid());
+  EXPECT_TRUE(it->status().IsCorruption()) << it->status().ToString();
+  it->SeekToFirst();
+  EXPECT_FALSE(it->Valid());
+  EXPECT_TRUE(it->status().IsCorruption()) << it->status().ToString();
+  it->SeekToLast();
+  EXPECT_FALSE(it->Valid());
+  EXPECT_TRUE(it->status().IsCorruption()) << it->status().ToString();
+}
+
 TEST(BloomInTableTest, NoFalseNegativesAndLowFalsePositives) {
   BloomFilterPolicy policy(10);
   std::vector<std::string> keys;
