@@ -107,7 +107,7 @@ int Main(int argc, char** argv) {
       std::printf("%-22s %12s %9.2fx %10llu %10.1f\n", leg,
                   FormatThroughput(r.read_ops_per_sec).c_str(),
                   r.read_imbalance,
-                  static_cast<unsigned long long>(r.tables_migrated),
+                  static_cast<unsigned long long>(r.stats.tables_migrated),
                   r.read_p50_us);
       std::printf("  per-node read verbs %s\n", NodeDistribution(r).c_str());
       std::fflush(stdout);

@@ -700,38 +700,7 @@ ClusterBenchResult RunClusterBench(const ClusterBenchConfig& config) {
     auto merged_stats = [&]() {
       DbStats m;
       for (int s = 0; s < cluster->num_shards(); s++) {
-        DbStats d = cluster->shard_db(s)->GetStats();
-        m.writes += d.writes;
-        m.reads += d.reads;
-        m.flushes += d.flushes;
-        m.compactions += d.compactions;
-        m.compaction_input_bytes += d.compaction_input_bytes;
-        m.compaction_output_bytes += d.compaction_output_bytes;
-        m.stall_ns += d.stall_ns;
-        m.bloom_useful += d.bloom_useful;
-        m.compaction_rpc_inflight_peak = std::max(
-            m.compaction_rpc_inflight_peak, d.compaction_rpc_inflight_peak);
-        m.read_retries += d.read_retries;
-        m.flush_retries += d.flush_retries;
-        m.rpc_retries += d.rpc_retries;
-        m.rpc_timeouts += d.rpc_timeouts;
-        m.tables_migrated += d.tables_migrated;
-        m.migration_bytes += d.migration_bytes;
-        m.cache_hits += d.cache_hits;
-        m.cache_misses += d.cache_misses;
-        m.cache_inserts += d.cache_inserts;
-        m.cache_evictions += d.cache_evictions;
-        m.cache_admission_rejects += d.cache_admission_rejects;
-        if (m.per_node.size() < d.per_node.size()) {
-          m.per_node.resize(d.per_node.size());
-        }
-        for (size_t i = 0; i < d.per_node.size(); i++) {
-          m.per_node[i].read_verbs += d.per_node[i].read_verbs;
-          m.per_node[i].read_bytes += d.per_node[i].read_bytes;
-          m.per_node[i].write_verbs += d.per_node[i].write_verbs;
-          m.per_node[i].write_bytes += d.per_node[i].write_bytes;
-        }
-        m.rdma.MergeFrom(d.rdma);
+        m.MergeFrom(cluster->shard_db(s)->GetStats());
       }
       return m;
     };
@@ -821,8 +790,6 @@ ClusterBenchResult RunClusterBench(const ClusterBenchConfig& config) {
     DbStats after = merged_stats();
     for (Histogram& h : latencies) result.read_latency_us.Merge(h);
     result.read_p50_us = result.read_latency_us.Median();
-    result.tables_migrated = after.tables_migrated;
-    result.migration_bytes = after.migration_bytes;
     result.stats = after;
     uint64_t sum = 0, mx = 0;
     for (size_t i = 0; i < after.per_node.size(); i++) {

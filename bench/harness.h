@@ -262,8 +262,6 @@ struct ClusterBenchResult {
   std::vector<uint64_t> node_write_bytes;
   /// max/mean over node_read_verbs: 1.0 = perfectly balanced, 0 = unknown.
   double read_imbalance = 0;
-  uint64_t tables_migrated = 0;
-  uint64_t migration_bytes = 0;
   /// Cluster-merged engine counters at end of run (LSM systems only).
   DbStats stats;
 };

@@ -25,36 +25,55 @@ class Snapshot {
   virtual uint64_t sequence() const = 0;
 };
 
-/// Aggregate engine statistics (all monotonic counters).
+/// How a DbStats counter combines when shard or cluster views merge.
+enum class MergeRule : uint8_t {
+  kSum,  ///< Monotonic count: views add.
+  kMax,  ///< High-water mark: views keep the largest.
+};
+
+/// Every scalar DbStats counter, declared once as X(name, rule, doc). The
+/// struct fields, DbStats::MergeFrom, ToString, StatsJson and the
+/// sampler's "dlsm.timeseries" columns are generated from this list, in
+/// this order (StatsJson's key order). Adding a counter is one entry here
+/// plus its source binding in each engine's GetStats.
+#define DLSM_DB_COUNTERS(X)                                                \
+  X(writes, kSum, "Write records applied (Put, Delete, batch entries).")   \
+  X(reads, kSum, "Point lookups served (Get and MultiGet keys).")          \
+  X(flushes, kSum, "MemTables flushed to remote SSTables.")                \
+  X(compactions, kSum, "Compactions installed.")                           \
+  X(compaction_input_bytes, kSum, "Table bytes read by compactions.")      \
+  X(compaction_output_bytes, kSum, "Table bytes written by compactions.")  \
+  X(stall_ns, kSum, "Total write-stall virtual time.")                     \
+  X(bloom_useful, kSum, "Remote reads skipped by bloom filters.")          \
+  X(compaction_rpc_inflight_peak, kMax,                                    \
+    "Peak concurrent near-data compaction RPCs (async scheduler window); " \
+    "1 when the verb budget serializes them or async_write is off.")       \
+  X(read_retries, kSum, "Point/scan reads re-issued after a fault.")       \
+  X(flush_retries, kSum, "Flush jobs re-run before install.")              \
+  X(rpc_retries, kSum, "RPC attempts re-issued after a failure.")          \
+  X(rpc_timeouts, kSum, "RPC attempts that hit the reply deadline.")       \
+  X(watchdog_stalls, kSum,                                                 \
+    "Operations the stall watchdog found outstanding beyond their "        \
+    "deadline (Options::watchdog_deadline_ms); 0 when it is off.")         \
+  X(cache_hits, kSum, "Block-cache reads served without the fabric.")      \
+  X(cache_misses, kSum, "Block-cache probes that went remote.")            \
+  X(cache_inserts, kSum, "Fills admitted into the block cache.")           \
+  X(cache_evictions, kSum, "Block-cache entries displaced by CLOCK.")      \
+  X(cache_admission_rejects, kSum, "Fills the TinyLFU sketch refused.")    \
+  X(tables_migrated, kSum, "Heat-rebalancer version-install swaps.")       \
+  X(migration_bytes, kSum, "Table bytes copied node-to-node.")
+
+/// Aggregate engine statistics: the DLSM_DB_COUNTERS scalars (zero when
+/// their feature is off), the per-memory-node split and verb telemetry.
 struct DbStats {
-  uint64_t writes = 0;
-  uint64_t reads = 0;
-  uint64_t flushes = 0;
-  uint64_t compactions = 0;
-  uint64_t compaction_input_bytes = 0;
-  uint64_t compaction_output_bytes = 0;
-  uint64_t stall_ns = 0;          ///< Total write-stall virtual time.
-  uint64_t bloom_useful = 0;      ///< Remote reads skipped by bloom filters.
-  /// Peak concurrent near-data compaction RPCs (async scheduler window);
-  /// 1 when the verb budget serializes them or async_write is off.
-  uint64_t compaction_rpc_inflight_peak = 0;
+#define DLSM_DB_COUNTER_FIELD(name, rule, doc) uint64_t name = 0;
+  DLSM_DB_COUNTERS(DLSM_DB_COUNTER_FIELD)
+#undef DLSM_DB_COUNTER_FIELD
 
-  // Fault/recovery telemetry (all zero when injection is off).
-  uint64_t read_retries = 0;   ///< Point/scan reads re-issued after a fault.
-  uint64_t flush_retries = 0;  ///< Flush jobs re-run before install.
-  uint64_t rpc_retries = 0;    ///< RPC attempts re-issued after a failure.
-  uint64_t rpc_timeouts = 0;   ///< RPC attempts that hit the reply deadline.
-  /// Operations the stall watchdog found outstanding beyond their deadline
-  /// (Options::watchdog_deadline_ms); 0 when the watchdog is off.
-  uint64_t watchdog_stalls = 0;
-
-  // Multi-memory-node placement (zero / empty on single-node engines).
-  uint64_t tables_migrated = 0;  ///< Heat-rebalancer version-install swaps.
-  uint64_t migration_bytes = 0;  ///< Table bytes copied node-to-node.
   /// Per-memory-node verb/byte distribution of this engine's traffic,
   /// indexed by memory-node slot; the imbalance input for the heat
-  /// rebalancer and the fig15 per-node report. Sharded wrappers merge
-  /// slot-wise across shards.
+  /// rebalancer and the fig15 per-node report. Empty on engines without
+  /// memory-node placement.
   struct NodeIoStats {
     uint64_t read_verbs = 0;
     uint64_t read_bytes = 0;
@@ -63,21 +82,32 @@ struct DbStats {
   };
   std::vector<NodeIoStats> per_node;
 
-  // Compute-side block cache (all zero when block_cache_size == 0).
-  uint64_t cache_hits = 0;              ///< Reads served without the fabric.
-  uint64_t cache_misses = 0;            ///< Cache probes that went remote.
-  uint64_t cache_inserts = 0;           ///< Fills admitted into the cache.
-  uint64_t cache_evictions = 0;         ///< Entries displaced by CLOCK.
-  uint64_t cache_admission_rejects = 0; ///< Fills the TinyLFU sketch refused.
-
   /// Verb-layer telemetry of this engine's compute->memory connection:
   /// per-verb-class ops/bytes and wire-latency histograms, plus
-  /// outstanding-op gauges and error/reconnect counts. Merged exactly
-  /// across shards.
+  /// outstanding-op gauges and error/reconnect counts.
   rdma::RdmaVerbStats rdma;
 
-  /// Multi-line human-readable dump of every counter (no histograms).
+  /// Folds another view in: each counter by its MergeRule, per_node slot
+  /// by slot (slot i is the same memory node in both views), rdma exactly.
+  void MergeFrom(const DbStats& other);
+
+  /// Multi-line human-readable dump: "name value" per counter, then the
+  /// per-node split and the verb summary (no histograms).
   std::string ToString() const;
+};
+
+/// One DLSM_DB_COUNTERS entry, for code that walks the counters.
+struct DbCounter {
+  const char* name;
+  MergeRule rule;
+  uint64_t DbStats::*field;
+};
+
+inline constexpr DbCounter kDbCounters[] = {
+#define DLSM_DB_COUNTER_ENTRY(name, rule, doc) \
+  {#name, MergeRule::rule, &DbStats::name},
+    DLSM_DB_COUNTERS(DLSM_DB_COUNTER_ENTRY)
+#undef DLSM_DB_COUNTER_ENTRY
 };
 
 /// Machine-readable serialization of a DbStats snapshot: every counter

@@ -18,6 +18,9 @@ namespace {
 
 constexpr int kGcBatchSize = 32;
 
+// Staging buffers per flush pipeline before the writer must recycle one.
+constexpr int kFlushBuffersPerPipeline = 4;
+
 class SnapshotImpl : public Snapshot {
  public:
   explicit SnapshotImpl(uint64_t seq) : seq_(seq) {}
@@ -94,12 +97,9 @@ Status DLsmDB::Init() {
   home_ = services.size() > 1
               ? static_cast<size_t>(options_.placement_shard) % services.size()
               : 0;
-  slab_size_ = options_.sstable_slab_size != 0
-                   ? options_.sstable_slab_size
-                   : options_.sstable_size + options_.sstable_size / 2;
-  const size_t growth = options_.flush_region_growth != 0
-                            ? options_.flush_region_growth
-                            : options_.flush_region_size;
+  // Per-table chunk: sstable_size plus headroom for the serialized index
+  // and bloom filter.
+  slab_size_ = options_.sstable_size + options_.sstable_size / 2;
 
   if (options_.block_cache_size > 0) {
     block_cache_ = std::make_unique<BlockCache>(options_.block_cache_size,
@@ -139,7 +139,7 @@ Status DLsmDB::Init() {
     remote::RpcClient* rpc = n.rpc;
     const uint32_t fabric_id = n.service->node()->id();
     n.arena = std::make_unique<remote::RemoteArena>(
-        slab_size_, deps_.compute->id(), growth,
+        slab_size_, deps_.compute->id(), options_.flush_region_size,
         [rpc, fabric_id](size_t bytes, rdma::MemoryRegion* region) -> Status {
           std::string args, reply;
           PutFixed64(&args, bytes);
@@ -630,7 +630,7 @@ void DLsmDB::FlushJob(MemTable* mem, uint64_t l0_order) {
           }
           base = std::make_unique<AsyncRemoteSink>(
               node.mgr.get(), c, options_.flush_buffer_size,
-              options_.flush_buffers_per_thread, pipelines[slot].get());
+              kFlushBuffersPerPipeline, pipelines[slot].get());
         } else {
           // Ablation: one blocking WRITE per flush buffer.
           base = std::make_unique<SyncRemoteSink>(node.mgr.get(), c,
@@ -1343,7 +1343,7 @@ Status DLsmDB::RunComputeSideCompaction(
       }
       base = std::make_unique<AsyncRemoteSink>(
           node.mgr.get(), c, options_.flush_buffer_size,
-          options_.flush_buffers_per_thread, pipelines[slot].get());
+          kFlushBuffersPerPipeline, pipelines[slot].get());
     } else {
       base = std::make_unique<SyncRemoteSink>(node.mgr.get(), c,
                                               options_.flush_buffer_size);
@@ -1636,7 +1636,7 @@ Status DLsmDB::CopyChunk(const FileMetaData& f, size_t dst_slot,
   rdma::RdmaManager* dst_mgr = nodes_[dst_slot].mgr.get();
   FlushPipeline pipeline(dst_mgr);
   AsyncRemoteSink sink(dst_mgr, dst, options_.flush_buffer_size,
-                       options_.flush_buffers_per_thread, &pipeline);
+                       kFlushBuffersPerPipeline, &pipeline);
   std::vector<char> buf(options_.flush_buffer_size);
   uint64_t off = 0;
   while (off < f.data_len) {

@@ -43,19 +43,15 @@ void DLsmDB::SetupTelemetry() {
     auto gauge = [&cols](std::string name) {
       cols.push_back({std::move(name), Kind::kGauge});
     };
-    // Engine counters (per-interval deltas of the DbStats monotones).
-    counter("writes");
-    counter("reads");
-    counter("flushes");
-    counter("compactions");
-    counter("comp_in_bytes");
-    counter("comp_out_bytes");
-    counter("stall_ns");
-    counter("cache_hits");
-    counter("cache_misses");
-    counter("tables_migrated");
-    counter("migration_bytes");
-    counter("watchdog_stalls");
+    // Every listed DbStats counter under its own name: monotones export
+    // per-interval deltas, high-water marks their level.
+    for (const DbCounter& c : kDbCounters) {
+      if (c.rule == MergeRule::kMax) {
+        gauge(c.name);
+      } else {
+        counter(c.name);
+      }
+    }
     // Verb-layer counters and gauges, engine-wide.
     counter("rdma_posted");
     counter("rdma_completed");
@@ -185,54 +181,30 @@ void DLsmDB::TelemetryLoop() {
 }
 
 void DLsmDB::SampleOnce() {
-  // Aggregate once; both the engine-wide and per-node columns come from
-  // the same snapshots so a row is internally consistent.
-  std::vector<rdma::RdmaVerbStats> per_node(nodes_.size());
-  rdma::RdmaVerbStats total;
-  for (size_t i = 0; i < nodes_.size(); i++) {
-    if (nodes_[i].mgr == nullptr) continue;
-    per_node[i] = nodes_[i].mgr->StatsSnapshot();
-    total.MergeFrom(per_node[i]);
-  }
+  // One snapshot feeds every column, so a row is internally consistent.
+  DbStats s = GetStats();
   // This interval's completions only: percentile of the histogram delta.
-  Histogram read_delta = total.read.latency_us.DeltaSince(
-      prev_verbs_.read.latency_us);
-  Histogram write_delta = total.write.latency_us.DeltaSince(
-      prev_verbs_.write.latency_us);
+  Histogram read_delta =
+      s.rdma.read.latency_us.DeltaSince(prev_verbs_.read.latency_us);
+  Histogram write_delta =
+      s.rdma.write.latency_us.DeltaSince(prev_verbs_.write.latency_us);
 
   std::vector<double> row;
   row.reserve(series_->num_columns());
   auto push = [&row](uint64_t v) { row.push_back(static_cast<double>(v)); };
-  push(stat_writes_.load(std::memory_order_relaxed));
-  push(stat_reads_.load(std::memory_order_relaxed));
-  push(stat_flushes_.load(std::memory_order_relaxed));
-  push(stat_compactions_.load(std::memory_order_relaxed));
-  push(stat_comp_in_.load(std::memory_order_relaxed));
-  push(stat_comp_out_.load(std::memory_order_relaxed));
-  push(stat_stall_ns_.load(std::memory_order_relaxed));
-  if (block_cache_ != nullptr) {
-    CacheStats cs = block_cache_->stats();
-    push(cs.hits);
-    push(cs.misses);
-  } else {
-    push(0);
-    push(0);
-  }
-  push(stat_tables_migrated_.load(std::memory_order_relaxed));
-  push(stat_migration_bytes_.load(std::memory_order_relaxed));
-  push(watchdog_ != nullptr ? watchdog_->stalls() : 0);
-  push(total.posted);
-  push(total.completed);
-  push(total.outstanding);
+  for (const DbCounter& c : kDbCounters) push(s.*c.field);
+  push(s.rdma.posted);
+  push(s.rdma.completed);
+  push(s.rdma.outstanding);
   row.push_back(read_delta.Percentile(50.0));
   row.push_back(read_delta.Percentile(99.0));
   row.push_back(write_delta.Percentile(99.0));
-  for (size_t i = 0; i < nodes_.size(); i++) {
-    push(per_node[i].read.ops);
-    push(per_node[i].write.ops);
+  for (const DbStats::NodeIoStats& n : s.per_node) {
+    push(n.read_verbs);
+    push(n.write_verbs);
   }
   series_->Append(env_->NowNanos(), row);
-  prev_verbs_ = total;
+  prev_verbs_ = std::move(s.rdma);
 }
 
 void DLsmDB::StopTelemetry() {

@@ -122,10 +122,6 @@ struct Options {
   /// Target SSTable data size. Paper default 64 MB; benches scale to 4 MB.
   size_t sstable_size = 4 << 20;
 
-  /// Remote slab chunk size; 0 derives sstable_size plus headroom for the
-  /// serialized index and bloom filter.
-  size_t sstable_slab_size = 0;
-
   int bloom_bits_per_key = 10;
 
   TableFormat table_format = TableFormat::kByteAddressable;
@@ -161,7 +157,8 @@ struct Options {
 
   // -- Remote memory ----------------------------------------------------------
 
-  /// Compute-controlled region for flushed SSTables.
+  /// Compute-controlled region for flushed SSTables; an exhausted arena
+  /// grows by one more region of this size.
   size_t flush_region_size = 1ull << 31;
 
   /// Memory-node-controlled region for near-data compaction outputs.
@@ -169,9 +166,6 @@ struct Options {
 
   /// Registered flush staging buffer size (Sec. X-C pipeline).
   size_t flush_buffer_size = 256 << 10;
-
-  /// Buffers per flush pipeline before the writer must recycle.
-  int flush_buffers_per_thread = 4;
 
   /// Largest scan prefetch window (Sec. VI: "prefetches large chunks of
   /// key-value pairs by sequential I/O"). SeekToFirst/SeekToLast passes
@@ -276,10 +270,6 @@ struct Options {
 
   /// Tables moved per round (bounds migration WRITE traffic).
   int placement_rebalance_max_tables = 2;
-
-  /// Region bytes requested per arena growth RPC when a node's flush arena
-  /// is exhausted; 0 grows by flush_region_size.
-  size_t flush_region_growth = 0;
 
   // -- Continuous telemetry ---------------------------------------------------
   //

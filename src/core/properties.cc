@@ -6,6 +6,7 @@
 // DLsmDB overrides "dlsm.levels" to add per-level byte counts, which only
 // it can see (Version tracks the remote chunk sizes).
 
+#include <algorithm>
 #include <cstdio>
 
 #include "src/core/db.h"
@@ -27,87 +28,60 @@ void AppendCounter(std::string* out, const char* name, uint64_t v,
   *first = false;
 }
 
+// One line per memory-node slot; shared by ToString and "dlsm.placement".
+void AppendPerNode(std::string* out,
+                   const std::vector<DbStats::NodeIoStats>& per_node) {
+  char buf[160];
+  for (size_t i = 0; i < per_node.size(); i++) {
+    std::snprintf(buf, sizeof(buf),
+                  "node%zu: read verbs %llu (%llu B)  write verbs %llu "
+                  "(%llu B)\n",
+                  i, static_cast<unsigned long long>(per_node[i].read_verbs),
+                  static_cast<unsigned long long>(per_node[i].read_bytes),
+                  static_cast<unsigned long long>(per_node[i].write_verbs),
+                  static_cast<unsigned long long>(per_node[i].write_bytes));
+    out->append(buf);
+  }
+}
+
 }  // namespace
 
-std::string DbStats::ToString() const {
-  char buf[768];
-  std::snprintf(
-      buf, sizeof(buf),
-      "writes %llu  reads %llu  flushes %llu  compactions %llu\n"
-      "compaction in %llu B  out %llu B  stall %.3f ms  bloom useful %llu\n"
-      "compaction rpc inflight peak %llu\n"
-      "retries: read %llu  flush %llu  rpc %llu  rpc timeouts %llu  "
-      "watchdog stalls %llu\n"
-      "cache: hits %llu  misses %llu  inserts %llu  evictions %llu  "
-      "admission rejects %llu\n",
-      static_cast<unsigned long long>(writes),
-      static_cast<unsigned long long>(reads),
-      static_cast<unsigned long long>(flushes),
-      static_cast<unsigned long long>(compactions),
-      static_cast<unsigned long long>(compaction_input_bytes),
-      static_cast<unsigned long long>(compaction_output_bytes),
-      static_cast<double>(stall_ns) / 1e6,
-      static_cast<unsigned long long>(bloom_useful),
-      static_cast<unsigned long long>(compaction_rpc_inflight_peak),
-      static_cast<unsigned long long>(read_retries),
-      static_cast<unsigned long long>(flush_retries),
-      static_cast<unsigned long long>(rpc_retries),
-      static_cast<unsigned long long>(rpc_timeouts),
-      static_cast<unsigned long long>(watchdog_stalls),
-      static_cast<unsigned long long>(cache_hits),
-      static_cast<unsigned long long>(cache_misses),
-      static_cast<unsigned long long>(cache_inserts),
-      static_cast<unsigned long long>(cache_evictions),
-      static_cast<unsigned long long>(cache_admission_rejects));
-  std::string out(buf);
-  if (tables_migrated > 0 || migration_bytes > 0 || per_node.size() > 1) {
-    std::snprintf(buf, sizeof(buf),
-                  "placement: tables migrated %llu  migration %llu B\n",
-                  static_cast<unsigned long long>(tables_migrated),
-                  static_cast<unsigned long long>(migration_bytes));
-    out.append(buf);
-    for (size_t i = 0; i < per_node.size(); i++) {
-      std::snprintf(buf, sizeof(buf),
-                    "node%zu: read verbs %llu (%llu B)  write verbs %llu "
-                    "(%llu B)\n",
-                    i, static_cast<unsigned long long>(per_node[i].read_verbs),
-                    static_cast<unsigned long long>(per_node[i].read_bytes),
-                    static_cast<unsigned long long>(per_node[i].write_verbs),
-                    static_cast<unsigned long long>(per_node[i].write_bytes));
-      out.append(buf);
-    }
+void DbStats::MergeFrom(const DbStats& other) {
+  for (const DbCounter& c : kDbCounters) {
+    uint64_t& v = this->*c.field;
+    const uint64_t o = other.*c.field;
+    v = c.rule == MergeRule::kMax ? std::max(v, o) : v + o;
   }
+  if (per_node.size() < other.per_node.size()) {
+    per_node.resize(other.per_node.size());
+  }
+  for (size_t i = 0; i < other.per_node.size(); i++) {
+    per_node[i].read_verbs += other.per_node[i].read_verbs;
+    per_node[i].read_bytes += other.per_node[i].read_bytes;
+    per_node[i].write_verbs += other.per_node[i].write_verbs;
+    per_node[i].write_bytes += other.per_node[i].write_bytes;
+  }
+  rdma.MergeFrom(other.rdma);
+}
+
+std::string DbStats::ToString() const {
+  std::string out;
+  for (const DbCounter& c : kDbCounters) {
+    out += c.name;
+    out += ' ';
+    out += std::to_string(this->*c.field);
+    out += '\n';
+  }
+  AppendPerNode(&out, per_node);
   return out + rdma.ToString();
 }
 
 std::string StatsJson(const DbStats& stats) {
   std::string out = "{";
   bool first = true;
-  AppendCounter(&out, "writes", stats.writes, &first);
-  AppendCounter(&out, "reads", stats.reads, &first);
-  AppendCounter(&out, "flushes", stats.flushes, &first);
-  AppendCounter(&out, "compactions", stats.compactions, &first);
-  AppendCounter(&out, "compaction_input_bytes", stats.compaction_input_bytes,
-                &first);
-  AppendCounter(&out, "compaction_output_bytes", stats.compaction_output_bytes,
-                &first);
-  AppendCounter(&out, "stall_ns", stats.stall_ns, &first);
-  AppendCounter(&out, "bloom_useful", stats.bloom_useful, &first);
-  AppendCounter(&out, "compaction_rpc_inflight_peak",
-                stats.compaction_rpc_inflight_peak, &first);
-  AppendCounter(&out, "read_retries", stats.read_retries, &first);
-  AppendCounter(&out, "flush_retries", stats.flush_retries, &first);
-  AppendCounter(&out, "rpc_retries", stats.rpc_retries, &first);
-  AppendCounter(&out, "rpc_timeouts", stats.rpc_timeouts, &first);
-  AppendCounter(&out, "watchdog_stalls", stats.watchdog_stalls, &first);
-  AppendCounter(&out, "cache_hits", stats.cache_hits, &first);
-  AppendCounter(&out, "cache_misses", stats.cache_misses, &first);
-  AppendCounter(&out, "cache_inserts", stats.cache_inserts, &first);
-  AppendCounter(&out, "cache_evictions", stats.cache_evictions, &first);
-  AppendCounter(&out, "cache_admission_rejects",
-                stats.cache_admission_rejects, &first);
-  AppendCounter(&out, "tables_migrated", stats.tables_migrated, &first);
-  AppendCounter(&out, "migration_bytes", stats.migration_bytes, &first);
+  for (const DbCounter& c : kDbCounters) {
+    AppendCounter(&out, c.name, stats.*c.field, &first);
+  }
   out.append(",\"per_node\":[");
   for (size_t i = 0; i < stats.per_node.size(); i++) {
     if (i > 0) out.append(",");
@@ -172,23 +146,10 @@ bool DB::GetProperty(const Slice& property, std::string* value) {
     // Counter-only view; DLsmDB overrides this to add the policy name and
     // live per-node table distribution, which only the engine can see.
     DbStats s = GetStats();
-    std::string out;
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "placement: tables migrated %llu  migration %llu B\n",
-                  static_cast<unsigned long long>(s.tables_migrated),
-                  static_cast<unsigned long long>(s.migration_bytes));
-    out.append(buf);
-    for (size_t i = 0; i < s.per_node.size(); i++) {
-      std::snprintf(buf, sizeof(buf),
-                    "node%zu: read verbs %llu (%llu B)  write verbs %llu "
-                    "(%llu B)\n",
-                    i, static_cast<unsigned long long>(s.per_node[i].read_verbs),
-                    static_cast<unsigned long long>(s.per_node[i].read_bytes),
-                    static_cast<unsigned long long>(s.per_node[i].write_verbs),
-                    static_cast<unsigned long long>(s.per_node[i].write_bytes));
-      out.append(buf);
-    }
+    std::string out = "tables_migrated " + std::to_string(s.tables_migrated) +
+                      "\nmigration_bytes " +
+                      std::to_string(s.migration_bytes) + "\n";
+    AppendPerNode(&out, s.per_node);
     *value = std::move(out);
     return true;
   }

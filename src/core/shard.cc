@@ -312,45 +312,9 @@ Status ShardedDB::WaitForBackgroundIdle() {
 
 DbStats ShardedDB::GetStats() {
   DbStats total;
-  for (auto& shard : shards_) {
-    DbStats s = shard->GetStats();
-    total.writes += s.writes;
-    total.reads += s.reads;
-    total.flushes += s.flushes;
-    total.compactions += s.compactions;
-    total.compaction_input_bytes += s.compaction_input_bytes;
-    total.compaction_output_bytes += s.compaction_output_bytes;
-    total.stall_ns += s.stall_ns;
-    total.bloom_useful += s.bloom_useful;
-    total.compaction_rpc_inflight_peak = std::max(
-        total.compaction_rpc_inflight_peak, s.compaction_rpc_inflight_peak);
-    total.read_retries += s.read_retries;
-    total.flush_retries += s.flush_retries;
-    // Per-shard rpc_* counters are zero here: shards share this wrapper's
-    // client, whose counters are folded in once below.
-    total.rpc_retries += s.rpc_retries;
-    total.rpc_timeouts += s.rpc_timeouts;
-    total.cache_hits += s.cache_hits;
-    total.cache_misses += s.cache_misses;
-    total.cache_inserts += s.cache_inserts;
-    total.cache_evictions += s.cache_evictions;
-    total.cache_admission_rejects += s.cache_admission_rejects;
-    total.tables_migrated += s.tables_migrated;
-    total.migration_bytes += s.migration_bytes;
-    total.watchdog_stalls += s.watchdog_stalls;
-    // Slot-wise merge: slot i means the same memory node in every shard
-    // of this compute node.
-    if (s.per_node.size() > total.per_node.size()) {
-      total.per_node.resize(s.per_node.size());
-    }
-    for (size_t i = 0; i < s.per_node.size(); i++) {
-      total.per_node[i].read_verbs += s.per_node[i].read_verbs;
-      total.per_node[i].read_bytes += s.per_node[i].read_bytes;
-      total.per_node[i].write_verbs += s.per_node[i].write_verbs;
-      total.per_node[i].write_bytes += s.per_node[i].write_bytes;
-    }
-    total.rdma.MergeFrom(s.rdma);
-  }
+  // Per-shard rpc_* counters are zero here: shards share this wrapper's
+  // clients, whose counters are folded in once below.
+  for (auto& shard : shards_) total.MergeFrom(shard->GetStats());
   for (auto& rpc : rpcs_) {
     total.rpc_retries += rpc->rpc_retries();
     total.rpc_timeouts += rpc->rpc_timeouts();

@@ -570,15 +570,18 @@ class RemoteBlockTableIterator : public Iterator {
   void Prev() override {
     DLSM_CHECK(Valid());
     inner_->Prev();
-    while (inner_ != nullptr && !inner_->Valid() && block_ > 0) {
+    while (inner_ != nullptr && !inner_->Valid() && inner_->status().ok() &&
+           block_ > 0) {
       if (!LoadBlock(block_ - 1, Move::kPrev)) return;
       inner_->SeekToLast();
     }
   }
 
  private:
+  // Steps over exhausted blocks; a corrupt block stops the walk (here and
+  // in Prev) so its status surfaces instead of being skipped.
   void SkipForwardEmpty() {
-    while (inner_ != nullptr && !inner_->Valid() &&
+    while (inner_ != nullptr && !inner_->Valid() && inner_->status().ok() &&
            block_ + 1 < file_->index->num_entries()) {
       if (!LoadBlock(block_ + 1, Move::kNext)) return;
       inner_->SeekToFirst();
@@ -735,15 +738,18 @@ class LocalBlockTableIterator : public Iterator {
   void Prev() override {
     DLSM_CHECK(Valid());
     inner_->Prev();
-    while (inner_ != nullptr && !inner_->Valid() && block_ > 0) {
+    while (inner_ != nullptr && !inner_->Valid() && inner_->status().ok() &&
+           block_ > 0) {
       if (!LoadBlock(block_ - 1)) return;
       inner_->SeekToLast();
     }
   }
 
  private:
+  // Steps over exhausted blocks; a corrupt block stops the walk (here and
+  // in Prev) so its status surfaces instead of being skipped.
   void SkipForwardEmpty() {
-    while (inner_ != nullptr && !inner_->Valid() &&
+    while (inner_ != nullptr && !inner_->Valid() && inner_->status().ok() &&
            block_ + 1 < index_->num_entries()) {
       if (!LoadBlock(block_ + 1)) return;
       inner_->SeekToFirst();

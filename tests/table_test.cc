@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -19,6 +20,7 @@
 #include "src/core/table_sink.h"
 #include "src/rdma/fabric.h"
 #include "src/sim/sim_env.h"
+#include "src/util/coding.h"
 #include "src/util/random.h"
 #include "tests/dlsm_test_util.h"
 
@@ -758,6 +760,85 @@ TEST(LocalIteratorTest, ZeroFilledBlockIsCorruptionNotAHang) {
   it->SeekToLast();
   EXPECT_FALSE(it->Valid());
   EXPECT_TRUE(it->status().IsCorruption()) << it->status().ToString();
+}
+
+// A block table of exactly three blocks, built into *storage, with the
+// middle block's restart count zeroed so its BlockIter reports Corruption.
+std::shared_ptr<TableIndex> BuildThreeBlocksCorruptMiddle(
+    std::string* storage, uint64_t* data_len) {
+  BloomFilterPolicy bloom(10);
+  storage->assign(1 << 16, '\0');
+  LocalMemorySink sink(storage->data(), storage->size());
+  auto builder = NewBlockTableBuilder(&bloom, &sink, 1024);
+  for (int i = 0; i < 12; i++) {
+    EXPECT_TRUE(builder->Add(IKey(UKey(i), 9), std::string(200, 'v')).ok());
+  }
+  TableBuildResult result;
+  EXPECT_TRUE(builder->Finish(&result).ok());
+  auto index = TableIndex::Parse(result.index_blob);
+  EXPECT_NE(nullptr, index);
+  EXPECT_EQ(3u, index->num_entries());
+  TableIndex::Entry mid = index->entry(1);
+  EncodeFixed32(storage->data() + mid.offset + mid.length - 4, 0);
+  *data_len = result.data_len;
+  return index;
+}
+
+// Forward from SeekToFirst and backward from SeekToLast over the table
+// above: each pass ends in Corruption at the middle block and never
+// yields a key from the block beyond it.
+void ExpectScansStopAtCorruptMiddleBlock(Iterator* it,
+                                         const TableIndex& index) {
+  InternalKeyComparator icmp(BytewiseComparator());
+  int yielded = 0;
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    EXPECT_EQ(0u, index.Find(icmp, it->key())) << "scanned past corruption";
+    yielded++;
+  }
+  EXPECT_GT(yielded, 0);
+  EXPECT_TRUE(it->status().IsCorruption()) << it->status().ToString();
+  yielded = 0;
+  for (it->SeekToLast(); it->Valid(); it->Prev()) {
+    EXPECT_EQ(2u, index.Find(icmp, it->key())) << "scanned past corruption";
+    yielded++;
+  }
+  EXPECT_GT(yielded, 0);
+  EXPECT_TRUE(it->status().IsCorruption()) << it->status().ToString();
+}
+
+TEST(LocalIteratorTest, CorruptMiddleBlockStopsScansBothWays) {
+  std::string storage;
+  uint64_t data_len = 0;
+  auto index = BuildThreeBlocksCorruptMiddle(&storage, &data_len);
+  ASSERT_EQ(3u, index->num_entries());
+  std::unique_ptr<Iterator> it(NewLocalBlockTableIterator(
+      storage.data(), data_len, index,
+      InternalKeyComparator(BytewiseComparator())));
+  ExpectScansStopAtCorruptMiddleBlock(it.get(), *index);
+}
+
+TEST_F(TableSimTest, RemoteCorruptMiddleBlockStopsScansBothWays) {
+  RunSim([&](rdma::Fabric* f, rdma::Node* compute, rdma::Node* memory,
+             Env*) {
+    std::string storage;
+    uint64_t data_len = 0;
+    auto index = BuildThreeBlocksCorruptMiddle(&storage, &data_len);
+    ASSERT_EQ(3u, index->num_entries());
+    char* region = memory->AllocDram(1 << 16);
+    std::memcpy(region, storage.data(), data_len);
+    rdma::MemoryRegion mr = f->RegisterMemory(memory, region, 1 << 16);
+    rdma::RdmaManager mgr(f, compute, memory);
+    auto file = std::make_shared<FileMetaData>();
+    file->chunk = remote::RemoteChunk{mr.addr, 1 << 16, mr.rkey,
+                                      compute->id()};
+    file->data_len = data_len;
+    file->index = index;
+    RemoteReadPath read_path;
+    read_path.mgr = &mgr;
+    std::unique_ptr<Iterator> it(NewRemoteTableIterator(
+        read_path, InternalKeyComparator(BytewiseComparator()), file, 4096));
+    ExpectScansStopAtCorruptMiddleBlock(it.get(), *index);
+  });
 }
 
 TEST(BloomInTableTest, NoFalseNegativesAndLowFalsePositives) {

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -282,6 +284,158 @@ TEST(SamplerTest, ShardedPropertyWrapsPerShardSeries) {
         ASSERT_TRUE(db->GetProperty("dlsm.timeseries", &json));
         EXPECT_EQ(json.find("{\"shards\":["), 0u) << json.substr(0, 80);
       });
+}
+
+// ---------------------------------------------------------------------------
+// DbStats declaration (DLSM_DB_COUNTERS): every generated site, per counter
+// ---------------------------------------------------------------------------
+
+// Every listed counter set to a distinct value: 101, 202, ... in list order.
+DbStats DistinctCounters() {
+  DbStats s;
+  uint64_t v = 0;
+  for (const DbCounter& c : kDbCounters) s.*c.field = 101 * ++v;
+  return s;
+}
+
+// The JSON string array that follows "key":[ in json.
+std::vector<std::string> JsonStringArray(const std::string& json,
+                                         const std::string& key) {
+  std::vector<std::string> out;
+  size_t pos = json.find("\"" + key + "\":[");
+  if (pos == std::string::npos) return out;
+  pos += key.size() + 4;
+  const size_t end = json.find(']', pos);
+  while (pos < end) {
+    size_t open = json.find('"', pos);
+    if (open == std::string::npos || open > end) break;
+    size_t close = json.find('"', open + 1);
+    out.push_back(json.substr(open + 1, close - open - 1));
+    pos = close + 1;
+  }
+  return out;
+}
+
+TEST(DbStatsTest, EveryCounterSerializesUnderItsName) {
+  const DbStats s = DistinctCounters();
+  const std::string json = StatsJson(s);
+  const std::string text = "\n" + s.ToString();
+  for (const DbCounter& c : kDbCounters) {
+    const std::string v = std::to_string(s.*c.field);
+    EXPECT_NE(json.find("\"" + std::string(c.name) + "\":" + v + ","),
+              std::string::npos)
+        << c.name;
+    EXPECT_NE(text.find("\n" + std::string(c.name) + " " + v + "\n"),
+              std::string::npos)
+        << c.name;
+  }
+}
+
+TEST(DbStatsTest, MergeFromAppliesEachCounterRule) {
+  DbStats a, b;
+  uint64_t i = 0;
+  for (const DbCounter& c : kDbCounters) {
+    // Alternate which side is larger so a max cannot pass as either input.
+    i++;
+    a.*c.field = i % 2 ? 1000 + i : 10 + i;
+    b.*c.field = i % 2 ? 10 + i : 1000 + i;
+  }
+  DbStats ab = a, ba = b;
+  ab.MergeFrom(b);
+  ba.MergeFrom(a);
+  for (const DbCounter& c : kDbCounters) {
+    const uint64_t want = c.rule == MergeRule::kMax
+                              ? std::max(a.*c.field, b.*c.field)
+                              : a.*c.field + b.*c.field;
+    EXPECT_EQ(want, ab.*c.field) << c.name;
+    EXPECT_EQ(want, ba.*c.field) << c.name;
+  }
+}
+
+TEST(DbStatsTest, MergeFromMergesPerNodeSlotBySlot) {
+  DbStats one, three;
+  one.per_node = {{1, 2, 3, 4}};
+  three.per_node = {{10, 20, 30, 40}, {5, 6, 7, 8}, {9, 9, 9, 9}};
+  one.rdma.posted = 3;
+  three.rdma.posted = 4;
+  for (bool short_first : {true, false}) {
+    DbStats m = short_first ? one : three;
+    m.MergeFrom(short_first ? three : one);
+    ASSERT_EQ(3u, m.per_node.size());
+    EXPECT_EQ(11u, m.per_node[0].read_verbs);
+    EXPECT_EQ(22u, m.per_node[0].read_bytes);
+    EXPECT_EQ(33u, m.per_node[0].write_verbs);
+    EXPECT_EQ(44u, m.per_node[0].write_bytes);
+    EXPECT_EQ(5u, m.per_node[1].read_verbs);
+    EXPECT_EQ(8u, m.per_node[1].write_bytes);
+    EXPECT_EQ(9u, m.per_node[2].write_verbs);
+    EXPECT_EQ(7u, m.rdma.posted);
+  }
+}
+
+TEST(DbStatsTest, StatsJsonMatchesGolden) {
+  // A fixed, fully filled snapshot; the expected text pins the JSON
+  // schema (key names and order) that the committed BENCH_*.json use.
+  DbStats s = DistinctCounters();
+  s.per_node = {{1, 2, 3, 4}, {5, 6, 7, 8}};
+  s.rdma.read.ops = 9;
+  s.rdma.read.bytes = 36864;
+  s.rdma.read.errors = 1;
+  s.rdma.read.latency_us.Add(1.5);
+  s.rdma.read.latency_us.Add(3.0);
+  s.rdma.write.ops = 4;
+  s.rdma.write.bytes = 1048576;
+  s.rdma.write.latency_us.Add(12.0);
+  s.rdma.send.ops = 2;
+  s.rdma.send.bytes = 128;
+  s.rdma.atomic.ops = 1;
+  s.rdma.atomic.bytes = 8;
+  s.rdma.posted = 16;
+  s.rdma.completed = 15;
+  s.rdma.abandoned = 1;
+  s.rdma.max_outstanding = 6;
+  s.rdma.reconnects = 2;
+  const char* golden =
+    R"({"writes":101,"reads":202,"flushes":303,"compactions":404,"compact)"
+    R"(ion_input_bytes":505,"compaction_output_bytes":606,"stall_ns":707,)"
+    R"("bloom_useful":808,"compaction_rpc_inflight_peak":909,"read_retrie)"
+    R"(s":1010,"flush_retries":1111,"rpc_retries":1212,"rpc_timeouts":131)"
+    R"(3,"watchdog_stalls":1414,"cache_hits":1515,"cache_misses":1616,"ca)"
+    R"(che_inserts":1717,"cache_evictions":1818,"cache_admission_rejects")"
+    R"(:1919,"tables_migrated":2020,"migration_bytes":2121,"per_node":[{")"
+    R"(read_verbs":1,"read_bytes":2,"write_verbs":3,"write_bytes":4},{"re)"
+    R"(ad_verbs":5,"read_bytes":6,"write_verbs":7,"write_bytes":8}],"rdma)"
+    R"(":{"READ":{"ops":9,"bytes":36864,"errors":1,"latency_us":{"count":)"
+    R"(2,"min":1.5000,"max":3.0000,"avg":2.2500,"stddev":0.7500,"p50":2.0)"
+    R"(000,"p90":3.0000,"p99":3.0000,"p999":3.0000,"buckets":[{"le":2.000)"
+    R"(0,"n":1},{"le":4.0000,"n":1}]}},"WRITE":{"ops":4,"bytes":1048576,")"
+    R"(errors":0,"latency_us":{"count":1,"min":12.0000,"max":12.0000,"avg)"
+    R"(":12.0000,"stddev":0.0000,"p50":12.0000,"p90":12.0000,"p99":12.000)"
+    R"(0,"p999":12.0000,"buckets":[{"le":14.0000,"n":1}]}},"SEND":{"ops":)"
+    R"(2,"bytes":128,"errors":0,"latency_us":{"count":0,"min":0.0000,"max)"
+    R"(":0.0000,"avg":0.0000,"stddev":0.0000,"p50":0.0000,"p90":0.0000,"p)"
+    R"(99":0.0000,"p999":0.0000,"buckets":[]}},"ATOMIC":{"ops":1,"bytes":)"
+    R"(8,"errors":0,"latency_us":{"count":0,"min":0.0000,"max":0.0000,"av)"
+    R"(g":0.0000,"stddev":0.0000,"p50":0.0000,"p90":0.0000,"p99":0.0000,")"
+    R"(p999":0.0000,"buckets":[]}},"posted":16,"completed":15,"abandoned")"
+    R"(:1,"outstanding":0,"max_outstanding":6,"reconnects":2}})";
+  EXPECT_EQ(golden, StatsJson(s));
+}
+
+TEST(DbStatsTest, SamplerExportsEveryCounterAsAColumn) {
+  const std::string json = SampledWorkloadSeries(301);
+  const std::vector<std::string> cols = JsonStringArray(json, "columns");
+  const std::vector<std::string> kinds = JsonStringArray(json, "kinds");
+  const size_t n = std::size(kDbCounters);
+  ASSERT_GT(cols.size(), n) << json.substr(0, 200);
+  ASSERT_EQ(cols.size(), kinds.size());
+  EXPECT_EQ("ts_ns", cols[0]);
+  for (size_t i = 0; i < n; i++) {
+    const DbCounter& c = kDbCounters[i];
+    EXPECT_EQ(c.name, cols[1 + i]);
+    EXPECT_EQ(c.rule == MergeRule::kMax ? "gauge" : "counter", kinds[1 + i])
+        << c.name;
+  }
 }
 
 // ---------------------------------------------------------------------------
