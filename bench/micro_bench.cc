@@ -203,6 +203,33 @@ void BM_SimEnvHandoff(benchmark::State& state) {
 }
 BENCHMARK(BM_SimEnvHandoff)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
+// Host cost of a simulated thread reading its clock: process CPU per
+// NowNanos and per UncountedBegin/End pair, the reads a benchmark client
+// makes around every op.
+void BM_SimEnvClockRead(benchmark::State& state) {
+  constexpr int kReads = 100000;
+  uint64_t now_ns = 0;
+  uint64_t pair_ns = 0;
+  for (auto _ : state) {
+    SimEnv env;
+    env.Run(0, [&] {
+      uint64_t sum = 0;
+      const uint64_t start = ProcessCpuNanos();
+      for (int i = 0; i < kReads; i++) sum += env.NowNanos();
+      const uint64_t mid = ProcessCpuNanos();
+      for (int i = 0; i < kReads; i++) env.UncountedEnd(env.UncountedBegin());
+      pair_ns += ProcessCpuNanos() - mid;
+      now_ns += mid - start;
+      benchmark::DoNotOptimize(sum);
+    });
+  }
+  const double reads = static_cast<double>(kReads) * state.iterations();
+  state.counters["cpu_ns_per_now"] = static_cast<double>(now_ns) / reads;
+  state.counters["cpu_ns_per_uncounted_pair"] =
+      static_cast<double>(pair_ns) / reads;
+}
+BENCHMARK(BM_SimEnvClockRead)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 }  // namespace dlsm
 

@@ -68,7 +68,7 @@ Status Cluster::Create(Env* env, const Options& options,
       deps.memories.push_back(cluster->memories_[m].get());
       deps.shared_rpcs.push_back(cluster->rpcs_[key].get());
     }
-    shard_options.placement_shard = s;
+    deps.placement_shard = s;
     DB* db = nullptr;
     DLSM_RETURN_NOT_OK(DLsmDB::Open(shard_options, deps, &db));
     cluster->shards_.emplace_back(db);

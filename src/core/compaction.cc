@@ -1,5 +1,7 @@
 #include "src/core/compaction.h"
 
+#include <algorithm>
+
 #include "src/core/merger.h"
 #include "src/core/table_reader.h"
 #include "src/util/coding.h"
@@ -36,7 +38,9 @@ bool CompactionTask::Deserialize(const Slice& in, CompactionTask* task) {
   uint32_t n;
   if (!GetVarint32(&input, &n)) return false;
   task->inputs.clear();
-  task->inputs.reserve(n);
+  // n is untrusted: each input takes at least 12 bytes, so reserve no more
+  // than the payload can hold.
+  task->inputs.reserve(std::min<size_t>(n, input.size() / 12));
   for (uint32_t i = 0; i < n; i++) {
     CompactionInput ci;
     if (input.empty()) return false;

@@ -95,7 +95,7 @@ Status DLsmDB::Init() {
 
   placement_ = NewPlacementPolicy(options_);
   home_ = services.size() > 1
-              ? static_cast<size_t>(options_.placement_shard) % services.size()
+              ? static_cast<size_t>(deps_.placement_shard) % services.size()
               : 0;
   // Per-table chunk: sstable_size plus headroom for the serialized index
   // and bloom filter.
@@ -1448,7 +1448,7 @@ int DLsmDB::PlaceTable(int level, const Slice& first_key) {
   const int n = static_cast<int>(nodes_.size());
   if (n <= 1) return 0;
   PlacementContext ctx;
-  ctx.shard = options_.placement_shard;
+  ctx.shard = deps_.placement_shard;
   ctx.level = level;
   ctx.table_seq = table_counter_.fetch_add(1, std::memory_order_relaxed);
   ctx.first_key = first_key;

@@ -47,6 +47,10 @@ struct DbDeps {
   /// Multi-node form of shared_rpc, parallel to `memories`; null entries
   /// get an owned per-node client.
   std::vector<remote::RpcClient*> shared_rpcs;
+  /// This engine's shard ordinal, used to offset static placement policies
+  /// so sibling shards spread instead of piling on node 0. Cluster and
+  /// ShardedDB set it.
+  int placement_shard = 0;
 };
 
 class DLsmDB : public DB {

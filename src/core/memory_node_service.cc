@@ -116,12 +116,20 @@ void MemoryNodeService::HandleCompaction(const Slice& args,
   // Nested inside the server's generic rpc_handle span: the near-data
   // merge itself, on the memory node's worker track.
   trace::TraceSpan span("exec_compaction", "compaction");
+  // Reply: u8 ok | payload (result or error text). A malformed task is an
+  // error reply, never an abort of the memory node.
+  auto fail = [reply](const std::string& why) {
+    reply->push_back(0);
+    reply->append(why);
+  };
   CompactionTask task;
   if (!CompactionTask::Deserialize(args, &task)) {
-    DLSM_CHECK_MSG(false, "malformed compaction task");
+    return fail("malformed compaction task");
   }
   span.arg("inputs", task.inputs.size());
-  DLSM_CHECK(task.output_chunk_size >= task.target_file_size);
+  if (task.output_chunk_size < task.target_file_size) {
+    return fail("output_chunk_size below target_file_size");
+  }
 
   auto alloc_chunk = [this, &task]() {
     return compaction_allocator(task.output_chunk_size)->Allocate();
@@ -136,14 +144,9 @@ void MemoryNodeService::HandleCompaction(const Slice& args,
   CompactionResult result;
   Status s = ExecuteCompactionTask(fabric_->env(), task, icmp_, alloc_chunk,
                                    free_chunk, node_->id(), &result);
-  // Reply: u8 ok | payload (result or error text).
-  if (s.ok()) {
-    reply->push_back(1);
-    reply->append(result.Serialize());
-  } else {
-    reply->push_back(0);
-    reply->append(s.ToString());
-  }
+  if (!s.ok()) return fail(s.ToString());
+  reply->push_back(1);
+  reply->append(result.Serialize());
 }
 
 void MemoryNodeService::HandleReadBlock(const Slice& args,

@@ -248,10 +248,6 @@ struct Options {
   /// Which node each new SSTable is installed on.
   PlacementPolicyKind placement_policy = PlacementPolicyKind::kRoundRobin;
 
-  /// This engine's shard ordinal, used to offset static policies so sibling
-  /// shards spread instead of piling on node 0. Cluster/ShardedDB set it.
-  int placement_shard = 0;
-
   /// Explicit user-key split points for kRange (sorted; nodes = points+1
   /// buckets truncated to the node count). Empty = uniform prefix hash.
   std::vector<std::string> placement_split_points;

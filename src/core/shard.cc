@@ -99,7 +99,7 @@ Status ShardedDB::Open(const Options& options, const DbDeps& deps,
   for (int i = 0; i < options.shards; i++) {
     // Each shard places tables independently; the shard index seeds the
     // policy so round-robin spreads shards across memory nodes.
-    shard_options.placement_shard = options.placement_shard + i;
+    shard_deps.placement_shard = deps.placement_shard + i;
     DB* shard = nullptr;
     DLSM_RETURN_NOT_OK(DLsmDB::Open(shard_options, shard_deps, &shard));
     db->shards_.emplace_back(shard);

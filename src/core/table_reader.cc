@@ -707,8 +707,11 @@ class LocalBlockTableIterator : public Iterator {
                           const InternalKeyComparator& icmp)
       : data_(data), len_(len), index_(std::move(index)), icmp_(icmp) {}
 
-  bool Valid() const override { return inner_ != nullptr && inner_->Valid(); }
+  bool Valid() const override {
+    return status_.ok() && inner_ != nullptr && inner_->Valid();
+  }
   Status status() const override {
+    if (!status_.ok()) return status_;
     return inner_ != nullptr ? inner_->status() : Status::OK();
   }
   Slice key() const override { return inner_->key(); }
@@ -762,7 +765,12 @@ class LocalBlockTableIterator : public Iterator {
       return false;
     }
     TableIndex::Entry e = index_->entry(b);
-    DLSM_CHECK(e.offset + e.length <= len_);
+    if (e.offset > len_ || e.length > len_ - e.offset) {
+      // The index came off the wire with the table; it may lie.
+      status_ = Status::Corruption("index entry points past the table");
+      inner_.reset();
+      return false;
+    }
     inner_ = std::make_unique<BlockIter>(&icmp_, data_ + e.offset, e.length);
     block_ = b;
     return true;
@@ -774,6 +782,8 @@ class LocalBlockTableIterator : public Iterator {
   InternalKeyComparator icmp_;
   size_t block_ = 0;
   std::unique_ptr<BlockIter> inner_;
+  Status status_;  // Sticky: an index entry outside the table; once set,
+                   // the iterator stays invalid.
 };
 
 }  // namespace

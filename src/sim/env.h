@@ -83,6 +83,12 @@ class Env {
 
   /// Polling hint: lets every other thread that is ready at an earlier time
   /// run before the caller continues. Under StdEnv this is sched_yield().
+  /// Under SimEnv the caller's clock jumps just past the earliest other
+  /// thread that is not itself parked in YieldToOthers, so concurrent
+  /// pollers wait together instead of taking turns. With only pollers left,
+  /// past the earliest of them. A parked poller is skipped even if its own
+  /// wait is already met, so a wait that depends on another poller's later
+  /// work can be over-charged.
   virtual void YieldToOthers() = 0;
 
   /// Brackets a region whose host CPU cost must NOT be charged to virtual

@@ -245,6 +245,23 @@ uint64_t SimEnv::ThreadCpuNanos() {
          static_cast<uint64_t>(ts.tv_nsec);
 }
 
+uint64_t SimEnv::CpuNanos(SimThread* t, bool real) {
+  uint64_t cpu;
+  const uint64_t since =
+      real ? kCpuClockGateNs : MonotonicNanos() - t->anchor_mono;
+  if (since < kCpuClockGateNs) {
+    cpu = t->anchor_cpu + since;
+  } else {
+    // The kernel samples the clock inside the read: anchor at the read's
+    // midpoint (its end would drop half a read from the next charge).
+    const uint64_t before = MonotonicNanos();
+    cpu = t->anchor_cpu = ThreadCpuNanos();
+    t->anchor_mono = before + (MonotonicNanos() - before) / 2;
+  }
+  t->cpu_read = std::max(t->cpu_read, cpu);
+  return t->cpu_read;
+}
+
 SimEnv::SimThread* SimEnv::Current() {
   DLSM_CHECK_MSG(tls_current != nullptr,
                  "Env call from a thread not managed by SimEnv");
@@ -269,7 +286,7 @@ void SimEnv::SetStateLocked(SimThread* t, State s) {
 }
 
 void SimEnv::ChargeCpuLocked(SimThread* self) {
-  uint64_t now = ThreadCpuNanos();
+  uint64_t now = CpuNanos(self);
   uint64_t delta = now > self->cpu_start ? now - self->cpu_start : 0;
   self->cpu_start = now;
   double factor = FactorLocked(self->node);
@@ -294,8 +311,20 @@ void SimEnv::FollowPinLocked(SimThread* t) {
 }
 
 void SimEnv::StartSliceLocked(SimThread* t) {
-  t->cpu_start = ThreadCpuNanos();
+  // Real read: the thread was just parked, off-CPU, for an unknown time.
+  t->cpu_start = CpuNanos(t, /*real=*/true);
   t->factor_cache = FactorLocked(t->node);
+}
+
+bool SimEnv::DueAtLocked(const SimThread* t, uint64_t* key) {
+  if (t->state == State::kReady) {
+    *key = t->lvt;
+  } else if (t->state == State::kTimed) {
+    *key = t->wake_time;
+  } else {
+    return false;
+  }
+  return true;
 }
 
 SimEnv::SimThread* SimEnv::PickNextLocked() {
@@ -304,13 +333,7 @@ SimEnv::SimThread* SimEnv::PickNextLocked() {
   for (auto& tp : threads_) {
     SimThread* t = tp.get();
     uint64_t key;
-    if (t->state == State::kReady) {
-      key = t->lvt;
-    } else if (t->state == State::kTimed) {
-      key = t->wake_time;
-    } else {
-      continue;
-    }
+    if (!DueAtLocked(t, &key)) continue;
     if (key < best_key || (key == best_key && best != nullptr &&
                            t->id < best->id)) {
       best_key = key;
@@ -486,7 +509,7 @@ void SimEnv::Run(int node_id, std::function<void()> root) {
 uint64_t SimEnv::NowNanos() {
   SimThread* self = tls_current;
   if (self == nullptr) return 0;
-  uint64_t now = ThreadCpuNanos();
+  uint64_t now = CpuNanos(self);
   uint64_t delta = now > self->cpu_start ? now - self->cpu_start : 0;
   return self->lvt +
          static_cast<uint64_t>(static_cast<double>(delta) *
@@ -520,33 +543,45 @@ void SimEnv::MaybeYield() {
   SwitchOutLocked(self, lk);
 }
 
-uint64_t SimEnv::UncountedBegin() { return ThreadCpuNanos(); }
+uint64_t SimEnv::UncountedBegin() {
+  SimThread* self = tls_current;
+  return self != nullptr ? CpuNanos(self) : ThreadCpuNanos();
+}
 
 void SimEnv::UncountedEnd(uint64_t token) {
   SimThread* self = tls_current;
   if (self == nullptr) return;
   // Push the slice start forward so the bracketed CPU time is never
-  // charged. cpu_start <= token <= now, so this cannot exceed "now".
-  self->cpu_start += ThreadCpuNanos() - token;
+  // charged. cpu_start <= token <= now (CpuNanos never decreases), so this
+  // cannot exceed "now".
+  self->cpu_start += CpuNanos(self) - token;
 }
 
 void SimEnv::YieldToOthers() {
   SimThread* self = Current();
   std::unique_lock<std::mutex> lk(gm_);
   ChargeCpuLocked(self);
-  // Jump just past the earliest other thread so it gets to run first.
-  uint64_t m = UINT64_MAX;
+  // Jump just past the earliest other thread that is not itself polling:
+  // that thread, not another poller, is what a poll waits for. Pollers that
+  // jumped past one another would take turns 1 ns plus their charged CPU
+  // apart. Only if every other thread polls, past the earliest of them.
+  uint64_t any = UINT64_MAX;
+  uint64_t working = UINT64_MAX;
   for (auto& tp : threads_) {
     SimThread* t = tp.get();
-    if (t == self) continue;
-    if (t->state == State::kReady) m = std::min(m, t->lvt);
-    if (t->state == State::kTimed) m = std::min(m, t->wake_time);
+    uint64_t key;
+    if (t == self || !DueAtLocked(t, &key)) continue;
+    any = std::min(any, key);
+    if (!t->polling) working = std::min(working, key);
   }
+  const uint64_t m = working != UINT64_MAX ? working : any;
   if (m != UINT64_MAX && m >= self->lvt) {
     self->lvt = m + 1;
   }
   SetStateLocked(self, State::kReady);
+  self->polling = true;
   SwitchOutLocked(self, lk);
+  self->polling = false;
 }
 
 int SimEnv::RegisterNode(const std::string& name, int cores) {

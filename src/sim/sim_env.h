@@ -15,11 +15,17 @@
 //    CLOCK_THREAD_CPUTIME_ID delta is added to its LVT, scaled by the
 //    processor-sharing factor of its node (active_threads / cores when the
 //    node is oversubscribed). Real skiplist inserts, memcmp, memcpy and
-//    bloom probes therefore cost what they really cost.
+//    bloom probes therefore cost what they really cost. Where that clock is
+//    a syscall, a read within kCpuClockGateNs of the last real one is
+//    extrapolated from CLOCK_MONOTONIC instead (see kCpuClockGateNs).
 //  * Synchronization transfers causality: acquiring a mutex or receiving a
 //    signal advances the receiver's LVT to at least the sender's LVT; the
 //    scheduler always resumes the thread with the smallest LVT, so lock
 //    queueing and producer/consumer waits play out in virtual time.
+//  * A poll (YieldToOthers) moves the poller's LVT just past the earliest
+//    thread that is not itself polling, so pollers never take turns with
+//    one another. A poll that waits on another poller's later work can be
+//    over-charged (see Env::YieldToOthers).
 //  * Network delays (the RDMA fabric model) are applied with
 //    Env::AdvanceTo(completion_time): the thread is parked, consuming no
 //    simulated CPU, until virtual time reaches the completion timestamp.
@@ -89,6 +95,17 @@ class SimEnv : public Env {
   /// than the period (a unit test's measurement) stays on one CPU.
   static constexpr uint64_t kPinPeriodNs = 200'000'000;
 
+  /// Window of host monotonic time after a real CLOCK_THREAD_CPUTIME_ID read
+  /// in which a simulated thread's CPU clock is read as that value plus the
+  /// monotonic time since, instead of another read (a syscall where the
+  /// clock is not in the vDSO). A thread's CPU time grows no faster than
+  /// wall time, so the estimate runs ahead only by time the thread spent
+  /// off-CPU inside the window (plus under half a read, for when inside the
+  /// read the kernel sampled); host preemptions last milliseconds, so the
+  /// gate leaves them to the next real read. Per-thread reads never
+  /// decrease. A thread's slice always starts on a real read.
+  static constexpr uint64_t kCpuClockGateNs = 10'000;
+
   // Env interface -----------------------------------------------------------
   bool is_simulated() const override { return true; }
   uint64_t NowNanos() override;
@@ -134,6 +151,13 @@ class SimEnv : public Env {
     int cpu = -1;  // Host CPU its OS thread is pinned to; -1 = unknown.
     uint64_t cpu_start = 0;      // Thread-CPU ns at slice start.
     double factor_cache = 1.0;   // Processor-sharing factor at slice start.
+    // Gated CPU clock (CpuNanos): the last real thread-CPU read, the
+    // monotonic time it was taken at, and the largest value returned.
+    // Touched only by the thread itself.
+    uint64_t anchor_cpu = 0;
+    uint64_t anchor_mono = 0;
+    uint64_t cpu_read = 0;
+    bool polling = false;  // Parked in YieldToOthers.
     std::function<void()> fn;
     std::thread os_thread;
     std::vector<SimThread*> joiners;
@@ -146,6 +170,9 @@ class SimEnv : public Env {
   };
 
   static uint64_t ThreadCpuNanos();
+  /// The calling thread t's CPU clock, gated by kCpuClockGateNs; real reads
+  /// it and re-anchors. Never less than an earlier return for t.
+  static uint64_t CpuNanos(SimThread* t, bool real = false);
   SimThread* Current();
 
   // All of the below require gm_ to be held.
@@ -153,6 +180,9 @@ class SimEnv : public Env {
   void SetStateLocked(SimThread* t, State s);
   void ChargeCpuLocked(SimThread* self);
   void StartSliceLocked(SimThread* t);
+  /// The virtual time t is due to run at (its LVT if ready, its wake time
+  /// if timed); false if t is not schedulable.
+  static bool DueAtLocked(const SimThread* t, uint64_t* key);
   SimThread* PickNextLocked();
   /// Makes t runnable with causality from_lvt; caller sets any
   /// mutex-handoff state first.

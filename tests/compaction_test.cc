@@ -371,6 +371,50 @@ TEST(NearDataExecutorTest, CompactsViaMemoryNodeService) {
   });
 }
 
+// Compaction tasks arrive as bytes from a compute node: a malformed one
+// gets the `0 | error text` reply, and the memory node keeps serving.
+TEST(NearDataExecutorTest, MalformedTaskGetsErrorReplyNotAbort) {
+  SimEnv env;
+  rdma::Fabric fabric(&env);
+  rdma::Node* compute = fabric.AddNode("compute", 24, 1ull << 30);
+  rdma::Node* memory = fabric.AddNode("memory", 4, 2ull << 30);
+  env.Run(0, [&] {
+    MemoryNodeService service(&fabric, memory, 2);
+    service.Start();
+    remote::RpcClient client(&fabric, compute, service.rpc_server());
+    auto call = [&](const std::string& args) {
+      std::string reply;
+      EXPECT_TRUE(client
+                      .CallWithWakeup(remote::RpcType::kCompaction, args,
+                                      &reply)
+                      .ok());
+      CompactionResult result;
+      return std::make_pair(reply, ParseCompactionReply(reply, &result));
+    };
+
+    auto [garbage, garbage_status] = call("\x07not a task");
+    ASSERT_FALSE(garbage.empty());
+    EXPECT_EQ(0, garbage[0]);
+    EXPECT_NE(std::string::npos, garbage.find("malformed"));
+    EXPECT_TRUE(garbage_status.IsIOError()) << garbage_status.ToString();
+
+    CompactionTask task;
+    task.target_file_size = 4 << 20;
+    task.output_chunk_size = 1 << 20;  // Cannot hold one output table.
+    auto [small, small_status] = call(task.Serialize());
+    ASSERT_FALSE(small.empty());
+    EXPECT_EQ(0, small[0]);
+    EXPECT_NE(std::string::npos, small.find("output_chunk_size"));
+    EXPECT_TRUE(small_status.IsIOError()) << small_status.ToString();
+
+    // Still serving. An input count the payload cannot hold is malformed,
+    // not a giant allocation.
+    EXPECT_EQ(0, call("").first.at(0));
+    EXPECT_EQ(0, call("\xff\xff\xff\xff\x0f").first.at(0));
+    service.Stop();
+  });
+}
+
 TEST(NearDataExecutorTest, SubRangeSlicesCompactIndependently) {
   // The sub-compaction contract: disjoint record-aligned slices of the
   // same inputs produce disjoint outputs covering everything.

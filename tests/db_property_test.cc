@@ -17,8 +17,10 @@ using test::RunDbTest;
 using test::TestKey;
 using test::TestValue;
 
+// gtest lists a parameter that has no printer as its bytes. `name` goes
+// last: a string literal's address changes with every build, so leading
+// with it would change the listed test names too.
 struct EngineConfig {
-  const char* name;
   TableFormat format = TableFormat::kByteAddressable;
   size_t block_size = 8192;
   CompactionPlacement placement = CompactionPlacement::kNearData;
@@ -28,6 +30,7 @@ struct EngineConfig {
   bool extra_io_copy = false;
   bool reads_via_rpc = false;
   size_t value_size = 64;
+  const char* name = "";
 };
 
 class EngineMatrixTest : public ::testing::TestWithParam<EngineConfig> {};
@@ -108,30 +111,33 @@ TEST_P(EngineMatrixTest, RandomWorkloadMatchesReferenceModel) {
 INSTANTIATE_TEST_SUITE_P(
     Engines, EngineMatrixTest,
     ::testing::Values(
-        EngineConfig{"dlsm"},
-        EngineConfig{"dlsm_block", TableFormat::kBlock, 4096},
-        EngineConfig{"dlsm_tiny_blocks", TableFormat::kBlock, 256},
-        EngineConfig{"compute_compaction", TableFormat::kByteAddressable,
-                     8192, CompactionPlacement::kComputeSide},
-        EngineConfig{"writer_queue", TableFormat::kByteAddressable, 8192,
-                     CompactionPlacement::kNearData, WritePath::kWriterQueue,
-                     MemTableSwitchPolicy::kDoubleCheckedSize},
-        EngineConfig{"rocksdb_port", TableFormat::kBlock, 8192,
-                     CompactionPlacement::kComputeSide,
-                     WritePath::kWriterQueue,
-                     MemTableSwitchPolicy::kDoubleCheckedSize, 1,
-                     /*extra_io_copy=*/true},
-        EngineConfig{"nova_port", TableFormat::kBlock, 8192,
-                     CompactionPlacement::kNearData, WritePath::kWriterQueue,
-                     MemTableSwitchPolicy::kDoubleCheckedSize, 4,
-                     /*extra_io_copy=*/true, /*reads_via_rpc=*/true},
-        EngineConfig{"sharded_4", TableFormat::kByteAddressable, 8192,
-                     CompactionPlacement::kNearData, WritePath::kLockFree,
-                     MemTableSwitchPolicy::kSeqRange, 4},
-        EngineConfig{"big_values", TableFormat::kByteAddressable, 8192,
-                     CompactionPlacement::kNearData, WritePath::kLockFree,
-                     MemTableSwitchPolicy::kSeqRange, 1, false, false,
-                     /*value_size=*/1200}),
+        EngineConfig{.name = "dlsm"},
+        EngineConfig{.format = TableFormat::kBlock,
+                     .block_size = 4096,
+                     .name = "dlsm_block"},
+        EngineConfig{.format = TableFormat::kBlock,
+                     .block_size = 256,
+                     .name = "dlsm_tiny_blocks"},
+        EngineConfig{.placement = CompactionPlacement::kComputeSide,
+                     .name = "compute_compaction"},
+        EngineConfig{.write_path = WritePath::kWriterQueue,
+                     .switch_policy = MemTableSwitchPolicy::kDoubleCheckedSize,
+                     .name = "writer_queue"},
+        EngineConfig{.format = TableFormat::kBlock,
+                     .placement = CompactionPlacement::kComputeSide,
+                     .write_path = WritePath::kWriterQueue,
+                     .switch_policy = MemTableSwitchPolicy::kDoubleCheckedSize,
+                     .extra_io_copy = true,
+                     .name = "rocksdb_port"},
+        EngineConfig{.format = TableFormat::kBlock,
+                     .write_path = WritePath::kWriterQueue,
+                     .switch_policy = MemTableSwitchPolicy::kDoubleCheckedSize,
+                     .shards = 4,
+                     .extra_io_copy = true,
+                     .reads_via_rpc = true,
+                     .name = "nova_port"},
+        EngineConfig{.shards = 4, .name = "sharded_4"},
+        EngineConfig{.value_size = 1200, .name = "big_values"}),
     [](const ::testing::TestParamInfo<EngineConfig>& info) {
       return std::string(info.param.name);
     });

@@ -277,6 +277,73 @@ TEST(SimEnvTest, YieldToOthersLetsLaggardsRun) {
   });
 }
 
+// Four pollers wait for one setter. Each jumps just past the setter's wake
+// time instead of past another poller, so the wait costs a few spins
+// however little CPU a spin charges (none here); jumping past one another,
+// 1 ns per turn, they took 3,000,001 spins to cover the 1 ms.
+TEST(SimEnvTest, PollersDoNotLeapfrogEachOther) {
+  SimEnv::Options options;
+  options.cpu_scale = 0;
+  SimEnv env(options);
+  uint64_t spins = 0;  // Only the baton holder writes it.
+  env.Run(0, [&] {
+    std::atomic<bool> flag{false};
+    std::vector<ThreadHandle> hs;
+    hs.push_back(env.StartThread(0, "setter", [&] {
+      env.SleepNanos(1000000);
+      flag = true;
+    }));
+    for (int i = 0; i < 4; i++) {
+      hs.push_back(env.StartThread(0, "poller", [&] {
+        // Capped so that leapfrogging fails fast instead of spinning on.
+        while (!flag.load() && spins < 100000) {
+          env.YieldToOthers();
+          spins++;
+        }
+      }));
+    }
+    for (ThreadHandle h : hs) env.Join(h);
+    EXPECT_TRUE(flag.load());
+  });
+  EXPECT_LE(spins, 40u);
+}
+
+// The pollers rule's known cost: a poller skips every thread parked
+// polling, even one whose wait is already met. B polls on C's flag; C sets
+// it at 10 us and then sleeps 1 ms; A wakes at 10 us too (after C: equal
+// times run in start order) and polls on B's flag while B, met but not yet
+// resumed, is parked at 10 us + 1 ns. A jumps past C's wake time, not just
+// past B, so it sees B's flag ~1 ms late.
+TEST(SimEnvTest, PollerWaitingOnPollerIsChargedPastNextNonPoller) {
+  SimEnv::Options options;
+  options.cpu_scale = 0;
+  SimEnv env(options);
+  uint64_t b_saw = 0, a_saw = 0;
+  env.Run(0, [&] {
+    std::atomic<bool> flag_c{false}, flag_b{false};
+    std::vector<ThreadHandle> hs;
+    hs.push_back(env.StartThread(0, "B", [&] {
+      while (!flag_c.load()) env.YieldToOthers();
+      b_saw = env.NowNanos();
+      flag_b = true;
+    }));
+    hs.push_back(env.StartThread(0, "C", [&] {
+      env.SleepNanos(10000);
+      flag_c = true;
+      env.SleepNanos(1000000);
+    }));
+    hs.push_back(env.StartThread(0, "A", [&] {
+      env.SleepNanos(10000);
+      while (!flag_b.load()) env.YieldToOthers();
+      a_saw = env.NowNanos();
+    }));
+    for (ThreadHandle h : hs) env.Join(h);
+  });
+  EXPECT_GE(b_saw, 10000u);
+  EXPECT_LT(b_saw, 20000u);
+  EXPECT_GT(a_saw, 1010000u);
+}
+
 // True if this process may narrow a thread's affinity to one CPU (some
 // sandboxes refuse sched_setaffinity; SimEnv then runs unpinned).
 bool CanPinToOneCpu() {
@@ -344,6 +411,55 @@ TEST(SimEnvTest, SimulatedThreadsShareOneHostCpuAtATime) {
   for (int n : allowed) EXPECT_EQ(1, n) << "a simulated thread was not pinned";
   ASSERT_EQ(0, pthread_getaffinity_np(pthread_self(), sizeof(after), &after));
   EXPECT_TRUE(CPU_EQUAL(&before, &after)) << "Run left the caller pinned";
+}
+
+// Within SimEnv::kCpuClockGateNs of a real CLOCK_THREAD_CPUTIME_ID read the
+// thread's CPU clock is extrapolated from CLOCK_MONOTONIC. With a host
+// thread competing for the same CPU, time off-CPU inside a window could
+// inflate an estimate, but by less than one gate: measured from the slice's
+// real start read, NowNanos never runs more than a gate ahead of the real
+// clock, and it never runs backwards. An UncountedBegin/End pair therefore
+// never pushes the slice start past the clock either. (The real clock may
+// itself jump ahead of wall time by tens of microseconds on a VM; the
+// estimate then trails until the next real read.)
+TEST(SimEnvTest, GatedCpuClockNeverRunsAheadOfThreadCpu) {
+  std::atomic<bool> stop{false};
+  std::thread busy;
+  SimEnv env;
+  env.Run(0, [&] {
+    const int cpu = sched_getcpu();
+    busy = std::thread([&stop, cpu] {
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(cpu, &one);
+      pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
+      while (!stop.load(std::memory_order_relaxed)) {
+      }
+    });
+    const SimEnv::SimThread* self = env.Current();
+    env.MaybeYield();  // Starts a slice on a real read.
+    const uint64_t lvt0 = self->lvt;
+    const uint64_t real0 = self->cpu_start;
+    volatile uint64_t sink = 0;
+    uint64_t last = lvt0;
+    for (int i = 0; i < 5000; i++) {
+      for (int k = 0; k < (i % 64) * 50; k++) sink = sink + k;
+      const uint64_t now = env.NowNanos();
+      const uint64_t real = SimEnv::ThreadCpuNanos();
+      ASSERT_GE(now, last) << "at read " << i;
+      ASSERT_LE(now - lvt0, real - real0 + SimEnv::kCpuClockGateNs)
+          << "at read " << i;
+      last = now;
+    }
+    for (int i = 0; i < 5000; i++) {
+      env.UncountedEnd(env.UncountedBegin());
+      ASSERT_LE(self->cpu_start,
+                SimEnv::ThreadCpuNanos() + SimEnv::kCpuClockGateNs)
+          << "at pair " << i;
+    }
+  });
+  stop = true;
+  busy.join();
 }
 
 // Four producer/consumer pairs over bounded queues, all eight threads also

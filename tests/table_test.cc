@@ -817,6 +817,34 @@ TEST(LocalIteratorTest, CorruptMiddleBlockStopsScansBothWays) {
   ExpectScansStopAtCorruptMiddleBlock(it.get(), *index);
 }
 
+// The index arrives with the table's bytes; an entry pointing past the
+// table's end is Corruption, in either scan direction, not an abort.
+TEST(LocalIteratorTest, IndexEntryPastTableIsCorruption) {
+  std::string storage;
+  uint64_t data_len = 0;
+  auto index = BuildThreeBlocksCorruptMiddle(&storage, &data_len);
+  ASSERT_EQ(3u, index->num_entries());
+  InternalKeyComparator icmp(BytewiseComparator());
+  // Cut the table inside its last block: entry 2 now ends past it.
+  const uint64_t cut = index->entry(2).offset + 1;
+  std::unique_ptr<Iterator> fwd(
+      NewLocalBlockTableIterator(storage.data(), cut, index, icmp));
+  fwd->Seek(IKey(UKey(11), kMaxSequenceNumber));
+  EXPECT_FALSE(fwd->Valid());
+  EXPECT_TRUE(fwd->status().IsCorruption()) << fwd->status().ToString();
+
+  std::unique_ptr<Iterator> back(
+      NewLocalBlockTableIterator(storage.data(), cut, index, icmp));
+  back->SeekToLast();
+  EXPECT_FALSE(back->Valid());
+  EXPECT_TRUE(back->status().IsCorruption()) << back->status().ToString();
+  // The corruption is sticky: re-seeking into the intact block 0 keeps the
+  // iterator invalid, so a non-OK status never pairs with Valid().
+  back->SeekToFirst();
+  EXPECT_FALSE(back->Valid());
+  EXPECT_TRUE(back->status().IsCorruption()) << back->status().ToString();
+}
+
 TEST_F(TableSimTest, RemoteCorruptMiddleBlockStopsScansBothWays) {
   RunSim([&](rdma::Fabric* f, rdma::Node* compute, rdma::Node* memory,
              Env*) {
