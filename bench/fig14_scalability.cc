@@ -7,7 +7,7 @@
 // Usage: fig14_scalability [--sweep=memory|compute|both] [--base=N]
 
 #include <cstdio>
-#include <vector>
+#include <utility>
 
 #include "bench/harness.h"
 
@@ -15,30 +15,32 @@ namespace dlsm {
 namespace bench {
 namespace {
 
+// Fill then read; returns {write, read} ops/s.
+std::pair<double, double> FillRead(const BenchConfig& config) {
+  auto r = RunBench(config, {Phase::kFillRandom, Phase::kReadRandom});
+  return {r[0].ops_per_sec, r[1].ops_per_sec};
+}
+
 void SweepMemory(uint64_t base_keys) {
   std::printf("\n--- Fig 14(a): 1 compute node, scale out memory nodes ---\n");
   std::printf("%8s %10s %16s %16s %16s %16s\n", "m-nodes", "keys",
               "write", "read", "1-server write", "1-server read");
   for (int m : {1, 2, 4, 8, 16}) {
-    ClusterBenchConfig config;
-    config.compute_nodes = 1;
-    config.memory_nodes = m;
-    config.shards_per_compute = 16;  // Enough shards to spread over 16 m.
-    config.threads_per_compute = 8;
-    config.num_keys = base_keys * m;
-    ClusterBenchResult r = RunClusterBench(config);
+    BenchConfig config =
+        MultiNodeConfig(SystemKind::kDLsm, 1, m, base_keys * m);
+    config.shards = 16;  // Enough shards to spread over 16 m.
+    auto [write, read] = FillRead(config);
 
     // Dotted line: the same data held in a single memory node.
-    ClusterBenchConfig single = config;
+    BenchConfig single = config;
     single.memory_nodes = 1;
-    ClusterBenchResult s = RunClusterBench(single);
+    auto [single_write, single_read] = FillRead(single);
 
     std::printf("%8d %10llu %16s %16s %16s %16s\n", m,
                 static_cast<unsigned long long>(config.num_keys),
-                FormatThroughput(r.fill_ops_per_sec).c_str(),
-                FormatThroughput(r.read_ops_per_sec).c_str(),
-                FormatThroughput(s.fill_ops_per_sec).c_str(),
-                FormatThroughput(s.read_ops_per_sec).c_str());
+                FormatThroughput(write).c_str(), FormatThroughput(read).c_str(),
+                FormatThroughput(single_write).c_str(),
+                FormatThroughput(single_read).c_str());
     std::fflush(stdout);
   }
 }
@@ -47,16 +49,10 @@ void SweepCompute(uint64_t base_keys) {
   std::printf("\n--- Fig 14(b): 1 memory node, scale out compute nodes ---\n");
   std::printf("%8s %16s %16s\n", "c-nodes", "write", "read");
   for (int c : {1, 2, 4, 8}) {
-    ClusterBenchConfig config;
-    config.compute_nodes = c;
-    config.memory_nodes = 1;
-    config.shards_per_compute = 8;
-    config.threads_per_compute = 8;
-    config.num_keys = base_keys;
-    ClusterBenchResult r = RunClusterBench(config);
-    std::printf("%8d %16s %16s\n", c,
-                FormatThroughput(r.fill_ops_per_sec).c_str(),
-                FormatThroughput(r.read_ops_per_sec).c_str());
+    auto [write, read] =
+        FillRead(MultiNodeConfig(SystemKind::kDLsm, c, 1, base_keys));
+    std::printf("%8d %16s %16s\n", c, FormatThroughput(write).c_str(),
+                FormatThroughput(read).c_str());
     std::fflush(stdout);
   }
 }

@@ -6,8 +6,8 @@
 // --placement_ab runs the placement A/B instead: a Zipfian-0.99 read
 // phase on 4C4M with the heat rebalancer off vs on (imbalance ratio must
 // drop), then kUniformReps interleaved uniform pairs off vs on (p50 must
-// not regress). --stats_json writes one record per leg
-// (BENCH_placement.json).
+// not regress). --stats_json writes two records per leg, its fill phase
+// ("<leg>_fill") and its measured read pass (BENCH_placement.json).
 //
 // Usage: fig15_multinode [--base=N] [--placement_ab] [--zipfian=T]
 //                        [--stats_json=PATH]
@@ -35,28 +35,39 @@ double Median(std::vector<double> v) {
   return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
 }
 
-std::string NodeDistribution(const ClusterBenchResult& r) {
+std::string NodeDistribution(const std::vector<uint64_t>& reads) {
   std::string out = "[";
-  for (size_t i = 0; i < r.node_read_verbs.size(); i++) {
+  for (size_t i = 0; i < reads.size(); i++) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%s%llu", i == 0 ? "" : " ",
-                  static_cast<unsigned long long>(r.node_read_verbs[i]));
+                  static_cast<unsigned long long>(reads[i]));
     out.append(buf);
   }
   out.append("]");
   return out;
 }
 
+// max/mean of the per-node READ verbs: 1.0 = perfectly balanced, 0 = no
+// READs.
+double Imbalance(const std::vector<uint64_t>& reads) {
+  uint64_t sum = 0, mx = 0;
+  for (uint64_t r : reads) {
+    sum += r;
+    mx = std::max(mx, r);
+  }
+  return sum > 0 ? static_cast<double>(mx) * reads.size() / sum : 0;
+}
+
+// A placement A/B leg's measured read pass.
+struct Leg {
+  PhaseResult read;
+  std::vector<uint64_t> node_reads;
+};
+
 // One leg of the placement A/B; returns the result and logs a record.
-ClusterBenchResult PlacementLeg(uint64_t base, double theta, bool rebalance,
-                                StatsJsonWriter* json, const char* phase) {
-  ClusterBenchConfig config;
-  config.system = SystemKind::kDLsm;
-  config.compute_nodes = 4;
-  config.memory_nodes = 4;
-  config.shards_per_compute = 8;
-  config.threads_per_compute = 8;
-  config.num_keys = base * 4;
+Leg PlacementLeg(uint64_t base, double theta, bool rebalance,
+                 StatsJsonWriter* json, const char* phase) {
+  BenchConfig config = MultiNodeConfig(SystemKind::kDLsm, 4, 4, base * 4);
   // Smaller tables than the default scale-down: the hot shard then spans
   // ~20 tables, giving the rebalancer migratable units to spread.
   config.memtable_size = 1 << 20;
@@ -66,31 +77,19 @@ ClusterBenchResult PlacementLeg(uint64_t base, double theta, bool rebalance,
   // The scaled-down read phase lasts tens of virtual milliseconds; a 2 ms
   // pass period gives the rebalancer several rounds within it.
   config.placement_rebalance_interval_ns = 2'000'000;
+  config.record_latency = true;
   // First pass settles the layout (heat accrues, tables migrate); the
   // measured second pass sees the rebalanced placement. The static leg
   // runs the same two passes, so both legs measure a warm second pass.
-  config.read_passes = 2;
-  config.record_latency = true;
-  ClusterBenchResult r = RunClusterBench(config);
-  if (json != nullptr && json->enabled()) {
-    BenchConfig meta;
-    meta.system = config.system;
-    meta.num_keys = config.num_keys;
-    meta.zipfian_theta = theta;
-    PhaseResult pr;
-    pr.ops = config.num_keys;
-    pr.ops_per_sec = r.read_ops_per_sec;
-    pr.elapsed_s = r.read_ops_per_sec > 0
-                       ? static_cast<double>(config.num_keys) /
-                             r.read_ops_per_sec
-                       : 0;
-    pr.stats = r.stats;
-    pr.latency_us = r.read_latency_us;
-    json->Add("fig15_placement_ab", SystemName(config.system),
-              config.compute_nodes * config.threads_per_compute, phase, meta,
-              pr);
-  }
-  return r;
+  auto r = RunBench(config,
+                    {Phase::kFillRandom, Phase::kReadRandom,
+                     Phase::kReadRandom});
+  const int threads = config.compute_nodes * config.threads;
+  json->Add("fig15_placement_ab", SystemName(config.system), threads,
+            std::string(phase) + "_fill", config, r[0]);
+  json->Add("fig15_placement_ab", SystemName(config.system), threads, phase,
+            config, r[2]);
+  return {r[2], NodeReadDeltas(r[1], r[2])};
 }
 
 int Main(int argc, char** argv) {
@@ -103,34 +102,32 @@ int Main(int argc, char** argv) {
     std::printf("\n=== Placement A/B: 4C4M, lambda=8, heat rebalancer ===\n");
     std::printf("%-22s %12s %10s %10s %10s\n", "leg", "read", "imbalance",
                 "migrated", "p50(us)");
-    auto row = [&](const char* leg, const ClusterBenchResult& r) {
+    auto row = [&](const char* leg, const Leg& r) {
       std::printf("%-22s %12s %9.2fx %10llu %10.1f\n", leg,
-                  FormatThroughput(r.read_ops_per_sec).c_str(),
-                  r.read_imbalance,
-                  static_cast<unsigned long long>(r.stats.tables_migrated),
-                  r.read_p50_us);
-      std::printf("  per-node read verbs %s\n", NodeDistribution(r).c_str());
+                  FormatThroughput(r.read.ops_per_sec).c_str(),
+                  Imbalance(r.node_reads),
+                  static_cast<unsigned long long>(r.read.stats.tables_migrated),
+                  r.read.latency_us.Median());
+      std::printf("  per-node read verbs %s\n",
+                  NodeDistribution(r.node_reads).c_str());
       std::fflush(stdout);
     };
-    ClusterBenchResult zoff =
-        PlacementLeg(base, theta, false, &json, "zipf_static");
+    Leg zoff = PlacementLeg(base, theta, false, &json, "zipf_static");
     row("zipf static", zoff);
-    ClusterBenchResult zon =
-        PlacementLeg(base, theta, true, &json, "zipf_rebalance");
+    Leg zon = PlacementLeg(base, theta, true, &json, "zipf_rebalance");
     row("zipf rebalance", zon);
     std::vector<double> static_p50, rebalance_p50;
     for (int rep = 0; rep < kUniformReps; rep++) {
-      ClusterBenchResult uoff =
-          PlacementLeg(base, 0.0, false, &json, "uniform_static");
+      Leg uoff = PlacementLeg(base, 0.0, false, &json, "uniform_static");
       row("uniform static", uoff);
-      ClusterBenchResult uon =
-          PlacementLeg(base, 0.0, true, &json, "uniform_rebalance");
+      Leg uon = PlacementLeg(base, 0.0, true, &json, "uniform_rebalance");
       row("uniform rebalance", uon);
-      static_p50.push_back(uoff.read_p50_us);
-      rebalance_p50.push_back(uon.read_p50_us);
+      static_p50.push_back(uoff.read.latency_us.Median());
+      rebalance_p50.push_back(uon.read.latency_us.Median());
     }
-    double cut = zon.read_imbalance > 0
-                     ? zoff.read_imbalance / zon.read_imbalance
+    double zon_imbalance = Imbalance(zon.node_reads);
+    double cut = zon_imbalance > 0
+                     ? Imbalance(zoff.node_reads) / zon_imbalance
                      : 0;
     double med_off = Median(static_p50), med_on = Median(rebalance_p50);
     double p50_delta =
@@ -171,25 +168,20 @@ int Main(int argc, char** argv) {
   for (SystemKind system :
        {SystemKind::kDLsm, SystemKind::kNovaLsm, SystemKind::kSherman}) {
     for (int x : {1, 2, 4, 8}) {
-      ClusterBenchConfig config;
-      config.system = system;
-      config.compute_nodes = x;
-      config.memory_nodes = x;
-      config.shards_per_compute = 8;
-      config.threads_per_compute = 8;
-      config.num_keys = base * x;
-      ClusterBenchResult r = RunClusterBench(config);
+      BenchConfig config = MultiNodeConfig(system, x, x, base * x);
+      auto r = RunBench(config, {Phase::kFillRandom, Phase::kReadRandom});
+      std::vector<uint64_t> node_reads = NodeReadDeltas(r[0], r[1]);
       char imb[24] = "-";
-      if (r.read_imbalance > 0) {
-        std::snprintf(imb, sizeof(imb), "%.2fx", r.read_imbalance);
+      if (Imbalance(node_reads) > 0) {
+        std::snprintf(imb, sizeof(imb), "%.2fx", Imbalance(node_reads));
       }
       std::printf("%-10s %dC%dM %12llu %16s %16s %10s\n", SystemName(system),
                   x, x, static_cast<unsigned long long>(config.num_keys),
-                  FormatThroughput(r.fill_ops_per_sec).c_str(),
-                  FormatThroughput(r.read_ops_per_sec).c_str(), imb);
-      if (r.node_read_verbs.size() > 1) {
+                  FormatThroughput(r[0].ops_per_sec).c_str(),
+                  FormatThroughput(r[1].ops_per_sec).c_str(), imb);
+      if (node_reads.size() > 1) {
         std::printf("  per-node read verbs %s\n",
-                    NodeDistribution(r).c_str());
+                    NodeDistribution(node_reads).c_str());
       }
       std::fflush(stdout);
     }

@@ -1,5 +1,6 @@
 #include "bench/harness.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
@@ -8,8 +9,6 @@
 #include "src/baselines/presets.h"
 #include "src/baselines/sherman.h"
 #include "src/core/cluster.h"
-#include "src/core/db_impl.h"
-#include "src/core/memory_node_service.h"
 #include "src/core/shard.h"
 #include "src/rdma/fabric.h"
 #include "src/sim/sim_env.h"
@@ -67,6 +66,8 @@ std::string MakeValue(uint64_t n, size_t len, Random* rnd) {
   return v;
 }
 
+// One compute node's engine Options; its lambda = options.shards range
+// shards split the sizes and budgets (ShardedDB::Open).
 Options MakeEngineOptions(const BenchConfig& config, Env* env) {
   Options options;
   switch (config.system) {
@@ -105,8 +106,6 @@ Options MakeEngineOptions(const BenchConfig& config, Env* env) {
   options.l0_stop_writes_trigger = config.bulkload ? 1 << 30 : 36;
   options.max_immutables = config.bulkload ? 1 << 20 : 16;
   options.flush_threads = 4;
-  options.compaction_scheduler_threads = 4;
-  options.max_subcompactions = 12;
   // config.placement is a dLSM ablation knob (Fig. 12); the baseline
   // presets fix their own placement (the ports compact on the compute
   // node, Nova-LSM at the storage component).
@@ -137,12 +136,30 @@ Options MakeEngineOptions(const BenchConfig& config, Env* env) {
     options.rpc_timeout_ns = 20 * 1000 * 1000;
     options.rpc_max_retries = 4;
   }
+  // Background budgets are per compute node (its shards split them).
   // Flush region: enough for the whole dataset plus compaction churn,
   // pinned snapshots and per-shard slab rounding.
-  uint64_t data = config.num_keys *
-                  (config.key_width + config.value_size + 28) * 8 +
-                  (512ull << 20);
-  options.flush_region_size = data;
+  const uint64_t data =
+      config.num_keys * (config.key_width + config.value_size + 28);
+  const int lambda = options.shards;
+  if (config.per_shard_budget) {
+    const uint64_t total_shards =
+        static_cast<uint64_t>(config.compute_nodes) * lambda;
+    options.compaction_scheduler_threads = 2 * lambda;
+    options.max_subcompactions = 4 * lambda;
+    options.flush_region_size =
+        lambda * (data * 4 / total_shards + (64ull << 20));
+  } else {
+    options.compaction_scheduler_threads = 4;
+    options.max_subcompactions = 12;
+    options.flush_region_size = data * 8 + (512ull << 20);
+  }
+  options.placement_policy = config.placement_policy;
+  options.placement_rebalance = config.placement_rebalance;
+  if (config.placement_rebalance_interval_ns > 0) {
+    options.placement_rebalance_interval_ns =
+        config.placement_rebalance_interval_ns;
+  }
   return options;
 }
 
@@ -276,6 +293,32 @@ bool StatsJsonWriter::Write() const {
   return std::fclose(f) == 0 && n == out.size();
 }
 
+BenchConfig MultiNodeConfig(SystemKind system, int computes, int memories,
+                            uint64_t num_keys) {
+  BenchConfig config;
+  config.system = system;
+  config.compute_nodes = computes;
+  config.memory_nodes = memories;
+  config.num_keys = num_keys;
+  config.shards = 8;
+  config.threads = 8;
+  config.compute_cores = 16;  // CloudLab c6220: 2x8 cores.
+  config.compaction_workers = 8;
+  config.per_shard_budget = true;
+  return config;
+}
+
+std::vector<uint64_t> NodeReadDeltas(const PhaseResult& prev,
+                                     const PhaseResult& cur) {
+  const auto& before = prev.stats.per_node;
+  std::vector<uint64_t> out;
+  for (size_t i = 0; i < cur.stats.per_node.size(); i++) {
+    uint64_t b = i < before.size() ? before[i].read_verbs : 0;
+    out.push_back(cur.stats.per_node[i].read_verbs - b);
+  }
+  return out;
+}
+
 std::vector<PhaseResult> RunBench(const BenchConfig& config,
                                   const std::vector<Phase>& phases) {
   std::vector<PhaseResult> results(phases.size());
@@ -283,15 +326,22 @@ std::vector<PhaseResult> RunBench(const BenchConfig& config,
   SimEnv::Options sim_options;
   sim_options.cpu_scale = config.cpu_scale;
   SimEnv env(sim_options);
-  rdma::Fabric fabric(&env);
-  uint64_t entry = config.key_width + config.value_size + 28;
-  // Memory node sized for the dataset with generous slack (MAP_NORESERVE:
+  const int computes = config.compute_nodes;
+  const int memories = config.memory_nodes;
+  const uint64_t entry = config.key_width + config.value_size + 28;
+  const uint64_t key_range =
+      config.key_range != 0 ? config.key_range : config.num_keys;
+
+  ClusterTopology topology;
+  topology.compute_nodes = computes;
+  topology.memory_nodes = memories;
+  topology.compute_cores = config.compute_cores;
+  topology.memory_cores = config.memory_cores;
+  topology.compaction_workers_per_memory = config.compaction_workers;
+  // Memory nodes sized for the dataset with generous slack (MAP_NORESERVE:
   // only touched pages cost physical memory).
-  size_t mem_dram = config.num_keys * entry * 10 + (2ull << 30);
-  rdma::Node* compute =
-      fabric.AddNode("compute", config.compute_cores, 2ull << 30);
-  rdma::Node* memory =
-      fabric.AddNode("memory", config.memory_cores, mem_dram);
+  topology.memory_dram =
+      config.num_keys * entry * 24 / memories + (4ull << 30);
 
   // Tracing spans virtual time, so enabling before Run and exporting after
   // it returns captures the whole deployment deterministically.
@@ -310,42 +360,60 @@ std::vector<PhaseResult> RunBench(const BenchConfig& config,
   std::string series_json;
 
   env.Run(0, [&] {
-    std::unique_ptr<MemoryNodeService> service;
-    std::unique_ptr<DB> db;
-    DB* raw = nullptr;
+    // The deployment: one DB per compute node; that node's clients use it.
+    std::unique_ptr<Cluster> cluster;
+    std::unique_ptr<rdma::Fabric> sherman_fabric;
+    std::vector<std::unique_ptr<DB>> trees;
+    std::vector<rdma::Node*> nodes;  // Compute nodes.
+    std::vector<DB*> dbs;
+    rdma::Fabric* fabric = nullptr;
+    int lambda = 1;  // Shards per compute node.
 
     if (config.system == SystemKind::kSherman) {
-      baselines::ShermanOptions sherman;
-      sherman.env = &env;
-      sherman.leaf_region_size = config.num_keys * entry * 12 + (512 << 20);
-      Status s = baselines::ShermanDB::Open(sherman, &fabric, compute,
-                                            memory, &raw);
-      DLSM_CHECK_MSG(s.ok(), s.ToString().c_str());
-    } else {
-      service = std::make_unique<MemoryNodeService>(
-          &fabric, memory, config.compaction_workers);
-      service->Start();
-      Options options = MakeEngineOptions(config, &env);
-      DbDeps deps;
-      deps.fabric = &fabric;
-      deps.compute = compute;
-      deps.memory = service.get();
-      Status s;
-      if (options.shards > 1) {
-        // Range-aware boundaries: bench keys live in [0, key_range), so
-        // full-decimal-space boundaries would funnel them into shard 0.
-        s = ShardedDB::Open(options, deps,
-                            ShardedDB::RangeDecimalBoundaries(
-                                options.shards, config.key_width,
-                                config.key_range != 0 ? config.key_range
-                                                      : config.num_keys),
-                            &raw);
-      } else {
-        s = DLsmDB::Open(options, deps, &raw);
+      // Sherman has no shard machinery and no memory-node service: one
+      // tree per compute node, on memory node c % m.
+      sherman_fabric = std::make_unique<rdma::Fabric>(&env);
+      fabric = sherman_fabric.get();
+      std::vector<rdma::Node*> memory_nodes;
+      for (int c = 0; c < computes; c++) {
+        nodes.push_back(fabric->AddNode("compute-" + std::to_string(c),
+                                        topology.compute_cores,
+                                        topology.compute_dram));
       }
+      for (int m = 0; m < memories; m++) {
+        memory_nodes.push_back(fabric->AddNode("memory-" + std::to_string(m),
+                                               topology.memory_cores,
+                                               topology.memory_dram));
+      }
+      for (int c = 0; c < computes; c++) {
+        baselines::ShermanOptions sherman;
+        sherman.env = &env;
+        sherman.leaf_region_size =
+            config.num_keys * entry * 12 / computes + (512 << 20);
+        DB* raw = nullptr;
+        Status s = baselines::ShermanDB::Open(
+            sherman, fabric, nodes[c], memory_nodes[c % memories], &raw);
+        DLSM_CHECK_MSG(s.ok(), s.ToString().c_str());
+        trees.emplace_back(raw);
+        dbs.push_back(raw);
+      }
+    } else {
+      Options options = MakeEngineOptions(config, &env);
+      lambda = options.shards;
+      // Range-aware boundaries: bench keys live in [0, key_range), so
+      // full-decimal-space boundaries would funnel them into shard 0.
+      Status s = Cluster::Create(
+          &env, options, topology,
+          ShardedDB::RangeDecimalBoundaries(computes * options.shards,
+                                            config.key_width, key_range),
+          &cluster);
       DLSM_CHECK_MSG(s.ok(), s.ToString().c_str());
+      fabric = cluster->fabric();
+      for (int c = 0; c < computes; c++) {
+        nodes.push_back(cluster->compute_node(c));
+        dbs.push_back(cluster->compute_db(c));
+      }
     }
-    db.reset(raw);
 
     if ((config.wr_error_rate > 0.0 || config.rnr_delay_rate > 0.0) &&
         config.system != SystemKind::kSherman) {
@@ -357,171 +425,197 @@ std::vector<PhaseResult> RunBench(const BenchConfig& config,
       fp.seed = config.fault_seed;
       fp.wr_error_rate = config.wr_error_rate;
       fp.rnr_delay_rate = config.rnr_delay_rate;
-      fabric.set_fault_params(fp);
+      fabric->set_fault_params(fp);
     }
 
-    const uint64_t key_range =
-        config.key_range != 0 ? config.key_range : config.num_keys;
-
-    // Runs `total` operations across config.threads workers;
-    // op(i, rnd, zipf) performs one operation (zipf is null when
-    // zipfian_theta == 0). Returns the phase measurement.
-    auto run_phase =
-        [&](uint64_t total,
-            const std::function<void(uint64_t, Random*, ZipfianGenerator*)>&
-                op) -> PhaseResult {
-      Barrier start(&env, config.threads + 1);
-      Barrier stop(&env, config.threads + 1);
-      // One latency histogram per worker, merged after Join; the gated
-      // branch keeps the default fast path free of extra clock reads.
-      std::vector<Histogram> lat(config.threads);
-      std::vector<ThreadHandle> workers;
-      for (int t = 0; t < config.threads; t++) {
-        uint64_t begin = total * t / config.threads;
-        uint64_t end = total * (t + 1) / config.threads;
-        workers.push_back(env.StartThread(
-            compute->env_node(), "worker", [&, t, begin, end] {
-              Random rnd(config.seed + 17 * t);
-              // The O(key_range) zeta precompute happens before the start
-              // barrier, outside the measured interval.
-              std::unique_ptr<ZipfianGenerator> zipf;
-              if (config.zipfian_theta > 0) {
-                zipf = std::make_unique<ZipfianGenerator>(
-                    key_range, config.zipfian_theta, config.seed + 977 * t);
-              }
-              start.Arrive();
-              for (uint64_t i = begin; i < end; i++) {
-                if (config.record_latency) {
-                  uint64_t op0 = env.NowNanos();
-                  op(i, &rnd, zipf.get());
-                  lat[t].Add(static_cast<double>(env.NowNanos() - op0) / 1e3);
-                } else {
-                  op(i, &rnd, zipf.get());
-                }
-                if (((i - begin) & 63) == 0) env.MaybeYield();
-              }
-              stop.Arrive();
-            }));
+    // A phase runs between two marks, taken once every client has arrived
+    // at its start and at its stop barrier.
+    struct Mark {
+      uint64_t ns, wire_bytes, memory_busy_ns;
+    };
+    auto mark = [&] {
+      Mark m{env.NowNanos(), fabric->wire_bytes(), 0};
+      for (int i = 0; cluster != nullptr && i < memories; i++) {
+        m.memory_busy_ns += cluster->memory_service(i)->worker_busy_ns();
       }
-      start.Arrive();
-      uint64_t t0 = env.NowNanos();
-      uint64_t wire0 = fabric.wire_bytes();
-      uint64_t busy0 = service != nullptr ? service->worker_busy_ns() : 0;
-      stop.Arrive();
-      uint64_t t1 = env.NowNanos();
-      for (ThreadHandle h : workers) env.Join(h);
-
+      return m;
+    };
+    auto measure = [&](const Mark& m0, const Mark& m1, uint64_t ops) {
       PhaseResult r;
-      for (const Histogram& h : lat) r.latency_us.Merge(h);
-      r.ops = total;
-      r.elapsed_s = static_cast<double>(t1 - t0) / 1e9;
-      r.ops_per_sec = r.elapsed_s > 0 ? total / r.elapsed_s : 0;
-      r.stats = db->GetStats();
-      r.wire_bytes = fabric.wire_bytes() - wire0;
-      if (service != nullptr && config.memory_cores > 0 && t1 > t0) {
-        r.memory_cpu_util =
-            static_cast<double>(service->worker_busy_ns() - busy0) /
-            static_cast<double>((t1 - t0) * config.memory_cores);
-        if (r.memory_cpu_util > 1.0) r.memory_cpu_util = 1.0;
+      r.ops = ops;
+      r.elapsed_s = static_cast<double>(m1.ns - m0.ns) / 1e9;
+      r.ops_per_sec = r.elapsed_s > 0 ? ops / r.elapsed_s : 0;
+      for (DB* db : dbs) {
+        r.stats.MergeFrom(db->GetStats());
+        r.l0_files += db->NumFilesAtLevel(0);
       }
-      r.l0_files = db->NumFilesAtLevel(0);
+      r.wire_bytes = m1.wire_bytes - m0.wire_bytes;
+      if (cluster != nullptr && config.memory_cores > 0 && m1.ns > m0.ns) {
+        r.memory_cpu_util = std::min(
+            1.0, static_cast<double>(m1.memory_busy_ns - m0.memory_busy_ns) /
+                     static_cast<double>((m1.ns - m0.ns) *
+                                         config.memory_cores * memories));
+      }
       return r;
     };
 
-    // Skewed reads draw a Zipfian popularity rank and scramble it through
-    // a 64-bit mix so the hot set spreads across the sorted key space
-    // (otherwise every hot key lands in one SSTable).
-    auto choose_key = [&](Random* rnd, ZipfianGenerator* zipf) -> uint64_t {
-      if (zipf == nullptr) return rnd->Uniform(key_range);
-      return Hash64(zipf->Next()) % key_range;
+    // One client: its compute node's DB and that node's key slice
+    // [lo, hi). The uniform chooser is lo + Uniform(hi - lo).
+    struct Client {
+      DB* db;
+      Random rnd;
+      std::unique_ptr<ZipfianGenerator> zipf;  // Null when uniform.
+      uint64_t lo, hi;
     };
-    auto fill_op = [&](uint64_t i, Random* rnd, ZipfianGenerator*) {
-      (void)i;
+    // Runs `total` operations: compute node c's threads split its share
+    // [total * c / C, total * (c + 1) / C); op(client) performs one.
+    auto run_phase = [&](uint64_t total,
+                         const std::function<void(Client*)>& op) {
+      const int workers = computes * config.threads;
+      Barrier start(&env, workers + 1);
+      Barrier stop(&env, workers + 1);
+      // One latency histogram per worker, merged after Join; the gated
+      // branch keeps the default fast path free of extra clock reads.
+      std::vector<Histogram> lat(workers);
+      std::vector<ThreadHandle> handles;
+      for (int c = 0; c < computes; c++) {
+        uint64_t share = total * (c + 1) / computes - total * c / computes;
+        for (int t = 0; t < config.threads; t++) {
+          const int w = c * config.threads + t;
+          uint64_t ops = share * (t + 1) / config.threads -
+                         share * t / config.threads;
+          handles.push_back(env.StartThread(
+              nodes[c]->env_node(), "worker", [&, c, t, w, ops] {
+                Client client{dbs[c], Random(config.seed + 17 * t + 131 * c),
+                              nullptr, key_range * c / computes,
+                              key_range * (c + 1) / computes};
+                // The O(slice) zeta precompute happens before the start
+                // barrier, outside the measured interval.
+                if (config.zipfian_theta > 0) {
+                  client.zipf = std::make_unique<ZipfianGenerator>(
+                      client.hi - client.lo, config.zipfian_theta,
+                      config.seed + 977 * w);
+                }
+                start.Arrive();
+                for (uint64_t i = 0; i < ops; i++) {
+                  if (config.record_latency) {
+                    uint64_t op0 = env.NowNanos();
+                    op(&client);
+                    lat[w].Add(static_cast<double>(env.NowNanos() - op0) /
+                               1e3);
+                  } else {
+                    op(&client);
+                  }
+                  if ((i & 63) == 0) env.MaybeYield();
+                }
+                stop.Arrive();
+              }));
+        }
+      }
+      start.Arrive();
+      Mark m0 = mark();
+      stop.Arrive();
+      Mark m1 = mark();
+      for (ThreadHandle h : handles) env.Join(h);
+      PhaseResult r = measure(m0, m1, total);
+      for (const Histogram& h : lat) r.latency_us.Merge(h);
+      return r;
+    };
+
+    // The popular ranks spread across the slice through a 64-bit mix with
+    // one memory node; with several they stay in the slice's first shard,
+    // strided across its range so the heat covers many tables (each a
+    // migratable unit), not one.
+    auto choose_key = [&](Client* c) -> uint64_t {
+      if (c->zipf == nullptr) return c->lo + c->rnd.Uniform(c->hi - c->lo);
+      uint64_t r = c->zipf->Next();
+      if (memories == 1) return c->lo + Hash64(r) % (c->hi - c->lo);
+      uint64_t hot_span = std::max<uint64_t>((c->hi - c->lo) / lambda, 1);
+      return c->lo + (r < hot_span ? (r * 2654435761ull) % hot_span : r);
+    };
+    auto fill_op = [&](Client* c) {
       // Loads stay uniform even under --zipfian so the dataset always
       // covers the key range; skew shapes the read traffic.
-      uint64_t k = rnd->Uniform(key_range);
-      Status s = db->Put(WriteOptions(), MakeKey(k, config.key_width),
-                         MakeValue(k, config.value_size, rnd));
+      uint64_t k = c->lo + c->rnd.Uniform(c->hi - c->lo);
+      Status s = c->db->Put(WriteOptions(), MakeKey(k, config.key_width),
+                            MakeValue(k, config.value_size, &c->rnd));
       DLSM_CHECK_MSG(s.ok(), s.ToString().c_str());
     };
-    auto read_op = [&](uint64_t i, Random* rnd, ZipfianGenerator* zipf) {
-      (void)i;
-      uint64_t k = choose_key(rnd, zipf);
+    auto read_op = [&](Client* c) {
+      uint64_t k = choose_key(c);
       std::string value;
-      Status s = db->Get(ReadOptions(), MakeKey(k, config.key_width), &value);
+      Status s =
+          c->db->Get(ReadOptions(), MakeKey(k, config.key_width), &value);
       DLSM_CHECK_MSG(s.ok() || s.IsNotFound(), s.ToString().c_str());
     };
-    auto mixed_op = [&](uint64_t i, Random* rnd, ZipfianGenerator* zipf) {
-      if (rnd->NextDouble() < config.read_ratio) {
-        read_op(i, rnd, zipf);
+    auto mixed_op = [&](Client* c) {
+      if (c->rnd.NextDouble() < config.read_ratio) {
+        read_op(c);
       } else {
-        fill_op(i, rnd, zipf);
+        fill_op(c);
       }
+    };
+    // Paper: "the benchmark starts after all the background compaction
+    // tasks finish."
+    auto settle = [&] {
+      for (DB* db : dbs) DLSM_CHECK(db->Flush().ok());
+      for (DB* db : dbs) DLSM_CHECK(db->WaitForBackgroundIdle().ok());
     };
 
     bool filled = false;
-    auto ensure_filled = [&](bool timed, PhaseResult* out) {
+    auto ensure_filled = [&](PhaseResult* out) {
       if (filled) return;
       PhaseResult r = run_phase(config.num_keys, fill_op);
-      if (timed && out != nullptr) *out = r;
+      if (out != nullptr) *out = r;
       filled = true;
     };
 
     for (size_t p = 0; p < phases.size(); p++) {
       switch (phases[p]) {
         case Phase::kFillRandom:
-          ensure_filled(true, &results[p]);
+          ensure_filled(&results[p]);
           break;
-        case Phase::kReadRandom: {
-          ensure_filled(false, nullptr);
-          // Paper: "the benchmark starts after all the background
-          // compaction tasks finish."
-          DLSM_CHECK(db->Flush().ok());
-          DLSM_CHECK(db->WaitForBackgroundIdle().ok());
+        case Phase::kReadRandom:
+          ensure_filled(nullptr);
+          settle();
           results[p] = run_phase(config.num_keys, read_op);
           break;
-        }
         case Phase::kReadWriteMixed: {
-          ensure_filled(false, nullptr);
+          ensure_filled(nullptr);
           uint64_t ops =
               config.mixed_ops != 0 ? config.mixed_ops : config.num_keys;
           results[p] = run_phase(ops, mixed_op);
           break;
         }
         case Phase::kReadSeq: {
-          ensure_filled(false, nullptr);
-          DLSM_CHECK(db->Flush().ok());
-          DLSM_CHECK(db->WaitForBackgroundIdle().ok());
-          // Whole-table scan with a single iterator (readseq), split
-          // nowhere: the paper scans the full database.
+          ensure_filled(nullptr);
+          settle();
+          // Whole-database scan with a single iterator per compute node,
+          // in key order (readseq), split nowhere: the paper scans the
+          // full database. The iterators are destroyed after the stop
+          // barrier, outside the measured interval.
           Barrier b0(&env, 2), b1(&env, 2);
           uint64_t scanned = 0;
-          ThreadHandle h = env.StartThread(compute->env_node(), "scanner",
+          ThreadHandle h = env.StartThread(nodes[0]->env_node(), "scanner",
                                            [&] {
               b0.Arrive();
-              std::unique_ptr<Iterator> it(db->NewIterator(ReadOptions()));
-              uint64_t count = 0;
-              for (it->SeekToFirst(); it->Valid(); it->Next()) {
-                count++;
-                if ((count & 255) == 0) env.MaybeYield();
+              std::vector<std::unique_ptr<Iterator>> its;
+              for (DB* db : dbs) {
+                its.emplace_back(db->NewIterator(ReadOptions()));
+                Iterator* it = its.back().get();
+                for (it->SeekToFirst(); it->Valid(); it->Next()) {
+                  scanned++;
+                  if ((scanned & 255) == 0) env.MaybeYield();
+                }
               }
-              scanned = count;
               b1.Arrive();
             });
           b0.Arrive();
-          uint64_t t0 = env.NowNanos();
-          uint64_t wire0 = fabric.wire_bytes();
+          Mark m0 = mark();
           b1.Arrive();
-          uint64_t t1 = env.NowNanos();
+          Mark m1 = mark();
           env.Join(h);
-          PhaseResult r;
-          r.ops = scanned;
-          r.elapsed_s = static_cast<double>(t1 - t0) / 1e9;
-          r.ops_per_sec = r.elapsed_s > 0 ? scanned / r.elapsed_s : 0;
-          r.stats = db->GetStats();
-          r.wire_bytes = fabric.wire_bytes() - wire0;
-          r.l0_files = db->NumFilesAtLevel(0);
-          results[p] = r;
+          results[p] = measure(m0, m1, scanned);
           break;
         }
       }
@@ -529,12 +623,20 @@ std::vector<PhaseResult> RunBench(const BenchConfig& config,
 
     // Read the series before Close tears the sampler down; the property
     // is engine-side, so Sherman (no GetProperty) just leaves it empty.
-    if (!config.stats_series.empty()) {
-      db->GetProperty("dlsm.timeseries", &series_json);
+    // Several compute nodes export theirs side by side.
+    for (size_t c = 0; !config.stats_series.empty() && c < dbs.size(); c++) {
+      std::string one;
+      if (!dbs[c]->GetProperty("dlsm.timeseries", &one)) {
+        series_json.clear();
+        break;
+      }
+      series_json += (c == 0 ? "" : ",") + one;
     }
-    DLSM_CHECK(db->Close().ok());
-    db.reset();
-    if (service != nullptr) service->Stop();
+    if (dbs.size() > 1 && !series_json.empty()) {
+      series_json = "{\"computes\":[" + series_json + "]}";
+    }
+    for (auto& tree : trees) DLSM_CHECK(tree->Close().ok());
+    if (cluster != nullptr) DLSM_CHECK(cluster->Close().ok());
   });
 
   if (!config.stats_series.empty()) {
@@ -558,261 +660,6 @@ std::vector<PhaseResult> RunBench(const BenchConfig& config,
   }
 
   return results;
-}
-
-ClusterBenchResult RunClusterBench(const ClusterBenchConfig& config) {
-  ClusterBenchResult result;
-  SimEnv env;
-  uint64_t entry = config.key_width + config.value_size + 28;
-  const int total_shards = config.compute_nodes * config.shards_per_compute;
-  const uint64_t key_range = config.num_keys;
-
-  // Sherman has no shard machinery: deploy one tree per compute node,
-  // each on its round-robin memory node, range-partitioned by compute.
-  if (config.system == SystemKind::kSherman) {
-    rdma::Fabric fabric(&env);
-    std::vector<rdma::Node*> computes, memories;
-    for (int i = 0; i < config.compute_nodes; i++) {
-      computes.push_back(fabric.AddNode("compute-" + std::to_string(i),
-                                        config.compute_cores, 2ull << 30));
-    }
-    for (int i = 0; i < config.memory_nodes; i++) {
-      memories.push_back(fabric.AddNode(
-          "memory-" + std::to_string(i), config.memory_cores,
-          config.num_keys * entry * 12 / config.memory_nodes +
-              (1ull << 30)));
-    }
-    env.Run(0, [&] {
-      std::vector<std::unique_ptr<DB>> trees;
-      for (int c = 0; c < config.compute_nodes; c++) {
-        baselines::ShermanOptions sherman;
-        sherman.env = &env;
-        sherman.leaf_region_size =
-            config.num_keys * entry * 12 / config.compute_nodes +
-            (256ull << 20);
-        DB* raw = nullptr;
-        Status s = baselines::ShermanDB::Open(
-            sherman, &fabric, computes[c],
-            memories[c % config.memory_nodes], &raw);
-        DLSM_CHECK_MSG(s.ok(), s.ToString().c_str());
-        trees.emplace_back(raw);
-      }
-      auto run = [&](bool reads) {
-        int workers_total = config.compute_nodes * config.threads_per_compute;
-        Barrier start(&env, workers_total + 1), stop(&env, workers_total + 1);
-        std::vector<ThreadHandle> hs;
-        for (int c = 0; c < config.compute_nodes; c++) {
-          uint64_t lo = key_range * c / config.compute_nodes;
-          uint64_t hi = key_range * (c + 1) / config.compute_nodes;
-          for (int t = 0; t < config.threads_per_compute; t++) {
-            uint64_t ops = (hi - lo) / config.threads_per_compute;
-            hs.push_back(env.StartThread(
-                computes[c]->env_node(), "worker",
-                [&, c, t, lo, hi, ops, reads] {
-                  Random rnd(config.seed + c * 131 + t);
-                  start.Arrive();
-                  for (uint64_t i = 0; i < ops; i++) {
-                    uint64_t k = lo + rnd.Uniform(hi - lo);
-                    if (reads) {
-                      std::string value;
-                      Status s = trees[c]->Get(
-                          ReadOptions(), MakeKey(k, config.key_width),
-                          &value);
-                      DLSM_CHECK(s.ok() || s.IsNotFound());
-                    } else {
-                      Random vr(k);
-                      DLSM_CHECK(trees[c]
-                                     ->Put(WriteOptions(),
-                                           MakeKey(k, config.key_width),
-                                           MakeValue(k, config.value_size,
-                                                     &vr))
-                                     .ok());
-                    }
-                    if ((i & 63) == 0) env.MaybeYield();
-                  }
-                  stop.Arrive();
-                }));
-          }
-        }
-        start.Arrive();
-        uint64_t t0 = env.NowNanos();
-        stop.Arrive();
-        uint64_t t1 = env.NowNanos();
-        for (ThreadHandle h : hs) env.Join(h);
-        double elapsed = (t1 - t0) / 1e9;
-        return elapsed > 0 ? config.num_keys / elapsed : 0.0;
-      };
-      result.fill_ops_per_sec = run(false);
-      result.read_ops_per_sec = run(true);
-      for (auto& t : trees) DLSM_CHECK(t->Close().ok());
-    });
-    return result;
-  }
-
-  // LSM systems: the Sec. IX deployment via Cluster.
-  BenchConfig base;
-  base.system = config.system;
-  base.num_keys = config.num_keys;
-  base.value_size = config.value_size;
-  base.key_width = config.key_width;
-  base.memtable_size = config.memtable_size;
-  base.sstable_size = config.sstable_size;
-
-  ClusterTopology topology;
-  topology.compute_nodes = config.compute_nodes;
-  topology.memory_nodes = config.memory_nodes;
-  topology.shards_per_compute = config.shards_per_compute;
-  topology.compute_cores = config.compute_cores;
-  topology.memory_cores = config.memory_cores;
-  topology.compaction_workers_per_memory = config.compaction_workers;
-  topology.memory_dram =
-      config.num_keys * entry * 24 / config.memory_nodes + (4ull << 30);
-
-  env.Run(0, [&] {
-    Options options = MakeEngineOptions(base, &env);
-    options.shards = 1;  // Sharding is the cluster's job here.
-    // Per-shard scaling, as ShardedDB does for single-node lambda.
-    options.memtable_size = std::max<size_t>(
-        config.memtable_size / config.shards_per_compute, 64 << 10);
-    options.sstable_size = std::max<size_t>(
-        config.sstable_size / config.shards_per_compute, 128 << 10);
-    options.flush_region_size =
-        config.num_keys * entry * 4 / total_shards + (64ull << 20);
-    options.compaction_scheduler_threads = 2;
-    options.max_subcompactions = 4;
-    options.placement_policy = config.placement_policy;
-    options.placement_rebalance = config.placement_rebalance;
-    if (config.placement_rebalance_interval_ns > 0) {
-      options.placement_rebalance_interval_ns =
-          config.placement_rebalance_interval_ns;
-    }
-
-    std::unique_ptr<Cluster> cluster;
-    Status s = Cluster::Create(
-        &env, options, topology,
-        ShardedDB::RangeDecimalBoundaries(total_shards, config.key_width,
-                                          key_range),
-        &cluster);
-    DLSM_CHECK_MSG(s.ok(), s.ToString().c_str());
-
-    // Cluster-wide counter view: every shard sees all memory nodes, so the
-    // per-node verb breakdown merges slot-wise across shards.
-    auto merged_stats = [&]() {
-      DbStats m;
-      for (int s = 0; s < cluster->num_shards(); s++) {
-        m.MergeFrom(cluster->shard_db(s)->GetStats());
-      }
-      return m;
-    };
-
-    int workers_total = config.compute_nodes * config.threads_per_compute;
-    std::vector<Histogram> latencies(workers_total);
-    auto run = [&](bool reads) {
-      for (Histogram& h : latencies) h.Clear();
-      Barrier start(&env, workers_total + 1), stop(&env, workers_total + 1);
-      std::vector<ThreadHandle> hs;
-      for (int c = 0; c < config.compute_nodes; c++) {
-        uint64_t lo = key_range * c / config.compute_nodes;
-        uint64_t hi = key_range * (c + 1) / config.compute_nodes;
-        for (int t = 0; t < config.threads_per_compute; t++) {
-          uint64_t ops = (hi - lo) / config.threads_per_compute;
-          int w = c * config.threads_per_compute + t;
-          hs.push_back(env.StartThread(
-              cluster->compute_node(c)->env_node(), "worker",
-              [&, c, t, w, lo, hi, ops, reads] {
-                Random rnd(config.seed + c * 131 + t);
-                // Skewed reads draw an UNSCRAMBLED Zipfian rank over this
-                // compute's slice: the popular ranks land in the slice's
-                // first shard, whose tables all sit on one memory node
-                // under static round-robin. The popular ranks are strided
-                // across that shard's key range so the heat covers many
-                // tables (a migratable unit each), not one.
-                std::unique_ptr<ZipfianGenerator> zipf;
-                if (reads && config.zipfian_theta > 0) {
-                  zipf = std::make_unique<ZipfianGenerator>(
-                      hi - lo, config.zipfian_theta,
-                      config.seed + 977 * w + 13);
-                }
-                uint64_t hot_span = std::max<uint64_t>(
-                    (hi - lo) / config.shards_per_compute, 1);
-                start.Arrive();
-                for (uint64_t i = 0; i < ops; i++) {
-                  uint64_t k;
-                  if (zipf != nullptr) {
-                    uint64_t r = zipf->Next();
-                    k = r < hot_span
-                            ? lo + (r * 2654435761ull) % hot_span
-                            : lo + r;
-                  } else {
-                    k = lo + rnd.Uniform(hi - lo);
-                  }
-                  std::string key = MakeKey(k, config.key_width);
-                  if (reads) {
-                    std::string value;
-                    uint64_t rt0 =
-                        config.record_latency ? env.NowNanos() : 0;
-                    Status st = cluster->Get(key, &value);
-                    DLSM_CHECK(st.ok() || st.IsNotFound());
-                    if (config.record_latency) {
-                      latencies[w].Add(
-                          static_cast<double>(env.NowNanos() - rt0) / 1e3);
-                    }
-                  } else {
-                    Random vr(k);
-                    DLSM_CHECK(cluster
-                                   ->Put(key, MakeValue(
-                                                  k, config.value_size, &vr))
-                                   .ok());
-                  }
-                  if ((i & 63) == 0) env.MaybeYield();
-                }
-                stop.Arrive();
-              }));
-        }
-      }
-      start.Arrive();
-      uint64_t t0 = env.NowNanos();
-      stop.Arrive();
-      uint64_t t1 = env.NowNanos();
-      for (ThreadHandle h : hs) env.Join(h);
-      double elapsed = (t1 - t0) / 1e9;
-      return elapsed > 0 ? config.num_keys / elapsed : 0.0;
-    };
-
-    result.fill_ops_per_sec = run(false);
-    DLSM_CHECK(cluster->Flush().ok());
-    DLSM_CHECK(cluster->WaitForBackgroundIdle().ok());
-    // Warm-up passes let the heat rebalancer settle the layout; only the
-    // last pass is measured (and only its per-node verb delta counted).
-    for (int p = 1; p < config.read_passes; p++) run(true);
-    DbStats before = merged_stats();
-    result.read_ops_per_sec = run(true);
-    DbStats after = merged_stats();
-    for (Histogram& h : latencies) result.read_latency_us.Merge(h);
-    result.read_p50_us = result.read_latency_us.Median();
-    result.stats = after;
-    uint64_t sum = 0, mx = 0;
-    for (size_t i = 0; i < after.per_node.size(); i++) {
-      uint64_t b = i < before.per_node.size()
-                       ? before.per_node[i].read_verbs
-                       : 0;
-      uint64_t bw = i < before.per_node.size()
-                        ? before.per_node[i].write_bytes
-                        : 0;
-      uint64_t rd = after.per_node[i].read_verbs - b;
-      result.node_read_verbs.push_back(rd);
-      result.node_write_bytes.push_back(after.per_node[i].write_bytes - bw);
-      sum += rd;
-      mx = std::max(mx, rd);
-    }
-    if (!result.node_read_verbs.empty() && sum > 0) {
-      double mean = static_cast<double>(sum) /
-                    static_cast<double>(result.node_read_verbs.size());
-      result.read_imbalance = static_cast<double>(mx) / mean;
-    }
-    DLSM_CHECK(cluster->Close().ok());
-  });
-  return result;
 }
 
 Flags::Flags(int argc, char** argv, std::initializer_list<const char*> known)

@@ -40,36 +40,58 @@ enum class SystemKind {
 
 const char* SystemName(SystemKind kind);
 
-/// One benchmark run's knobs.
+/// One benchmark run's knobs. Every cell is a deployment of compute_nodes
+/// x memory_nodes (the single-server figures are 1C1M); each compute node
+/// runs `threads` clients over its slice of the key range.
 struct BenchConfig {
   BenchConfig() {}
   SystemKind system = SystemKind::kDLsm;
-  int threads = 1;
-  uint64_t num_keys = 100000;
+  int compute_nodes = 1;
+  int memory_nodes = 1;
+  int threads = 1;             ///< Client threads per compute node.
+  uint64_t num_keys = 100000;  ///< Total across the deployment.
   uint64_t key_range = 0;  ///< 0 = num_keys.
   size_t value_size = 400;
   int key_width = 16;
-  int shards = 1;              ///< dLSM-lambda (Sec. VII).
+  int shards = 1;              ///< dLSM-lambda per compute node (Sec. VII).
   bool bulkload = false;       ///< No L0 stop trigger (Fig. 7b).
   double read_ratio = 1.0;     ///< For the mixed workload.
   uint64_t mixed_ops = 0;      ///< 0 = num_keys.
   int compute_cores = 24;
   int memory_cores = 4;
-  int compaction_workers = 12;
+  int compaction_workers = 12;  ///< Per memory node.
   CompactionPlacement placement = CompactionPlacement::kNearData;
-  /// Engine scale: MemTable/SSTable bytes (paper 64 MB, default 4 MB).
+  /// Engine scale: MemTable/SSTable bytes (paper 64 MB, default 4 MB) per
+  /// compute node; lambda shards split them.
   size_t memtable_size = 4 << 20;
   size_t sstable_size = 4 << 20;
+  /// Engine background budgets. Off (the single-server figures): the
+  /// compute node's 4 compaction scheduler threads, 12 subcompactions and
+  /// an 8x-dataset + 512 MB flush region are split across its shards. On
+  /// (the CloudLab multi-node figures 14-15): every shard gets 2
+  /// scheduler threads, 4 subcompactions and a 4x-dataset / #shards +
+  /// 64 MB flush region.
+  bool per_shard_budget = false;
   uint64_t seed = 301;
   /// SimEnv::Options::cpu_scale: 1 folds measured host CPU into virtual
   /// time; 0 leaves only the modeled fabric, so the wire schedule depends
   /// on the workload alone (the A/B guards' exact wire checks).
   double cpu_scale = 1.0;
   /// Skewed key choice for the read / mixed phases: Zipfian theta
-  /// (YCSB-style; 0.99 = heavy skew). 0 keeps the uniform default. Each
-  /// worker scrambles the Zipfian rank through a 64-bit mix so the hot
-  /// keys spread across the key space instead of clustering in one table.
+  /// (YCSB-style; 0.99 = heavy skew) over each compute node's key slice.
+  /// 0 keeps the uniform default. With one memory node each worker
+  /// scrambles the rank through a 64-bit mix so the hot keys spread
+  /// across the slice instead of clustering in one table. With several,
+  /// the rank is NOT scrambled: the popular keys land in the slice's first
+  /// shard (strided across its range, so the heat covers many tables),
+  /// whose tables all sit on one memory node under static round-robin
+  /// placement — the hotspot the heat rebalancer must fix.
   double zipfian_theta = 0.0;
+  /// Table-to-memory-node placement (Options passthrough; LSM systems).
+  PlacementPolicyKind placement_policy = PlacementPolicyKind::kRoundRobin;
+  bool placement_rebalance = false;
+  /// Rebalance pass period override; 0 keeps the Options default.
+  uint64_t placement_rebalance_interval_ns = 0;
   /// Compute-side block cache (Options passthrough). Zero size = off,
   /// matching the paper's cache-less dLSM.
   size_t block_cache_size = 0;
@@ -136,9 +158,23 @@ enum class Phase {
 
 /// Runs `phases` in order against a fresh deployment of config.system;
 /// returns one result per phase. The fill phase always runs first
-/// implicitly when not listed (read benches need data).
+/// implicitly when not listed (read benches need data). Every read phase
+/// starts after a Flush and background idle. LSM systems deploy as a
+/// Cluster (one engine per compute node), Sherman as one tree per compute
+/// node on memory node c % memory_nodes.
 std::vector<PhaseResult> RunBench(const BenchConfig& config,
                                   const std::vector<Phase>& phases);
+
+/// A Figs. 14-15 cell: `computes` x `memories` CloudLab c6220 nodes
+/// (16-core compute nodes, 8 compaction workers per memory node), lambda
+/// = 8 shards and 8 client threads per compute node, per-shard budgets.
+BenchConfig MultiNodeConfig(SystemKind system, int computes, int memories,
+                            uint64_t num_keys);
+
+/// READ verbs each memory node served between the ends of two phases
+/// (per_node deltas of `cur` over `prev`; LSM systems only).
+std::vector<uint64_t> NodeReadDeltas(const PhaseResult& prev,
+                                     const PhaseResult& cur);
 
 /// Formats ops/s as the paper's figures do (Kops/Mops).
 std::string FormatThroughput(double ops_per_sec);
@@ -212,63 +248,6 @@ class IntervalRecorder {
   uint64_t interval_ns_;
   Histogram hist_;
 };
-
-/// Multi-node deployment knobs (paper Sec. IX / Figs. 14-15).
-struct ClusterBenchConfig {
-  ClusterBenchConfig() {}
-  SystemKind system = SystemKind::kDLsm;
-  int compute_nodes = 1;
-  int memory_nodes = 1;
-  int shards_per_compute = 8;  ///< lambda.
-  int threads_per_compute = 8;
-  uint64_t num_keys = 100000;  ///< Total across the cluster.
-  size_t value_size = 400;
-  int key_width = 16;
-  size_t memtable_size = 4 << 20;
-  size_t sstable_size = 4 << 20;
-  int compute_cores = 16;      ///< CloudLab c6220: 2x8 cores.
-  int memory_cores = 4;
-  int compaction_workers = 8;
-  uint64_t seed = 301;
-  /// Skewed key choice for the read phase: Zipfian theta over each
-  /// compute node's key slice (0 = uniform). Unlike BenchConfig, the rank
-  /// is NOT scrambled: the popular keys cluster at the bottom of each
-  /// compute's range, so under static placement their shards' tables pile
-  /// onto one memory node — the hotspot the heat rebalancer must fix.
-  double zipfian_theta = 0.0;
-  /// Table-to-memory-node placement (Options passthrough; LSM systems).
-  PlacementPolicyKind placement_policy = PlacementPolicyKind::kRoundRobin;
-  bool placement_rebalance = false;
-  /// Rebalance pass period override; 0 keeps the Options default. The
-  /// placement A/B leg drops this to ~2 ms virtual so the rebalancer gets
-  /// several rounds within the scaled-down read phase.
-  uint64_t placement_rebalance_interval_ns = 0;
-  /// Read phase repetitions; passes before the last are warm-up (the heat
-  /// rebalancer settles the layout) and only the last is measured.
-  int read_passes = 1;
-  /// Record per-op read latency (read_p50_us in the result).
-  bool record_latency = false;
-};
-
-struct ClusterBenchResult {
-  double fill_ops_per_sec = 0;
-  double read_ops_per_sec = 0;
-  /// Read-phase per-op latency p50 in microseconds (record_latency only).
-  double read_p50_us = 0;
-  Histogram read_latency_us;
-  /// Read-phase READ-verb / WRITE-byte deltas per memory node, summed
-  /// slot-wise across every shard (LSM systems only; empty for Sherman).
-  std::vector<uint64_t> node_read_verbs;
-  std::vector<uint64_t> node_write_bytes;
-  /// max/mean over node_read_verbs: 1.0 = perfectly balanced, 0 = unknown.
-  double read_imbalance = 0;
-  /// Cluster-merged engine counters at end of run (LSM systems only).
-  DbStats stats;
-};
-
-/// Fills then reads across the whole cluster; client threads run on their
-/// keys' owning compute node, as the paper's multi-node db_bench does.
-ClusterBenchResult RunClusterBench(const ClusterBenchConfig& config);
 
 /// Tiny --key=value flag parser for the figure binaries. Each binary
 /// names every flag it reads; any other argument (a typo would otherwise

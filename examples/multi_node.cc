@@ -35,16 +35,18 @@ int main() {
     ClusterTopology topology;
     topology.compute_nodes = 2;
     topology.memory_nodes = 2;
-    topology.shards_per_compute = 4;  // lambda = 4.
     topology.compaction_workers_per_memory = 4;
 
     Options options;
     options.env = &env;
-    options.memtable_size = 1 << 20;
-    options.sstable_size = 1 << 20;
-    options.flush_region_size = 512 << 20;
+    // Per compute node; its lambda = 4 shards split these (1 MB MemTables
+    // and SSTables, a 512 MB flush region each).
+    options.shards = 4;
+    options.memtable_size = 4 << 20;
+    options.sstable_size = 4 << 20;
+    options.flush_region_size = 2ull << 30;
 
-    int total_shards = topology.compute_nodes * topology.shards_per_compute;
+    int total_shards = topology.compute_nodes * options.shards;
     std::unique_ptr<Cluster> cluster;
     Status s = Cluster::Create(
         &env, options, topology,
@@ -53,7 +55,7 @@ int main() {
 
     std::printf("cluster: %d compute x %d memory, lambda=%d (%d shards)\n",
                 topology.compute_nodes, topology.memory_nodes,
-                topology.shards_per_compute, total_shards);
+                options.shards, total_shards);
 
     // Writers per compute node, each writing keys its node owns.
     Barrier done(&env, topology.compute_nodes + 1);

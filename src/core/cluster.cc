@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "src/util/logging.h"
+#include "src/core/shard.h"
 
 namespace dlsm {
 
@@ -10,7 +10,8 @@ Status Cluster::Create(Env* env, const Options& options,
                        const ClusterTopology& topology,
                        std::vector<std::string> boundaries,
                        std::unique_ptr<Cluster>* out) {
-  int total_shards = topology.compute_nodes * topology.shards_per_compute;
+  const int lambda = options.shards;
+  const int total_shards = topology.compute_nodes * lambda;
   if (static_cast<int>(boundaries.size()) != total_shards - 1) {
     return Status::InvalidArgument("boundaries must have #shards-1 entries");
   }
@@ -19,7 +20,7 @@ Status Cluster::Create(Env* env, const Options& options,
   }
 
   auto cluster = std::unique_ptr<Cluster>(new Cluster());
-  cluster->topology_ = topology;
+  cluster->lambda_ = lambda;
   cluster->boundaries_ = std::move(boundaries);
   cluster->fabric_ = std::make_unique<rdma::Fabric>(env);
 
@@ -27,10 +28,9 @@ Status Cluster::Create(Env* env, const Options& options,
     cluster->computes_.push_back(cluster->fabric_->AddNode(
         "compute-" + std::to_string(i), topology.compute_cores,
         topology.compute_dram));
-    cluster->flush_pools_.push_back(std::make_unique<ThreadPool>(
-        env, cluster->computes_.back()->env_node(), options.flush_threads,
-        "flush-c" + std::to_string(i)));
   }
+  DbDeps deps;
+  deps.fabric = cluster->fabric_.get();
   for (int i = 0; i < topology.memory_nodes; i++) {
     rdma::Node* node = cluster->fabric_->AddNode(
         "memory-" + std::to_string(i), topology.memory_cores,
@@ -39,39 +39,32 @@ Status Cluster::Create(Env* env, const Options& options,
         cluster->fabric_.get(), node,
         topology.compaction_workers_per_memory));
     cluster->memories_.back()->Start();
+    deps.memories.push_back(cluster->memories_.back().get());
   }
 
-  Options shard_options = options;
-  shard_options.shards = 1;
-  shard_options.env = env;
+  Options engine_options = options;
+  engine_options.env = env;
 
   // Tables, not shards, are the unit of memory-node placement: every
   // shard sees every memory node and routes each new SSTable by
   // Options::placement_policy, seeded with the global shard index. The
   // default round-robin policy degenerates to the fixed shard->memory
   // assignment of Fig. 5 (shard s's tables all land on memory s%m).
-  // Wiring is all-pairs: one RPC client per (compute, memory) pair,
-  // shared by that compute node's shards.
-  for (int s = 0; s < total_shards; s++) {
-    int c = s / topology.shards_per_compute;
-    DbDeps deps;
-    deps.fabric = cluster->fabric_.get();
+  const std::vector<std::string>& all = cluster->boundaries_;
+  for (int c = 0; c < topology.compute_nodes; c++) {
     deps.compute = cluster->computes_[c];
-    deps.shared_flush_pool = cluster->flush_pools_[c].get();
-    for (int m = 0; m < topology.memory_nodes; m++) {
-      auto key = std::make_pair(c, m);
-      if (cluster->rpcs_.find(key) == cluster->rpcs_.end()) {
-        cluster->rpcs_[key] = std::make_unique<remote::RpcClient>(
-            cluster->fabric_.get(), cluster->computes_[c],
-            cluster->memories_[m]->rpc_server());
-      }
-      deps.memories.push_back(cluster->memories_[m].get());
-      deps.shared_rpcs.push_back(cluster->rpcs_[key].get());
-    }
-    deps.placement_shard = s;
+    deps.placement_shard = c * lambda;
     DB* db = nullptr;
-    DLSM_RETURN_NOT_OK(DLsmDB::Open(shard_options, deps, &db));
-    cluster->shards_.emplace_back(db);
+    DLSM_RETURN_NOT_OK(ShardedDB::Open(
+        engine_options, deps,
+        std::vector<std::string>(all.begin() + c * lambda,
+                                 all.begin() + c * lambda + lambda - 1),
+        &db));
+    cluster->engines_.emplace_back(db);
+    for (int i = 0; i < lambda; i++) {
+      cluster->shards_.push_back(
+          lambda == 1 ? db : static_cast<ShardedDB*>(db)->shard(i));
+    }
   }
 
   *out = std::move(cluster);
@@ -81,47 +74,26 @@ Status Cluster::Create(Env* env, const Options& options,
 Cluster::~Cluster() { Close(); }
 
 int Cluster::ShardForKey(const Slice& key) const {
-  auto it = std::upper_bound(
-      boundaries_.begin(), boundaries_.end(), key,
-      [](const Slice& k, const std::string& b) { return k.compare(b) < 0; });
-  return static_cast<int>(it - boundaries_.begin());
+  return RangeOfKey(boundaries_, key);
 }
 
 void Cluster::MultiGet(const ReadOptions& options,
                        std::span<const Slice> keys,
                        std::vector<std::string>* values,
                        std::vector<Status>* statuses) {
-  values->assign(keys.size(), std::string());
-  statuses->assign(keys.size(), Status::OK());
-  std::vector<std::vector<Slice>> shard_keys(shards_.size());
-  std::vector<std::vector<size_t>> shard_idx(shards_.size());
-  for (size_t i = 0; i < keys.size(); i++) {
-    int s = ShardForKey(keys[i]);
-    shard_keys[s].push_back(keys[i]);
-    shard_idx[s].push_back(i);
-  }
-  std::vector<std::string> vals;
-  std::vector<Status> stats;
-  for (size_t s = 0; s < shards_.size(); s++) {
-    if (shard_keys[s].empty()) continue;
-    shards_[s]->MultiGet(options, shard_keys[s], &vals, &stats);
-    for (size_t j = 0; j < shard_idx[s].size(); j++) {
-      (*values)[shard_idx[s][j]] = std::move(vals[j]);
-      (*statuses)[shard_idx[s][j]] = std::move(stats[j]);
-    }
-  }
+  RangeMultiGet(
+      boundaries_, [this](int s) { return shards_[s]; }, options, keys,
+      values, statuses);
 }
 
 Status Cluster::Flush() {
-  for (auto& shard : shards_) {
-    DLSM_RETURN_NOT_OK(shard->Flush());
-  }
+  for (auto& engine : engines_) DLSM_RETURN_NOT_OK(engine->Flush());
   return Status::OK();
 }
 
 Status Cluster::WaitForBackgroundIdle() {
-  for (auto& shard : shards_) {
-    DLSM_RETURN_NOT_OK(shard->WaitForBackgroundIdle());
+  for (auto& engine : engines_) {
+    DLSM_RETURN_NOT_OK(engine->WaitForBackgroundIdle());
   }
   return Status::OK();
 }
@@ -129,19 +101,15 @@ Status Cluster::WaitForBackgroundIdle() {
 Status Cluster::Close() {
   if (closed_) return Status::OK();
   closed_ = true;
-  // Best-effort teardown: an early return on the first failing shard used
-  // to leave the remaining shards' coordinator threads and every memory
-  // service running with closed_ already set — a second Close() was then
-  // a silent no-op and the deployment leaked live threads. Remember the
-  // first error, still stop every shard and service.
+  // Best-effort teardown: one engine's error must not leave the others'
+  // threads or the memory services running.
   Status first;
-  for (auto& shard : shards_) {
-    Status s = shard->Close();
+  for (auto& engine : engines_) {
+    Status s = engine->Close();
     if (first.ok() && !s.ok()) first = s;
   }
   shards_.clear();
-  flush_pools_.clear();
-  rpcs_.clear();
+  engines_.clear();
   for (auto& m : memories_) m->Stop();
   memories_.clear();
   return first;

@@ -1,21 +1,19 @@
 // Multi-compute / multi-memory deployment (paper Sec. IX, Fig. 5).
 //
-// c compute nodes each own lambda range shards; the c*lambda shards are
-// assigned round-robin to the m memory nodes. Every shard is a complete
-// dLSM instance whose MemTables live on its compute node and whose
-// SSTables live on its memory node; single-shard accesses need no
-// cross-node synchronization.
+// c compute nodes each run one dLSM-lambda engine (a ShardedDB over
+// Options::shards range shards, Sec. VII) on top of all m memory nodes.
+// Every shard is a complete dLSM instance whose MemTables live on its
+// compute node and whose SSTables are placed across the memory nodes;
+// single-shard accesses need no cross-node synchronization.
 
 #ifndef DLSM_CORE_CLUSTER_H_
 #define DLSM_CORE_CLUSTER_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/core/db.h"
-#include "src/core/db_impl.h"
 #include "src/core/memory_node_service.h"
 #include "src/rdma/fabric.h"
 
@@ -25,8 +23,6 @@ struct ClusterTopology {
   ClusterTopology() {}
   int compute_nodes = 1;
   int memory_nodes = 1;
-  /// Shards per compute node (lambda in the paper).
-  int shards_per_compute = 1;
   int compute_cores = 24;
   int memory_cores = 4;
   int compaction_workers_per_memory = 12;
@@ -34,12 +30,17 @@ struct ClusterTopology {
   size_t memory_dram = 16ull << 30;
 };
 
-/// Owns the whole deployment: fabric, nodes, memory-node services and the
-/// per-shard DBs, plus key routing.
+/// Owns the whole deployment: fabric, nodes, memory-node services and one
+/// engine per compute node, plus key routing.
 class Cluster {
  public:
-  /// Builds the deployment. boundaries partition the global key space into
-  /// compute_nodes * shards_per_compute ranges (size = #shards - 1).
+  /// Builds the deployment and opens compute node c's engine through
+  /// ShardedDB::Open over every memory node, its lambda = options.shards
+  /// shards seeded at placement shard c * lambda. options describes one
+  /// compute node: its shards split the MemTable, SSTable, scheduler,
+  /// subcompaction and flush-region budgets. boundaries partition the
+  /// global key space into compute_nodes * lambda ranges (size = #shards
+  /// - 1); compute c owns ranges [c * lambda, (c + 1) * lambda).
   static Status Create(Env* env, const Options& options,
                        const ClusterTopology& topology,
                        std::vector<std::string> boundaries,
@@ -49,11 +50,13 @@ class Cluster {
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
   int ShardForKey(const Slice& key) const;
-  DB* shard_db(int shard) { return shards_[shard].get(); }
+  /// One shard's engine (a DLsmDB).
+  DB* shard_db(int shard) { return shards_[shard]; }
   /// The compute node that owns a shard's MemTables.
-  int ComputeOfShard(int shard) const {
-    return shard / topology_.shards_per_compute;
-  }
+  int ComputeOfShard(int shard) const { return shard / lambda_; }
+  /// Compute node c's engine: its lambda shards behind one DB.
+  DB* compute_db(int c) { return engines_[c].get(); }
+  int num_compute_nodes() const { return static_cast<int>(computes_.size()); }
   rdma::Node* compute_node(int i) { return computes_[i]; }
   rdma::Fabric* fabric() { return fabric_.get(); }
   MemoryNodeService* memory_service(int i) { return memories_[i].get(); }
@@ -75,20 +78,20 @@ class Cluster {
 
   Status Flush();
   Status WaitForBackgroundIdle();
+  /// Closes every engine, then stops the memory services; returns the
+  /// first engine's error.
   Status Close();
 
  private:
   Cluster() = default;
 
-  ClusterTopology topology_;
+  int lambda_ = 1;
   std::unique_ptr<rdma::Fabric> fabric_;
   std::vector<rdma::Node*> computes_;
   std::vector<std::unique_ptr<MemoryNodeService>> memories_;
-  std::vector<std::unique_ptr<ThreadPool>> flush_pools_;  // Per compute.
-  // One RPC client per (compute, memory) pair in use.
-  std::map<std::pair<int, int>, std::unique_ptr<remote::RpcClient>> rpcs_;
   std::vector<std::string> boundaries_;
-  std::vector<std::unique_ptr<DB>> shards_;
+  std::vector<std::unique_ptr<DB>> engines_;  // One per compute node.
+  std::vector<DB*> shards_;                   // Global shard order.
   bool closed_ = false;
 };
 

@@ -52,6 +52,8 @@ Status ShardedDB::Open(const Options& options, const DbDeps& deps,
   if (!std::is_sorted(boundaries.begin(), boundaries.end())) {
     return Status::InvalidArgument("boundaries must be sorted");
   }
+  // lambda = 1 needs no router, shared pool or per-shard scaling.
+  if (options.shards == 1) return DLsmDB::Open(options, deps, dbptr);
   auto db =
       std::unique_ptr<ShardedDB>(new ShardedDB(options, std::move(boundaries)));
 
@@ -65,15 +67,9 @@ Status ShardedDB::Open(const Options& options, const DbDeps& deps,
     if (m == nullptr) {
       return Status::InvalidArgument("null memory node in deps.memories");
     }
+    // DLsmDB::Init installs Options' RPC policy on these shared clients.
     db->rpcs_.push_back(std::make_unique<remote::RpcClient>(
         deps.fabric, deps.compute, m->rpc_server()));
-    if (options.rpc_timeout_ns > 0) {
-      remote::RpcPolicy policy;
-      policy.timeout_ns = options.rpc_timeout_ns;
-      policy.max_retries = options.rpc_max_retries;
-      policy.retry_backoff_ns = options.rpc_retry_backoff_ns;
-      db->rpcs_.back()->set_policy(policy);
-    }
   }
 
   Options shard_options = options;
@@ -110,12 +106,46 @@ Status ShardedDB::Open(const Options& options, const DbDeps& deps,
 
 ShardedDB::~ShardedDB() { Close(); }
 
-int ShardedDB::ShardForKey(const Slice& key) const {
-  // First boundary > key determines the shard.
+int RangeOfKey(const std::vector<std::string>& boundaries,
+               const Slice& key) {
+  // First boundary > key determines the range.
   auto it = std::upper_bound(
-      boundaries_.begin(), boundaries_.end(), key,
+      boundaries.begin(), boundaries.end(), key,
       [](const Slice& k, const std::string& b) { return k.compare(b) < 0; });
-  return static_cast<int>(it - boundaries_.begin());
+  return static_cast<int>(it - boundaries.begin());
+}
+
+void RangeMultiGet(const std::vector<std::string>& boundaries,
+                   const std::function<DB*(int)>& db_of_range,
+                   const ReadOptions& options, std::span<const Slice> keys,
+                   std::vector<std::string>* values,
+                   std::vector<Status>* statuses) {
+  values->assign(keys.size(), std::string());
+  statuses->assign(keys.size(), Status::OK());
+  // Group the batch by owning range, preserving per-range key order.
+  const size_t ranges = boundaries.size() + 1;
+  std::vector<std::vector<Slice>> range_keys(ranges);
+  std::vector<std::vector<size_t>> range_idx(ranges);
+  for (size_t i = 0; i < keys.size(); i++) {
+    int r = RangeOfKey(boundaries, keys[i]);
+    range_keys[r].push_back(keys[i]);
+    range_idx[r].push_back(i);
+  }
+  std::vector<std::string> vals;
+  std::vector<Status> stats;
+  for (size_t r = 0; r < ranges; r++) {
+    if (range_keys[r].empty()) continue;
+    db_of_range(static_cast<int>(r))
+        ->MultiGet(options, range_keys[r], &vals, &stats);
+    for (size_t j = 0; j < range_idx[r].size(); j++) {
+      (*values)[range_idx[r][j]] = std::move(vals[j]);
+      (*statuses)[range_idx[r][j]] = std::move(stats[j]);
+    }
+  }
+}
+
+int ShardedDB::ShardForKey(const Slice& key) const {
+  return RangeOfKey(boundaries_, key);
 }
 
 Status ShardedDB::Put(const WriteOptions& options, const Slice& key,
@@ -160,26 +190,9 @@ void ShardedDB::MultiGet(const ReadOptions& options,
                          std::span<const Slice> keys,
                          std::vector<std::string>* values,
                          std::vector<Status>* statuses) {
-  values->assign(keys.size(), std::string());
-  statuses->assign(keys.size(), Status::OK());
-  // Group the batch by owning shard, preserving per-shard key order.
-  std::vector<std::vector<Slice>> shard_keys(shards_.size());
-  std::vector<std::vector<size_t>> shard_idx(shards_.size());
-  for (size_t i = 0; i < keys.size(); i++) {
-    int s = ShardForKey(keys[i]);
-    shard_keys[s].push_back(keys[i]);
-    shard_idx[s].push_back(i);
-  }
-  std::vector<std::string> vals;
-  std::vector<Status> stats;
-  for (size_t s = 0; s < shards_.size(); s++) {
-    if (shard_keys[s].empty()) continue;
-    shards_[s]->MultiGet(options, shard_keys[s], &vals, &stats);
-    for (size_t j = 0; j < shard_idx[s].size(); j++) {
-      (*values)[shard_idx[s][j]] = std::move(vals[j]);
-      (*statuses)[shard_idx[s][j]] = std::move(stats[j]);
-    }
-  }
+  RangeMultiGet(
+      boundaries_, [this](int s) { return shards_[s].get(); }, options, keys,
+      values, statuses);
 }
 
 namespace {

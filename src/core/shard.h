@@ -6,6 +6,7 @@
 #ifndef DLSM_CORE_SHARD_H_
 #define DLSM_CORE_SHARD_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,11 +16,28 @@
 
 namespace dlsm {
 
+/// The range a key falls in: with sorted boundaries, range i covers
+/// [boundaries[i-1], boundaries[i]).
+int RangeOfKey(const std::vector<std::string>& boundaries, const Slice& key);
+
+/// MultiGet over range-partitioned engines: groups the batch by
+/// RangeOfKey, runs each group's MultiGet on db_of_range(range) (which
+/// batches its own doorbell waves) and scatters the answers back to the
+/// caller's order.
+void RangeMultiGet(const std::vector<std::string>& boundaries,
+                   const std::function<DB*(int)>& db_of_range,
+                   const ReadOptions& options, std::span<const Slice> keys,
+                   std::vector<std::string>* values,
+                   std::vector<Status>* statuses);
+
 /// A DB facade over lambda range shards on one compute node.
 class ShardedDB : public DB {
  public:
-  /// boundaries must be sorted and have size options.shards - 1; shard i
-  /// covers [boundaries[i-1], boundaries[i]).
+  /// The one way to open a compute node's engine. boundaries must be
+  /// sorted and have size options.shards - 1; shard i covers
+  /// [boundaries[i-1], boundaries[i]). options.shards == 1 opens a bare
+  /// DLsmDB; otherwise the shards split options' MemTable, SSTable,
+  /// scheduler, subcompaction and flush-region budgets.
   static Status Open(const Options& options, const DbDeps& deps,
                      std::vector<std::string> boundaries, DB** dbptr);
 
@@ -44,8 +62,7 @@ class ShardedDB : public DB {
   Status Write(const WriteOptions& options, WriteBatch* batch) override;
   Status Get(const ReadOptions& options, const Slice& key,
              std::string* value) override;
-  /// Fans the batch out per shard; each shard runs its own doorbell waves
-  /// over its keys and results scatter back to the caller's order.
+  /// RangeMultiGet over the shards.
   void MultiGet(const ReadOptions& options, std::span<const Slice> keys,
                 std::vector<std::string>* values,
                 std::vector<Status>* statuses) override;

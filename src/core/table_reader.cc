@@ -520,18 +520,16 @@ class RemoteByteTableIterator : public Iterator {
   Status status_;
 };
 
-/// Block-format remote iterator: per-block index; whole blocks are fetched
-/// (optionally several at a time) and unwrapped with a BlockIter.
-class RemoteBlockTableIterator : public Iterator {
+/// Two-level walk over a block-format table: the index picks a block and
+/// a BlockIter walks its entries. Subclasses differ only in how they get a
+/// block's bytes. Valid() is false while status() is not OK. A failed
+/// fetch (IOError) is reported until the next Seek/SeekToFirst/SeekToLast,
+/// which goes back to the wire; a lying index (Corruption) is permanent.
+class BlockTableIterator : public Iterator {
  public:
-  RemoteBlockTableIterator(const RemoteReadPath& read_path,
-                           const InternalKeyComparator& icmp, FileRef file,
-                           size_t prefetch)
-      : read_path_(read_path), icmp_(icmp), file_(std::move(file)),
-        window_(read_path, file_->chunk.addr, file_->chunk.rkey,
-                file_->data_len, prefetch) {}
-
-  bool Valid() const override { return inner_ != nullptr && inner_->Valid(); }
+  bool Valid() const override {
+    return status_.ok() && inner_ != nullptr && inner_->Valid();
+  }
   Status status() const override {
     if (!status_.ok()) return status_;
     return inner_ != nullptr ? inner_->status() : Status::OK();
@@ -540,22 +538,22 @@ class RemoteBlockTableIterator : public Iterator {
   Slice value() const override { return inner_->value(); }
 
   void SeekToFirst() override {
-    MaybeFetchIndex();
+    BeginPositioning();
     if (!LoadBlock(0, Move::kFirst)) return;
     inner_->SeekToFirst();
     SkipForwardEmpty();
   }
 
   void SeekToLast() override {
-    MaybeFetchIndex();
-    size_t n = file_->index->num_entries();
+    BeginPositioning();
+    size_t n = index_->num_entries();
     if (n == 0 || !LoadBlock(n - 1, Move::kLast)) return;
     inner_->SeekToLast();
   }
 
   void Seek(const Slice& target) override {
-    MaybeFetchIndex();
-    size_t b = file_->index->Find(icmp_, target);
+    BeginPositioning();
+    size_t b = index_->Find(icmp_, target);
     if (!LoadBlock(b, Move::kSeek)) return;
     inner_->Seek(target);
     SkipForwardEmpty();
@@ -577,35 +575,47 @@ class RemoteBlockTableIterator : public Iterator {
     }
   }
 
+ protected:
+  BlockTableIterator(const TableIndex* index,
+                     const InternalKeyComparator& icmp)
+      : index_(index), icmp_(icmp) {}
+
+  /// Points *data at block `e`'s bytes, reached by `move`.
+  virtual Status BlockBytes(const TableIndex::Entry& e, Move move,
+                            const char** data) = 0;
+  /// Runs at the start of every explicit positioning call.
+  virtual void BeforePositioning() {}
+
+  void Fail(const Status& s) {
+    if (status_.ok()) status_ = s;
+  }
+
  private:
+  void BeginPositioning() {
+    if (status_.IsIOError()) status_ = Status::OK();
+    BeforePositioning();
+  }
+
   // Steps over exhausted blocks; a corrupt block stops the walk (here and
   // in Prev) so its status surfaces instead of being skipped.
   void SkipForwardEmpty() {
     while (inner_ != nullptr && !inner_->Valid() && inner_->status().ok() &&
-           block_ + 1 < file_->index->num_entries()) {
+           block_ + 1 < index_->num_entries()) {
       if (!LoadBlock(block_ + 1, Move::kNext)) return;
       inner_->SeekToFirst();
     }
   }
 
-  void MaybeFetchIndex() {
-    if (!read_path_.uncached_index || index_fetched_) return;
-    Status s = FetchIndexBlock(read_path_, *file_);
-    if (!s.ok()) status_ = s;
-    index_fetched_ = true;
-  }
-
   bool LoadBlock(size_t b, Move move) {
-    const TableIndex& index = *file_->index;
-    if (b >= index.num_entries()) {
+    if (b >= index_->num_entries()) {
       inner_.reset();
       return false;
     }
-    TableIndex::Entry e = index.entry(b);
+    TableIndex::Entry e = index_->entry(b);
     const char* p = nullptr;
-    Status s = window_.Acquire(e.offset, e.length, move, &p);
+    Status s = BlockBytes(e, move, &p);
     if (!s.ok()) {
-      status_ = s;
+      Fail(s);
       inner_.reset();
       return false;
     }
@@ -616,14 +626,46 @@ class RemoteBlockTableIterator : public Iterator {
     return true;
   }
 
-  RemoteReadPath read_path_;
+  const TableIndex* index_;
   InternalKeyComparator icmp_;
-  FileRef file_;
-  PrefetchWindow window_;
   size_t block_ = 0;
-  bool index_fetched_ = false;
   std::unique_ptr<BlockIter> inner_;
   Status status_;
+};
+
+/// Block-format remote iterator: whole blocks come through a
+/// PrefetchWindow (optionally several at a time).
+class RemoteBlockTableIterator : public BlockTableIterator {
+ public:
+  RemoteBlockTableIterator(const RemoteReadPath& read_path,
+                           const InternalKeyComparator& icmp, FileRef file,
+                           size_t prefetch)
+      : BlockTableIterator(file->index.get(), icmp),
+        read_path_(read_path),
+        file_(std::move(file)),
+        window_(read_path, file_->chunk.addr, file_->chunk.rkey,
+                file_->data_len, prefetch) {}
+
+ private:
+  Status BlockBytes(const TableIndex::Entry& e, Move move,
+                    const char** data) override {
+    return window_.Acquire(e.offset, e.length, move, data);
+  }
+
+  void BeforePositioning() override {
+    if (!read_path_.uncached_index || index_fetched_) return;
+    Status s = FetchIndexBlock(read_path_, *file_);
+    if (s.ok()) {
+      index_fetched_ = true;
+    } else {
+      Fail(s);
+    }
+  }
+
+  RemoteReadPath read_path_;
+  FileRef file_;
+  PrefetchWindow window_;
+  bool index_fetched_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -700,90 +742,31 @@ class LocalByteTableIterator : public Iterator {
   Status status_;
 };
 
-class LocalBlockTableIterator : public Iterator {
+/// Block-format local iterator over a table in this node's DRAM.
+class LocalBlockTableIterator : public BlockTableIterator {
  public:
   LocalBlockTableIterator(const char* data, uint64_t len,
                           std::shared_ptr<TableIndex> index,
                           const InternalKeyComparator& icmp)
-      : data_(data), len_(len), index_(std::move(index)), icmp_(icmp) {}
-
-  bool Valid() const override {
-    return status_.ok() && inner_ != nullptr && inner_->Valid();
-  }
-  Status status() const override {
-    if (!status_.ok()) return status_;
-    return inner_ != nullptr ? inner_->status() : Status::OK();
-  }
-  Slice key() const override { return inner_->key(); }
-  Slice value() const override { return inner_->value(); }
-
-  void SeekToFirst() override {
-    if (!LoadBlock(0)) return;
-    inner_->SeekToFirst();
-    SkipForwardEmpty();
-  }
-  void SeekToLast() override {
-    size_t n = index_->num_entries();
-    if (n == 0 || !LoadBlock(n - 1)) return;
-    inner_->SeekToLast();
-  }
-  void Seek(const Slice& target) override {
-    size_t b = index_->Find(icmp_, target);
-    if (!LoadBlock(b)) return;
-    inner_->Seek(target);
-    SkipForwardEmpty();
-  }
-  void Next() override {
-    DLSM_CHECK(Valid());
-    inner_->Next();
-    SkipForwardEmpty();
-  }
-  void Prev() override {
-    DLSM_CHECK(Valid());
-    inner_->Prev();
-    while (inner_ != nullptr && !inner_->Valid() && inner_->status().ok() &&
-           block_ > 0) {
-      if (!LoadBlock(block_ - 1)) return;
-      inner_->SeekToLast();
-    }
-  }
+      : BlockTableIterator(index.get(), icmp),
+        data_(data),
+        len_(len),
+        index_(std::move(index)) {}
 
  private:
-  // Steps over exhausted blocks; a corrupt block stops the walk (here and
-  // in Prev) so its status surfaces instead of being skipped.
-  void SkipForwardEmpty() {
-    while (inner_ != nullptr && !inner_->Valid() && inner_->status().ok() &&
-           block_ + 1 < index_->num_entries()) {
-      if (!LoadBlock(block_ + 1)) return;
-      inner_->SeekToFirst();
-    }
-  }
-
-  bool LoadBlock(size_t b) {
-    if (b >= index_->num_entries()) {
-      inner_.reset();
-      return false;
-    }
-    TableIndex::Entry e = index_->entry(b);
+  Status BlockBytes(const TableIndex::Entry& e, Move,
+                    const char** data) override {
     if (e.offset > len_ || e.length > len_ - e.offset) {
       // The index came off the wire with the table; it may lie.
-      status_ = Status::Corruption("index entry points past the table");
-      inner_.reset();
-      return false;
+      return Status::Corruption("index entry points past the table");
     }
-    inner_ = std::make_unique<BlockIter>(&icmp_, data_ + e.offset, e.length);
-    block_ = b;
-    return true;
+    *data = data_ + e.offset;
+    return Status::OK();
   }
 
   const char* data_;
   uint64_t len_;
-  std::shared_ptr<TableIndex> index_;
-  InternalKeyComparator icmp_;
-  size_t block_ = 0;
-  std::unique_ptr<BlockIter> inner_;
-  Status status_;  // Sticky: an index entry outside the table; once set,
-                   // the iterator stays invalid.
+  std::shared_ptr<TableIndex> index_;  // Keeps the base's index alive.
 };
 
 }  // namespace

@@ -27,16 +27,18 @@ void RunClusterTest(int computes, int memories, int lambda,
     ClusterTopology topology;
     topology.compute_nodes = computes;
     topology.memory_nodes = memories;
-    topology.shards_per_compute = lambda;
     topology.compaction_workers_per_memory = 2;
     topology.memory_dram = 4ull << 30;
 
+    // Per compute node: each of its lambda shards gets 256 KB MemTables
+    // and SSTables and a 128 MB flush region.
     Options options;
     options.env = &env;
-    options.memtable_size = 256 << 10;
+    options.shards = lambda;
+    options.memtable_size = (256 << 10) * lambda;
     options.estimated_entry_size = 128;
-    options.sstable_size = 256 << 10;
-    options.flush_region_size = 128 << 20;
+    options.sstable_size = (256 << 10) * lambda;
+    options.flush_region_size = (128ull << 20) * lambda;
     options.flush_threads = 2;
     options.compaction_scheduler_threads = 1;
 

@@ -16,6 +16,7 @@
 #include "src/core/table_reader.h"
 #include "src/remote/rpc.h"
 #include "src/sim/sim_env.h"
+#include "src/util/coding.h"
 #include "src/util/random.h"
 
 namespace dlsm {
@@ -411,6 +412,66 @@ TEST(NearDataExecutorTest, MalformedTaskGetsErrorReplyNotAbort) {
     // not a giant allocation.
     EXPECT_EQ(0, call("").first.at(0));
     EXPECT_EQ(0, call("\xff\xff\xff\xff\x0f").first.at(0));
+    service.Stop();
+  });
+}
+
+// The service's other RPCs fail closed too: each malformed request gets
+// the reply its caller already reads as failure, and the node keeps
+// serving.
+TEST(NearDataExecutorTest, MalformedServiceRpcsGetFailureRepliesNotAbort) {
+  SimEnv env;
+  rdma::Fabric fabric(&env);
+  rdma::Node* compute = fabric.AddNode("compute", 24, 1ull << 30);
+  rdma::Node* memory = fabric.AddNode("memory", 4, 2ull << 30);
+  env.Run(0, [&] {
+    MemoryNodeService service(&fabric, memory, 2);
+    service.Start();
+    remote::RpcClient client(&fabric, compute, service.rpc_server());
+    auto call = [&](uint8_t type, const std::string& args) {
+      std::string reply;
+      EXPECT_TRUE(client.Call(type, args, &reply).ok());
+      return reply;
+    };
+    auto read_args = [](uint64_t addr, uint64_t len) {
+      std::string args;
+      PutFixed64(&args, addr);
+      PutFixed64(&args, len);
+      return args;
+    };
+
+    // Alloc request too short to name a size: addr 0, the OOM signal.
+    std::string alloc = call(remote::RpcType::kAllocFlushRegion, "\x01");
+    ASSERT_EQ(12u, alloc.size());
+    EXPECT_EQ(0u, DecodeFixed64(alloc.data()));
+
+    // Free batch promising 5 addresses and carrying none: nothing freed.
+    std::string freed = call(remote::RpcType::kFreeBatch, "\x05");
+    ASSERT_EQ(4u, freed.size());
+    EXPECT_EQ(0u, DecodeFixed32(freed.data()));
+
+    // Short and out-of-range block reads get empty replies, including
+    // spans whose end wraps around 2^64.
+    const auto base = reinterpret_cast<uint64_t>(memory->dram_base());
+    const uint64_t size = memory->dram_size();
+    EXPECT_TRUE(call(remote::RpcType::kReadBlock, "short").empty());
+    EXPECT_TRUE(call(remote::RpcType::kReadBlock, read_args(16, 8)).empty());
+    EXPECT_TRUE(
+        call(remote::RpcType::kReadBlock, read_args(base + size - 8, 16))
+            .empty());
+    EXPECT_TRUE(call(remote::RpcType::kReadBlock,
+                     read_args(base + 4096, ~uint64_t{0} - 100))
+                    .empty());
+    EXPECT_TRUE(
+        call(remote::RpcType::kReadBlock, read_args(~uint64_t{0} - 7, 16))
+            .empty());
+
+    // Unknown type: an empty reply.
+    EXPECT_TRUE(call(0x7f, "x").empty());
+
+    // Still serving: an in-range read answers in full.
+    EXPECT_EQ(64u,
+              call(remote::RpcType::kReadBlock, read_args(base, 64)).size());
     service.Stop();
   });
 }

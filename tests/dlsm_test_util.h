@@ -88,14 +88,9 @@ inline void RunDbTest(
     deps.memory = &service;
 
     DB* raw = nullptr;
-    Status s;
-    if (options.shards > 1) {
-      s = ShardedDB::Open(
-          options, deps,
-          ShardedDB::UniformDecimalBoundaries(options.shards, 16), &raw);
-    } else {
-      s = DLsmDB::Open(options, deps, &raw);
-    }
+    Status s = ShardedDB::Open(
+        options, deps,
+        ShardedDB::UniformDecimalBoundaries(options.shards, 16), &raw);
     ASSERT_TRUE(s.ok()) << s.ToString();
     std::unique_ptr<DB> db(raw);
 

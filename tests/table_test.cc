@@ -869,6 +869,50 @@ TEST_F(TableSimTest, RemoteCorruptMiddleBlockStopsScansBothWays) {
   });
 }
 
+// The remote walk shares the local one's contract: Valid() never pairs
+// with a non-OK status. A failed READ is reported, and keeps the iterator
+// invalid, until a re-seek goes back to the wire and lands in an intact
+// block.
+TEST_F(TableSimTest, RemoteFailedFetchNeverPairsWithValid) {
+  RunSim([&](rdma::Fabric* f, rdma::Node* compute, rdma::Node* memory,
+             Env*) {
+    std::string storage;
+    uint64_t data_len = 0;
+    auto index = BuildThreeBlocksCorruptMiddle(&storage, &data_len);
+    ASSERT_EQ(3u, index->num_entries());
+    char* region = memory->AllocDram(1 << 16);
+    std::memcpy(region, storage.data(), data_len);
+    rdma::MemoryRegion mr = f->RegisterMemory(memory, region, 1 << 16);
+    rdma::RdmaManager mgr(f, compute, memory);
+    auto file = std::make_shared<FileMetaData>();
+    file->chunk = remote::RemoteChunk{mr.addr, 1 << 16, mr.rkey,
+                                      compute->id()};
+    file->data_len = data_len;
+    file->index = index;
+    RemoteReadPath read_path;
+    read_path.mgr = &mgr;
+    read_path.max_retries = 1;  // Recovers the QP once the fault clears.
+    std::unique_ptr<Iterator> it(NewRemoteTableIterator(
+        read_path, InternalKeyComparator(BytewiseComparator()), file, 4096));
+
+    rdma::FaultParams fail_all;
+    fail_all.wr_error_rate = 1.0;
+    f->set_fault_params(fail_all);
+    it->SeekToLast();
+    EXPECT_FALSE(it->Valid());
+    EXPECT_TRUE(it->status().IsIOError()) << it->status().ToString();
+    it->SeekToFirst();  // Still failing: still invalid.
+    EXPECT_FALSE(it->Valid());
+    EXPECT_TRUE(it->status().IsIOError()) << it->status().ToString();
+
+    f->set_fault_params(rdma::FaultParams());
+    it->SeekToFirst();
+    ASSERT_TRUE(it->Valid());
+    EXPECT_TRUE(it->status().ok()) << it->status().ToString();
+    EXPECT_EQ(UKey(0), ExtractUserKey(it->key()).ToString());
+  });
+}
+
 TEST(BloomInTableTest, NoFalseNegativesAndLowFalsePositives) {
   BloomFilterPolicy policy(10);
   std::vector<std::string> keys;

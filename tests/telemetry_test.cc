@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -284,6 +285,64 @@ TEST(SamplerTest, ShardedPropertyWrapsPerShardSeries) {
         ASSERT_TRUE(db->GetProperty("dlsm.timeseries", &json));
         EXPECT_EQ(json.find("{\"shards\":["), 0u) << json.substr(0, 80);
       });
+}
+
+// ---------------------------------------------------------------------------
+// Bench runner: one config and one worker loop for 1C1M and xCxM cells
+// ---------------------------------------------------------------------------
+
+// A tiny multi-node cell: 2 clients and lambda = 2 per compute node.
+bench::BenchConfig TinyCell(int computes, int memories) {
+  bench::BenchConfig config = bench::MultiNodeConfig(
+      bench::SystemKind::kDLsm, computes, memories, 20000);
+  config.shards = 2;
+  config.threads = 2;
+  config.memtable_size = 128 << 10;
+  config.sstable_size = 256 << 10;
+  return config;
+}
+
+TEST(BenchRunnerTest, MultiNodePhasesExportWireAndMemoryCpu) {
+  using bench::Phase;
+  auto r = bench::RunBench(
+      TinyCell(2, 2),
+      {Phase::kFillRandom, Phase::kReadRandom, Phase::kReadRandom});
+  ASSERT_EQ(3u, r.size());
+  for (const bench::PhaseResult& p : r) {
+    EXPECT_GT(p.wire_bytes, 0u);
+    EXPECT_GE(p.memory_cpu_util, 0.0);
+    EXPECT_LE(p.memory_cpu_util, 1.0);
+  }
+  // Flushes and near-data compactions run on the memory nodes during the
+  // fill; one-sided READs leave their CPUs idle.
+  EXPECT_GT(r[0].memory_cpu_util, 0.0);
+  for (size_t p = 1; p < r.size(); p++) {
+    std::vector<uint64_t> nodes = bench::NodeReadDeltas(r[p - 1], r[p]);
+    ASSERT_EQ(2u, nodes.size());
+    uint64_t sum = 0;
+    for (uint64_t n : nodes) {
+      EXPECT_GT(n, 0u) << "phase " << p;
+      sum += n;
+    }
+    EXPECT_EQ(r[p].stats.rdma.read.ops - r[p - 1].stats.rdma.read.ops, sum)
+        << "phase " << p;
+  }
+}
+
+TEST(BenchRunnerTest, SingleNodeSeriesKeepsTheFlatShape) {
+  bench::BenchConfig config = TinyCell(1, 1);
+  config.shards = 1;
+  config.stats_series = ::testing::TempDir() + "bench_runner_series.json";
+  bench::RunBench(config, {bench::Phase::kFillRandom});
+  std::FILE* f = std::fopen(config.stats_series.c_str(), "r");
+  ASSERT_NE(f, nullptr);
+  std::string json;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) json.append(buf, n);
+  std::fclose(f);
+  std::remove(config.stats_series.c_str());
+  EXPECT_EQ(json.find("{\"columns\":[\"ts_ns\""), 0u) << json.substr(0, 80);
 }
 
 // ---------------------------------------------------------------------------
