@@ -18,227 +18,49 @@ namespace dlsm {
 namespace bench {
 namespace {
 
-// SLO mode (--slo_read_p99_us=N): mixed 50/50 read/write workload on dLSM
-// so flushes and near-data compactions run concurrently with foreground
-// READ waves, then checks the one-sided READ p99 against the threshold.
-// This is the guardrail for the compaction verb budget: an uncapped
-// pipelined compaction scheduler could queue enough verbs to blow up
-// foreground tail latency. Returns nonzero on violation (CI-friendly).
-int RunReadSlo(uint64_t keys, int threads, double slo_us, uint64_t budget) {
+// The A/B guards' metrics, read off a leg's measured phase (PhaseDelta:
+// the phase's own READs, cache probes and stalls).
+const AbMetric kOpsPerSec{"ops/s", true, 0,
+                          [](const PhaseResult& r) { return r.ops_per_sec; }};
+const AbMetric kOpP50{"op p50 us", false, 2, [](const PhaseResult& r) {
+                        return r.latency_us.Percentile(50.0);
+                      }};
+const AbMetric kOpP99{"op p99 us", false, 2, [](const PhaseResult& r) {
+                        return r.latency_us.Percentile(99.0);
+                      }};
+const AbMetric kReadVerbs{"READ verbs", false, 0, [](const PhaseResult& r) {
+                            return static_cast<double>(r.stats.rdma.read.ops);
+                          }};
+const AbMetric kReadBytes{"READ bytes", false, 0, [](const PhaseResult& r) {
+                            return static_cast<double>(
+                                r.stats.rdma.read.bytes);
+                          }};
+const AbMetric kWireP50{"wire p50 us", false, 3, [](const PhaseResult& r) {
+                          return r.stats.rdma.read.latency_us.Percentile(50.0);
+                        }};
+const AbMetric kWireP99{"wire p99 us", false, 1, [](const PhaseResult& r) {
+                          return r.stats.rdma.read.latency_us.Percentile(99.0);
+                        }};
+const AbMetric kStalls{"watchdog stalls", false, 0, [](const PhaseResult& r) {
+                         return static_cast<double>(r.stats.watchdog_stalls);
+                       }};
+const AbMetric kHitRate{"hit rate %", true, 1, [](const PhaseResult& r) {
+                          const DbStats& s = r.stats;
+                          uint64_t n = s.cache_hits + s.cache_misses;
+                          return n > 0 ? 100.0 * s.cache_hits / n : 0.0;
+                        }};
+
+// The cache and telemetry guards' deployment: --ab_threads clients over
+// --memtable_kb tables.
+BenchConfig GuardConfig(const Flags& flags, uint64_t keys) {
   BenchConfig config;
-  config.threads = threads;
+  config.threads = static_cast<int>(flags.GetInt("ab_threads", 8));
   config.num_keys = keys;
-  config.read_ratio = 0.5;
-  config.compaction_verb_budget = budget;
-  config.memtable_size = 1 << 20;
-  config.sstable_size = 1 << 20;
-  auto r = RunBench(config, {Phase::kReadWriteMixed});
-  const auto& read = r[0].stats.rdma.cls(rdma::VerbClass::kRead);
-  double p99 = read.latency_us.Percentile(99.0);
-  bool ok = p99 <= slo_us;
-  std::printf("\n=== READ p99 SLO under concurrent compaction: %llu keys, "
-              "%d threads, budget=%llu ===\n",
-              static_cast<unsigned long long>(keys), threads,
-              static_cast<unsigned long long>(budget));
-  std::printf("mixed %.1f Kops/s | %llu READs p50 %.1fus p99 %.1fus | "
-              "compactions %llu (rpc inflight peak %llu) | SLO %.1fus: %s\n",
-              r[0].ops_per_sec / 1e3,
-              static_cast<unsigned long long>(read.ops),
-              read.latency_us.Percentile(50.0), p99,
-              static_cast<unsigned long long>(r[0].stats.compactions),
-              static_cast<unsigned long long>(
-                  r[0].stats.compaction_rpc_inflight_peak),
-              slo_us, ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
-}
-
-// The read phase r[i]'s READ-class wire traffic. Stats are cumulative,
-// so a phase is the difference from the one before it.
-struct ReadWire {
-  uint64_t verbs = 0;
-  uint64_t bytes = 0;
-  double p50_us = 0;
-
-  bool operator==(const ReadWire&) const = default;
-};
-
-ReadWire PhaseReadWire(const std::vector<PhaseResult>& r, size_t i) {
-  const rdma::VerbClassStats& cur = r[i].stats.rdma.cls(rdma::VerbClass::kRead);
-  const rdma::VerbClassStats& prev =
-      r[i - 1].stats.rdma.cls(rdma::VerbClass::kRead);
-  return ReadWire{cur.ops - prev.ops, cur.bytes - prev.bytes,
-                  cur.latency_us.DeltaSince(prev.latency_us).Percentile(50.0)};
-}
-
-// --cache_ab mode: A/B guard + speedup series for the compute-side block
-// cache under a skewed read workload. Each leg is one deployment run as
-// fill + identical back-to-back read phases; phase 2 is the measured
-// steady state (phase 1 fills the cache, and still carries WRITEs from
-// the fill's trailing background work):
-//   off  — cache disabled (the no-cache configuration every earlier PR
-//          measured).
-//   on   — --cache_mb (default 64 MiB) with TinyLFU admission.
-//   wire — cache off at SimEnv cpu_scale = 0, with a third read phase.
-//          Virtual time then advances only through the modeled fabric, so
-//          the wire schedule depends on the workload alone: steady-state
-//          phases 2 and 3 must post the identical READs — verbs, bytes and
-//          wire p50 exactly equal. (At cpu_scale = 1 concurrent readers'
-//          READs queue on the link at times set by measured host CPU, so
-//          wire p50 moves run to run.)
-// At theta = 0.99 the hot set fits in 64 MiB, so cache-on steady-state
-// READ verbs must drop >= 3x, and end to end at the default cpu_scale the
-// cache must not lose: read ops/s >= cache-off, op p50 and op p99 <=
-// cache-off. Returns nonzero on any guard violation (CI-friendly).
-int RunCacheAb(uint64_t keys, const Flags& flags) {
-  BenchConfig base;
-  base.threads = static_cast<int>(flags.GetInt("ab_threads", 8));
-  base.num_keys = keys;
-  base.zipfian_theta = flags.GetDouble("zipfian", 0.99);
   size_t memtable_kb = flags.GetInt("memtable_kb", 1024);
-  base.memtable_size = memtable_kb << 10;
-  base.sstable_size = memtable_kb << 10;
-  base.record_latency = true;
-  StatsJsonWriter stats_json(flags.GetString("stats_json", ""));
-
-  // Fill, then `reads` read phases; records phase 2.
-  auto run = [&](size_t cache_bytes, double cpu_scale, int reads,
-                 const char* label) {
-    BenchConfig config = base;
-    config.block_cache_size = cache_bytes;
-    config.cpu_scale = cpu_scale;
-    std::vector<Phase> phases(1 + reads, Phase::kReadRandom);
-    phases[0] = Phase::kFillRandom;
-    auto r = RunBench(config, phases);
-    stats_json.Add("cache_ab", label, config.threads, "readrandom", config,
-                   r[2]);
-    return r;
-  };
-
-  auto wire = run(0, 0.0, 3, "dLSM cpu_scale=0");
-  auto off = run(0, 1.0, 2, "dLSM");
-  size_t cache_bytes = flags.GetInt("cache_mb", 64) << 20;
-  auto on = run(cache_bytes, 1.0, 2, "dLSM+cache");
-
-  const ReadWire wire2 = PhaseReadWire(wire, 2);
-  const ReadWire wire3 = PhaseReadWire(wire, 3);
-  uint64_t reads_off = PhaseReadWire(off, 2).verbs;
-  uint64_t reads_on = PhaseReadWire(on, 2).verbs;
-  // reads_on == 0 means the steady-state hot set fits entirely — an
-  // infinite reduction, reported as the off count.
-  double verb_ratio = static_cast<double>(reads_off) /
-                      (reads_on > 0 ? reads_on : 1);
-  double p50_off = off[2].latency_us.Percentile(50.0);
-  double p99_off = off[2].latency_us.Percentile(99.0);
-  double p50_on = on[2].latency_us.Percentile(50.0);
-  double p99_on = on[2].latency_us.Percentile(99.0);
-  uint64_t hits = on[2].stats.cache_hits - on[1].stats.cache_hits;
-  uint64_t lookups = hits + on[2].stats.cache_misses -
-                     on[1].stats.cache_misses;
-
-  bool wire_ok = wire2 == wire3;
-  bool ratio_ok = verb_ratio >= 3.0;
-  bool ops_ok = on[2].ops_per_sec >= off[2].ops_per_sec;
-  bool p50_ok = p50_on <= p50_off;
-  bool p99_ok = p99_on <= p99_off;
-  std::printf("\n=== Cache A/B: %llu keys, %d threads, zipfian %.2f, "
-              "%zu MiB cache ===\n",
-              static_cast<unsigned long long>(keys), base.threads,
-              base.zipfian_theta, cache_bytes >> 20);
-  std::printf("%14s %14s %14s %12s %12s %10s\n", "config", "read ops/s",
-              "READ verbs", "op p50 us", "op p99 us", "hit rate");
-  std::printf("%14s %14.0f %14llu %12.2f %12.2f %10s\n", "cache off",
-              off[2].ops_per_sec, static_cast<unsigned long long>(reads_off),
-              p50_off, p99_off, "-");
-  std::printf("%14s %14.0f %14llu %12.2f %12.2f %9.1f%%\n", "cache on",
-              on[2].ops_per_sec, static_cast<unsigned long long>(reads_on),
-              p50_on, p99_on, lookups > 0 ? 100.0 * hits / lookups : 0.0);
-  std::printf("wire leg (cache off, cpu_scale=0), read phase 2 vs 3: READ "
-              "verbs %llu / %llu, bytes %llu / %llu, wire p50 %.3f / %.3f us "
-              "(guard identical: %s)\n",
-              static_cast<unsigned long long>(wire2.verbs),
-              static_cast<unsigned long long>(wire3.verbs),
-              static_cast<unsigned long long>(wire2.bytes),
-              static_cast<unsigned long long>(wire3.bytes), wire2.p50_us,
-              wire3.p50_us, wire_ok ? "PASS" : "FAIL");
-  std::printf("READ verb reduction %.1fx (guard >= 3x: %s) | "
-              "ops/s %.0f -> %.0f (guard no regress: %s) | "
-              "p50 %.2f -> %.2f us (guard no regress: %s) | "
-              "p99 %.2f -> %.2f us (guard no regress: %s)\n",
-              verb_ratio, ratio_ok ? "PASS" : "FAIL", off[2].ops_per_sec,
-              on[2].ops_per_sec, ops_ok ? "PASS" : "FAIL", p50_off, p50_on,
-              p50_ok ? "PASS" : "FAIL", p99_off, p99_on,
-              p99_ok ? "PASS" : "FAIL");
-  if (!stats_json.Write()) {
-    std::fprintf(stderr, "warning: could not write --stats_json file\n");
-    return 1;
-  }
-  return wire_ok && ratio_ok && ops_ok && p50_ok && p99_ok ? 0 : 1;
-}
-
-// --telemetry_ab mode: overhead guard for the continuous-telemetry stack
-// (DESIGN Sec. 4.9). Identical fill+read dLSM runs with telemetry off —
-// never configured, the default every earlier PR measured — and on — 1 ms
-// sampler plus a 50 ms stall watchdog. Neither posts verbs or sits on an
-// op path, so the wire must not change: at SimEnv cpu_scale = 0, where the
-// wire schedule depends on the workload alone, the read phase's READ
-// verbs, bytes and wire p50 must be identical. A second off/on pair at the
-// default cpu_scale reports the ops/s delta, which folds in the sampler
-// thread's real host CPU (informational). The watchdog must stay silent
-// in both on legs. Returns nonzero on violation (CI-friendly).
-int RunTelemetryAb(uint64_t keys, const Flags& flags) {
-  BenchConfig base;
-  base.threads = static_cast<int>(flags.GetInt("ab_threads", 8));
-  base.num_keys = keys;
-  size_t memtable_kb = flags.GetInt("memtable_kb", 1024);
-  base.memtable_size = memtable_kb << 10;
-  base.sstable_size = memtable_kb << 10;
-
-  auto run = [&](bool telemetry, double cpu_scale) {
-    BenchConfig config = base;
-    config.cpu_scale = cpu_scale;
-    if (telemetry) {
-      config.stats_series = flags.GetString("stats_series", "/dev/null");
-      config.stats_sample_period_ms = flags.GetInt("stats_period_ms", 1);
-      config.watchdog_deadline_ms = flags.GetInt("watchdog_ms", 50);
-    }
-    return RunBench(config, {Phase::kFillRandom, Phase::kReadRandom});
-  };
-  auto wire_off = run(false, 0.0);
-  auto wire_on = run(true, 0.0);
-  auto off = run(false, 1.0);
-  auto on = run(true, 1.0);
-
-  const ReadWire read_off = PhaseReadWire(wire_off, 1);
-  const ReadWire read_on = PhaseReadWire(wire_on, 1);
-  double ops_delta = 100.0 * (on[1].ops_per_sec - off[1].ops_per_sec) /
-                     off[1].ops_per_sec;
-  uint64_t stalls =
-      wire_on[1].stats.watchdog_stalls + on[1].stats.watchdog_stalls;
-
-  bool wire_ok = read_off == read_on;
-  bool stalls_ok = stalls == 0;
-  std::printf("\n=== Telemetry A/B: %llu keys, %d threads, 1ms sampler + "
-              "50ms watchdog ===\n",
-              static_cast<unsigned long long>(keys), base.threads);
-  std::printf("%14s %14s %14s %14s %12s\n", "config", "ops/s cpu=1",
-              "READs cpu=0", "bytes cpu=0", "p50 us cpu=0");
-  std::printf("%14s %14.0f %14llu %14llu %12.3f\n", "telemetry off",
-              off[1].ops_per_sec,
-              static_cast<unsigned long long>(read_off.verbs),
-              static_cast<unsigned long long>(read_off.bytes),
-              read_off.p50_us);
-  std::printf("%14s %14.0f %14llu %14llu %12.3f\n", "telemetry on",
-              on[1].ops_per_sec,
-              static_cast<unsigned long long>(read_on.verbs),
-              static_cast<unsigned long long>(read_on.bytes), read_on.p50_us);
-  std::printf("READ verbs, bytes and wire p50 at cpu_scale=0 (guard "
-              "identical: %s) | watchdog stalls %llu (guard 0: %s) | "
-              "ops/s delta %+.2f%% at cpu_scale=1 (host CPU folded, "
-              "informational)\n",
-              wire_ok ? "PASS" : "FAIL",
-              static_cast<unsigned long long>(stalls),
-              stalls_ok ? "PASS" : "FAIL", ops_delta);
-  return wire_ok && stalls_ok ? 0 : 1;
+  config.memtable_size = memtable_kb << 10;
+  config.sstable_size = memtable_kb << 10;
+  config.record_latency = true;
+  return config;
 }
 
 int Main(int argc, char** argv) {
@@ -250,20 +72,133 @@ int Main(int argc, char** argv) {
                "telemetry_ab", "threads", "trace_out", "verb_stats",
                "watchdog_ms", "zipfian"});
   uint64_t keys = flags.GetInt("keys", 100000);
-  if (flags.GetBool("cache_ab", false)) return RunCacheAb(keys, flags);
-  if (flags.GetBool("telemetry_ab", false)) {
-    return RunTelemetryAb(keys, flags);
+  // --stats_json=FILE: machine-readable records (one per cell, or per
+  // guard leg run).
+  StatsJsonWriter stats_json(flags.GetString("stats_json", ""));
+  using enum AbCheckKind;
+
+  // --cache_ab: the compute-side block cache under zipfian reads. Each leg
+  // is a fill and back-to-back read phases, measuring the second: the
+  // first fills the cache and still carries WRITEs from the fill's
+  // trailing background work. The wire legs run cache-off at SimEnv
+  // cpu_scale = 0, where virtual time advances only through the modeled
+  // fabric, so steady-state read phases 2 and 3 must post identical READs.
+  // (At cpu_scale = 1 concurrent readers' READs queue on the link at times
+  // set by measured host CPU, so wire p50 moves run to run.) At theta 0.99
+  // the hot set fits in 64 MiB: the cache must cut steady-state READ verbs
+  // >= 3x and win end to end in every run.
+  if (flags.GetBool("cache_ab", false)) {
+    BenchConfig off = GuardConfig(flags, keys);
+    off.zipfian_theta = flags.GetDouble("zipfian", 0.99);
+    BenchConfig on = off;
+    on.block_cache_size = flags.GetInt("cache_mb", 64) << 20;
+    BenchConfig wire = off;
+    wire.cpu_scale = 0;
+    const std::vector<Phase> two = {Phase::kFillRandom, Phase::kReadRandom,
+                                    Phase::kReadRandom};
+    std::vector<Phase> three = two;
+    three.push_back(Phase::kReadRandom);
+    std::printf("\n=== Cache A/B: %llu keys, %d threads, zipfian %.2f, "
+                "%zu MiB cache ===\n",
+                static_cast<unsigned long long>(keys), off.threads,
+                off.zipfian_theta, on.block_cache_size >> 20);
+    return RunAbGuard(
+        {BenchLeg("cache_off", off, two, "cache_ab", &stats_json),
+         BenchLeg("cache_on", on, two, "cache_ab", &stats_json),
+         BenchLeg("wire_phase2", wire, two, "cache_ab", &stats_json),
+         BenchLeg("wire_phase3", wire, three, "cache_ab", &stats_json)},
+        {kOpsPerSec, kOpP50, kOpP99, kReadVerbs, kReadBytes, kWireP50,
+         kHitRate},
+        {{kExact, "READ verbs", "wire_phase2", "wire_phase3"},
+         {kExact, "READ bytes", "wire_phase2", "wire_phase3"},
+         {kExact, "wire p50 us", "wire_phase2", "wire_phase3"},
+         {kThreshold, "READ verbs", "cache_on", "cache_off", 3.0},
+         {kBetter, "ops/s", "cache_on", "cache_off"},
+         {kBetter, "op p50 us", "cache_on", "cache_off"},
+         {kBetter, "op p99 us", "cache_on", "cache_off"}},
+        &stats_json);
   }
+
+  // --telemetry_ab: the continuous-telemetry stack (DESIGN Sec. 4.9), a
+  // 1 ms sampler plus a 50 ms stall watchdog, against telemetry never
+  // configured. Neither posts verbs or sits on an op path, so at
+  // cpu_scale = 0 the read phase's READs must be identical; at
+  // cpu_scale = 1, where the sampler's host CPU is folded in, ops/s and op
+  // p99 must not be worse. The telemetry_* legs and wire_on_whole list
+  // only the read phase, so their counters include the fill: the watchdog
+  // must stay silent over every whole run, at both cpu_scales.
+  if (flags.GetBool("telemetry_ab", false)) {
+    BenchConfig off = GuardConfig(flags, keys);
+    BenchConfig on = off;
+    on.stats_series = flags.GetString("stats_series", "/dev/null");
+    on.stats_sample_period_ms = flags.GetInt("stats_period_ms", 1);
+    on.watchdog_deadline_ms = flags.GetInt("watchdog_ms", 50);
+    BenchConfig wire_off = off, wire_on = on;
+    wire_off.cpu_scale = wire_on.cpu_scale = 0;
+    const std::vector<Phase> read = {Phase::kReadRandom};
+    const std::vector<Phase> fill_read = {Phase::kFillRandom,
+                                          Phase::kReadRandom};
+    std::printf("\n=== Telemetry A/B: %llu keys, %d threads, %llums sampler "
+                "+ %llums watchdog ===\n",
+                static_cast<unsigned long long>(keys), off.threads,
+                static_cast<unsigned long long>(on.stats_sample_period_ms),
+                static_cast<unsigned long long>(on.watchdog_deadline_ms));
+    return RunAbGuard(
+        {BenchLeg("telemetry_off", off, read, "telemetry_ab", &stats_json),
+         BenchLeg("telemetry_on", on, read, "telemetry_ab", &stats_json),
+         BenchLeg("wire_off", wire_off, fill_read, "telemetry_ab",
+                  &stats_json),
+         BenchLeg("wire_on", wire_on, fill_read, "telemetry_ab",
+                  &stats_json),
+         BenchLeg("wire_on_whole", wire_on, read, "telemetry_ab",
+                  &stats_json)},
+        {kOpsPerSec, kOpP99, kReadVerbs, kReadBytes, kWireP50, kStalls},
+        {{kExact, "READ verbs", "wire_on", "wire_off"},
+         {kExact, "READ bytes", "wire_on", "wire_off"},
+         {kExact, "wire p50 us", "wire_on", "wire_off"},
+         {kExact, "watchdog stalls", "telemetry_on", "telemetry_off"},
+         {kThreshold, "watchdog stalls", "wire_on_whole", "", 0},
+         {kNotWorse, "ops/s", "telemetry_on", "telemetry_off", 0.02},
+         {kNotWorse, "op p99 us", "telemetry_on", "telemetry_off", 0.02}},
+        &stats_json);
+  }
+
+  // --slo_read_p99_us=N: a mixed 50/50 read/write workload, so flushes and
+  // near-data compactions run alongside foreground READ waves; the
+  // one-sided READ p99 must stay within N. This guards the compaction verb
+  // budget (--budget): an uncapped pipelined compaction scheduler could
+  // queue enough verbs to blow up the foreground tail.
+  double slo_us = flags.GetDouble("slo_read_p99_us", 0);
+  if (slo_us > 0) {
+    BenchConfig config;
+    config.threads = static_cast<int>(flags.GetInt("slo_threads", 8));
+    config.num_keys = keys;
+    config.read_ratio = 0.5;
+    config.compaction_verb_budget = flags.GetInt("budget", 64);
+    config.memtable_size = 1 << 20;
+    config.sstable_size = 1 << 20;
+    std::printf("\n=== READ p99 SLO under concurrent compaction: %llu keys, "
+                "%d threads, budget=%llu ===\n",
+                static_cast<unsigned long long>(keys), config.threads,
+                static_cast<unsigned long long>(
+                    config.compaction_verb_budget));
+    const AbMetric compactions{"compactions", true, 0,
+                               [](const PhaseResult& r) {
+                                 return static_cast<double>(
+                                     r.stats.compactions);
+                               }};
+    return RunAbGuard(
+        {BenchLeg("mixed", config, {Phase::kReadWriteMixed}, "read_slo",
+                  &stats_json)},
+        {kOpsPerSec, kReadVerbs, kWireP50, kWireP99, compactions},
+        {{kThreshold, "wire p99 us", "mixed", "", slo_us}}, &stats_json);
+  }
+
   std::vector<int> threads;
   {
     std::stringstream ss(flags.GetString("threads", "1,2,4,8,16"));
     std::string tok;
     while (std::getline(ss, tok, ',')) threads.push_back(std::stoi(tok));
-  }
-  double slo_us = flags.GetDouble("slo_read_p99_us", 0);
-  if (slo_us > 0) {
-    return RunReadSlo(keys, static_cast<int>(flags.GetInt("slo_threads", 8)),
-                      slo_us, flags.GetInt("budget", 64));
   }
 
   std::vector<SystemKind> systems = {
@@ -296,11 +231,9 @@ int Main(int argc, char** argv) {
   double fault_rate = flags.GetDouble("fault_rate", 0);
   double rnr_rate = flags.GetDouble("rnr_rate", 0);
   uint64_t fault_seed = flags.GetInt("fault_seed", 1);
-  // --stats_json=FILE: machine-readable records (one per cell).
   // --trace_out=FILE: Chrome trace JSON; every traced cell rewrites the
   // file, so the trace covers the last cell run — narrow the sweep with
   // --only/--threads to trace one deployment.
-  StatsJsonWriter stats_json(flags.GetString("stats_json", ""));
   std::string trace_out = flags.GetString("trace_out", "");
   // Continuous telemetry: --stats_series writes the engine's sampler ring
   // ("dlsm.timeseries") after the run. Like --trace_out, every cell

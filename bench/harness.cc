@@ -1,6 +1,7 @@
 #include "bench/harness.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
@@ -33,6 +34,13 @@ namespace {
 #define DLSM_BUILD_TYPE "unknown"
 #endif
 std::string g_command_line;
+
+// The workload shape every cell shares: decimal keys of kKeyWidth digits
+// over [0, num_keys), kValueSize-byte values, client streams seeded from
+// kSeed.
+constexpr int kKeyWidth = 16;
+constexpr size_t kValueSize = 400;
+constexpr uint64_t kSeed = 301;
 
 std::string JsonEscape(const std::string& s) {
   std::string out;
@@ -89,7 +97,7 @@ Options MakeEngineOptions(const BenchConfig& config, Env* env) {
       break;
     case SystemKind::kMemoryRocks:
       options = baselines::MemoryRocksDbRdmaOptions(
-          env, config.key_width + config.value_size + 32);
+          env, kKeyWidth + kValueSize + 32);
       break;
     case SystemKind::kNovaLsm:
       // Sub-range count follows the paper's Nova-LSM configuration (64),
@@ -102,7 +110,7 @@ Options MakeEngineOptions(const BenchConfig& config, Env* env) {
   }
   options.memtable_size = config.memtable_size;
   options.sstable_size = config.sstable_size;
-  options.estimated_entry_size = config.key_width + config.value_size + 28;
+  options.estimated_entry_size = kKeyWidth + kValueSize + 28;
   options.l0_stop_writes_trigger = config.bulkload ? 1 << 30 : 36;
   options.max_immutables = config.bulkload ? 1 << 20 : 16;
   options.flush_threads = 4;
@@ -120,8 +128,6 @@ Options MakeEngineOptions(const BenchConfig& config, Env* env) {
   options.async_write = config.async_write;
   options.compaction_verb_budget = config.compaction_verb_budget;
   options.block_cache_size = config.block_cache_size;
-  options.cache_shards = config.cache_shards;
-  options.cache_admission = config.cache_admission;
   // Continuous telemetry (sampler ring + stall watchdog). The sampler is
   // keyed off the output path: no --stats_series, no background sampler
   // thread, so default runs stay byte-identical to earlier PRs.
@@ -139,8 +145,7 @@ Options MakeEngineOptions(const BenchConfig& config, Env* env) {
   // Background budgets are per compute node (its shards split them).
   // Flush region: enough for the whole dataset plus compaction churn,
   // pinned snapshots and per-shard slab rounding.
-  const uint64_t data =
-      config.num_keys * (config.key_width + config.value_size + 28);
+  const uint64_t data = config.num_keys * (kKeyWidth + kValueSize + 28);
   const int lambda = options.shards;
   if (config.per_shard_budget) {
     const uint64_t total_shards =
@@ -154,7 +159,6 @@ Options MakeEngineOptions(const BenchConfig& config, Env* env) {
     options.max_subcompactions = 12;
     options.flush_region_size = data * 8 + (512ull << 20);
   }
-  options.placement_policy = config.placement_policy;
   options.placement_rebalance = config.placement_rebalance;
   if (config.placement_rebalance_interval_ns > 0) {
     options.placement_rebalance_interval_ns =
@@ -250,7 +254,7 @@ void StatsJsonWriter::Add(const std::string& figure, const std::string& system,
       "\"ops\":%llu,\"elapsed_s\":%.6f,\"ops_per_sec\":%.1f,"
       "\"wire_bytes\":%llu,\"memory_cpu_util\":%.4f,\"l0_files\":%d,",
       figure.c_str(), system.c_str(), threads, phase.c_str(),
-      static_cast<unsigned long long>(config.num_keys), config.value_size,
+      static_cast<unsigned long long>(config.num_keys), kValueSize,
       static_cast<unsigned long long>(r.ops), r.elapsed_s, r.ops_per_sec,
       static_cast<unsigned long long>(r.wire_bytes), r.memory_cpu_util,
       r.l0_files);
@@ -308,15 +312,183 @@ BenchConfig MultiNodeConfig(SystemKind system, int computes, int memories,
   return config;
 }
 
-std::vector<uint64_t> NodeReadDeltas(const PhaseResult& prev,
-                                     const PhaseResult& cur) {
-  const auto& before = prev.stats.per_node;
-  std::vector<uint64_t> out;
-  for (size_t i = 0; i < cur.stats.per_node.size(); i++) {
-    uint64_t b = i < before.size() ? before[i].read_verbs : 0;
-    out.push_back(cur.stats.per_node[i].read_verbs - b);
+PhaseResult PhaseDelta(const std::vector<PhaseResult>& r, size_t i) {
+  PhaseResult d = r[i];
+  if (i > 0) d.stats = r[i].stats.DeltaSince(r[i - 1].stats);
+  return d;
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  size_t n = v.size();
+  if (n == 0) return 0;
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
+namespace {
+
+// True when some run's value is undefined (NaN): its order and median are.
+bool AnyUndefined(const std::vector<double>& v) {
+  return std::any_of(v.begin(), v.end(),
+                     [](double x) { return std::isnan(x); });
+}
+
+// "v" when every run read the same, else "median [min, max]".
+std::string FormatRuns(const std::vector<double>& v, int precision) {
+  if (v.empty()) return "-";
+  if (AnyUndefined(v)) return "undefined";
+  auto [lo, hi] = std::minmax_element(v.begin(), v.end());
+  char buf[96];
+  if (*lo == *hi) {
+    std::snprintf(buf, sizeof(buf), "%.*f", precision, *lo);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.*f [%.*f, %.*f]", precision,
+                  Median(v), precision, *lo, precision, *hi);
   }
-  return out;
+  return buf;
+}
+
+}  // namespace
+
+bool EvaluateAbCheck(const AbCheck& check, const AbMetric& metric,
+                     const std::vector<double>& a,
+                     const std::vector<double>& b, std::string* detail) {
+  // Only a threshold may name one leg.
+  const bool one_leg =
+      check.kind == AbCheckKind::kThreshold && check.b.empty();
+  DLSM_CHECK_MSG(!a.empty() && (one_leg || !b.empty()),
+                 "A/B check over a leg without runs");
+  if (AnyUndefined(a) || AnyUndefined(b)) {
+    if (detail != nullptr) {
+      *detail = "FAIL " + metric.name + ": undefined on a run of " + check.a +
+                (b.empty() ? "" : " or " + check.b);
+    }
+    return false;
+  }
+  // The runs sorted so that later is better: worst first, best last.
+  const double s = metric.higher_is_better ? 1.0 : -1.0;
+  auto oriented = [s](std::vector<double> v) {
+    for (double& x : v) x *= s;
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  const std::vector<double> oa = oriented(a), ob = oriented(b);
+  bool pass = false;
+  char buf[128] = "";
+  switch (check.kind) {
+    case AbCheckKind::kExact:
+      pass = oa.front() == oa.back() && ob.front() == oa.front() &&
+             ob.back() == oa.front();
+      break;
+    case AbCheckKind::kThreshold:
+      if (check.b.empty()) {
+        pass = s * Median(a) >= s * check.bound;
+        std::snprintf(buf, sizeof(buf), " (bound %s %g)",
+                      metric.higher_is_better ? ">=" : "<=", check.bound);
+      } else {
+        // 0/0 is NaN and fails; x/0 for x > 0 is an unbounded improvement.
+        const double factor = std::pow(Median(a) / Median(b), s);
+        pass = factor >= check.bound;
+        std::snprintf(buf, sizeof(buf), ": improvement %.2fx (bound >= %gx)",
+                      factor, check.bound);
+      }
+      break;
+    case AbCheckKind::kBetter:
+      pass = oa.front() > ob.back();
+      break;
+    case AbCheckKind::kNotWorse: {
+      const double change = (Median(a) - Median(b)) / Median(b);
+      const bool separated = oa.back() < ob.front();
+      pass = !(-s * change > check.bound && separated);
+      std::snprintf(buf, sizeof(buf),
+                    ": median %+.2f%% (margin %g%%, ranges %s)",
+                    100.0 * change, 100.0 * check.bound,
+                    separated ? "separated" : "overlap");
+      break;
+    }
+  }
+  if (detail != nullptr) {
+    static const char* const kKindNames[] = {"exact", "threshold", "better",
+                                             "not worse"};
+    *detail = std::string(pass ? "PASS " : "FAIL ") +
+              kKindNames[static_cast<int>(check.kind)] + " " + metric.name +
+              ": " + check.a + " " + FormatRuns(a, metric.precision) +
+              (b.empty() ? "" : " / " + check.b + " " +
+                                    FormatRuns(b, metric.precision)) +
+              buf;
+  }
+  return pass;
+}
+
+int RunAbGuard(const std::vector<AbLeg>& legs,
+               const std::vector<AbMetric>& metrics,
+               const std::vector<AbCheck>& checks, StatsJsonWriter* json) {
+  std::vector<std::vector<PhaseResult>> runs(legs.size());
+  for (int rep = 0; rep < kAbReps; rep++) {
+    for (size_t k = 0; k < legs.size(); k++) {
+      const size_t l = rep % 2 == 0 ? k : legs.size() - 1 - k;
+      if (legs[l].cpu_scale == 0 && rep > 0) continue;
+      runs[l].push_back(legs[l].run());
+    }
+  }
+  // Metric m's value on every run of the named leg.
+  auto values = [&](const std::string& leg, const AbMetric& m) {
+    std::vector<double> v;
+    for (size_t l = 0; l < legs.size(); l++) {
+      if (legs[l].name != leg) continue;
+      for (const PhaseResult& r : runs[l]) v.push_back(m.value(r));
+    }
+    return v;
+  };
+
+  std::printf("%-20s %-16s %4s  %-40s %8s\n", "leg", "metric", "runs",
+              "median [min, max]", "spread");
+  for (const AbLeg& leg : legs) {
+    for (const AbMetric& m : metrics) {
+      std::vector<double> v = values(leg.name, m);
+      auto [lo, hi] = std::minmax_element(v.begin(), v.end());
+      char spread[16] = "-";
+      if (!AnyUndefined(v) && Median(v) != 0) {
+        std::snprintf(spread, sizeof(spread), "%.1f%%",
+                      100.0 * (*hi - *lo) / std::abs(Median(v)));
+      }
+      std::printf("%-20s %-16s %4zu  %-40s %8s\n", leg.name.c_str(),
+                  m.name.c_str(), v.size(),
+                  FormatRuns(v, m.precision).c_str(), spread);
+    }
+  }
+  bool ok = true;
+  for (const AbCheck& c : checks) {
+    auto m = std::find_if(
+        metrics.begin(), metrics.end(),
+        [&](const AbMetric& x) { return x.name == c.metric; });
+    DLSM_CHECK_MSG(m != metrics.end(), "A/B check names an unknown metric");
+    std::string detail;
+    ok &= EvaluateAbCheck(c, *m, values(c.a, *m), values(c.b, *m), &detail);
+    std::printf("%s\n", detail.c_str());
+  }
+  std::fflush(stdout);
+  if (json != nullptr && !json->Write()) {
+    std::fprintf(stderr, "warning: could not write --stats_json file\n");
+    return 1;
+  }
+  return ok ? 0 : 1;
+}
+
+AbLeg BenchLeg(const std::string& name, const BenchConfig& config,
+               const std::vector<Phase>& phases, const std::string& figure,
+               StatsJsonWriter* json) {
+  auto run = [=] {
+    std::vector<PhaseResult> r = RunBench(config, phases);
+    const int threads = config.compute_nodes * config.threads;
+    const char* system = SystemName(config.system);
+    if (phases.size() > 1 && phases[0] == Phase::kFillRandom) {
+      json->Add(figure, system, threads, name + "_fill", config, r[0]);
+    }
+    json->Add(figure, system, threads, name, config, r.back());
+    return PhaseDelta(r, r.size() - 1);
+  };
+  return AbLeg{name, run, config.cpu_scale};
 }
 
 std::vector<PhaseResult> RunBench(const BenchConfig& config,
@@ -328,9 +500,7 @@ std::vector<PhaseResult> RunBench(const BenchConfig& config,
   SimEnv env(sim_options);
   const int computes = config.compute_nodes;
   const int memories = config.memory_nodes;
-  const uint64_t entry = config.key_width + config.value_size + 28;
-  const uint64_t key_range =
-      config.key_range != 0 ? config.key_range : config.num_keys;
+  const uint64_t entry = kKeyWidth + kValueSize + 28;
 
   ClusterTopology topology;
   topology.compute_nodes = computes;
@@ -400,12 +570,12 @@ std::vector<PhaseResult> RunBench(const BenchConfig& config,
     } else {
       Options options = MakeEngineOptions(config, &env);
       lambda = options.shards;
-      // Range-aware boundaries: bench keys live in [0, key_range), so
+      // Range-aware boundaries: bench keys live in [0, num_keys), so
       // full-decimal-space boundaries would funnel them into shard 0.
       Status s = Cluster::Create(
           &env, options, topology,
           ShardedDB::RangeDecimalBoundaries(computes * options.shards,
-                                            config.key_width, key_range),
+                                            kKeyWidth, config.num_keys),
           &cluster);
       DLSM_CHECK_MSG(s.ok(), s.ToString().c_str());
       fabric = cluster->fabric();
@@ -486,15 +656,15 @@ std::vector<PhaseResult> RunBench(const BenchConfig& config,
                          share * t / config.threads;
           handles.push_back(env.StartThread(
               nodes[c]->env_node(), "worker", [&, c, t, w, ops] {
-                Client client{dbs[c], Random(config.seed + 17 * t + 131 * c),
-                              nullptr, key_range * c / computes,
-                              key_range * (c + 1) / computes};
+                Client client{dbs[c], Random(kSeed + 17 * t + 131 * c),
+                              nullptr, config.num_keys * c / computes,
+                              config.num_keys * (c + 1) / computes};
                 // The O(slice) zeta precompute happens before the start
                 // barrier, outside the measured interval.
                 if (config.zipfian_theta > 0) {
                   client.zipf = std::make_unique<ZipfianGenerator>(
                       client.hi - client.lo, config.zipfian_theta,
-                      config.seed + 977 * w);
+                      kSeed + 977 * w);
                 }
                 start.Arrive();
                 for (uint64_t i = 0; i < ops; i++) {
@@ -537,15 +707,15 @@ std::vector<PhaseResult> RunBench(const BenchConfig& config,
       // Loads stay uniform even under --zipfian so the dataset always
       // covers the key range; skew shapes the read traffic.
       uint64_t k = c->lo + c->rnd.Uniform(c->hi - c->lo);
-      Status s = c->db->Put(WriteOptions(), MakeKey(k, config.key_width),
-                            MakeValue(k, config.value_size, &c->rnd));
+      Status s = c->db->Put(WriteOptions(), MakeKey(k, kKeyWidth),
+                            MakeValue(k, kValueSize, &c->rnd));
       DLSM_CHECK_MSG(s.ok(), s.ToString().c_str());
     };
     auto read_op = [&](Client* c) {
       uint64_t k = choose_key(c);
       std::string value;
       Status s =
-          c->db->Get(ReadOptions(), MakeKey(k, config.key_width), &value);
+          c->db->Get(ReadOptions(), MakeKey(k, kKeyWidth), &value);
       DLSM_CHECK_MSG(s.ok() || s.IsNotFound(), s.ToString().c_str());
     };
     auto mixed_op = [&](Client* c) {

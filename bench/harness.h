@@ -50,9 +50,6 @@ struct BenchConfig {
   int memory_nodes = 1;
   int threads = 1;             ///< Client threads per compute node.
   uint64_t num_keys = 100000;  ///< Total across the deployment.
-  uint64_t key_range = 0;  ///< 0 = num_keys.
-  size_t value_size = 400;
-  int key_width = 16;
   int shards = 1;              ///< dLSM-lambda per compute node (Sec. VII).
   bool bulkload = false;       ///< No L0 stop trigger (Fig. 7b).
   double read_ratio = 1.0;     ///< For the mixed workload.
@@ -72,7 +69,6 @@ struct BenchConfig {
   /// scheduler threads, 4 subcompactions and a 4x-dataset / #shards +
   /// 64 MB flush region.
   bool per_shard_budget = false;
-  uint64_t seed = 301;
   /// SimEnv::Options::cpu_scale: 1 folds measured host CPU into virtual
   /// time; 0 leaves only the modeled fabric, so the wire schedule depends
   /// on the workload alone (the A/B guards' exact wire checks).
@@ -87,16 +83,14 @@ struct BenchConfig {
   /// whose tables all sit on one memory node under static round-robin
   /// placement — the hotspot the heat rebalancer must fix.
   double zipfian_theta = 0.0;
-  /// Table-to-memory-node placement (Options passthrough; LSM systems).
-  PlacementPolicyKind placement_policy = PlacementPolicyKind::kRoundRobin;
+  /// Heat rebalancer over the round-robin table placement (Options
+  /// passthrough; LSM systems).
   bool placement_rebalance = false;
   /// Rebalance pass period override; 0 keeps the Options default.
   uint64_t placement_rebalance_interval_ns = 0;
   /// Compute-side block cache (Options passthrough). Zero size = off,
   /// matching the paper's cache-less dLSM.
   size_t block_cache_size = 0;
-  int cache_shards = 16;
-  bool cache_admission = true;
   /// Ablation overrides (applied after the system preset).
   bool override_switch_policy = false;
   MemTableSwitchPolicy switch_policy = MemTableSwitchPolicy::kSeqRange;
@@ -171,10 +165,10 @@ std::vector<PhaseResult> RunBench(const BenchConfig& config,
 BenchConfig MultiNodeConfig(SystemKind system, int computes, int memories,
                             uint64_t num_keys);
 
-/// READ verbs each memory node served between the ends of two phases
-/// (per_node deltas of `cur` over `prev`; LSM systems only).
-std::vector<uint64_t> NodeReadDeltas(const PhaseResult& prev,
-                                     const PhaseResult& cur);
+/// Phase i of `r` on its own: r[i] with its DbStats differenced against
+/// r[i - 1] (DbStats::DeltaSince); everything else keeps r[i]'s value.
+/// Phase 0 is returned as is, so its counters include the implicit fill.
+PhaseResult PhaseDelta(const std::vector<PhaseResult>& r, size_t i);
 
 /// Formats ops/s as the paper's figures do (Kops/Mops).
 std::string FormatThroughput(double ops_per_sec);
@@ -213,6 +207,79 @@ class StatsJsonWriter {
   std::string path_;
   std::vector<std::string> records_;
 };
+
+/// Repetitions of every A/B guard leg whose wire schedule depends on host
+/// CPU (RunAbGuard; DESIGN Sec. 4.10).
+inline constexpr int kAbReps = 5;
+
+/// One leg of an A/B guard.
+struct AbLeg {
+  std::string name;
+  /// Runs one repetition and returns its measured phase.
+  std::function<PhaseResult()> run;
+  /// The leg's SimEnv cpu_scale. At 0 the wire schedule depends on the
+  /// workload alone, so the leg runs once instead of kAbReps times.
+  double cpu_scale = 1.0;
+};
+
+/// A number read off each run of each leg. NaN marks a run on which the
+/// metric is undefined; every check that reads such a run fails.
+struct AbMetric {
+  std::string name;
+  bool higher_is_better = true;
+  int precision = 0;  ///< Decimals printed.
+  std::function<double(const PhaseResult&)> value;
+};
+
+enum class AbCheckKind {
+  /// Every run of a and of b has the same value.
+  kExact,
+  /// b empty: a's median is no worse than `bound`. Otherwise a's
+  /// improvement factor over b — median(a) / median(b), inverted for a
+  /// lower-is-better metric — is at least `bound`.
+  kThreshold,
+  /// Every run of a is better than every run of b.
+  kBetter,
+  /// Fails only when a's median is worse than b's by more than `bound`
+  /// (a fraction: 0.02 = 2%) and the ranges are separated (every run of a
+  /// worse than every run of b).
+  kNotWorse,
+};
+
+struct AbCheck {
+  AbCheckKind kind;
+  std::string metric;
+  std::string a;  ///< The leg under test.
+  std::string b;  ///< The reference leg (empty for a one-leg threshold).
+  double bound = 0;
+};
+
+/// Median of the values; the mean of the middle two for an even count.
+double Median(std::vector<double> v);
+
+/// Evaluates `check` on the per-run values of `metric` on its legs
+/// (`a`, `b`); returns true on pass and, when `detail` is set, describes
+/// the values it compared.
+bool EvaluateAbCheck(const AbCheck& check, const AbMetric& metric,
+                     const std::vector<double>& a,
+                     const std::vector<double>& b, std::string* detail);
+
+/// Runs every leg kAbReps times (once at cpu_scale 0), alternating the leg
+/// order between repetitions, and keeps every run. Prints one table of
+/// median [min, max] and spread per leg and metric, then one verdict line
+/// per check. Writes `json` when given. Returns 0 when every check passes
+/// (and the JSON was written), 1 otherwise.
+int RunAbGuard(const std::vector<AbLeg>& legs,
+               const std::vector<AbMetric>& metrics,
+               const std::vector<AbCheck>& checks,
+               StatsJsonWriter* json = nullptr);
+
+/// A RunBench-backed leg: each run deploys `config`, runs `phases` and
+/// returns PhaseDelta of the last phase. It adds the last phase to *json
+/// as phase `name`, and a leading kFillRandom as `name`_fill.
+AbLeg BenchLeg(const std::string& name, const BenchConfig& config,
+               const std::vector<Phase>& phases, const std::string& figure,
+               StatsJsonWriter* json);
 
 /// Coordinated-omission-safe latency recorder for fixed-rate (closed-loop
 /// with intended schedule) workloads. Op i's intended start is

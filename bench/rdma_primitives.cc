@@ -6,7 +6,8 @@
 // Also measures the unified verb layer's overhead: synchronous wrappers
 // (post+wait per verb) vs handle waves (doorbell batches) vs interleaved
 // read+write handles on one queue pair — the three shapes engine code
-// drives the layer with.
+// drives the layer with — and guards the tracing and telemetry overhead
+// on the sync READ path (exit status 1 when the guard fails).
 //
 // Usage: rdma_primitives [--total_mb=64]
 
@@ -26,8 +27,8 @@ namespace dlsm {
 namespace bench {
 namespace {
 
-void VerbLayerSeries(SimEnv* env, rdma::Fabric* fabric,
-                     rdma::RdmaManager* mgr, const rdma::MemoryRegion& mr) {
+void VerbLayerSeries(SimEnv* env, rdma::RdmaManager* mgr,
+                     const rdma::MemoryRegion& mr) {
   std::printf("\n=== Verb-layer overhead (one QP, %u ops/series) ===\n",
               20000u);
   std::printf("%10s %12s %14s %14s %14s\n", "payload", "wave", "sync ops/s",
@@ -44,174 +45,114 @@ void VerbLayerSeries(SimEnv* env, rdma::Fabric* fabric,
     double sync_rate = kOps / ((env->NowNanos() - t0) / 1e9);
 
     // Handle waves: post kWave, wait the handles (doorbell batching).
-    t0 = env->NowNanos();
-    for (uint64_t i = 0; i < kOps; i += kWave) {
-      rdma::ReadBatch batch(mgr);
-      for (size_t j = 0; j < kWave; j++) {
-        batch.Add(buf.data() + j * payload, mr.addr + j * payload, mr.rkey,
-                  payload);
-      }
-      DLSM_CHECK(batch.WaitAll().ok());
-    }
-    double wave_rate = kOps / ((env->NowNanos() - t0) / 1e9);
-
-    // Interleaved read+write waves on the same queue — legal under the
-    // handle layer (was forbidden by the pre-refactor contract).
-    t0 = env->NowNanos();
-    for (uint64_t i = 0; i < kOps; i += kWave) {
-      std::vector<rdma::WrHandle> handles;
-      handles.reserve(kWave);
+    // Mixed waves interleave READs and WRITEs on the same queue.
+    auto waves = [&](bool mixed) {
+      uint64_t start = env->NowNanos();
       rdma::VerbQueue* vq = mgr->ThreadVq();
-      for (size_t j = 0; j < kWave; j++) {
-        uint64_t addr = mr.addr + j * payload;
-        char* b = buf.data() + j * payload;
-        handles.push_back(j % 2 == 0 ? vq->Read(b, addr, mr.rkey, payload)
-                                     : vq->Write(b, addr, mr.rkey, payload));
+      for (uint64_t i = 0; i < kOps; i += kWave) {
+        std::vector<rdma::WrHandle> wave;
+        wave.reserve(kWave);
+        for (size_t j = 0; j < kWave; j++) {
+          uint64_t addr = mr.addr + j * payload;
+          char* b = buf.data() + j * payload;
+          wave.push_back(mixed && j % 2 == 1
+                             ? vq->Write(b, addr, mr.rkey, payload)
+                             : vq->Read(b, addr, mr.rkey, payload));
+        }
+        for (rdma::WrHandle& h : wave) DLSM_CHECK(h.Wait().ok());
       }
-      for (auto& h : handles) DLSM_CHECK(h.Wait().ok());
-    }
-    double mixed_rate = kOps / ((env->NowNanos() - t0) / 1e9);
+      return kOps / ((env->NowNanos() - start) / 1e9);
+    };
+    double wave_rate = waves(false);
+    double mixed_rate = waves(true);
 
     std::printf("%10zu %12zu %14.0f %14.0f %14.0f\n", payload, kWave,
                 sync_rate, wave_rate, mixed_rate);
   }
   std::printf("\nVerb-layer telemetry after the series:\n%s",
               mgr->StatsSnapshot().ToString().c_str());
-  (void)fabric;
 }
 
-// A/B guard for the tracing fast path: the disabled check is one relaxed
-// atomic load per span, so the same READ loop with tracing off must stay
-// within noise (±2%) of a build that never heard of tracing; with tracing
-// on, the recorder's per-event cost shows up as the third column.
-void TracingOverheadSeries(SimEnv* env, rdma::RdmaManager* mgr,
+// A/B guard for tracing and the continuous-telemetry stack at the verb
+// layer: every leg runs the same loop of kOps synchronous 64 B READs, each
+// under a TraceOp. Legs:
+//   off        — tracing and watchdog off; its spread is the noise floor
+//                (SimEnv folds host CPU into virtual time).
+//   tracing    — full tracing: the recorder's per-event cost.
+//   watchdog   — a stall watchdog whose probe enumerates the in-flight WR
+//                mirror, polled at its deadline/4 cadence. This is the
+//                always-on production configuration, so it must not be
+//                worse than off by more than 2%.
+//   exemplars  — watchdog plus exemplar-mode tracing (per-op top-k
+//                admission and thread-buffer rollback).
+// Tracing and exemplars are debug modes: reported, not guarded.
+int TelemetryOverheadGuard(SimEnv* env, rdma::RdmaManager* mgr,
                            const rdma::MemoryRegion& mr) {
-  constexpr uint64_t kOps = 20000;
-  constexpr size_t kPayload = 64;
-  std::vector<char> buf(kPayload);
-  auto series = [&] {
-    uint64_t t0 = env->NowNanos();
-    for (uint64_t i = 0; i < kOps; i++) {
-      DLSM_CHECK(mgr->Read(buf.data(), mr.addr, mr.rkey, kPayload).ok());
-    }
-    return kOps / ((env->NowNanos() - t0) / 1e9);
-  };
-
-  double off1 = series();
-  double off2 = series();  // Tracing-off rerun: the noise floor.
-  trace::EnableWithEnv(env);
-  double on = series();
-  uint64_t events = 0;
-  {
-    // Count "verb" events without parsing: each completion emits one.
-    std::string json = trace::Tracer::ChromeTraceJson();
-    for (size_t p = json.find("\"cat\":\"verb\""); p != std::string::npos;
-         p = json.find("\"cat\":\"verb\"", p + 1)) {
-      events++;
-    }
-  }
-  trace::Tracer::Disable();
-
-  double off_delta = 100.0 * (off2 - off1) / off1;
-  double on_delta = 100.0 * (on - off2) / off2;
-  std::printf("\n=== Tracing overhead (sync READ, %zu B x %llu) ===\n",
-              kPayload, static_cast<unsigned long long>(kOps));
-  std::printf("%14s %14s %14s %10s\n", "off ops/s", "off rerun", "on ops/s",
-              "events");
-  std::printf("%14.0f %14.0f %14.0f %10llu\n", off1, off2, on,
-              static_cast<unsigned long long>(events));
-  std::printf("off-vs-off delta %+.2f%% (guard: |delta| <= 2%%: %s), "
-              "on-vs-off delta %+.2f%%\n",
-              off_delta, off_delta <= 2.0 && off_delta >= -2.0 ? "PASS"
-                                                               : "FAIL",
-              on_delta);
-}
-
-// A/B guard for the continuous-telemetry stack at the verb layer. Legs:
-//   off x2      — the noise floor (SimEnv folds host CPU into virtual
-//                 time, so ops/s carries host jitter).
-//   watchdog    — a stall watchdog whose probe enumerates the in-flight
-//                 WR mirror, polled at its deadline/4 cadence. This is
-//                 the always-on production configuration, so it carries
-//                 the 2% acceptance budget (widened to the measured noise
-//                 floor when the host is noisier than the budget).
-//   exemplars   — watchdog plus exemplar-mode tracing (per-op top-k
-//                 admission and thread-buffer rollback). Like the full-
-//                 tracing delta above, a debug mode: reported, not
-//                 guarded — its cost is the price of keeping p99 span
-//                 trees at production rates.
-void TelemetryOverheadSeries(SimEnv* env, rdma::RdmaManager* mgr,
-                             const rdma::MemoryRegion& mr) {
   constexpr uint64_t kOps = 20000;
   constexpr size_t kPayload = 64;
   constexpr uint64_t kPollNs = 250'000;  // 1 ms deadline / 4.
   std::vector<char> buf(kPayload);
-  telemetry::Watchdog* wd = nullptr;
-  auto series = [&] {
+  auto series = [&](telemetry::Watchdog* wd) {
     uint64_t next_poll = env->NowNanos() + kPollNs;
     uint64_t t0 = env->NowNanos();
     for (uint64_t i = 0; i < kOps; i++) {
       trace::TraceOp op("Read", "bench");
       DLSM_CHECK(mgr->Read(buf.data(), mr.addr, mr.rkey, kPayload).ok());
-      if (wd != nullptr && env->NowNanos() >= next_poll) {
-        wd->Poll();
+      // Every leg pays this clock read, so the legs differ only in Poll.
+      if (env->NowNanos() >= next_poll) {
+        if (wd != nullptr) wd->Poll();
         next_poll = env->NowNanos() + kPollNs;
       }
     }
-    return kOps / ((env->NowNanos() - t0) / 1e9);
+    PhaseResult r;
+    r.ops = kOps;
+    r.elapsed_s = (env->NowNanos() - t0) / 1e9;
+    r.ops_per_sec = kOps / r.elapsed_s;
+    return r;
   };
-
-  double off1 = series();
-  double off2 = series();  // Telemetry-off rerun: the noise floor.
-
-  telemetry::Watchdog::Options wo;
-  wo.clock = [env] { return env->NowNanos(); };
-  wo.deadline_ns = 1'000'000;
-  wo.sink = [](const std::string&) {};  // A healthy run never fires.
-  telemetry::Watchdog watchdog(wo);
-  watchdog.AddProbe(
-      "outstanding_verbs",
-      [mgr](uint64_t now, uint64_t deadline_ns,
-            std::vector<telemetry::Watchdog::StuckOp>* out) {
-        std::vector<rdma::OutstandingVerb> verbs;
-        mgr->ListOutstanding(&verbs);
-        for (const rdma::OutstandingVerb& v : verbs) {
-          if (now > v.post_ns && now - v.post_ns > deadline_ns) {
-            out->push_back(telemetry::Watchdog::StuckOp{
-                "verb", v.wr_id, now - v.post_ns});
+  auto with_watchdog = [&] {
+    telemetry::Watchdog::Options wo;
+    wo.clock = [env] { return env->NowNanos(); };
+    wo.deadline_ns = 1'000'000;
+    wo.sink = [](const std::string&) {};  // A healthy run never fires.
+    telemetry::Watchdog watchdog(wo);
+    watchdog.AddProbe(
+        "outstanding_verbs",
+        [mgr](uint64_t now, uint64_t deadline_ns,
+              std::vector<telemetry::Watchdog::StuckOp>* out) {
+          std::vector<rdma::OutstandingVerb> verbs;
+          mgr->ListOutstanding(&verbs);
+          for (const rdma::OutstandingVerb& v : verbs) {
+            if (now > v.post_ns && now - v.post_ns > deadline_ns) {
+              out->push_back(telemetry::Watchdog::StuckOp{
+                  "verb", v.wr_id, now - v.post_ns});
+            }
           }
-        }
-      });
-  wd = &watchdog;
-  double wd_on = series();
-
-  trace::EnableWithEnv(env);
-  trace::ExemplarPolicy policy;
-  policy.k = 4;
-  policy.window_ns = 1'000'000;
-  trace::Tracer::SetExemplarPolicy(policy);
-  double ex_on = series();
-  size_t exemplars = trace::Tracer::ExemplarIndex().size();
-  trace::Tracer::Disable();
-  wd = nullptr;
-
-  double off_delta = 100.0 * (off2 - off1) / off1;
-  double wd_delta = 100.0 * (wd_on - off2) / off2;
-  double ex_delta = 100.0 * (ex_on - off2) / off2;
-  double budget = off_delta < 0 ? -off_delta : off_delta;
-  if (budget < 2.0) budget = 2.0;
-  bool wd_ok = wd_delta <= budget && wd_delta >= -budget;
-  std::printf("\n=== Telemetry overhead (sync READ, %zu B x %llu) ===\n",
+        });
+    return series(&watchdog);
+  };
+  // Runs `leg` traced, keeping the k slowest ops per 1 ms window (k = 0
+  // keeps every span).
+  auto traced = [&](const std::function<PhaseResult()>& leg, size_t k) {
+    trace::EnableWithEnv(env);
+    trace::ExemplarPolicy policy;
+    policy.k = k;
+    policy.window_ns = 1'000'000;
+    trace::Tracer::SetExemplarPolicy(policy);
+    PhaseResult r = leg();
+    trace::Tracer::Disable();
+    return r;
+  };
+  std::printf("\n=== Tracing and telemetry overhead (sync READ, %zu B x "
+              "%llu) ===\n",
               kPayload, static_cast<unsigned long long>(kOps));
-  std::printf("%14s %14s %14s %14s %10s %8s\n", "off ops/s", "off rerun",
-              "wd ops/s", "exemp ops/s", "exemplars", "fired");
-  std::printf("%14.0f %14.0f %14.0f %14.0f %10zu %8s\n", off1, off2, wd_on,
-              ex_on, exemplars, watchdog.fired() ? "yes" : "no");
-  std::printf("off-vs-off delta %+.2f%% (noise floor) | watchdog delta "
-              "%+.2f%% (guard |delta| <= %.1f%%: %s) | +exemplars delta "
-              "%+.2f%% (debug mode, informational)\n",
-              off_delta, wd_delta, budget, wd_ok ? "PASS" : "FAIL",
-              ex_delta);
+  return RunAbGuard(
+      {{"off", [&] { return series(nullptr); }},
+       {"tracing", [&] { return traced([&] { return series(nullptr); }, 0); }},
+       {"watchdog", with_watchdog},
+       {"exemplars", [&] { return traced(with_watchdog, 4); }}},
+      {{"ops/s", true, 0, [](const PhaseResult& r) { return r.ops_per_sec; }}},
+      {{AbCheckKind::kNotWorse, "ops/s", "watchdog", "off", 0.02}});
 }
 
 int Main(int argc, char** argv) {
@@ -229,6 +170,7 @@ int Main(int argc, char** argv) {
               fabric.params().read_latency_ns / 1000.0);
   std::printf("%12s %14s %14s\n", "payload", "GB/s", "ops/s");
 
+  int rc = 0;
   env.Run(0, [&] {
     char* remote = memory->AllocDram(4 << 20);
     rdma::MemoryRegion mr = fabric.RegisterMemory(memory, remote, 4 << 20);
@@ -267,11 +209,10 @@ int Main(int argc, char** argv) {
     std::printf("\n64B vs 1MB throughput gap: %.0fx (paper cites ~100x)\n",
                 big_bw / small_bw);
 
-    VerbLayerSeries(&env, &fabric, &mgr, mr);
-    TracingOverheadSeries(&env, &mgr, mr);
-    TelemetryOverheadSeries(&env, &mgr, mr);
+    VerbLayerSeries(&env, &mgr, mr);
+    rc = TelemetryOverheadGuard(&env, &mgr, mr);
   });
-  return 0;
+  return rc;
 }
 
 }  // namespace

@@ -30,7 +30,8 @@ class BlockCache {
  public:
   /// capacity_bytes: payload budget (Options::block_cache_size).
   /// num_shards: rounded up to a power of two (Options::cache_shards).
-  /// admission: enable the TinyLFU sketch (Options::cache_admission).
+  /// admission: enable the TinyLFU sketch (always on in the engine; tests
+  /// build caches without it).
   BlockCache(size_t capacity_bytes, int num_shards, bool admission)
       : cache_(capacity_bytes, num_shards, admission) {}
 

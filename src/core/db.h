@@ -91,6 +91,11 @@ struct DbStats {
   /// by slot (slot i is the same memory node in both views), rdma exactly.
   void MergeFrom(const DbStats& other);
 
+  /// What accrued since `prev`, an earlier snapshot of the same view: kSum
+  /// counters, per_node slots and rdma differenced (RdmaVerbStats::
+  /// DeltaSince); kMax counters keep this snapshot's value.
+  DbStats DeltaSince(const DbStats& prev) const;
+
   /// Multi-line human-readable dump: "name value" per counter, then the
   /// per-node split and the verb summary (no histograms).
   std::string ToString() const;

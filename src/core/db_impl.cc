@@ -21,6 +21,10 @@ constexpr int kGcBatchSize = 32;
 // Staging buffers per flush pipeline before the writer must recycle one.
 constexpr int kFlushBuffersPerPipeline = 4;
 
+// Max/mean per-node READ-verb imbalance over the last rebalance interval
+// that triggers a migration round.
+constexpr double kRebalanceThreshold = 1.5;
+
 class SnapshotImpl : public Snapshot {
  public:
   explicit SnapshotImpl(uint64_t seq) : seq_(seq) {}
@@ -104,7 +108,7 @@ Status DLsmDB::Init() {
   if (options_.block_cache_size > 0) {
     block_cache_ = std::make_unique<BlockCache>(options_.block_cache_size,
                                                 options_.cache_shards,
-                                                options_.cache_admission);
+                                                /*admission=*/true);
   }
 
   nodes_.resize(services.size());
@@ -1524,7 +1528,7 @@ void DLsmDB::RebalanceLoop() {
     if (total == 0 || from == to) continue;
     double mean = static_cast<double>(total) / nodes_.size();
     if (static_cast<double>(max_delta) <
-        mean * options_.placement_rebalance_threshold) {
+        mean * kRebalanceThreshold) {
       continue;
     }
     MigrateRound(from, to);
@@ -1539,7 +1543,7 @@ void DLsmDB::MigrateRound(size_t from, size_t to) {
     uint64_t heat;
   };
   std::vector<Candidate> cands;
-  for (int level = 0; level < version->num_levels(); level++) {
+  for (int level = 0; level < kNumLevels; level++) {
     for (const FileRef& f : version->files(level)) {
       if (f->memory_node != from) continue;
       uint64_t h = f->heat.load(std::memory_order_relaxed);
@@ -1786,7 +1790,7 @@ DbStats DLsmDB::GetStats() {
 
 int DLsmDB::NumFilesAtLevel(int level) {
   VersionRef v = versions_->current();
-  if (level < 0 || level >= v->num_levels()) return 0;
+  if (level < 0 || level >= kNumLevels) return 0;
   return v->NumFiles(level);
 }
 
@@ -1800,7 +1804,7 @@ bool DLsmDB::GetProperty(const Slice& property, std::string* value) {
     VersionRef v = versions_->current();
     std::string out;
     char buf[96];
-    for (int level = 0; level < v->num_levels(); level++) {
+    for (int level = 0; level < kNumLevels; level++) {
       std::snprintf(buf, sizeof(buf), "L%d: %d files, %llu bytes\n", level,
                     v->NumFiles(level),
                     static_cast<unsigned long long>(v->LevelBytes(level)));
@@ -1821,7 +1825,7 @@ bool DLsmDB::GetProperty(const Slice& property, std::string* value) {
     std::vector<uint64_t> files(nodes_.size(), 0);
     std::vector<uint64_t> bytes(nodes_.size(), 0);
     VersionRef v = versions_->current();
-    for (int level = 0; level < v->num_levels(); level++) {
+    for (int level = 0; level < kNumLevels; level++) {
       for (const FileRef& f : v->files(level)) {
         size_t slot = f->memory_node < nodes_.size() ? f->memory_node : 0;
         files[slot]++;

@@ -4,6 +4,7 @@
 // and inactive unless Options::stats_sample_period_ms or
 // Options::watchdog_deadline_ms is set.
 
+#include <algorithm>
 #include <cstdio>
 
 #include "src/core/db_impl.h"
@@ -148,10 +149,10 @@ void DLsmDB::SetupTelemetry() {
 
 void DLsmDB::TelemetryLoop() {
   const uint64_t sample_ns = options_.stats_sample_period_ms * 1'000'000ull;
-  uint64_t poll_ns = options_.watchdog_poll_ms * 1'000'000ull;
-  if (watchdog_ != nullptr && poll_ns == 0) {
-    poll_ns = options_.watchdog_deadline_ms * 1'000'000ull / 4;
-    if (poll_ns < 1'000'000ull) poll_ns = 1'000'000ull;
+  uint64_t poll_ns = 0;
+  if (watchdog_ != nullptr) {
+    poll_ns = std::max<uint64_t>(
+        options_.watchdog_deadline_ms * 1'000'000ull / 4, 1'000'000ull);
   }
   uint64_t tick_ns;
   if (sample_ns > 0 && poll_ns > 0) {

@@ -70,6 +70,9 @@ enum class MemTableSwitchPolicy {
   kDoubleCheckedSize,
 };
 
+/// LSM levels, L0 included.
+inline constexpr int kNumLevels = 7;
+
 struct Options {
   Options() {}
 
@@ -153,16 +156,11 @@ struct Options {
   uint64_t max_bytes_for_level_base = 0;
   double level_size_multiplier = 10.0;
 
-  int num_levels = 7;
-
   // -- Remote memory ----------------------------------------------------------
 
   /// Compute-controlled region for flushed SSTables; an exhausted arena
   /// grows by one more region of this size.
   size_t flush_region_size = 1ull << 31;
-
-  /// Memory-node-controlled region for near-data compaction outputs.
-  size_t compaction_region_size = 1ull << 31;
 
   /// Registered flush staging buffer size (Sec. X-C pipeline).
   size_t flush_buffer_size = 256 << 10;
@@ -229,12 +227,10 @@ struct Options {
   /// Total cache budget in payload bytes; 0 disables the cache.
   size_t block_cache_size = 0;
 
-  /// Cache shard count (rounded up to a power of two).
+  /// Cache shard count (rounded up to a power of two). Admission is
+  /// TinyLFU: a newcomer must beat the CLOCK victim's estimated access
+  /// frequency to displace it.
   int cache_shards = 16;
-
-  /// TinyLFU admission: a newcomer must beat the CLOCK victim's estimated
-  /// access frequency to displace it. Disable for pure-LRU-like behavior.
-  bool cache_admission = true;
 
   /// Let scan prefetch fills enter the cache. Off by default so one-shot
   /// sequential traffic cannot pollute the point-read hot set.
@@ -254,15 +250,12 @@ struct Options {
 
   /// Heat-based rebalancer: a background pass that moves hot tables off
   /// the most READ-loaded node when the max/mean per-node READ-verb ratio
-  /// exceeds the threshold. Off by default (static placement).
+  /// over the last interval reaches 1.5. Off by default (static
+  /// placement).
   bool placement_rebalance = false;
 
   /// Interval between rebalance passes.
   uint64_t placement_rebalance_interval_ns = 50ull * 1000 * 1000;
-
-  /// Max/mean READ-verb imbalance (over the last interval) that triggers a
-  /// migration round.
-  double placement_rebalance_threshold = 1.5;
 
   /// Tables moved per round (bounds migration WRITE traffic).
   int placement_rebalance_max_tables = 2;
@@ -292,11 +285,8 @@ struct Options {
   // virtual time, so sanitizer slowdown and cpu_scale=0 cannot trip it.
 
   /// Deadline after which in-flight work counts as stalled; 0 disables
-  /// the watchdog.
+  /// the watchdog. It is evaluated every deadline/4 (at least 1 ms).
   uint64_t watchdog_deadline_ms = 0;
-
-  /// Watchdog evaluation period; 0 derives deadline/4 (min 1 ms).
-  uint64_t watchdog_poll_ms = 0;
 
   /// Where the one-shot diagnostic dump goes; null writes to stderr.
   std::function<void(const std::string&)> watchdog_sink;

@@ -15,9 +15,6 @@ namespace dlsm {
 
 namespace {
 
-// Matches Options::num_levels' default; GetProperty reports all of them
-// even when empty so output rows are stable across runs.
-constexpr int kReportLevels = 7;
 
 void AppendCounter(std::string* out, const char* name, uint64_t v,
                    bool* first) {
@@ -62,6 +59,21 @@ void DbStats::MergeFrom(const DbStats& other) {
     per_node[i].write_bytes += other.per_node[i].write_bytes;
   }
   rdma.MergeFrom(other.rdma);
+}
+
+DbStats DbStats::DeltaSince(const DbStats& prev) const {
+  DbStats d = *this;
+  for (const DbCounter& c : kDbCounters) {
+    if (c.rule == MergeRule::kSum) d.*c.field -= prev.*c.field;
+  }
+  for (size_t i = 0; i < d.per_node.size() && i < prev.per_node.size(); i++) {
+    d.per_node[i].read_verbs -= prev.per_node[i].read_verbs;
+    d.per_node[i].read_bytes -= prev.per_node[i].read_bytes;
+    d.per_node[i].write_verbs -= prev.per_node[i].write_verbs;
+    d.per_node[i].write_bytes -= prev.per_node[i].write_bytes;
+  }
+  d.rdma = rdma.DeltaSince(prev.rdma);
+  return d;
 }
 
 std::string DbStats::ToString() const {
@@ -109,7 +121,8 @@ bool DB::GetProperty(const Slice& property, std::string* value) {
   if (property == Slice("dlsm.levels")) {
     std::string out;
     char buf[64];
-    for (int level = 0; level < kReportLevels; level++) {
+    // Every level, even empty ones, so output rows are stable across runs.
+    for (int level = 0; level < kNumLevels; level++) {
       std::snprintf(buf, sizeof(buf), "L%d: %d files\n", level,
                     NumFilesAtLevel(level));
       out.append(buf);

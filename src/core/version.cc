@@ -140,12 +140,6 @@ uint64_t Version::LevelBytes(int level) const {
   return total;
 }
 
-int Version::TotalFiles() const {
-  int total = 0;
-  for (const auto& level : levels_) total += static_cast<int>(level.size());
-  return total;
-}
-
 void Version::CollectSearchOrder(const InternalKeyComparator& icmp,
                                  const Slice& user_key,
                                  std::vector<const FileMetaData*>* result,
@@ -160,7 +154,7 @@ void Version::CollectSearchOrder(const InternalKeyComparator& icmp,
   }
   if (num_l0 != nullptr) *num_l0 = result->size();
   // Deeper levels are sorted and disjoint: at most one candidate each.
-  for (int level = 1; level < num_levels(); level++) {
+  for (int level = 1; level < kNumLevels; level++) {
     const auto& files = levels_[level];
     if (files.empty()) continue;
     // First file whose largest user key is >= user_key.
@@ -202,7 +196,7 @@ void Version::AddIterators(const ReadRouter& router,
     iters->push_back(NewRemoteTableIterator(router.route(*f), icmp, f,
                                             prefetch));
   }
-  for (int level = 1; level < num_levels(); level++) {
+  for (int level = 1; level < kNumLevels; level++) {
     if (!levels_[level].empty()) {
       iters->push_back(new LevelConcatIterator(router, icmp,
                                                levels_[level], prefetch));
@@ -217,8 +211,8 @@ void Version::AddIterators(const ReadRouter& router,
 VersionSet::VersionSet(const InternalKeyComparator* icmp,
                        const Options* options)
     : icmp_(icmp), options_(options),
-      compact_pointer_(options->num_levels) {
-  current_ = std::make_shared<Version>(options->num_levels);
+      compact_pointer_(kNumLevels) {
+  current_ = std::make_shared<Version>();
 }
 
 VersionRef VersionSet::current() const {
@@ -239,9 +233,9 @@ uint64_t VersionSet::MaxBytesForLevel(int level) const {
 
 void VersionSet::Apply(const VersionEdit& edit) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto next = std::make_shared<Version>(options_->num_levels);
+  auto next = std::make_shared<Version>();
   // Copy-on-write: carry forward all files except the deleted ones.
-  for (int level = 0; level < options_->num_levels; level++) {
+  for (int level = 0; level < kNumLevels; level++) {
     for (const FileRef& f : current_->levels_[level]) {
       bool deleted = false;
       for (const auto& [dl, dn] : edit.deleted) {
@@ -264,7 +258,7 @@ void VersionSet::Apply(const VersionEdit& edit) {
               return a->number > b->number;
             });
   // Deeper levels: by smallest key; files are disjoint.
-  for (int level = 1; level < options_->num_levels; level++) {
+  for (int level = 1; level < kNumLevels; level++) {
     std::sort(next->levels_[level].begin(), next->levels_[level].end(),
               [this](const FileRef& a, const FileRef& b) {
                 return icmp_->Compare(a->smallest.Encode(),
@@ -296,7 +290,7 @@ Status VersionSet::Replace(int level, uint64_t number, FileRef replacement) {
   // Copy-on-write swap: in-flight readers keep their pinned version (and
   // the old chunk, which the old FileMetaData's gc only frees once the
   // last reader drops it); new readers route to the new node immediately.
-  auto next = std::make_shared<Version>(options_->num_levels);
+  auto next = std::make_shared<Version>();
   next->levels_ = current_->levels_;
   next->levels_[level][pos] = std::move(replacement);
   current_ = std::move(next);
@@ -315,7 +309,7 @@ bool VersionSet::NeedsCompaction() const {
       !l0_compaction_running_) {
     return true;
   }
-  for (int level = 1; level < options_->num_levels - 1; level++) {
+  for (int level = 1; level < kNumLevels - 1; level++) {
     if (v.LevelBytes(level) > MaxBytesForLevel(level)) return true;
   }
   return false;
@@ -341,7 +335,7 @@ CompactionPick VersionSet::PickCompactionLocked() {
       best_level = 0;
     }
   }
-  for (int level = 1; level < options_->num_levels - 1; level++) {
+  for (int level = 1; level < kNumLevels - 1; level++) {
     double score = static_cast<double>(v.LevelBytes(level)) /
                    static_cast<double>(MaxBytesForLevel(level));
     if (score > best_score) {
@@ -417,7 +411,7 @@ CompactionPick VersionSet::PickCompactionLocked() {
 
   // Bottommost if no level below the output holds any files.
   pick.bottommost = true;
-  for (int level = pick.level + 2; level < options_->num_levels; level++) {
+  for (int level = pick.level + 2; level < kNumLevels; level++) {
     if (v.NumFiles(level) > 0) {
       pick.bottommost = false;
       break;

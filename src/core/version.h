@@ -26,15 +26,13 @@ namespace dlsm {
 /// An immutable snapshot of the LSM-tree's file layout.
 class Version {
  public:
-  explicit Version(int num_levels) : levels_(num_levels) {}
+  Version() : levels_(kNumLevels) {}
 
-  int num_levels() const { return static_cast<int>(levels_.size()); }
   const std::vector<FileRef>& files(int level) const { return levels_[level]; }
   int NumFiles(int level) const {
     return static_cast<int>(levels_[level].size());
   }
   uint64_t LevelBytes(int level) const;
-  int TotalFiles() const;
 
   /// Files that might contain user_key, in the order a reader must probe
   /// them: L0 newest-to-oldest, then one candidate per deeper level. When

@@ -563,11 +563,6 @@ Completion QueuePair::WaitRecvCompletion() {
   }
 }
 
-bool QueuePair::HasPendingSends() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return !send_cq_.empty();
-}
-
 size_t QueuePair::send_cq_depth() const {
   std::lock_guard<std::mutex> lock(mu_);
   return send_cq_.size();

@@ -300,9 +300,6 @@ class QueuePair {
     return Status::IOError("WR flushed: QP in error state");
   }
 
-  /// True if any send-side completion is pending (ready or not).
-  bool HasPendingSends() const;
-
   /// Number of send-side completions pending (ready or not); the fabric's
   /// view of this QP's in-flight depth.
   size_t send_cq_depth() const;

@@ -177,16 +177,6 @@ void VerbQueue::Cancel(uint64_t wr_id) {
   if (i != pending_.size()) pending_[i].cancelled = true;
 }
 
-Status VerbQueue::DrainAll() {
-  Status first;
-  while (!pending_.empty()) {
-    Completion c = qp_->WaitCompletion();
-    if (first.ok() && !c.status.ok()) first = c.status;
-    Admit(c);
-  }
-  return first;
-}
-
 Status VerbQueue::Recover() {
   // Everything still in flight on an errored QP is already flushed and
   // pollable, so this drain cannot block on the wire.
@@ -475,36 +465,6 @@ Status RdmaManager::CmpSwap(uint64_t raddr, uint32_t rkey, uint64_t expected,
 WrHandle RdmaManager::PostReadAsync(void* dst, uint64_t raddr, uint32_t rkey,
                                     size_t len) {
   return ThreadVq()->Read(dst, raddr, rkey, len);
-}
-
-WrHandle RdmaManager::PostWriteAsync(const void* src, uint64_t raddr,
-                                     uint32_t rkey, size_t len) {
-  return ThreadVq()->Write(src, raddr, rkey, len);
-}
-
-// ---------------------------------------------------------------------------
-// ReadBatch
-// ---------------------------------------------------------------------------
-
-size_t ReadBatch::Add(void* dst, uint64_t raddr, uint32_t rkey, size_t len) {
-  VerbQueue* vq = mgr_->ThreadVq();
-  if (vq_ == nullptr) {
-    vq_ = vq;
-  } else {
-    // Handles harvest from the posting thread's queue; waiting them from
-    // another thread would poll the wrong CQ.
-    DLSM_CHECK_MSG(vq_ == vq, "ReadBatch used from a different thread");
-  }
-  handles_.push_back(vq->Read(dst, raddr, rkey, len));
-  return handles_.size() - 1;
-}
-
-Status ReadBatch::WaitAll() {
-  for (WrHandle& h : handles_) {
-    Status s = h.Wait();
-    if (first_.ok() && !s.ok()) first_ = s;
-  }
-  return first_;
 }
 
 // ---------------------------------------------------------------------------

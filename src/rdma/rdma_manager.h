@@ -3,14 +3,14 @@
 //
 // Every verb — READ, WRITE, SEND, FETCH_ADD, CMP_SWAP — is posted through
 // a VerbQueue and returns a WrHandle. Handles can be waited individually,
-// in doorbell-batched waves (ReadBatch), or harvested out of post order by
-// wr_id: a completion that pops before its handle asks is stashed until
-// claimed. Synchronous wrappers are post+wait over the same path, so reads,
-// writes and atomics interleave freely on one queue pair and any number of
-// waves may be live at once — there is no "drain everything before a sync
-// verb" or "one live batch per thread" restriction. Dropping or
-// Cancel()ing a handle never blocks: the completion is discarded when it
-// pops, which makes error unwind safe.
+// in doorbell-batched waves (post N, then wait the handles), or harvested
+// out of post order by wr_id: a completion that pops before its handle
+// asks is stashed until claimed. Synchronous wrappers are post+wait over
+// the same path, so reads, writes and atomics interleave freely on one
+// queue pair and any number of waves may be live at once — there is no
+// "drain everything before a sync verb" or "one live batch per thread"
+// restriction. Dropping or Cancel()ing a handle never blocks: the
+// completion is discarded when it pops, which makes error unwind safe.
 //
 // The layer also keeps per-QP in-flight accounting and per-verb-class
 // ops/bytes/wire-latency telemetry (RdmaVerbStats), surfaced through
@@ -146,12 +146,6 @@ class VerbQueue {
                     uint64_t* prev);
   WrHandle CmpSwap(uint64_t raddr, uint32_t rkey, uint64_t expected,
                    uint64_t desired, uint64_t* prev);
-
-  /// Blocks until every in-flight verb has popped (stashing completions
-  /// for live handles, dropping cancelled ones). Returns the first
-  /// failure observed among the completions popped by this call. A
-  /// teardown / barrier helper; individual waits don't need it.
-  Status DrainAll();
 
   /// Error recovery: after any completion reports a failure this queue's
   /// QP is in the error state and every later post flush-fails. Recover()
@@ -289,12 +283,10 @@ class RdmaManager {
   Status CmpSwap(uint64_t raddr, uint32_t rkey, uint64_t expected,
                  uint64_t desired, uint64_t* prev);
 
-  /// Posts a one-sided READ (WRITE) on the calling thread's verb queue
-  /// without waiting. Doorbell batching: post N, then wait the handles.
+  /// Posts a one-sided READ on the calling thread's verb queue without
+  /// waiting. Doorbell batching: post N, then wait the handles.
   WrHandle PostReadAsync(void* dst, uint64_t raddr, uint32_t rkey,
                          size_t len);
-  WrHandle PostWriteAsync(const void* src, uint64_t raddr, uint32_t rkey,
-                          size_t len);
 
   /// Snapshot of verb-layer telemetry across all of this manager's
   /// queues (thread-local and exclusive).
@@ -340,39 +332,6 @@ class RdmaManager {
   std::deque<std::unique_ptr<VerbQueue>> idle_vqs_;  // Oldest first.
 
   static std::atomic<uint64_t> next_instance_id_;
-};
-
-/// A doorbell wave of one-sided READs on the posting thread's verb queue:
-/// Add() posts without waiting; WaitAll() harvests the wave, so N small
-/// reads cost one base latency plus their wire occupancy instead of N
-/// round trips. Thin wrapper over a WrHandle vector: any number of waves
-/// may be live at once and other verbs may interleave with a wave. A
-/// destroyed batch cancels its un-waited reads without blocking (safe
-/// during error unwind). The wave stays on the thread that posted it.
-class ReadBatch {
- public:
-  explicit ReadBatch(RdmaManager* mgr) : mgr_(mgr) {}
-
-  ReadBatch(const ReadBatch&) = delete;
-  ReadBatch& operator=(const ReadBatch&) = delete;
-
-  /// Posts one READ of [raddr, raddr+len) into dst; returns its slot.
-  size_t Add(void* dst, uint64_t raddr, uint32_t rkey, size_t len);
-
-  size_t size() const { return handles_.size(); }
-
-  /// Blocks until every posted READ has completed; returns the first
-  /// failure. Idempotent; per-slot outcomes via status().
-  Status WaitAll();
-
-  /// Completion status of slot i; only valid after WaitAll().
-  const Status& status(size_t i) const { return handles_[i].status(); }
-
- private:
-  RdmaManager* mgr_;
-  VerbQueue* vq_ = nullptr;  // Bound to the posting thread's VQ on first Add.
-  std::vector<WrHandle> handles_;
-  Status first_;
 };
 
 /// Completion future for a one-sided "ready stamp" (PostWriteStamped

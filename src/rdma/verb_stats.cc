@@ -20,6 +20,19 @@ void RdmaVerbStats::MergeFrom(const RdmaVerbStats& o) {
   reconnects += o.reconnects;
 }
 
+RdmaVerbStats RdmaVerbStats::DeltaSince(const RdmaVerbStats& prev) const {
+  RdmaVerbStats d = *this;
+  for (int i = 0; i < kNumVerbClasses; i++) {
+    auto c = static_cast<VerbClass>(i);
+    d.cls(c) = cls(c).DeltaSince(prev.cls(c));
+  }
+  d.posted -= prev.posted;
+  d.completed -= prev.completed;
+  d.abandoned -= prev.abandoned;
+  d.reconnects -= prev.reconnects;
+  return d;
+}
+
 std::string RdmaVerbStats::ToString() const {
   std::string out;
   char line[160];

@@ -52,6 +52,12 @@ struct VerbClassStats {
     errors += o.errors;
     latency_us.Merge(o.latency_us);
   }
+
+  /// What accrued since `prev`, an earlier snapshot of the same class.
+  VerbClassStats DeltaSince(const VerbClassStats& prev) const {
+    return {ops - prev.ops, bytes - prev.bytes, errors - prev.errors,
+            latency_us.DeltaSince(prev.latency_us)};
+  }
 };
 
 /// Snapshot of one manager's verb-layer telemetry. Copyable; shards merge
@@ -86,6 +92,11 @@ struct RdmaVerbStats {
   }
 
   void MergeFrom(const RdmaVerbStats& o);
+
+  /// What accrued since `prev`, an earlier snapshot of the same manager:
+  /// every class and counter differenced; the outstanding gauges keep this
+  /// snapshot's value.
+  RdmaVerbStats DeltaSince(const RdmaVerbStats& prev) const;
 
   /// Compact per-class summary ("READ 120 ops 4.2 MB p50 2.1us p99 8.0us")
   /// for bench dumps; empty classes are omitted.

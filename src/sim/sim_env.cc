@@ -292,7 +292,6 @@ void SimEnv::ChargeCpuLocked(SimThread* self) {
   double factor = FactorLocked(self->node);
   self->lvt += static_cast<uint64_t>(static_cast<double>(delta) * factor *
                                      options_.cpu_scale);
-  max_lvt_seen_ = std::max(max_lvt_seen_, self->lvt);
 }
 
 void SimEnv::RotatePinLocked() {
@@ -359,7 +358,6 @@ void SimEnv::ResumeLocked(SimThread* t) {
   }
   DLSM_CHECK(t->state == State::kReady);
   SetStateLocked(t, State::kRunning);
-  max_lvt_seen_ = std::max(max_lvt_seen_, t->lvt);
 }
 
 void SimEnv::SwitchOutLocked(SimThread* self,
@@ -671,13 +669,6 @@ CondVarImpl* SimEnv::NewCondVar(MutexImpl* mu) {
 
 BarrierImpl* SimEnv::NewBarrier(int parties) {
   return new SimBarrierImpl(this, parties);
-}
-
-uint64_t SimEnv::MaxVirtualNanos() {
-  std::unique_lock<std::mutex> lk(gm_);
-  uint64_t m = max_lvt_seen_;
-  for (auto& t : threads_) m = std::max(m, t->lvt);
-  return m;
 }
 
 }  // namespace dlsm

@@ -127,10 +127,6 @@ class SimEnv : public Env {
   CondVarImpl* NewCondVar(MutexImpl* mu) override;
   BarrierImpl* NewBarrier(int parties) override;
 
-  /// Largest LVT observed across all threads; the "end time" of a finished
-  /// simulation.
-  uint64_t MaxVirtualNanos();
-
   // Internal scheduler types, public so the sim synchronization primitives
   // and the thread-local current-thread pointer can reach them. Not part of
   // the supported API.
@@ -212,7 +208,6 @@ class SimEnv : public Env {
   uint64_t next_thread_id_ = 1;
   int live_threads_ = 0;
   bool ran_ = false;
-  uint64_t max_lvt_seen_ = 0;
   // The caller's CPUs, in order; empty when Run could not pin. The pin is
   // pin_cpus_[pin_] until host monotonic time pin_until_ns_.
   std::vector<int> pin_cpus_;

@@ -9,7 +9,6 @@
 #include <cstddef>
 #include <cstring>
 #include <string>
-#include <string_view>
 
 namespace dlsm {
 
@@ -58,11 +57,6 @@ class Slice {
 
   /// Returns a std::string containing a copy of the referenced data.
   std::string ToString() const { return std::string(data_, size_); }
-
-  /// Returns a std::string_view over the referenced data.
-  std::string_view ToStringView() const {
-    return std::string_view(data_, size_);
-  }
 
   /// Three-way comparison: <0, ==0, or >0 if this is <, ==, or > b.
   int compare(const Slice& b) const {

@@ -533,11 +533,10 @@ TEST_F(FabricTest, InterleavedReadWriteOneQpKeepsWireOrder) {
   });
 }
 
-TEST_F(FabricTest, ReadBatchDestructorCancelsWithoutBlocking) {
-  // Satellite: ~ReadBatch used to block in WaitAll, which could wedge a
-  // SimEnv thread during error unwind. Destroying an un-waited batch now
-  // cancels its handles without blocking, and the thread's verb queue
-  // remains fully usable afterwards.
+TEST_F(FabricTest, HandleWaveDestructorCancelsWithoutBlocking) {
+  // Destroying a wave of un-waited handles cancels them without blocking
+  // (a blocking wait could wedge a SimEnv thread during error unwind), and
+  // the thread's verb queue remains fully usable afterwards.
   RunSim([](Fabric* f, Node* compute, Node* memory) {
     char* remote = memory->AllocDram(8192);
     memset(remote, 'k', 8192);
@@ -546,24 +545,25 @@ TEST_F(FabricTest, ReadBatchDestructorCancelsWithoutBlocking) {
 
     std::vector<std::string> bufs(4, std::string(256, '\0'));
     {
-      ReadBatch batch(&mgr);
+      std::vector<WrHandle> wave;
       for (int i = 0; i < 4; i++) {
-        batch.Add(bufs[i].data(), mr.addr + i * 256, mr.rkey, 256);
+        wave.push_back(mgr.ThreadVq()->Read(bufs[i].data(), mr.addr + i * 256,
+                                            mr.rkey, 256));
       }
-      // No WaitAll: simulate error unwind abandoning the wave.
+      // No Wait: simulate error unwind abandoning the wave.
     }
     EXPECT_EQ(4u, mgr.outstanding_ops());  // Cancelled, not yet popped.
 
-    // The same thread can immediately issue sync verbs and new batches;
-    // the abandoned completions are swept, not misattributed.
+    // The same thread can immediately issue sync verbs and new waves; the
+    // abandoned completions are swept, not misattributed.
     std::string back(64, '\0');
     ASSERT_TRUE(mgr.Read(back.data(), mr.addr, mr.rkey, 64).ok());
     EXPECT_EQ(std::string(64, 'k'), back);
     {
-      ReadBatch batch(&mgr);
       std::string b2(128, '\0');
-      batch.Add(b2.data(), mr.addr, mr.rkey, 128);
-      ASSERT_TRUE(batch.WaitAll().ok());
+      std::vector<WrHandle> wave;
+      wave.push_back(mgr.ThreadVq()->Read(b2.data(), mr.addr, mr.rkey, 128));
+      ASSERT_TRUE(wave[0].Wait().ok());
       EXPECT_EQ(std::string(128, 'k'), b2);
     }
     EXPECT_EQ(0u, mgr.outstanding_ops());
@@ -634,11 +634,11 @@ TEST_F(FabricTest, VerbStatsAccountPerClassOpsBytesAndLatency) {
     RdmaManager mgr(f, compute, memory);
 
     std::string buf(4096, '\0');
-    ReadBatch batch(&mgr);
+    std::vector<WrHandle> wave;
     for (int i = 0; i < 8; i++) {
-      batch.Add(buf.data(), mr.addr, mr.rkey, 512);
+      wave.push_back(mgr.ThreadVq()->Read(buf.data(), mr.addr, mr.rkey, 512));
     }
-    ASSERT_TRUE(batch.WaitAll().ok());
+    for (WrHandle& h : wave) ASSERT_TRUE(h.Wait().ok());
     ASSERT_TRUE(mgr.Write(buf.data(), mr.addr, mr.rkey, 4096).ok());
     uint64_t prev;
     ASSERT_TRUE(mgr.FetchAdd(mr.addr, mr.rkey, 1, &prev).ok());
@@ -667,8 +667,8 @@ TEST_F(FabricTest, VerbStatsAccountPerClassOpsBytesAndLatency) {
 }
 
 TEST_F(FabricTest, ConcurrentWavesOnOneThreadStayIndependent) {
-  // Two live batches plus a raw handle on the same thread — the old
-  // "one live batch per thread" restriction is gone.
+  // Two live waves plus a lone handle on the same thread: there is no
+  // "one live batch per thread" restriction.
   RunSim([](Fabric* f, Node* compute, Node* memory) {
     char* remote = memory->AllocDram(8192);
     memset(remote, 'm', 8192);
@@ -676,16 +676,16 @@ TEST_F(FabricTest, ConcurrentWavesOnOneThreadStayIndependent) {
     RdmaManager mgr(f, compute, memory);
 
     std::string a(256, '\0'), b(256, '\0'), c(256, '\0');
-    ReadBatch wave1(&mgr);
-    wave1.Add(a.data(), mr.addr, mr.rkey, 256);
-    ReadBatch wave2(&mgr);
-    wave2.Add(b.data(), mr.addr + 256, mr.rkey, 256);
+    std::vector<WrHandle> wave1, wave2;
+    wave1.push_back(mgr.ThreadVq()->Read(a.data(), mr.addr, mr.rkey, 256));
+    wave2.push_back(
+        mgr.ThreadVq()->Read(b.data(), mr.addr + 256, mr.rkey, 256));
     WrHandle lone = mgr.PostReadAsync(c.data(), mr.addr + 512, mr.rkey, 256);
 
     // Drain newest-first.
     EXPECT_TRUE(lone.Wait().ok());
-    EXPECT_TRUE(wave2.WaitAll().ok());
-    EXPECT_TRUE(wave1.WaitAll().ok());
+    EXPECT_TRUE(wave2[0].Wait().ok());
+    EXPECT_TRUE(wave1[0].Wait().ok());
     EXPECT_EQ(std::string(256, 'm'), a);
     EXPECT_EQ(std::string(256, 'm'), b);
     EXPECT_EQ(std::string(256, 'm'), c);
@@ -717,14 +717,13 @@ TEST_F(FabricTest, DoorbellBatchPaysOneLatencyPerWave) {
     // Doorbell batch: post all, drain once.
     start = env->NowNanos();
     {
-      ReadBatch batch(&mgr);
+      std::vector<WrHandle> wave;
       for (int i = 0; i < kReads; i++) {
-        batch.Add(bufs[i].data(), mr.addr + i * kLen, mr.rkey, kLen);
+        wave.push_back(mgr.ThreadVq()->Read(bufs[i].data(),
+                                            mr.addr + i * kLen, mr.rkey,
+                                            kLen));
       }
-      ASSERT_TRUE(batch.WaitAll().ok());
-      for (int i = 0; i < kReads; i++) {
-        EXPECT_TRUE(batch.status(i).ok());
-      }
+      for (WrHandle& h : wave) EXPECT_TRUE(h.Wait().ok());
     }
     uint64_t batched = env->NowNanos() - start;
 
@@ -742,7 +741,7 @@ TEST_F(FabricTest, DoorbellBatchPaysOneLatencyPerWave) {
   });
 }
 
-TEST_F(FabricTest, ReadBatchReportsPerSlotStatus) {
+TEST_F(FabricTest, HandleWaveReportsPerSlotStatus) {
   RunSim([](Fabric* f, Node* compute, Node* memory) {
     char* remote = memory->AllocDram(4096);
     memset(remote, 'z', 4096);
@@ -750,28 +749,27 @@ TEST_F(FabricTest, ReadBatchReportsPerSlotStatus) {
     RdmaManager mgr(f, compute, memory);
 
     std::string good(64, '\0'), bad(64, '\0'), tail(64, '\0');
-    ReadBatch batch(&mgr);
-    size_t s0 = batch.Add(good.data(), mr.addr, mr.rkey, 64);
-    size_t s1 = batch.Add(bad.data(), mr.addr, mr.rkey + 999, 64);
-    size_t s2 = batch.Add(tail.data(), mr.addr + 128, mr.rkey, 64);
-    EXPECT_EQ(3u, batch.size());
-    EXPECT_FALSE(batch.WaitAll().ok());  // First failure surfaces.
-    EXPECT_FALSE(batch.status(s1).ok());  // The access error itself.
-    EXPECT_NE(std::string::npos, batch.status(s1).ToString().find("rkey"));
+    VerbQueue* vq = mgr.ThreadVq();
+    std::vector<WrHandle> wave;
+    wave.push_back(vq->Read(good.data(), mr.addr, mr.rkey, 64));
+    wave.push_back(vq->Read(bad.data(), mr.addr, mr.rkey + 999, 64));
+    wave.push_back(vq->Read(tail.data(), mr.addr + 128, mr.rkey, 64));
+    std::vector<Status> slot;
+    for (WrHandle& h : wave) slot.push_back(h.Wait());
+    EXPECT_FALSE(slot[1].ok());  // The access error itself.
+    EXPECT_NE(std::string::npos, slot[1].ToString().find("rkey"));
     // Posted after the failure: flushed by the now-errored QP.
-    EXPECT_FALSE(batch.status(s2).ok());
-    EXPECT_NE(std::string::npos, batch.status(s2).ToString().find("flush"));
+    EXPECT_FALSE(slot[2].ok());
+    EXPECT_NE(std::string::npos, slot[2].ToString().find("flush"));
     // The first slot raced the error: it either completed on the wire
     // before the QP erred (bytes valid) or was flushed along with it.
-    if (batch.status(s0).ok()) {
+    if (slot[0].ok()) {
       EXPECT_EQ(std::string(64, 'z'), good);
     }
     // Recovery restores the queue and the re-posted read lands.
-    ASSERT_TRUE(mgr.ThreadVq()->Recover().ok());
-    ReadBatch retry(&mgr);
-    size_t r0 = retry.Add(tail.data(), mr.addr + 128, mr.rkey, 64);
-    EXPECT_TRUE(retry.WaitAll().ok());
-    EXPECT_TRUE(retry.status(r0).ok());
+    ASSERT_TRUE(vq->Recover().ok());
+    WrHandle retry = vq->Read(tail.data(), mr.addr + 128, mr.rkey, 64);
+    EXPECT_TRUE(retry.Wait().ok());
     EXPECT_EQ(std::string(64, 'z'), tail);
   });
 }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <iterator>
 #include <memory>
@@ -317,16 +318,123 @@ TEST(BenchRunnerTest, MultiNodePhasesExportWireAndMemoryCpu) {
   // fill; one-sided READs leave their CPUs idle.
   EXPECT_GT(r[0].memory_cpu_util, 0.0);
   for (size_t p = 1; p < r.size(); p++) {
-    std::vector<uint64_t> nodes = bench::NodeReadDeltas(r[p - 1], r[p]);
-    ASSERT_EQ(2u, nodes.size());
+    const DbStats d = bench::PhaseDelta(r, p).stats;
+    ASSERT_EQ(2u, d.per_node.size());
     uint64_t sum = 0;
-    for (uint64_t n : nodes) {
-      EXPECT_GT(n, 0u) << "phase " << p;
-      sum += n;
+    for (const DbStats::NodeIoStats& n : d.per_node) {
+      EXPECT_GT(n.read_verbs, 0u) << "phase " << p;
+      sum += n.read_verbs;
     }
     EXPECT_EQ(r[p].stats.rdma.read.ops - r[p - 1].stats.rdma.read.ops, sum)
         << "phase " << p;
+    EXPECT_EQ(sum, d.rdma.read.ops) << "phase " << p;
   }
+}
+
+// ---------------------------------------------------------------------------
+// A/B guard verdict rules (bench::EvaluateAbCheck, bench::RunAbGuard)
+// ---------------------------------------------------------------------------
+
+const bench::AbMetric kOps{"ops/s", true, 0, nullptr};
+const bench::AbMetric kP50{"p50 us", false, 2, nullptr};
+
+bool Verdict(bench::AbCheckKind kind, const bench::AbMetric& metric,
+             const std::vector<double>& a, const std::vector<double>& b,
+             double bound = 0) {
+  return bench::EvaluateAbCheck({kind, metric.name, "a", b.empty() ? "" : "b",
+                                 bound},
+                                metric, a, b, nullptr);
+}
+
+TEST(AbGuardTest, MedianOfOddAndEvenRunCounts) {
+  EXPECT_EQ(3.0, bench::Median({5, 1, 3}));
+  EXPECT_EQ(2.5, bench::Median({4, 1, 3, 2}));
+  EXPECT_EQ(7.0, bench::Median({7}));
+}
+
+TEST(AbGuardTest, NotWorseFailsOnlyBeyondTheMarginWithSeparatedRanges) {
+  using enum bench::AbCheckKind;
+  const std::vector<double> ref = {99.9, 100.0, 100.1};
+  // p50 (lower is better), median exactly 2% worse, ranges separated: the
+  // margin's edge passes; a hair beyond it fails.
+  EXPECT_TRUE(Verdict(kNotWorse, kP50, {101.9, 102.0, 102.1}, ref, 0.02));
+  EXPECT_FALSE(Verdict(kNotWorse, kP50, {101.9, 102.2, 102.3}, ref, 0.02));
+  // 10% worse in the median but one run inside the reference range.
+  EXPECT_TRUE(Verdict(kNotWorse, kP50, {100.0, 110.0, 111.0}, ref, 0.02));
+  // Direction follows the metric: lower ops/s is the worse side.
+  EXPECT_FALSE(Verdict(kNotWorse, kOps, {90.0, 91.0, 92.0}, ref, 0.02));
+  EXPECT_TRUE(Verdict(kNotWorse, kOps, {110.0, 111.0, 112.0}, ref, 0.02));
+}
+
+TEST(AbGuardTest, BetterNeedsEveryRunAheadOfEveryRun) {
+  using enum bench::AbCheckKind;
+  const std::vector<double> off = {10, 11, 12};
+  EXPECT_TRUE(Verdict(kBetter, kOps, {13, 14, 15}, off));
+  // One run of a at or behind one run of b fails, whatever the medians.
+  EXPECT_FALSE(Verdict(kBetter, kOps, {12, 20, 30}, off));
+  EXPECT_FALSE(Verdict(kBetter, kP50, {1, 2, 10.5}, off));
+  EXPECT_TRUE(Verdict(kBetter, kP50, {1, 2, 9.5}, off));
+}
+
+TEST(AbGuardTest, ExactFailsOnAOneUnitDifference) {
+  using enum bench::AbCheckKind;
+  EXPECT_TRUE(Verdict(kExact, kOps, {13221}, {13221}));
+  EXPECT_FALSE(Verdict(kExact, kOps, {13221}, {13222}));
+  // Every run of both legs, not just the medians.
+  EXPECT_FALSE(Verdict(kExact, kOps, {0, 0, 1, 0, 0}, {0, 0, 0, 0, 0}));
+}
+
+TEST(AbGuardTest, ThresholdBoundsAMedianOrAnImprovementFactor) {
+  using enum bench::AbCheckKind;
+  // One leg: the median against the bound, in the metric's direction.
+  EXPECT_TRUE(Verdict(kThreshold, kP50, {90, 100, 500}, {}, 100));
+  EXPECT_FALSE(Verdict(kThreshold, kP50, {90, 101, 500}, {}, 100));
+  // Two legs: b / a for a lower-is-better metric; a zero a is unbounded.
+  EXPECT_TRUE(Verdict(kThreshold, kP50, {1.0, 1.5}, {3.0, 3.0}, 2.0));
+  EXPECT_FALSE(Verdict(kThreshold, kP50, {1.6, 1.6}, {3.0, 3.0}, 2.0));
+  EXPECT_TRUE(Verdict(kThreshold, kP50, {0}, {13221}, 3.0));
+  EXPECT_FALSE(Verdict(kThreshold, kP50, {0}, {0}, 3.0));
+}
+
+TEST(AbGuardTest, AnUndefinedRunFailsEveryCheck) {
+  using enum bench::AbCheckKind;
+  const double nan = std::nan("");
+  // A zero-READ placement leg's imbalance: no longer an unbounded cut.
+  EXPECT_FALSE(Verdict(kThreshold, kP50, {1.0, nan, 1.0}, {3.0, 3.0}, 2.0));
+  EXPECT_FALSE(Verdict(kThreshold, kP50, {1.0}, {nan}, 2.0));
+  EXPECT_FALSE(Verdict(kThreshold, kP50, {nan}, {}, 100));
+  EXPECT_FALSE(Verdict(kNotWorse, kP50, {1.0, nan}, {1.0, 1.0}, 0.02));
+  EXPECT_FALSE(Verdict(kBetter, kOps, {13, 14}, {nan, 11}));
+  EXPECT_FALSE(Verdict(kExact, kOps, {nan}, {nan}));
+}
+
+TEST(AbGuardTest, RunnerInterleavesLegsAndFailsOnAnyFailedCheck) {
+  using enum bench::AbCheckKind;
+  std::string order;
+  auto leg = [&](const char* name, double ops, double cpu_scale) {
+    return bench::AbLeg{name,
+                        [&order, name, ops] {
+                          order += name;
+                          bench::PhaseResult r;
+                          r.ops_per_sec = ops;
+                          return r;
+                        },
+                        cpu_scale};
+  };
+  const std::vector<bench::AbLeg> legs = {leg("A", 20, 1), leg("B", 10, 1),
+                                          leg("W", 5, 0)};
+  const std::vector<bench::AbMetric> metrics = {
+      {"ops/s", true, 0,
+       [](const bench::PhaseResult& r) { return r.ops_per_sec; }}};
+  EXPECT_EQ(0, bench::RunAbGuard(legs, metrics,
+                                 {{kBetter, "ops/s", "A", "B"},
+                                  {kThreshold, "ops/s", "W", "", 5}}));
+  // kAbReps repetitions, the order reversed on odd ones; the cpu_scale = 0
+  // leg runs once.
+  EXPECT_EQ("ABWBAABBAAB", order);
+  EXPECT_EQ(1, bench::RunAbGuard(legs, metrics,
+                                 {{kBetter, "ops/s", "A", "B"},
+                                  {kBetter, "ops/s", "B", "A"}}));
 }
 
 TEST(BenchRunnerTest, SingleNodeSeriesKeepsTheFlatShape) {
