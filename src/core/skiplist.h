@@ -21,8 +21,14 @@
 #include "src/util/arena.h"
 #include "src/util/logging.h"
 #include "src/util/random.h"
+#include "src/util/thread_slots.h"
 
 namespace dlsm {
+
+/// A thread's skiplist height generator, seeded from its own address.
+struct SkipListRandom {
+  Random rnd{0xdecafbad ^ reinterpret_cast<uintptr_t>(this)};
+};
 
 template <typename Key, class Comparator>
 class SkipList {
@@ -176,9 +182,9 @@ inline void SkipList<Key, Comparator>::Iterator::SeekToLast() {
 
 template <typename Key, class Comparator>
 int SkipList<Key, Comparator>::RandomHeight() {
-  // Thread-local generator: height choice needs no cross-thread agreement.
-  static thread_local Random rnd(
-      0xdecafbad ^ reinterpret_cast<uintptr_t>(&rnd));
+  // Per-thread generator: height choice needs no cross-thread agreement.
+  static ThreadLocal<SkipListRandom> thread_rnd;
+  Random& rnd = thread_rnd.Get().rnd;
   static const unsigned int kBranching = 4;
   int height = 1;
   while (height < kMaxHeight && rnd.OneIn(kBranching)) {

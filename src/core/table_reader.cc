@@ -5,6 +5,7 @@
 
 #include "src/util/coding.h"
 #include "src/util/logging.h"
+#include "src/util/thread_slots.h"
 #include "src/util/trace.h"
 
 namespace dlsm {
@@ -16,7 +17,8 @@ Status FetchIndexBlock(const RemoteReadPath& rp, const FileMetaData& file) {
   if (len > 4096) len = 4096;
   if (len > file.data_len) len = file.data_len;
   if (len == 0) return Status::OK();
-  thread_local std::string scratch;
+  static ThreadLocal<std::string> thread_scratch;
+  std::string& scratch = thread_scratch.Get();
   scratch.resize(len);
   return rp.MgrRead(scratch.data(), file.chunk.addr, file.chunk.rkey, len);
 }
@@ -60,7 +62,9 @@ Status RemoteReadPath::Read(void* dst, uint64_t addr, uint32_t rkey,
   }
   // File-system staging copy: the RDMA lands in an FS buffer and is then
   // copied to the caller (the cost the byte-addressable design removes).
-  thread_local std::string staging;
+  // Per thread, and live across the READ's wait.
+  static ThreadLocal<std::string> thread_staging;
+  std::string& staging = thread_staging.Get();
   staging.resize(len);
   DLSM_RETURN_NOT_OK(MgrRead(staging.data(), addr, rkey, len));
   memcpy(dst, staging.data(), len);

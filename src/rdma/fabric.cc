@@ -373,6 +373,10 @@ uint64_t QueuePair::PostWriteStamped(const void* src, uint64_t raddr,
   } else {
     SetError(c.status);
   }
+  // Outside the DMA scope: a woken waiter takes this thread's charged LVT.
+  if (c.status.ok()) {
+    f->env()->WakeWord(reinterpret_cast<const void*>(raddr + len));
+  }
   PushSendCompletion(c);
   return c.wr_id;
 }

@@ -237,10 +237,12 @@ class QueuePair {
                             size_t len, uint32_t imm, uint64_t wr_id = 0);
 
   /// One-sided write whose last 8 bytes, at remote raddr+len, are a
-  /// nonzero "ready stamp" holding the completion time. Pollers use
-  /// ReadReadyStamp() to both detect delivery and preserve virtual-time
-  /// causality; this models the RNIC's last-byte-written-last guarantee
-  /// that one-sided polling protocols rely on.
+  /// nonzero "ready stamp" holding the completion time. Waiters use
+  /// ReadReadyStamp() (or Env::WaitWord, which this wakes through
+  /// Env::WakeWord after the stamp's release store) to both detect delivery
+  /// and preserve virtual-time causality; this models the RNIC's
+  /// last-byte-written-last guarantee that one-sided polling protocols
+  /// rely on.
   uint64_t PostWriteStamped(const void* src, uint64_t raddr, uint32_t rkey,
                             size_t len, uint64_t wr_id = 0);
 

@@ -5,15 +5,16 @@
 #include <unordered_map>
 
 #include "src/util/logging.h"
+#include "src/util/thread_slots.h"
 #include "src/util/trace.h"
 
 namespace dlsm {
 namespace rdma {
 
 namespace {
-// Thread-local VQ cache keyed by manager instance id (not pointer, to be
+// Per-thread VQ cache keyed by manager instance id (not pointer, to be
 // safe against allocator address reuse across manager lifetimes).
-thread_local std::unordered_map<uint64_t, VerbQueue*> tls_vqs;
+ThreadLocal<std::unordered_map<uint64_t, VerbQueue*>> thread_vq_cache;
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -340,13 +341,14 @@ QueuePair* RdmaManager::CreateQp() {
 }
 
 VerbQueue* RdmaManager::ThreadVq() {
-  auto it = tls_vqs.find(instance_id_);
-  if (it != tls_vqs.end()) {
+  auto& cache = thread_vq_cache.Get();
+  auto it = cache.find(instance_id_);
+  if (it != cache.end()) {
     return it->second;
   }
   auto vq = std::make_unique<VerbQueue>(CreateQp(), this);
   VerbQueue* raw = vq.get();
-  tls_vqs[instance_id_] = raw;
+  cache[instance_id_] = raw;
   {
     std::lock_guard<std::mutex> lock(mu_);
     thread_vqs_.push_back(std::move(vq));
@@ -471,34 +473,13 @@ WrHandle RdmaManager::PostReadAsync(void* dst, uint64_t raddr, uint32_t rkey,
 // StampFuture
 // ---------------------------------------------------------------------------
 
-Status StampFuture::Wait() {
-  uint64_t t;
-  while ((t = QueuePair::ReadReadyStamp(stamp_)) == 0) {
-    // Poll politely: the writer needs this node's poller thread to stand
-    // aside, and in virtual time a tight spin would never advance.
-    env_->YieldToOthers();
-  }
-  // The stamp holds the producer's wire completion time; honoring it keeps
-  // one-sided delivery causal in virtual time.
-  env_->AdvanceTo(t);
-  completion_ns_ = t;
-  return Status::OK();
-}
+Status StampFuture::Wait() { return WaitUntil(UINT64_MAX); }
 
 Status StampFuture::WaitUntil(uint64_t deadline_ns) {
-  uint64_t t;
-  while ((t = QueuePair::ReadReadyStamp(stamp_)) == 0) {
-    uint64_t before = env_->NowNanos();
-    if (before >= deadline_ns) {
-      return Status::IOError("timed out waiting for ready stamp");
-    }
-    env_->YieldToOthers();
-    if (env_->NowNanos() == before) {
-      // No runnable peer moved the clock; a pure yield loop would never
-      // reach the deadline in virtual time. Sleep one poll quantum.
-      env_->SleepNanos(std::min<uint64_t>(5000, deadline_ns - before));
-    }
-  }
+  const uint64_t t = env_->WaitWord(stamp_, deadline_ns);
+  if (t == 0) return Status::IOError("timed out waiting for ready stamp");
+  // The stamp holds the producer's wire completion time; honoring it keeps
+  // one-sided delivery causal in virtual time.
   env_->AdvanceTo(t);
   completion_ns_ = t;
   return Status::OK();

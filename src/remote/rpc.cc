@@ -4,6 +4,7 @@
 
 #include "src/util/coding.h"
 #include "src/util/logging.h"
+#include "src/util/thread_slots.h"
 #include "src/util/trace.h"
 
 namespace dlsm {
@@ -141,8 +142,9 @@ struct RpcClient::ThreadBuffers {
 };
 
 namespace {
-thread_local std::unordered_map<uint64_t, RpcClient::ThreadBuffers*>
-    tls_client_bufs;
+// Per-thread buffers keyed by client instance id.
+ThreadLocal<std::unordered_map<uint64_t, RpcClient::ThreadBuffers*>>
+    thread_client_bufs;
 }  // namespace
 
 RpcClient::RpcClient(rdma::Fabric* fabric, rdma::Node* client_node,
@@ -190,18 +192,20 @@ std::unique_ptr<RpcClient::ThreadBuffers> NewRegisteredBuffers(
 }  // namespace
 
 RpcClient::ThreadBuffers* RpcClient::GetThreadBuffers() {
-  auto it = tls_client_bufs.find(instance_id_);
-  if (it != tls_client_bufs.end()) return it->second;
+  auto& cache = thread_client_bufs.Get();
+  auto it = cache.find(instance_id_);
+  if (it != cache.end()) return it->second;
   ThreadBuffers* bufs = AcquireContext();
-  if (bufs != nullptr) tls_client_bufs[instance_id_] = bufs;
+  if (bufs != nullptr) cache[instance_id_] = bufs;
   return bufs;
 }
 
 void RpcClient::InvalidateThreadBuffers() {
-  auto it = tls_client_bufs.find(instance_id_);
-  if (it == tls_client_bufs.end()) return;
+  auto& cache = thread_client_bufs.Get();
+  auto it = cache.find(instance_id_);
+  if (it == cache.end()) return;
   ReleaseContext(it->second, /*completed=*/false);
-  tls_client_bufs.erase(it);
+  cache.erase(it);
 }
 
 RpcClient::ThreadBuffers* RpcClient::AcquireContext() {

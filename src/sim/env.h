@@ -91,6 +91,15 @@ class Env {
   /// work can be over-charged.
   virtual void YieldToOthers() = 0;
 
+  /// Waits until the 8-byte word at addr is nonzero or NowNanos() reaches
+  /// deadline_ns, and returns the word (read with acquire), 0 on timeout.
+  /// Whoever makes the word nonzero calls WakeWord(addr) after its release
+  /// store. The default polls with YieldToOthers. SimEnv parks the caller
+  /// instead; WakeWord readies it with the waker's virtual time.
+  virtual uint64_t WaitWord(const void* addr, uint64_t deadline_ns);
+  /// Wakes the threads parked in WaitWord(addr). One branch when none is.
+  virtual void WakeWord(const void* addr) { (void)addr; }
+
   /// Brackets a region whose host CPU cost must NOT be charged to virtual
   /// time. The fabric uses this around payload copies: a real RNIC moves
   /// bytes by DMA, so the posting thread pays only the (modeled) wire time,

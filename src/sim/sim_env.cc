@@ -1,45 +1,51 @@
 #include "src/sim/sim_env.h"
 
-#include <linux/futex.h>
 #include <pthread.h>
 #include <sched.h>
-#include <sys/syscall.h>
+#include <sys/mman.h>
 #include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <deque>
 
 #include "src/util/logging.h"
+
+// Sanitizer builds are told about every fiber and every switch between
+// fibers; otherwise ThreadSanitizer sees one thread's stack change under it
+// and AddressSanitizer loses track of which stack is live.
+#if defined(__SANITIZE_ADDRESS__)
+#define DLSM_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define DLSM_ASAN_FIBERS 1
+#endif
+#endif
+#if defined(__SANITIZE_THREAD__)
+#define DLSM_TSAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define DLSM_TSAN_FIBERS 1
+#endif
+#endif
+#ifdef DLSM_ASAN_FIBERS
+#include <sanitizer/common_interface_defs.h>
+#endif
+#ifdef DLSM_TSAN_FIBERS
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace dlsm {
 
 namespace {
+// The simulated thread whose fiber the calling OS thread is running.
 thread_local SimEnv::SimThread* tls_current = nullptr;
 
-static_assert(sizeof(std::atomic<uint32_t>) == sizeof(uint32_t) &&
-                  std::atomic<uint32_t>::is_always_lock_free,
-              "the baton word must be usable as a futex");
-
-long Futex(std::atomic<uint32_t>* word, int op, uint32_t val) {
-  return syscall(SYS_futex, reinterpret_cast<uint32_t*>(word), op, val,
-                 nullptr, nullptr, 0);
-}
-
-/// Hands t the baton. Call without gm_ held, so t does not block on gm_ the
-/// moment it runs.
-void Wake(SimEnv::SimThread* t) {
-  t->baton.store(1, std::memory_order_release);
-  Futex(&t->baton, FUTEX_WAKE_PRIVATE, 1);
-}
-
-/// Sleeps until t holds the baton, then takes it. Call without gm_ held.
-void Park(SimEnv::SimThread* t) {
-  while (t->baton.load(std::memory_order_acquire) == 0) {
-    Futex(&t->baton, FUTEX_WAIT_PRIVATE, 0);
-  }
-  t->baton.store(0, std::memory_order_relaxed);
+size_t GuardBytes() {
+  static const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  return page;
 }
 
 bool PinSelfTo(int cpu) {
@@ -70,35 +76,32 @@ class SimMutexImpl : public MutexImpl {
 
   void Lock() override {
     SimEnv::SimThread* self = env_->Current();
-    std::unique_lock<std::mutex> lk(env_->gm_);
-    env_->ChargeCpuLocked(self);
-    LockHeld(self, lk);
+    env_->ChargeCpu(self);
+    LockHeld(self);
   }
 
   void Unlock() override {
     SimEnv::SimThread* self = env_->Current();
-    std::unique_lock<std::mutex> lk(env_->gm_);
-    env_->ChargeCpuLocked(self);
+    env_->ChargeCpu(self);
     UnlockHeld(self);
   }
 
  private:
   friend class SimCondVarImpl;
 
-  // Requires env_->gm_. May park the caller until ownership is handed off.
-  void LockHeld(SimEnv::SimThread* self, std::unique_lock<std::mutex>& lk) {
+  // May park the caller until ownership is handed off.
+  void LockHeld(SimEnv::SimThread* self) {
     if (holder_ == nullptr) {
       holder_ = self;
       self->lvt = std::max(self->lvt, release_lvt_);
       return;
     }
     waiters_.push_back(self);
-    env_->SetStateLocked(self, SimEnv::State::kBlocked);
-    env_->SwitchOutLocked(self, lk);
+    env_->SetState(self, SimEnv::State::kBlocked);
+    env_->SwitchOut(self);
     DLSM_CHECK(holder_ == self);  // FIFO handoff.
   }
 
-  // Requires env_->gm_.
   void UnlockHeld(SimEnv::SimThread* self) {
     DLSM_CHECK_MSG(holder_ == self, "unlock by non-holder");
     release_lvt_ = std::max(release_lvt_, self->lvt);
@@ -108,7 +111,7 @@ class SimMutexImpl : public MutexImpl {
       SimEnv::SimThread* next = waiters_.front();
       waiters_.pop_front();
       holder_ = next;
-      env_->MakeReadyLocked(next, self->lvt);
+      env_->MakeReady(next, self->lvt);
     }
   }
 
@@ -132,52 +135,49 @@ class SimCondVarImpl : public CondVarImpl {
 
   void Signal() override {
     SimEnv::SimThread* self = env_->Current();
-    std::unique_lock<std::mutex> lk(env_->gm_);
-    env_->ChargeCpuLocked(self);
+    env_->ChargeCpu(self);
     if (!waiters_.empty()) {
-      WakeOneLocked(self->lvt);
+      WakeOne(self->lvt);
     }
   }
 
   void SignalAll() override {
     SimEnv::SimThread* self = env_->Current();
-    std::unique_lock<std::mutex> lk(env_->gm_);
-    env_->ChargeCpuLocked(self);
+    env_->ChargeCpu(self);
     while (!waiters_.empty()) {
-      WakeOneLocked(self->lvt);
+      WakeOne(self->lvt);
     }
   }
 
  private:
-  // Requires env_->gm_ and non-empty waiters_.
-  void WakeOneLocked(uint64_t from_lvt) {
+  // Requires non-empty waiters_.
+  void WakeOne(uint64_t from_lvt) {
     SimEnv::SimThread* w = waiters_.front();
     waiters_.pop_front();
     w->timed_out = false;
-    env_->MakeReadyLocked(w, from_lvt);
+    env_->MakeReady(w, from_lvt);
   }
 
   bool WaitInternal(uint64_t timeout_ns) {
     SimEnv::SimThread* self = env_->Current();
-    std::unique_lock<std::mutex> lk(env_->gm_);
-    env_->ChargeCpuLocked(self);
+    env_->ChargeCpu(self);
     mu_->UnlockHeld(self);
     waiters_.push_back(self);
     if (timeout_ns == UINT64_MAX) {
-      env_->SetStateLocked(self, SimEnv::State::kBlocked);
+      env_->SetState(self, SimEnv::State::kBlocked);
     } else {
       self->wake_time = self->lvt + timeout_ns;
-      env_->SetStateLocked(self, SimEnv::State::kTimed);
+      env_->SetState(self, SimEnv::State::kTimed);
     }
     self->timed_out = false;
-    env_->SwitchOutLocked(self, lk);
+    env_->SwitchOut(self);
     bool timed_out = self->timed_out;
     if (timed_out) {
       // Deadline expiry: remove ourselves from the wait list.
       auto it = std::find(waiters_.begin(), waiters_.end(), self);
       if (it != waiters_.end()) waiters_.erase(it);
     }
-    mu_->LockHeld(self, lk);
+    mu_->LockHeld(self);
     return timed_out;
   }
 
@@ -194,8 +194,7 @@ class SimBarrierImpl : public BarrierImpl {
 
   void Arrive() override {
     SimEnv::SimThread* self = env_->Current();
-    std::unique_lock<std::mutex> lk(env_->gm_);
-    env_->ChargeCpuLocked(self);
+    env_->ChargeCpu(self);
     max_lvt_ = std::max(max_lvt_, self->lvt);
     if (++arrived_ == parties_) {
       arrived_ = 0;
@@ -203,13 +202,13 @@ class SimBarrierImpl : public BarrierImpl {
       max_lvt_ = 0;
       self->lvt = m;
       for (SimEnv::SimThread* w : waiters_) {
-        env_->MakeReadyLocked(w, m);
+        env_->MakeReady(w, m);
       }
       waiters_.clear();
     } else {
       waiters_.push_back(self);
-      env_->SetStateLocked(self, SimEnv::State::kBlocked);
-      env_->SwitchOutLocked(self, lk);
+      env_->SetState(self, SimEnv::State::kBlocked);
+      env_->SwitchOut(self);
     }
   }
 
@@ -233,8 +232,13 @@ SimEnv::SimEnv(Options options) : options_(options) {
 }
 
 SimEnv::~SimEnv() {
+  // Threads started but never run (no Run call) still hold their stacks.
   for (auto& t : threads_) {
-    if (t->os_thread.joinable()) t->os_thread.join();
+    if (t->stack == nullptr) continue;
+    munmap(t->stack, GuardBytes() + kStackBytes);
+#ifdef DLSM_TSAN_FIBERS
+    __tsan_destroy_fiber(t->tsan_fiber);
+#endif
   }
 }
 
@@ -245,36 +249,35 @@ uint64_t SimEnv::ThreadCpuNanos() {
          static_cast<uint64_t>(ts.tv_nsec);
 }
 
-uint64_t SimEnv::CpuNanos(SimThread* t, bool real) {
+uint64_t SimEnv::CpuNanos() {
   uint64_t cpu;
-  const uint64_t since =
-      real ? kCpuClockGateNs : MonotonicNanos() - t->anchor_mono;
+  const uint64_t since = MonotonicNanos() - anchor_mono_;
   if (since < kCpuClockGateNs) {
-    cpu = t->anchor_cpu + since;
+    cpu = anchor_cpu_ + since;
   } else {
     // The kernel samples the clock inside the read: anchor at the read's
     // midpoint (its end would drop half a read from the next charge).
     const uint64_t before = MonotonicNanos();
-    cpu = t->anchor_cpu = ThreadCpuNanos();
-    t->anchor_mono = before + (MonotonicNanos() - before) / 2;
+    cpu = anchor_cpu_ = ThreadCpuNanos();
+    anchor_mono_ = before + (MonotonicNanos() - before) / 2;
   }
-  t->cpu_read = std::max(t->cpu_read, cpu);
-  return t->cpu_read;
+  cpu_read_ = std::max(cpu_read_, cpu);
+  return cpu_read_;
 }
 
 SimEnv::SimThread* SimEnv::Current() {
-  DLSM_CHECK_MSG(tls_current != nullptr,
-                 "Env call from a thread not managed by SimEnv");
+  DLSM_CHECK_MSG(tls_current != nullptr && tls_current->env == this,
+                 "Env call from a thread not managed by this SimEnv");
   return tls_current;
 }
 
-double SimEnv::FactorLocked(int node) const {
+double SimEnv::Factor(int node) const {
   const SimNode& n = *nodes_[node];
   if (n.cores <= 0 || n.active <= n.cores) return 1.0;
   return static_cast<double>(n.active) / static_cast<double>(n.cores);
 }
 
-void SimEnv::SetStateLocked(SimThread* t, State s) {
+void SimEnv::SetState(SimThread* t, State s) {
   auto counts = [](State st) {
     return st == State::kReady || st == State::kRunning;
   };
@@ -285,37 +288,34 @@ void SimEnv::SetStateLocked(SimThread* t, State s) {
   t->state = s;
 }
 
-void SimEnv::ChargeCpuLocked(SimThread* self) {
-  uint64_t now = CpuNanos(self);
+void SimEnv::ChargeCpu(SimThread* self) {
+  uint64_t now = CpuNanos();
   uint64_t delta = now > self->cpu_start ? now - self->cpu_start : 0;
   self->cpu_start = now;
-  double factor = FactorLocked(self->node);
+  double factor = Factor(self->node);
   self->lvt += static_cast<uint64_t>(static_cast<double>(delta) * factor *
                                      options_.cpu_scale);
 }
 
-void SimEnv::RotatePinLocked() {
+void SimEnv::RotatePin() {
   if (pin_cpus_.size() < 2) return;
   const uint64_t now = MonotonicNanos();
   if (now < pin_until_ns_) return;
   pin_ = (pin_ + 1) % pin_cpus_.size();
   pin_until_ns_ = now + kPinPeriodNs;
+  // Between two slices: the migration is host scheduling, not modeled work.
+  PinSelfTo(pin_cpus_[pin_]);
 }
 
-void SimEnv::FollowPinLocked(SimThread* t) {
-  if (pin_cpus_.empty() || t->cpu == pin_cpus_[pin_]) return;
-  // Outside the slice: the migration is host scheduling, not modeled work.
-  t->cpu = pin_cpus_[pin_];
-  PinSelfTo(t->cpu);
+void SimEnv::StartSlice(SimThread* t) {
+  // A gated read: the OS thread never parked, so the clock read that ended
+  // the last slice anchors this one, and the switch between them is
+  // charged to neither.
+  t->cpu_start = CpuNanos();
+  t->factor_cache = Factor(t->node);
 }
 
-void SimEnv::StartSliceLocked(SimThread* t) {
-  // Real read: the thread was just parked, off-CPU, for an unknown time.
-  t->cpu_start = CpuNanos(t, /*real=*/true);
-  t->factor_cache = FactorLocked(t->node);
-}
-
-bool SimEnv::DueAtLocked(const SimThread* t, uint64_t* key) {
+bool SimEnv::DueAt(const SimThread* t, uint64_t* key) {
   if (t->state == State::kReady) {
     *key = t->lvt;
   } else if (t->state == State::kTimed) {
@@ -326,13 +326,13 @@ bool SimEnv::DueAtLocked(const SimThread* t, uint64_t* key) {
   return true;
 }
 
-SimEnv::SimThread* SimEnv::PickNextLocked() {
+SimEnv::SimThread* SimEnv::PickNext() {
   SimThread* best = nullptr;
   uint64_t best_key = UINT64_MAX;
   for (auto& tp : threads_) {
     SimThread* t = tp.get();
     uint64_t key;
-    if (!DueAtLocked(t, &key)) continue;
+    if (!DueAt(t, &key)) continue;
     if (key < best_key || (key == best_key && best != nullptr &&
                            t->id < best->id)) {
       best_key = key;
@@ -342,68 +342,153 @@ SimEnv::SimThread* SimEnv::PickNextLocked() {
   return best;
 }
 
-void SimEnv::MakeReadyLocked(SimThread* t, uint64_t from_lvt) {
+void SimEnv::MakeReady(SimThread* t, uint64_t from_lvt) {
   t->lvt = std::max(t->lvt, from_lvt);
   t->wake_time = UINT64_MAX;
-  SetStateLocked(t, State::kReady);
+  SetState(t, State::kReady);
 }
 
-void SimEnv::ResumeLocked(SimThread* t) {
+void SimEnv::Resume(SimThread* t) {
   if (t->state == State::kTimed) {
     // Deadline expiry path.
     t->lvt = std::max(t->lvt, t->wake_time);
     t->wake_time = UINT64_MAX;
     t->timed_out = true;
-    SetStateLocked(t, State::kReady);
+    SetState(t, State::kReady);
   }
   DLSM_CHECK(t->state == State::kReady);
-  SetStateLocked(t, State::kRunning);
+  SetState(t, State::kRunning);
 }
 
-void SimEnv::SwitchOutLocked(SimThread* self,
-                             std::unique_lock<std::mutex>& lk) {
-  SimThread* next = PickNextLocked();
-  if (next == self) {
-    ResumeLocked(self);
-    StartSliceLocked(self);
-    return;
+void SimEnv::SwitchTo(SimThread* from, SimThread* to) {
+  ucontext_t* from_ctx = from != nullptr ? &from->ctx : &host_ctx_;
+  ucontext_t* to_ctx = to != nullptr ? &to->ctx : &host_ctx_;
+  tls_current = to;
+  ThreadSlots::Install(to != nullptr ? &to->slots : nullptr);
+#ifdef DLSM_ASAN_FIBERS
+  // A finished fiber passes no fake-stack slot, so ASan frees its fake
+  // stack.
+  void** fake_stack = from == nullptr ? &host_asan_fake_stack_
+                      : from->state == State::kFinished
+                          ? nullptr
+                          : &from->asan_fake_stack;
+  if (to != nullptr) {
+    __sanitizer_start_switch_fiber(fake_stack, to->stack + GuardBytes(),
+                                   kStackBytes);
+  } else {
+    __sanitizer_start_switch_fiber(fake_stack, host_stack_bottom_,
+                                   host_stack_size_);
   }
+#endif
+#ifdef DLSM_TSAN_FIBERS
+  __tsan_switch_to_fiber(to != nullptr ? to->tsan_fiber : host_tsan_fiber_,
+                         0);
+#endif
+  swapcontext(from_ctx, to_ctx);
+  SwitchedIn(from);
+}
+
+void SimEnv::SwitchedIn(SimThread* self) {
+#ifdef DLSM_ASAN_FIBERS
+  const void* from_bottom = nullptr;
+  size_t from_size = 0;
+  __sanitizer_finish_switch_fiber(
+      self != nullptr ? self->asan_fake_stack : host_asan_fake_stack_,
+      &from_bottom, &from_size);
+  // Run's context switches away once, to the root thread, which is the
+  // first to finish a switch: what it switched from is Run's stack.
+  if (host_stack_size_ == 0) {
+    host_stack_bottom_ = from_bottom;
+    host_stack_size_ = from_size;
+  }
+#endif
+  (void)self;
+  if (finished_ != nullptr) {
+    munmap(finished_->stack, GuardBytes() + kStackBytes);
+    finished_->stack = nullptr;
+#ifdef DLSM_TSAN_FIBERS
+    __tsan_destroy_fiber(finished_->tsan_fiber);
+    finished_->tsan_fiber = nullptr;
+#endif
+    finished_ = nullptr;
+  }
+}
+
+void SimEnv::SwitchOut(SimThread* self) {
+  SimThread* next = PickNext();
   if (next == nullptr) {
-    DeadlockAbortLocked();
+    DeadlockAbort();
   }
-  ResumeLocked(next);
-  RotatePinLocked();
-  // next calls StartSliceLocked itself on wake; the CPU clock is per-thread.
-  lk.unlock();
-  Wake(next);
-  Park(self);
-  lk.lock();
-  // Scheduled again; our state was set to kRunning by the waker.
-  FollowPinLocked(self);
-  StartSliceLocked(self);
+  Resume(next);
+  if (next != self) {
+    RotatePin();
+    SwitchTo(self, next);
+    // Scheduled again; whoever switched back set our state to kRunning.
+  }
+  StartSlice(self);
 }
 
-SimEnv::SimThread* SimEnv::FinishThreadLocked(SimThread* self) {
-  ChargeCpuLocked(self);
-  for (SimThread* j : self->joiners) {
-    MakeReadyLocked(j, self->lvt);
+void SimEnv::FiberMain() {
+  SimThread* t = tls_current;
+  SimEnv* env = t->env;
+  env->SwitchedIn(t);
+  env->StartSlice(t);
+  t->fn();
+  env->ChargeCpu(t);
+  for (SimThread* j : t->joiners) {
+    env->MakeReady(j, t->lvt);
   }
-  self->joiners.clear();
-  SetStateLocked(self, State::kFinished);
-  live_threads_--;
-  SimThread* next = PickNextLocked();
-  if (next == nullptr) {
-    if (live_threads_ > 0) {
-      DeadlockAbortLocked();
-    }
-    all_done_cv_.notify_all();
-    return nullptr;
+  t->joiners.clear();
+  env->SetState(t, State::kFinished);
+  env->live_threads_--;
+  // Outside the slice, as a thread's destructors ran after its exit.
+  t->slots.Clear();
+  SimThread* next = env->PickNext();
+  if (next == nullptr && env->live_threads_ > 0) {
+    env->DeadlockAbort();
   }
-  ResumeLocked(next);
-  return next;
+  if (next != nullptr) {
+    env->Resume(next);
+    env->RotatePin();
+  }
+  // The next context to run unmaps this stack; this call never returns.
+  env->finished_ = t;
+  env->SwitchTo(t, next);
+  std::abort();
 }
 
-void SimEnv::DeadlockAbortLocked() {
+SimEnv::SimThread* SimEnv::NewThread(int node_id, const std::string& name,
+                                     std::function<void()> fn) {
+  DLSM_CHECK_MSG(node_id >= 0 && node_id < static_cast<int>(nodes_.size()),
+                 "unknown node id");
+  auto nt = std::make_unique<SimThread>();
+  SimThread* t = nt.get();
+  t->env = this;
+  t->id = next_thread_id_++;
+  t->name = name;
+  t->node = node_id;
+  t->fn = std::move(fn);
+  t->state = State::kBlocked;  // Not counted active until made runnable.
+  void* m = mmap(nullptr, GuardBytes() + kStackBytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1,
+                 0);
+  DLSM_CHECK_MSG(m != MAP_FAILED, "cannot map a simulated thread's stack");
+  DLSM_CHECK(mprotect(m, GuardBytes(), PROT_NONE) == 0);
+  t->stack = static_cast<char*>(m);
+  DLSM_CHECK(getcontext(&t->ctx) == 0);
+  t->ctx.uc_stack.ss_sp = t->stack + GuardBytes();
+  t->ctx.uc_stack.ss_size = kStackBytes;
+  t->ctx.uc_link = nullptr;  // FiberMain never returns.
+  makecontext(&t->ctx, &SimEnv::FiberMain, 0);
+#ifdef DLSM_TSAN_FIBERS
+  t->tsan_fiber = __tsan_create_fiber(0);
+#endif
+  threads_.push_back(std::move(nt));
+  live_threads_++;
+  return t;
+}
+
+void SimEnv::DeadlockAbort() {
   std::fprintf(stderr,
                "SimEnv: DEADLOCK — no runnable or timed thread remains.\n");
   for (auto& t : threads_) {
@@ -432,32 +517,13 @@ void SimEnv::DeadlockAbortLocked() {
   std::abort();
 }
 
-void SimEnv::ThreadBody(SimThread* t) {
-  tls_current = t;
-  Park(t);
-  {
-    std::unique_lock<std::mutex> lk(gm_);
-    FollowPinLocked(t);
-    StartSliceLocked(t);
-  }
-  t->fn();
-  SimThread* next;
-  {
-    std::unique_lock<std::mutex> lk(gm_);
-    next = FinishThreadLocked(t);
-  }
-  if (next != nullptr) Wake(next);
-  tls_current = nullptr;
-}
-
 void SimEnv::Run(int node_id, std::function<void()> root) {
   DLSM_CHECK_MSG(!ran_, "SimEnv::Run may only be called once");
   ran_ = true;
 
-  // One host CPU at a time for every simulated thread: a baton pass then
-  // wakes a thread on the core the last one ran on, instead of a cold,
-  // remote one. The CPU rotates over the caller's mask (RotatePinLocked), so
-  // a run is not tied to one vCPU's speed on a shared host.
+  // One host CPU at a time for every simulated thread, rotating over the
+  // caller's mask (RotatePin), so a run is not tied to one vCPU's speed on a
+  // shared host.
   cpu_set_t caller_mask;
   const int cpu = sched_getcpu();
   if (cpu >= 0 &&
@@ -472,33 +538,13 @@ void SimEnv::Run(int node_id, std::function<void()> root) {
     pin_until_ns_ = MonotonicNanos() + kPinPeriodNs;
   }
 
-  auto rt = std::make_unique<SimThread>();
-  SimThread* t = rt.get();
-  t->id = next_thread_id_++;
-  t->name = "root";
-  t->node = node_id;
-  t->cpu = pin_cpus_.empty() ? -1 : cpu;
-  t->state = State::kBlocked;  // So the kRunning transition counts it active.
-  {
-    std::unique_lock<std::mutex> lk(gm_);
-    threads_.push_back(std::move(rt));
-    live_threads_++;
-    SetStateLocked(t, State::kRunning);
-    StartSliceLocked(t);
-  }
-  tls_current = t;
-  root();
-  std::unique_lock<std::mutex> lk(gm_);
-  SimThread* next = FinishThreadLocked(t);
-  if (next != nullptr) {
-    lk.unlock();
-    Wake(next);
-    lk.lock();
-  }
-  // The baton (if any) has been passed; wait for the rest of the world.
-  all_done_cv_.wait(lk, [this] { return live_threads_ == 0; });
-  lk.unlock();
-  tls_current = nullptr;
+  SimThread* t = NewThread(node_id, "root", std::move(root));
+  SetState(t, State::kRunning);
+#ifdef DLSM_TSAN_FIBERS
+  host_tsan_fiber_ = __tsan_get_current_fiber();
+#endif
+  // Returns once the last simulated thread has finished.
+  SwitchTo(nullptr, t);
   if (!pin_cpus_.empty()) {
     pthread_setaffinity_np(pthread_self(), sizeof(caller_mask), &caller_mask);
   }
@@ -507,7 +553,7 @@ void SimEnv::Run(int node_id, std::function<void()> root) {
 uint64_t SimEnv::NowNanos() {
   SimThread* self = tls_current;
   if (self == nullptr) return 0;
-  uint64_t now = CpuNanos(self);
+  uint64_t now = CpuNanos();
   uint64_t delta = now > self->cpu_start ? now - self->cpu_start : 0;
   return self->lvt +
          static_cast<uint64_t>(static_cast<double>(delta) *
@@ -516,34 +562,30 @@ uint64_t SimEnv::NowNanos() {
 
 void SimEnv::SleepNanos(uint64_t ns) {
   SimThread* self = Current();
-  std::unique_lock<std::mutex> lk(gm_);
-  ChargeCpuLocked(self);
+  ChargeCpu(self);
   self->wake_time = self->lvt + ns;
-  SetStateLocked(self, State::kTimed);
-  SwitchOutLocked(self, lk);
+  SetState(self, State::kTimed);
+  SwitchOut(self);
 }
 
 void SimEnv::AdvanceTo(uint64_t t_ns) {
   SimThread* self = Current();
-  std::unique_lock<std::mutex> lk(gm_);
-  ChargeCpuLocked(self);
+  ChargeCpu(self);
   if (t_ns <= self->lvt) return;
   self->wake_time = t_ns;
-  SetStateLocked(self, State::kTimed);
-  SwitchOutLocked(self, lk);
+  SetState(self, State::kTimed);
+  SwitchOut(self);
 }
 
 void SimEnv::MaybeYield() {
   SimThread* self = Current();
-  std::unique_lock<std::mutex> lk(gm_);
-  ChargeCpuLocked(self);
-  SetStateLocked(self, State::kReady);
-  SwitchOutLocked(self, lk);
+  ChargeCpu(self);
+  SetState(self, State::kReady);
+  SwitchOut(self);
 }
 
 uint64_t SimEnv::UncountedBegin() {
-  SimThread* self = tls_current;
-  return self != nullptr ? CpuNanos(self) : ThreadCpuNanos();
+  return tls_current != nullptr ? CpuNanos() : ThreadCpuNanos();
 }
 
 void SimEnv::UncountedEnd(uint64_t token) {
@@ -552,38 +594,81 @@ void SimEnv::UncountedEnd(uint64_t token) {
   // Push the slice start forward so the bracketed CPU time is never
   // charged. cpu_start <= token <= now (CpuNanos never decreases), so this
   // cannot exceed "now".
-  self->cpu_start += CpuNanos(self) - token;
+  self->cpu_start += CpuNanos() - token;
 }
 
 void SimEnv::YieldToOthers() {
   SimThread* self = Current();
-  std::unique_lock<std::mutex> lk(gm_);
-  ChargeCpuLocked(self);
-  // Jump just past the earliest other thread that is not itself polling:
-  // that thread, not another poller, is what a poll waits for. Pollers that
-  // jumped past one another would take turns 1 ns plus their charged CPU
-  // apart. Only if every other thread polls, past the earliest of them.
+  ChargeCpu(self);
+  // Jump just past the earliest other thread that is not itself waiting
+  // (polling, or parked in WaitWord with a deadline): that thread, not a
+  // waiter, is what a poll waits for. Pollers that jumped past one another
+  // would take turns 1 ns plus their charged CPU apart. Only if every other
+  // thread waits, past the earliest of them.
   uint64_t any = UINT64_MAX;
   uint64_t working = UINT64_MAX;
   for (auto& tp : threads_) {
     SimThread* t = tp.get();
     uint64_t key;
-    if (t == self || !DueAtLocked(t, &key)) continue;
+    if (t == self || !DueAt(t, &key)) continue;
     any = std::min(any, key);
-    if (!t->polling) working = std::min(working, key);
+    if (!t->polling && t->wait_word == nullptr) {
+      working = std::min(working, key);
+    }
   }
   const uint64_t m = working != UINT64_MAX ? working : any;
   if (m != UINT64_MAX && m >= self->lvt) {
     self->lvt = m + 1;
   }
-  SetStateLocked(self, State::kReady);
+  SetState(self, State::kReady);
   self->polling = true;
-  SwitchOutLocked(self, lk);
+  SwitchOut(self);
   self->polling = false;
 }
 
+uint64_t SimEnv::WaitWord(const void* addr, uint64_t deadline_ns) {
+  SimThread* self = Current();
+  ChargeCpu(self);
+  uint64_t v;
+  while ((v = __atomic_load_n(static_cast<const uint64_t*>(addr),
+                              __ATOMIC_ACQUIRE)) == 0) {
+    if (self->lvt >= deadline_ns) return 0;
+    self->wait_word = addr;
+    word_waiters_.push_back(self);
+    if (deadline_ns == UINT64_MAX) {
+      SetState(self, State::kBlocked);
+    } else {
+      self->wake_time = deadline_ns;
+      SetState(self, State::kTimed);
+    }
+    SwitchOut(self);
+    if (self->wait_word != nullptr) {
+      // The deadline expired first.
+      self->wait_word = nullptr;
+      word_waiters_.erase(
+          std::find(word_waiters_.begin(), word_waiters_.end(), self));
+    }
+  }
+  return v;
+}
+
+void SimEnv::WakeWord(const void* addr) {
+  if (word_waiters_.empty()) return;
+  SimThread* self = Current();
+  ChargeCpu(self);
+  for (size_t i = 0; i < word_waiters_.size();) {
+    SimThread* w = word_waiters_[i];
+    if (w->wait_word != addr) {
+      i++;
+      continue;
+    }
+    w->wait_word = nullptr;
+    word_waiters_.erase(word_waiters_.begin() + i);
+    MakeReady(w, self->lvt);
+  }
+}
+
 int SimEnv::RegisterNode(const std::string& name, int cores) {
-  std::unique_lock<std::mutex> lk(gm_);
   auto node = std::make_unique<SimNode>();
   node->name = name;
   node->cores = cores;
@@ -593,34 +678,14 @@ int SimEnv::RegisterNode(const std::string& name, int cores) {
 
 ThreadHandle SimEnv::StartThread(int node_id, const std::string& name,
                                  std::function<void()> fn) {
-  auto nt = std::make_unique<SimThread>();
-  SimThread* t = nt.get();
-  t->name = name;
-  t->node = node_id;
-  t->fn = std::move(fn);
-  t->state = State::kBlocked;  // Until the baton first reaches it.
-  uint64_t creator_lvt = 0;
-  if (tls_current != nullptr) {
-    creator_lvt = tls_current->lvt;
-    t->cpu = tls_current->cpu;  // The OS thread inherits the creator's mask.
-  }
-  {
-    std::unique_lock<std::mutex> lk(gm_);
-    t->id = next_thread_id_++;
-    DLSM_CHECK_MSG(static_cast<int>(nodes_.size()) > node_id,
-                   "unknown node id");
-    threads_.push_back(std::move(nt));
-    live_threads_++;
-    MakeReadyLocked(t, creator_lvt);
-  }
-  t->os_thread = std::thread([this, t] { ThreadBody(t); });
+  SimThread* t = NewThread(node_id, name, std::move(fn));
+  MakeReady(t, tls_current != nullptr ? tls_current->lvt : 0);
   return ThreadHandle{t->id};
 }
 
 void SimEnv::Join(ThreadHandle h) {
   SimThread* self = Current();
-  std::unique_lock<std::mutex> lk(gm_);
-  ChargeCpuLocked(self);
+  ChargeCpu(self);
   SimThread* target = nullptr;
   for (auto& t : threads_) {
     if (t->id == h.id) {
@@ -634,8 +699,8 @@ void SimEnv::Join(ThreadHandle h) {
     return;
   }
   target->joiners.push_back(self);
-  SetStateLocked(self, State::kBlocked);
-  SwitchOutLocked(self, lk);
+  SetState(self, State::kBlocked);
+  SwitchOut(self);
 }
 
 uint64_t SimEnv::CurrentThreadId() {
@@ -654,7 +719,6 @@ std::string SimEnv::CurrentThreadName() {
 }
 
 std::string SimEnv::NodeName(int node_id) {
-  std::unique_lock<std::mutex> lk(gm_);
   if (node_id < 0 || node_id >= static_cast<int>(nodes_.size())) {
     return "default";
   }

@@ -5,19 +5,22 @@
 // plus 16-node CloudLab clusters. SimEnv reproduces those experiments on a
 // small host by decoupling *simulated* time from wall time:
 //
-//  * Every simulated thread is a real OS thread, but exactly one runs at a
-//    time (baton passing). Each carries a "local virtual time" (LVT).
-//    Run() pins all of them to one host CPU at a time, and a baton pass is a
-//    futex wake of the next thread's word, so the resumed thread starts on
-//    the core (and the caches) the previous one just used. The CPU rotates
-//    over the caller's mask every kPinPeriodNs of host time.
+//  * Every simulated thread is a fiber with a stack of its own, and all of
+//    them run on Run()'s calling OS thread, one at a time. Each carries a
+//    "local virtual time" (LVT). Passing control to the next thread is one
+//    user-space context switch (swapcontext): no kernel wake and no kernel
+//    context switch. Run() pins that OS thread to one host CPU at a time
+//    and rotates the pin over the caller's mask every kPinPeriodNs of host
+//    time.
 //  * CPU cost is *measured*: at every scheduling point the thread's
-//    CLOCK_THREAD_CPUTIME_ID delta is added to its LVT, scaled by the
-//    processor-sharing factor of its node (active_threads / cores when the
-//    node is oversubscribed). Real skiplist inserts, memcmp, memcpy and
-//    bloom probes therefore cost what they really cost. Where that clock is
-//    a syscall, a read within kCpuClockGateNs of the last real one is
-//    extrapolated from CLOCK_MONOTONIC instead (see kCpuClockGateNs).
+//    CLOCK_THREAD_CPUTIME_ID delta since its slice started is added to its
+//    LVT, scaled by the processor-sharing factor of its node
+//    (active_threads / cores when the node is oversubscribed). Real skiplist
+//    inserts, memcmp, memcpy and bloom probes therefore cost what they
+//    really cost, and the context switch between two slices is charged to
+//    neither. Where that clock is a syscall, a read within kCpuClockGateNs
+//    of the last real one is extrapolated from CLOCK_MONOTONIC instead (see
+//    kCpuClockGateNs).
 //  * Synchronization transfers causality: acquiring a mutex or receiving a
 //    signal advances the receiver's LVT to at least the sender's LVT; the
 //    scheduler always resumes the thread with the smallest LVT, so lock
@@ -28,12 +31,15 @@
 //    over-charged (see Env::YieldToOthers).
 //  * Network delays (the RDMA fabric model) are applied with
 //    Env::AdvanceTo(completion_time): the thread is parked, consuming no
-//    simulated CPU, until virtual time reaches the completion timestamp.
+//    simulated CPU, until virtual time reaches the completion timestamp. A
+//    thread waiting for a one-sided write's ready stamp parks in WaitWord
+//    until the writer's WakeWord, instead of polling.
 //
 // Throughput numbers are computed from virtual elapsed time across
 // Barrier-synchronized regions, so a 16-thread sweep or a 16-node cluster
 // behaves as it would on the real testbed even though the host serializes
-// all execution.
+// all execution. Per-thread engine state (ThreadLocal, thread_slots.h) is
+// per simulated thread: each fiber installs its own slot table.
 //
 // Approximation note: between scheduling points a thread's LVT is stale, so
 // interleavings are accurate only at the granularity of scheduling points
@@ -43,18 +49,16 @@
 #ifndef DLSM_SIM_SIM_ENV_H_
 #define DLSM_SIM_SIM_ENV_H_
 
-#include <atomic>
-#include <condition_variable>
+#include <ucontext.h>
+
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/sim/env.h"
+#include "src/util/thread_slots.h"
 
 namespace dlsm {
 
@@ -83,10 +87,16 @@ class SimEnv : public Env {
 
   /// Runs root() as the first simulated thread, attributed to node_id.
   /// Returns once every simulated thread has finished. May be called once.
-  /// The caller and every simulated thread are pinned to one host CPU at a
-  /// time, starting with the one the caller is on at entry (unpinned if the
-  /// kernel refuses); the caller's affinity mask is restored on return.
+  /// Every simulated thread runs on the calling OS thread, which is pinned
+  /// to one host CPU at a time, starting with the one it is on at entry
+  /// (unpinned if the kernel refuses); its affinity mask is restored on
+  /// return. SimEnv takes no locks: call it from its simulated threads, or
+  /// from one host thread before or after Run.
   void Run(int node_id, std::function<void()> root);
+
+  /// Stack reserved per simulated thread (the pthread default), plus one
+  /// guard page below it. Pages are committed only as they are touched.
+  static constexpr size_t kStackBytes = 8 << 20;
 
   /// Host time between moves of the pin to the next CPU of Run's caller
   /// mask. One vCPU of a shared host runs at one speed for up to seconds and
@@ -102,8 +112,9 @@ class SimEnv : public Env {
   /// wall time, so the estimate runs ahead only by time the thread spent
   /// off-CPU inside the window (plus under half a read, for when inside the
   /// read the kernel sampled); host preemptions last milliseconds, so the
-  /// gate leaves them to the next real read. Per-thread reads never
-  /// decrease. A thread's slice always starts on a real read.
+  /// gate leaves them to the next real read. Reads never decrease. Every
+  /// simulated thread shares the one OS thread's clock, so a slice starts on
+  /// a gated read too.
   static constexpr uint64_t kCpuClockGateNs = 10'000;
 
   // Env interface -----------------------------------------------------------
@@ -113,6 +124,8 @@ class SimEnv : public Env {
   void AdvanceTo(uint64_t t_ns) override;
   void MaybeYield() override;
   void YieldToOthers() override;
+  uint64_t WaitWord(const void* addr, uint64_t deadline_ns) override;
+  void WakeWord(const void* addr) override;
   uint64_t UncountedBegin() override;
   void UncountedEnd(uint64_t token) override;
   int RegisterNode(const std::string& name, int cores) override;
@@ -128,11 +141,13 @@ class SimEnv : public Env {
   BarrierImpl* NewBarrier(int parties) override;
 
   // Internal scheduler types, public so the sim synchronization primitives
-  // and the thread-local current-thread pointer can reach them. Not part of
-  // the supported API.
+  // and tests can reach them. Not part of the supported API. Everything
+  // below runs on Run()'s OS thread, one simulated thread at a time, so it
+  // needs no lock.
   enum class State { kReady, kRunning, kTimed, kBlocked, kFinished };
 
   struct SimThread {
+    SimEnv* env = nullptr;
     uint64_t id = 0;
     std::string name;
     int node = 0;
@@ -140,23 +155,19 @@ class SimEnv : public Env {
     uint64_t lvt = 0;
     uint64_t wake_time = UINT64_MAX;  // Valid when state == kTimed.
     bool timed_out = false;           // Set when woken by deadline expiry.
-    // Futex word the parked OS thread sleeps on; 1 = holds the baton. The
-    // thread passing the baton sets it and wakes the sleeper after it has
-    // released gm_; the owner clears it once it runs.
-    std::atomic<uint32_t> baton{0};
-    int cpu = -1;  // Host CPU its OS thread is pinned to; -1 = unknown.
     uint64_t cpu_start = 0;      // Thread-CPU ns at slice start.
     double factor_cache = 1.0;   // Processor-sharing factor at slice start.
-    // Gated CPU clock (CpuNanos): the last real thread-CPU read, the
-    // monotonic time it was taken at, and the largest value returned.
-    // Touched only by the thread itself.
-    uint64_t anchor_cpu = 0;
-    uint64_t anchor_mono = 0;
-    uint64_t cpu_read = 0;
     bool polling = false;  // Parked in YieldToOthers.
+    const void* wait_word = nullptr;  // Parked in WaitWord on this word.
     std::function<void()> fn;
-    std::thread os_thread;
     std::vector<SimThread*> joiners;
+    // The fiber: saved context and stack mapping (guard page first), freed
+    // by the next fiber to run once the thread has finished.
+    ucontext_t ctx;
+    char* stack = nullptr;
+    ThreadSlots slots;
+    void* tsan_fiber = nullptr;      // ThreadSanitizer builds only.
+    void* asan_fake_stack = nullptr;  // AddressSanitizer builds only.
   };
 
   struct SimNode {
@@ -166,48 +177,64 @@ class SimEnv : public Env {
   };
 
   static uint64_t ThreadCpuNanos();
-  /// The calling thread t's CPU clock, gated by kCpuClockGateNs; real reads
-  /// it and re-anchors. Never less than an earlier return for t.
-  static uint64_t CpuNanos(SimThread* t, bool real = false);
+  /// The OS thread's CPU clock, gated by kCpuClockGateNs. Never less than
+  /// an earlier return.
+  uint64_t CpuNanos();
   SimThread* Current();
 
-  // All of the below require gm_ to be held.
-  double FactorLocked(int node) const;
-  void SetStateLocked(SimThread* t, State s);
-  void ChargeCpuLocked(SimThread* self);
-  void StartSliceLocked(SimThread* t);
+  double Factor(int node) const;
+  void SetState(SimThread* t, State s);
+  void ChargeCpu(SimThread* self);
+  void StartSlice(SimThread* t);
   /// The virtual time t is due to run at (its LVT if ready, its wake time
   /// if timed); false if t is not schedulable.
-  static bool DueAtLocked(const SimThread* t, uint64_t* key);
-  SimThread* PickNextLocked();
+  static bool DueAt(const SimThread* t, uint64_t* key);
+  SimThread* PickNext();
   /// Makes t runnable with causality from_lvt; caller sets any
   /// mutex-handoff state first.
-  void MakeReadyLocked(SimThread* t, uint64_t from_lvt);
-  /// Parks self (already moved to a non-running state) and resumes the best
-  /// next thread. Returns, with lk held again, when self is scheduled again.
-  void SwitchOutLocked(SimThread* self, std::unique_lock<std::mutex>& lk);
-  void ResumeLocked(SimThread* t);
+  void MakeReady(SimThread* t, uint64_t from_lvt);
+  /// Resumes the best next thread in place of self, which is already in a
+  /// non-running state. Returns when self is scheduled again, with a new
+  /// slice started.
+  void SwitchOut(SimThread* self);
+  void Resume(SimThread* t);
+  /// Switches the OS thread from the running fiber (nullptr: Run's own
+  /// context) to `to` (nullptr: back to Run). A finished `from` never
+  /// returns.
+  void SwitchTo(SimThread* from, SimThread* to);
+  /// First thing a context does once switched to: completes the sanitizer
+  /// hand-off and unmaps the stack of a thread that just finished.
+  void SwitchedIn(SimThread* self);
   /// Moves the pin to the next CPU once kPinPeriodNs has passed since the
-  /// last move. Called on a baton pass; each thread follows as it resumes.
-  void RotatePinLocked();
-  /// Pins the calling thread t to the current pin CPU if it is elsewhere.
-  void FollowPinLocked(SimThread* t);
-  /// Retires self and marks the best next thread running. Returns that
-  /// thread, which the caller must Wake() after releasing gm_, or nullptr
-  /// once no thread remains.
-  SimThread* FinishThreadLocked(SimThread* self);
-  [[noreturn]] void DeadlockAbortLocked();
+  /// last move. Called on a switch between threads.
+  void RotatePin();
+  /// A thread with its fiber, not yet runnable.
+  SimThread* NewThread(int node_id, const std::string& name,
+                       std::function<void()> fn);
+  [[noreturn]] void DeadlockAbort();
 
-  void ThreadBody(SimThread* t);
+  /// Entry point of every fiber: runs the thread tls_current names.
+  static void FiberMain();
 
   Options options_;
-  std::mutex gm_;
-  std::condition_variable all_done_cv_;
   std::vector<std::unique_ptr<SimNode>> nodes_;
   std::vector<std::unique_ptr<SimThread>> threads_;
   uint64_t next_thread_id_ = 1;
   int live_threads_ = 0;
   bool ran_ = false;
+  std::vector<SimThread*> word_waiters_;  // Parked in WaitWord.
+  // Run()'s own context, resumed once every simulated thread has finished.
+  ucontext_t host_ctx_;
+  void* host_tsan_fiber_ = nullptr;
+  void* host_asan_fake_stack_ = nullptr;
+  const void* host_stack_bottom_ = nullptr;
+  size_t host_stack_size_ = 0;
+  SimThread* finished_ = nullptr;  // Its stack awaits SwitchedIn.
+  // Gated CPU clock (CpuNanos): the last real thread-CPU read, the
+  // monotonic time it was taken at, and the largest value returned.
+  uint64_t anchor_cpu_ = 0;
+  uint64_t anchor_mono_ = 0;
+  uint64_t cpu_read_ = 0;
   // The caller's CPUs, in order; empty when Run could not pin. The pin is
   // pin_cpus_[pin_] until host monotonic time pin_until_ns_.
   std::vector<int> pin_cpus_;

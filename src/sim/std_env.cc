@@ -1,6 +1,7 @@
 // StdEnv: the real-time environment — std::thread, std::mutex and the
 // monotonic clock. Used for correctness tests that need true concurrency.
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -9,6 +10,7 @@
 
 #include "src/sim/env.h"
 #include "src/util/logging.h"
+#include "src/util/thread_slots.h"
 
 namespace dlsm {
 
@@ -17,9 +19,12 @@ namespace {
 // Identity of the calling thread, set by StartThread's wrapper before the
 // user function runs. Foreign threads (the host main thread) keep the
 // defaults: id 0, node 0, no name.
-thread_local uint64_t tls_thread_id = 0;
-thread_local int tls_node_id = 0;
-thread_local std::string* tls_thread_name = nullptr;
+struct StdIdentity {
+  uint64_t id = 0;
+  int node = 0;
+  std::string name;
+};
+ThreadLocal<StdIdentity> thread_identity;
 
 uint64_t SteadyNowNanos() {
   return static_cast<uint64_t>(
@@ -138,12 +143,8 @@ class StdEnv : public Env {
     uint64_t id = next_thread_id_++;
     threads_.emplace(
         id, std::thread([id, node_id, name, fn = std::move(fn)]() mutable {
-          std::string thread_name = name;
-          tls_thread_id = id;
-          tls_node_id = node_id;
-          tls_thread_name = &thread_name;
+          thread_identity.Get() = StdIdentity{id, node_id, name};
           fn();
-          tls_thread_name = nullptr;
         }));
     return ThreadHandle{id};
   }
@@ -160,12 +161,12 @@ class StdEnv : public Env {
     if (t.joinable()) t.join();
   }
 
-  uint64_t CurrentThreadId() override { return tls_thread_id; }
+  uint64_t CurrentThreadId() override { return thread_identity.Get().id; }
 
-  int CurrentNodeId() override { return tls_node_id; }
+  int CurrentNodeId() override { return thread_identity.Get().node; }
 
   std::string CurrentThreadName() override {
-    return tls_thread_name != nullptr ? *tls_thread_name : std::string();
+    return thread_identity.Get().name;
   }
 
   std::string NodeName(int node_id) override {
@@ -194,6 +195,22 @@ class StdEnv : public Env {
 };
 
 }  // namespace
+
+uint64_t Env::WaitWord(const void* addr, uint64_t deadline_ns) {
+  uint64_t v;
+  while ((v = __atomic_load_n(static_cast<const uint64_t*>(addr),
+                              __ATOMIC_ACQUIRE)) == 0) {
+    uint64_t before = NowNanos();
+    if (before >= deadline_ns) return 0;
+    YieldToOthers();
+    if (NowNanos() == before) {
+      // Nothing moved the clock; a pure yield loop would never reach the
+      // deadline. Sleep one poll quantum.
+      SleepNanos(std::min<uint64_t>(5000, deadline_ns - before));
+    }
+  }
+  return v;
+}
 
 Env* Env::Std() {
   static StdEnv* env = new StdEnv();

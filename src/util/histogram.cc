@@ -1,5 +1,6 @@
 #include "src/util/histogram.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -92,8 +93,10 @@ Histogram Histogram::DeltaSince(const Histogram& prev) const {
   d.sum_squares_ =
       sum_squares_ - prev.sum_squares_ > 0 ? sum_squares_ - prev.sum_squares_
                                            : 0;
-  d.min_ = lo == 0 ? 0 : kBucketLimit[lo - 1];
-  d.max_ = hi == kNumBuckets - 1 ? max_ : kBucketLimit[hi];
+  // The window's extremes lie within its occupied buckets and within the
+  // cumulative extremes; against an empty prev they are the cumulative ones.
+  d.min_ = std::max(lo == 0 ? 0 : kBucketLimit[lo - 1], min_);
+  d.max_ = std::min(kBucketLimit[hi], max_);
   return d;
 }
 

@@ -29,9 +29,10 @@ class Histogram {
   /// The samples recorded in *this but not in `prev`, where `prev` is an
   /// earlier snapshot of the same histogram (bucket-wise subtraction) —
   /// the windowed view the telemetry sampler reports p50/p99 over.
-  /// min/max are approximated by the delta's occupied bucket bounds (the
-  /// exact extremes of an interval are not recoverable from two
-  /// cumulative snapshots), which only tightens the percentile clamp.
+  /// min/max are bounded by both the delta's occupied bucket edges and the
+  /// cumulative min/max (the exact extremes of an interval are not
+  /// recoverable from two cumulative snapshots), so a delta against an
+  /// empty histogram equals the undifferenced one.
   Histogram DeltaSince(const Histogram& prev) const;
 
   double Median() const { return Percentile(50.0); }

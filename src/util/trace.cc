@@ -9,6 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/util/thread_slots.h"
+
 namespace dlsm {
 namespace trace {
 
@@ -63,11 +65,12 @@ TracerState& State() {
 struct LogCache {
   uint64_t epoch = 0;
   Tracer::ThreadLog* log = nullptr;
+  // Only the outermost TraceOp on a thread does exemplar accounting.
+  bool in_op = false;
 };
-thread_local LogCache tls_log;
-
-// Only the outermost TraceOp on a thread does exemplar accounting.
-thread_local bool tls_in_op = false;
+// One trace track per thread of execution, so per simulated thread under
+// SimEnv.
+ThreadLocal<LogCache> thread_log;
 
 /// Candidates of one window in export order: slowest first, admission
 /// order breaking ties (both deterministic under SimEnv).
@@ -217,7 +220,8 @@ uint64_t Tracer::NextId() {
 Tracer::ThreadLog* Tracer::Log() {
   TracerState& s = State();
   uint64_t epoch = s.epoch.load(std::memory_order_acquire);
-  if (tls_log.epoch == epoch && tls_log.log != nullptr) return tls_log.log;
+  LogCache& cache = thread_log.Get();
+  if (cache.epoch == epoch && cache.log != nullptr) return cache.log;
   std::lock_guard<std::mutex> lk(s.mu);
   if (!enabled()) return nullptr;
   auto log = std::make_unique<ThreadLog>();
@@ -226,8 +230,8 @@ Tracer::ThreadLog* Tracer::Log() {
   log->events.reserve(s.events_per_thread);
   ThreadLog* raw = log.get();
   s.logs.push_back(std::move(log));
-  tls_log.epoch = epoch;
-  tls_log.log = raw;
+  cache.epoch = epoch;
+  cache.log = raw;
   return raw;
 }
 
@@ -424,12 +428,12 @@ void TraceOp::Begin(const char* name, const char* cat) {
   cat_ = cat;
   start_ns_ = Tracer::Now();
   id_ = Tracer::NextId();
-  if (Tracer::exemplars_active() && !tls_in_op) {
+  if (Tracer::exemplars_active() && !thread_log.Get().in_op) {
     log_ = Tracer::Log();
     if (log_ != nullptr) {
       mark_ = log_->events.size();
       exemplar_ = true;
-      tls_in_op = true;
+      thread_log.Get().in_op = true;
     }
   }
 }
@@ -443,7 +447,7 @@ void TraceOp::End() {
                        arg1_, arg2_name_, arg2_);
   if (exemplar_) {
     exemplar_ = false;
-    tls_in_op = false;
+    thread_log.Get().in_op = false;
     Tracer::ExemplarFinish(log_, mark_, name_, start_ns_, dur_ns);
   }
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/remote/remote_alloc.h"
+#include "src/rdma/rdma_manager.h"
 #include "src/remote/rpc.h"
 #include "src/sim/sim_env.h"
 
@@ -237,6 +238,72 @@ TEST_F(RpcTest, ConcurrentCallersGetTheirOwnReplies) {
     }
     for (ThreadHandle h : hs) env->Join(h);
     EXPECT_EQ(0, failures.load());
+    server.Stop();
+  });
+}
+
+// Every simulated thread runs on one OS thread, yet each keeps its own
+// per-thread verb queue and RPC reply buffers: two threads interleaving
+// Call, CallAsync and async READs through one RpcClient and one RdmaManager
+// each see their own queue and get their own replies and bytes.
+TEST_F(RpcTest, SimulatedThreadsKeepTheirOwnVerbQueueAndReplyBuffers) {
+  RunSim([](rdma::Fabric* f, rdma::Node* compute, rdma::Node* memory) {
+    Env* env = f->env();
+    RpcServer server(f, memory, 2);
+    server.set_handler(
+        [env](uint8_t, const Slice& args, std::string* reply) {
+          env->SleepNanos(50'000);
+          *reply = "r:" + args.ToString();
+        });
+    server.Start();
+    RpcClient client(f, compute, &server);
+    // A reply lost to another thread's buffers fails by timeout, not a hang.
+    RpcPolicy policy;
+    policy.timeout_ns = 10'000'000;
+    client.set_policy(policy);
+    constexpr size_t kPage = 4096;
+    char* remote = memory->AllocDram(2 * kPage);
+    ASSERT_NE(nullptr, remote);
+    for (size_t i = 0; i < 2 * kPage; i++) {
+      remote[i] = static_cast<char>('a' + i / kPage);
+    }
+    rdma::MemoryRegion mr = f->RegisterMemory(memory, remote, 2 * kPage);
+    rdma::RdmaManager mgr(f, compute, memory);
+
+    rdma::VerbQueue* vqs[2] = {nullptr, nullptr};
+    int failures = 0;
+    std::vector<ThreadHandle> hs;
+    for (int t = 0; t < 2; t++) {
+      hs.push_back(env->StartThread(compute->env_node(), "caller", [&, t] {
+        vqs[t] = mgr.ThreadVq();
+        env->SleepNanos(1000);  // Both threads hold their queue.
+        if (vqs[0] == vqs[1]) return;
+        for (int k = 0; k < 20; k++) {
+          const std::string arg = std::to_string(t) + "." + std::to_string(k);
+          // The READ and the async call stay in flight across this thread's
+          // blocking Call, during which the other thread posts its own.
+          char buf[64] = {};
+          rdma::WrHandle read = mgr.PostReadAsync(
+              buf, mr.addr + t * kPage + k, mr.rkey, sizeof(buf));
+          PendingCall call = client.CallAsync(RpcType::kStats, arg + "a");
+          std::string reply;
+          if (!client.Call(RpcType::kStats, arg, &reply).ok() ||
+              reply != "r:" + arg) {
+            failures++;
+          }
+          if (!call.Wait(&reply).ok() || reply != "r:" + arg + "a") {
+            failures++;
+          }
+          if (!read.Wait().ok() || buf[0] != 'a' + t || buf[63] != 'a' + t) {
+            failures++;
+          }
+          if (mgr.ThreadVq() != vqs[t]) failures++;
+        }
+      }));
+    }
+    for (ThreadHandle h : hs) env->Join(h);
+    EXPECT_EQ(0, failures);
+    EXPECT_NE(vqs[0], vqs[1]);
     server.Stop();
   });
 }

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 #include <pthread.h>
 #include <sched.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -16,6 +18,7 @@
 #include "src/sim/env.h"
 #include "src/sim/sim_env.h"
 #include "src/sim/thread_pool.h"
+#include "src/util/thread_slots.h"
 
 namespace dlsm {
 namespace {
@@ -549,6 +552,122 @@ TEST(SimEnvTest, HandoffStressLosesNoWakeup) {
   });
   for (int c : shared_counts) EXPECT_EQ(kItems, c);
   EXPECT_GE(handoffs, 100000u);
+}
+
+pid_t OsThreadId() { return static_cast<pid_t>(syscall(SYS_gettid)); }
+
+// Every simulated thread is a fiber on the OS thread that called Run, before
+// and after it parks.
+TEST(SimEnvTest, SimulatedThreadsRunOnTheCallersOsThread) {
+  const pid_t caller = OsThreadId();
+  std::vector<pid_t> seen;
+  SimEnv env;
+  env.Run(0, [&] {
+    seen.push_back(OsThreadId());
+    std::vector<ThreadHandle> hs;
+    for (int i = 0; i < 4; i++) {
+      hs.push_back(env.StartThread(0, "t", [&, i] {
+        seen.push_back(OsThreadId());
+        env.SleepNanos(1000 * (4 - i));
+        seen.push_back(OsThreadId());
+      }));
+    }
+    for (ThreadHandle h : hs) env.Join(h);
+    seen.push_back(OsThreadId());
+  });
+  ASSERT_EQ(10u, seen.size());
+  for (pid_t tid : seen) EXPECT_EQ(caller, tid);
+}
+
+// Recurses depth frames of 4 KiB each and yields at the bottom, so other
+// threads run while the deep stack is live.
+uint64_t DeepFrames(Env* env, int depth) {
+  volatile char frame[4096];
+  for (size_t i = 0; i < sizeof(frame); i += 64) {
+    frame[i] = static_cast<char>(depth % 100);
+  }
+  uint64_t sum = 0;
+  if (depth > 1) {
+    sum = DeepFrames(env, depth - 1);
+  } else {
+    env->MaybeYield();
+  }
+  for (size_t i = 0; i < sizeof(frame); i += 64) sum += frame[i];
+  return sum;
+}
+
+// A simulated thread has an OS thread's stack: two threads each hold 1 MiB
+// of frames across a switch, and neither overwrites the other's.
+TEST(SimEnvTest, SimulatedThreadsCanUseOneMebibyteOfStack) {
+  constexpr int kDepth = (1 << 20) / 4096;
+  uint64_t want = 0;
+  for (int d = 1; d <= kDepth; d++) want += 64 * (d % 100);
+  uint64_t got[2] = {0, 0};
+  SimEnv env;
+  env.Run(0, [&] {
+    ThreadHandle a = env.StartThread(0, "a", [&] {
+      got[0] = DeepFrames(&env, kDepth);
+    });
+    ThreadHandle b = env.StartThread(0, "b", [&] {
+      got[1] = DeepFrames(&env, kDepth);
+    });
+    env.Join(a);
+    env.Join(b);
+  });
+  EXPECT_EQ(want, got[0]);
+  EXPECT_EQ(want, got[1]);
+}
+
+// Per-thread engine state follows the simulated thread, not the OS thread
+// the fibers share: each thread keeps its own ThreadLocal across switches.
+TEST(SimEnvTest, ThreadLocalIsPerSimulatedThread) {
+  static ThreadLocal<uint64_t> slot;
+  std::vector<uint64_t> mismatches;
+  SimEnv env;
+  env.Run(0, [&] {
+    std::vector<ThreadHandle> hs;
+    for (uint64_t i = 1; i <= 4; i++) {
+      hs.push_back(env.StartThread(0, "t", [&, i] {
+        if (slot.Get() != 0) mismatches.push_back(slot.Get());
+        for (int k = 0; k < 100; k++) {
+          slot.Get() = i;
+          env.MaybeYield();
+          if (slot.Get() != i) mismatches.push_back(slot.Get());
+        }
+      }));
+    }
+    for (ThreadHandle h : hs) env.Join(h);
+    EXPECT_EQ(0u, slot.Get()) << "the root thread saw another's value";
+  });
+  EXPECT_TRUE(mismatches.empty()) << mismatches.size() << " mismatches";
+}
+
+// A thread waiting on a word parks (no polling) until the writer's WakeWord
+// and resumes at the writer's virtual time; with a deadline and no writer it
+// returns 0 at the deadline.
+TEST(SimEnvTest, WaitWordParksUntilWokenAtTheWakersTime) {
+  SimEnv::Options options;
+  options.cpu_scale = 0;
+  SimEnv env(options);
+  uint64_t word = 0;
+  uint64_t never = 0;
+  uint64_t got = 0, woke_at = 0, timed_out = 1, timed_out_at = 0;
+  env.Run(0, [&] {
+    ThreadHandle h = env.StartThread(0, "waiter", [&] {
+      got = env.WaitWord(&word, UINT64_MAX);
+      woke_at = env.NowNanos();
+      timed_out = env.WaitWord(&never, woke_at + 5000);
+      timed_out_at = env.NowNanos();
+    });
+    env.SleepNanos(20000);
+    __atomic_store_n(&word, 7, __ATOMIC_RELEASE);
+    env.WakeWord(&word);
+    env.Join(h);
+  });
+  EXPECT_EQ(7u, got);
+  EXPECT_EQ(20000u, woke_at);
+  EXPECT_EQ(0u, timed_out);
+  EXPECT_EQ(25000u, timed_out_at);
 }
 
 TEST(ThreadPoolTest, RunsTasksStdEnv) {

@@ -123,6 +123,30 @@ TEST(HistogramTest, DeltaSinceIsolatesTheWindow) {
   EXPECT_GT(h.DeltaSince(h).Median(), -1.0);  // Empty delta is valid.
 }
 
+// The same samples read the same percentiles differenced or not: a delta
+// against an empty histogram keeps the cumulative min/max instead of
+// widening them to bucket edges, which moved a p50 from 1.694 to 1.500.
+TEST(HistogramTest, DeltaAgainstEmptyMatchesUndifferenced) {
+  Histogram h;
+  for (int i = 0; i < 12662; i++) h.Add(1.6 + 0.1 * (i % 7) / 6.0);
+  h.Add(0.9);
+  h.Add(45.0);
+  const Histogram delta = h.DeltaSince(Histogram());
+  EXPECT_EQ(h.Min(), delta.Min());
+  EXPECT_EQ(h.Max(), delta.Max());
+  for (double p : {0.0, 1.0, 50.0, 99.0, 99.9, 100.0}) {
+    EXPECT_EQ(h.Percentile(p), delta.Percentile(p)) << "p" << p;
+  }
+  // A later window stays inside both its buckets and the cumulative range.
+  Histogram snapshot = h;
+  for (int i = 0; i < 100; i++) h.Add(3.3);
+  const Histogram window = h.DeltaSince(snapshot);
+  EXPECT_GE(window.Min(), h.Min());
+  EXPECT_LE(window.Max(), h.Max());
+  EXPECT_GE(window.Median(), 3.0);  // 3.3's bucket is [3, 4).
+  EXPECT_LE(window.Median(), 4.0);
+}
+
 TEST(IntervalRecorderTest, ChargesQueueingDelayToDelayedOps) {
   // 1 ms intended interval. Ops 0-9 complete on schedule with 100 us of
   // service time; op 10 stalls for 50 ms, and ops 11-19, issued
