@@ -65,18 +65,16 @@ void AblateAsyncFlush(uint64_t mb) {
     std::string payload(4096, 'x');
     uint64_t chunks = (mb << 20) / payload.size();
 
+    StagingPool pool(compute, 256 << 10);
     for (bool async : {true, false}) {
       uint64_t t0 = env.NowNanos();
-      std::unique_ptr<TableSink> sink;
-      if (async) {
-        sink = std::make_unique<AsyncRemoteSink>(&mgr, chunk, 256 << 10, 4);
-      } else {
-        sink = std::make_unique<SyncRemoteSink>(&mgr, chunk, 256 << 10);
-      }
+      // The synchronous leg is the same sink at depth 1: every full buffer
+      // is one blocking WRITE.
+      AsyncRemoteSink sink(&mgr, chunk, &pool, async ? 4 : 1);
       for (uint64_t i = 0; i < chunks; i++) {
-        DLSM_CHECK(sink->Append(payload.data(), payload.size()).ok());
+        DLSM_CHECK(sink.Append(payload.data(), payload.size()).ok());
       }
-      DLSM_CHECK(sink->Finish().ok());
+      DLSM_CHECK(sink.Finish().ok());
       uint64_t t1 = env.NowNanos();
       double secs = (t1 - t0) / 1e9;
       std::printf("%-28s %10.2f GB/s\n",

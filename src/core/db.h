@@ -47,7 +47,7 @@ enum class MergeRule : uint8_t {
   X(bloom_useful, kSum, "Remote reads skipped by bloom filters.")          \
   X(compaction_rpc_inflight_peak, kMax,                                    \
     "Peak concurrent near-data compaction RPCs (async scheduler window); " \
-    "1 when the verb budget serializes them or async_write is off.")       \
+    "1 when the verb budget or the blocking scheduler serializes them.")   \
   X(read_retries, kSum, "Point/scan reads re-issued after a fault.")       \
   X(flush_retries, kSum, "Flush jobs re-run before install.")              \
   X(rpc_retries, kSum, "RPC attempts re-issued after a failure.")          \

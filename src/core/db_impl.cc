@@ -21,6 +21,18 @@ constexpr int kGcBatchSize = 32;
 // Staging buffers per flush pipeline before the writer must recycle one.
 constexpr int kFlushBuffersPerPipeline = 4;
 
+// Waits out every pipeline of one flush or compute-side compaction job (the
+// durability barrier before install); the first failure wins.
+Status DrainPipelines(std::vector<std::unique_ptr<FlushPipeline>>* pipelines) {
+  Status first;
+  for (auto& p : *pipelines) {
+    if (p == nullptr) continue;
+    Status s = p->Drain();
+    if (first.ok()) first = s;
+  }
+  return first;
+}
+
 // Max/mean per-node READ-verb imbalance over the last rebalance interval
 // that triggers a migration round.
 constexpr double kRebalanceThreshold = 1.5;
@@ -69,6 +81,7 @@ DLsmDB::DLsmDB(const Options& options, const DbDeps& deps)
       env_(options.env),
       icmp_(options.comparator),
       bloom_(options.bloom_bits_per_key),
+      staging_(deps.compute, options.flush_buffer_size),
       mig_mu_(options.env),
       mig_cv_(options.env, &mig_mu_),
       telem_mu_(options.env),
@@ -289,15 +302,14 @@ Status DLsmDB::Write(const WriteOptions& options, WriteBatch* batch) {
   if (options_.write_path == WritePath::kWriterQueue) {
     return WriteQueued(batch);
   }
-  return WriteInternal(batch);
+  return WriteAtSequence(batch, /*seq_base=*/0,
+                         WriteBatchInternal::Count(batch));
 }
 
-Status DLsmDB::WriteInternal(WriteBatch* batch) {
-  const uint32_t n = WriteBatchInternal::Count(batch);
+Status DLsmDB::WriteAtSequence(WriteBatch* batch, SequenceNumber seq_base,
+                               uint32_t n, bool* reallocated) {
+  if (reallocated != nullptr) *reallocated = false;
   if (n == 0) return Status::OK();
-
-  bool have_seq = false;
-  SequenceNumber seq_base = 0;
   for (;;) {
     MemTable* cur = mem_.load(std::memory_order_acquire);
     cur->BeginWrite();
@@ -307,13 +319,12 @@ Status DLsmDB::WriteInternal(WriteBatch* batch) {
       env_->MaybeYield();
       continue;
     }
-    if (!have_seq) {
+    if (seq_base == 0) {
       // Atomic sequence allocation — the only synchronization on the hot
       // path (Fig. 3). BeginWrite precedes allocation, which guarantees a
       // flusher can never seal this table between our range check and our
       // insert (see HandleSwitch).
       seq_base = sequence_.fetch_add(n, std::memory_order_acq_rel) + 1;
-      have_seq = true;
     }
     if (cur->AcceptsSequence(seq_base)) {
       Status s = WriteBatchInternal::InsertInto(batch, seq_base, cur);
@@ -337,50 +348,11 @@ Status DLsmDB::WriteInternal(WriteBatch* batch) {
       // further switches raced past it, handled below).
     } else {
       // Our sequence landed behind the current table's range because other
-      // writers pushed multiple switches while we were descheduled.
-      // Discard the stale sequence numbers (gaps are harmless) and
-      // reallocate — this keeps "newer version in newer table" absolute.
-      have_seq = false;
-    }
-  }
-}
-
-Status DLsmDB::WriteAtSequence(WriteBatch* batch, SequenceNumber seq_base,
-                               uint32_t n, bool* reallocated) {
-  if (reallocated != nullptr) *reallocated = false;
-  if (n == 0) return Status::OK();
-  for (;;) {
-    MemTable* cur = mem_.load(std::memory_order_acquire);
-    cur->BeginWrite();
-    if (cur->immutable()) {
-      cur->EndWrite();
-      env_->MaybeYield();
-      continue;
-    }
-    if (cur->AcceptsSequence(seq_base)) {
-      Status s = WriteBatchInternal::InsertInto(batch, seq_base, cur);
-      cur->EndWrite();
-      stat_writes_.fetch_add(n, std::memory_order_relaxed);
-      if (options_.switch_policy == MemTableSwitchPolicy::kDoubleCheckedSize &&
-          cur->ApproximateMemoryUsage() >= options_.memtable_size) {
-        MutexLock l(&mem_mu_);
-        if (mem_.load(std::memory_order_acquire) == cur &&
-            cur->ApproximateMemoryUsage() >= options_.memtable_size) {
-          SwitchMemTableLocked();
-        }
-      }
-      return s;
-    }
-    cur->EndWrite();
-    if (seq_base >= cur->seq_limit()) {
-      DLSM_RETURN_NOT_OK(HandleSwitch(seq_base));
-    } else {
-      // The pre-allocated base landed behind the current table's range
-      // (a switch burst or a Flush range burn overtook the group window):
-      // discard it and draw a fresh one — gaps are harmless, and this
-      // keeps "newer version in newer table" absolute, exactly as the
-      // reallocation in WriteInternal does.
-      seq_base = sequence_.fetch_add(n, std::memory_order_acq_rel) + 1;
+      // writers pushed multiple switches (or a Flush burned the range)
+      // while we were descheduled. Discard it (gaps are harmless) and draw
+      // a fresh one on the next pass — this keeps "newer version in newer
+      // table" absolute.
+      seq_base = 0;
       if (reallocated != nullptr) *reallocated = true;
     }
   }
@@ -420,38 +392,28 @@ Status DLsmDB::WriteQueued(WriteBatch* batch) {
   }
   write_mu_->Unlock();
 
-  if (options_.async_write && group.size() > 1) {
-    // Group sequence batching (the sequence-allocation analogue of the
-    // read path's doorbell waves): one fetch-add covers the whole group,
-    // then each batch routes at its own sub-base. Queue order fixes the
-    // sub-bases, so commit order matches arrival order exactly as in the
-    // one-fetch-add-per-batch path.
-    uint64_t total = 0;
-    for (QueuedWriter* qw : group) {
-      total += WriteBatchInternal::Count(qw->batch);
-    }
-    SequenceNumber base =
-        total > 0 ? sequence_.fetch_add(total, std::memory_order_acq_rel) + 1
-                  : 0;
-    bool window_valid = total > 0;
-    for (QueuedWriter* qw : group) {
-      uint32_t n = WriteBatchInternal::Count(qw->batch);
-      if (window_valid) {
-        bool reallocated = false;
-        qw->status = WriteAtSequence(qw->batch, base, n, &reallocated);
-        base += n;
-        // A reallocation jumped past the rest of the window; if later
-        // members kept their (now lower) sub-bases, a later write could
-        // commit below an earlier one and lose last-writer-wins within
-        // the group. Fall back to fresh allocation for the remainder.
-        if (reallocated) window_valid = false;
-      } else {
-        qw->status = WriteInternal(qw->batch);
-      }
-    }
-  } else {
-    for (QueuedWriter* qw : group) {
-      qw->status = WriteInternal(qw->batch);
+  // Group sequence batching: one fetch-add covers the whole group, then
+  // each batch routes at its own sub-base. Queue order fixes the sub-bases,
+  // so commit order matches arrival order.
+  uint64_t total = 0;
+  for (QueuedWriter* qw : group) {
+    total += WriteBatchInternal::Count(qw->batch);
+  }
+  SequenceNumber base =
+      total > 0 ? sequence_.fetch_add(total, std::memory_order_acq_rel) + 1
+                : 0;
+  for (QueuedWriter* qw : group) {
+    uint32_t n = WriteBatchInternal::Count(qw->batch);
+    bool reallocated = false;
+    qw->status = WriteAtSequence(qw->batch, base, n, &reallocated);
+    // A reallocation jumped past the rest of the window; if later members
+    // kept their (now lower) sub-bases, a later write could commit below
+    // an earlier one and lose last-writer-wins within the group. The rest
+    // of the group draws fresh bases instead.
+    if (reallocated) {
+      base = 0;
+    } else if (base != 0) {
+      base += n;
     }
   }
 
@@ -575,11 +537,12 @@ void DLsmDB::FlushJob(MemTable* mem, uint64_t l0_order) {
   Status s;
   std::vector<CompactionOutput> outputs;
   if (mem->num_entries() > 0) {
-    // async_write: all of this job's output WRITEs ride one FlushPipeline —
-    // each sink's tail buffers are adopted as deferred handles at Finish()
-    // instead of being waited per table, and the whole wave drains once
-    // below, before install (the durability barrier: a table becomes
-    // visible only after its bytes are on the memory node).
+    // Async transport: all of this job's output WRITEs to one node ride one
+    // FlushPipeline (NewOutputSink) — each sink's tail buffers are adopted
+    // as deferred handles at Finish() instead of being waited per table,
+    // and the whole wave drains once below, before install (the durability
+    // barrier: a table becomes visible only after its bytes are on the
+    // memory node).
     //
     // Transient faults re-run the whole job: a failed wave leaves no record
     // of which bytes landed, so the failed attempt's chunks are recycled
@@ -627,22 +590,7 @@ void DLsmDB::FlushJob(MemTable* mem, uint64_t l0_order) {
         }
         *chunk = c;
         attempt_chunks.push_back(c);
-        std::unique_ptr<TableSink> base;
-        if (options_.async_write) {
-          if (pipelines[slot] == nullptr) {
-            pipelines[slot] = std::make_unique<FlushPipeline>(node.mgr.get());
-          }
-          base = std::make_unique<AsyncRemoteSink>(
-              node.mgr.get(), c, options_.flush_buffer_size,
-              kFlushBuffersPerPipeline, pipelines[slot].get());
-        } else {
-          // Ablation: one blocking WRITE per flush buffer.
-          base = std::make_unique<SyncRemoteSink>(node.mgr.get(), c,
-                                                  options_.flush_buffer_size);
-        }
-        *sink = options_.extra_io_copy
-                    ? std::make_unique<CopySink>(std::move(base))
-                    : std::move(base);
+        *sink = NewOutputSink(slot, c, &pipelines);
         return Status::OK();
       };
 
@@ -650,14 +598,7 @@ void DLsmDB::FlushJob(MemTable* mem, uint64_t l0_order) {
                         OldestSnapshot(), /*drop_tombstones=*/false,
                         options_.sstable_size, options_.table_format,
                         options_.block_size, new_output, &outputs);
-      if (s.ok()) {
-        // First drain failure wins; destruction cancels the rest safely.
-        for (auto& p : pipelines) {
-          if (p == nullptr) continue;
-          Status d = p->Drain();
-          if (s.ok()) s = d;
-        }
-      }
+      if (s.ok()) s = DrainPipelines(&pipelines);
       if (s.ok() || !s.IsIOError()) break;
     }
     if (!s.ok()) {
@@ -689,6 +630,10 @@ void DLsmDB::FlushJob(MemTable* mem, uint64_t l0_order) {
     versions_->Apply(edit);
     stat_flushes_.fetch_add(1, std::memory_order_relaxed);
   }
+  // GC's remote frees go out while this job still counts as pending, so a
+  // caller that saw the DB idle (Flush, WaitForBackgroundIdle) sees no
+  // late kFreeBatch RPC from it.
+  DrainGc();
   {
     MutexLock l(&mem_mu_);
     DLSM_CHECK(imms_.front() == mem);
@@ -706,7 +651,27 @@ void DLsmDB::FlushJob(MemTable* mem, uint64_t l0_order) {
     MutexLock l(&comp_mu_);
     comp_cv_.SignalAll();  // L0 may now warrant compaction.
   }
-  DrainGc();
+}
+
+std::unique_ptr<TableSink> DLsmDB::NewOutputSink(
+    size_t slot, const remote::RemoteChunk& chunk,
+    std::vector<std::unique_ptr<FlushPipeline>>* pipelines) {
+  rdma::RdmaManager* mgr = nodes_[slot].mgr.get();
+  std::unique_ptr<TableSink> sink;
+  if (options_.async_write) {
+    std::unique_ptr<FlushPipeline>& p = (*pipelines)[slot];
+    if (p == nullptr) p = std::make_unique<FlushPipeline>(mgr, &staging_);
+    sink = std::make_unique<AsyncRemoteSink>(
+        mgr, chunk, &staging_, kFlushBuffersPerPipeline, p.get());
+  } else {
+    // Synchronous transport: one blocking WRITE per flush buffer.
+    sink = std::make_unique<AsyncRemoteSink>(mgr, chunk, &staging_,
+                                             /*buffer_count=*/1);
+  }
+  if (options_.extra_io_copy) {
+    sink = std::make_unique<CopySink>(std::move(sink));
+  }
+  return sink;
 }
 
 // ---------------------------------------------------------------------------
@@ -1028,16 +993,18 @@ void DLsmDB::CompactionCoordinatorLoop() {
     }
     versions_->ReleaseCompaction(pick);
     {
-      MutexLock l(&comp_mu_);
-      running_compactions_--;
-      comp_cv_.SignalAll();
-    }
-    {
       // L0 shrank: stalled writers may proceed.
       MutexLock l(&mem_mu_);
       backpressure_cv_.SignalAll();
     }
+    // Before the compaction stops counting as running: idle implies
+    // drained (see FlushJob).
     DrainGc();
+    {
+      MutexLock l(&comp_mu_);
+      running_compactions_--;
+      comp_cv_.SignalAll();
+    }
   }
 }
 
@@ -1340,21 +1307,7 @@ Status DLsmDB::RunComputeSideCompaction(
       return Status::OutOfMemory("flush region exhausted (compaction)");
     }
     *chunk = c;
-    std::unique_ptr<TableSink> base;
-    if (options_.async_write) {
-      if (pipelines[slot] == nullptr) {
-        pipelines[slot] = std::make_unique<FlushPipeline>(node.mgr.get());
-      }
-      base = std::make_unique<AsyncRemoteSink>(
-          node.mgr.get(), c, options_.flush_buffer_size,
-          kFlushBuffersPerPipeline, pipelines[slot].get());
-    } else {
-      base = std::make_unique<SyncRemoteSink>(node.mgr.get(), c,
-                                              options_.flush_buffer_size);
-    }
-    *sink = options_.extra_io_copy
-                ? std::make_unique<CopySink>(std::move(base))
-                : std::move(base);
+    *sink = NewOutputSink(slot, c, &pipelines);
     return Status::OK();
   };
 
@@ -1364,13 +1317,7 @@ Status DLsmDB::RunComputeSideCompaction(
                            new_output, outputs);
   // Drain before the caller installs the outputs: same durability barrier
   // as FlushJob.
-  if (s.ok()) {
-    for (auto& p : pipelines) {
-      if (p == nullptr) continue;
-      Status d = p->Drain();
-      if (s.ok()) s = d;
-    }
-  }
+  if (s.ok()) s = DrainPipelines(&pipelines);
   return s;
 }
 
@@ -1638,9 +1585,9 @@ Status DLsmDB::CopyChunk(const FileMetaData& f, size_t dst_slot,
   // destructors cancel whatever was still deferred.
   const RemoteReadPath& src = router_.route(f);
   rdma::RdmaManager* dst_mgr = nodes_[dst_slot].mgr.get();
-  FlushPipeline pipeline(dst_mgr);
-  AsyncRemoteSink sink(dst_mgr, dst, options_.flush_buffer_size,
-                       kFlushBuffersPerPipeline, &pipeline);
+  FlushPipeline pipeline(dst_mgr, &staging_);
+  AsyncRemoteSink sink(dst_mgr, dst, &staging_, kFlushBuffersPerPipeline,
+                       &pipeline);
   std::vector<char> buf(options_.flush_buffer_size);
   uint64_t off = 0;
   while (off < f.data_len) {

@@ -98,22 +98,20 @@ class DLsmDB : public DB {
                  std::string* values, Status* statuses);
 
   // -- Write path (Sec. IV) --------------------------------------------------
-  Status WriteInternal(WriteBatch* batch);
-  /// Inserts a batch of n entries at a pre-allocated sequence base (group
-  /// sequence batching: the queue leader draws one window for the whole
-  /// group). Routes exactly like WriteInternal: switches forward when the
-  /// base is past the current table's range, reallocates a fresh base
-  /// when it landed behind (stale window after a switch burst or Flush
-  /// range burn) so "newer version in newer table" stays absolute.
-  /// *reallocated (may be null) reports whether the pre-allocated base was
-  /// abandoned — the group leader must then stop using the rest of its
-  /// window, or later group members would commit below this batch.
+  /// The one MemTable routing loop: inserts a batch of n entries at
+  /// seq_base, or, when seq_base is 0, at a base drawn after BeginWrite on
+  /// a mutable table (sequences start at 1). Switches forward when the
+  /// base is past the current table's range; when it landed behind (a
+  /// switch burst or a Flush range burn overtook it) it draws a fresh
+  /// base, so "newer version in newer table" stays absolute, and sets
+  /// *reallocated (may be null): a writer-queue leader must then stop
+  /// using the rest of its group's window, or later members would commit
+  /// below this batch.
   Status WriteAtSequence(WriteBatch* batch, SequenceNumber seq_base,
                          uint32_t n, bool* reallocated = nullptr);
   /// RocksDB-style writer queue (baseline write path): writers serialize
-  /// through a mutex; the queue head commits a group at a time. Under
-  /// async_write the leader batches the group's sequence allocations into
-  /// one fetch-add instead of one per batch.
+  /// through a mutex; the queue head takes one sequence window for its
+  /// group and routes each member at its sub-base.
   Status WriteQueued(WriteBatch* batch);
   /// Installs MemTables until seq routes into the current one. Also the
   /// stall point (L0 stop trigger / immutable backlog).
@@ -140,6 +138,14 @@ class DLsmDB : public DB {
   // -- Flush (Sec. X-C) --------------------------------------------------------
   void ScheduleFlushLocked(MemTable* mem);
   void FlushJob(MemTable* mem, uint64_t l0_order);
+  /// The sink for one output table of a flush or compute-side compaction,
+  /// streaming into `chunk` on memory node `slot`. async_write posts
+  /// through the job's pipeline for that node (made on first use; the job
+  /// drains them all before install); otherwise one buffer's blocking
+  /// WRITE at a time. extra_io_copy adds the ported baselines' FS copy.
+  std::unique_ptr<TableSink> NewOutputSink(
+      size_t slot, const remote::RemoteChunk& chunk,
+      std::vector<std::unique_ptr<FlushPipeline>>* pipelines);
 
   // -- Compaction (Sec. V) -----------------------------------------------------
   void CompactionCoordinatorLoop();
@@ -243,6 +249,9 @@ class DLsmDB : public DB {
   std::unique_ptr<BlockCache> block_cache_;
   uint64_t crash_listener_id_ = 0;  // Fabric crash-listener registration.
   std::atomic<int> crashed_memory_nodes_{0};
+  // Staging buffers of every flush, compute-side compaction and migration
+  // sink (flush_buffer_size each, compute DRAM).
+  StagingPool staging_;
   std::unique_ptr<ThreadPool> owned_flush_pool_;
   ThreadPool* flush_pool_ = nullptr;
   std::unique_ptr<VersionSet> versions_;

@@ -97,13 +97,14 @@ struct Options {
 
   WritePath write_path = WritePath::kLockFree;
 
-  /// Asynchronous write path (mirrors ReadOptions::async_reads): flush
-  /// buffers leave as handle waves drained once per job instead of per
-  /// output, writer-queue groups take one sequence allocation for the
-  /// whole group, and near-data compaction RPCs are pipelined through
-  /// RpcClient::CallAsync. When false every flush buffer is a blocking
-  /// WRITE and each compaction RPC parks its scheduler thread — the
-  /// fig7/fig12 --async_write=false ablation leg.
+  /// Write-side transport (mirrors ReadOptions::async_reads): flush and
+  /// compute-side compaction buffers leave as handle waves drained once
+  /// per job instead of per output, and near-data compaction RPCs are
+  /// pipelined through RpcClient::CallAsync. When false each output sink
+  /// has one staging buffer, so every full buffer is a blocking WRITE, and
+  /// each compaction RPC parks its scheduler thread — the fig7/fig12
+  /// --async_write=false ablation leg. Sequence allocation and MemTable
+  /// routing are the same either way.
   bool async_write = true;
 
   /// Verb-budget cap for the pipelined compaction scheduler: before

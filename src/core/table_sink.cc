@@ -1,8 +1,8 @@
 #include "src/core/table_sink.h"
 
+#include <algorithm>
 #include <cstring>
 
-#include "src/util/logging.h"
 #include "src/util/trace.h"
 
 namespace dlsm {
@@ -24,11 +24,32 @@ Status LocalMemorySink::Append(const char* data, size_t n) {
 }
 
 // ---------------------------------------------------------------------------
+// StagingPool
+// ---------------------------------------------------------------------------
+
+char* StagingPool::Get() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!free_.empty()) {
+      char* buffer = free_.back();
+      free_.pop_back();
+      return buffer;
+    }
+  }
+  return node_->AllocDram(buffer_size_);
+}
+
+void StagingPool::Put(char* buffer) {
+  std::lock_guard<std::mutex> lock(mu_);
+  free_.push_back(buffer);
+}
+
+// ---------------------------------------------------------------------------
 // FlushPipeline
 // ---------------------------------------------------------------------------
 
-FlushPipeline::FlushPipeline(rdma::RdmaManager* mgr)
-    : vq_(mgr->CreateExclusiveVq()) {}
+FlushPipeline::FlushPipeline(rdma::RdmaManager* mgr, StagingPool* pool)
+    : vq_(mgr->CreateExclusiveVq()), pool_(pool) {}
 
 Status FlushPipeline::Drain() {
   // The flush wave's durability barrier: the span is the stall a flush job
@@ -36,9 +57,10 @@ Status FlushPipeline::Drain() {
   trace::TraceSpan span("flush_drain", "flush");
   span.arg("deferred", deferred_.size());
   Status first;
-  for (rdma::WrHandle& wr : deferred_) {
-    Status s = wr.Wait();
+  for (StagedWrite& w : deferred_) {
+    Status s = w.wr.Wait();
     if (first.ok() && !s.ok()) first = s;
+    pool_->Put(w.buffer);
   }
   deferred_.clear();
   return first;
@@ -50,103 +72,84 @@ Status FlushPipeline::Drain() {
 
 AsyncRemoteSink::AsyncRemoteSink(rdma::RdmaManager* mgr,
                                  const remote::RemoteChunk& chunk,
-                                 size_t buffer_size, int buffer_count,
+                                 StagingPool* pool, int buffer_count,
                                  FlushPipeline* pipeline)
-    : mgr_(mgr),
+    : pool_(pool),
       pipeline_(pipeline),
       chunk_(chunk),
-      buffer_size_(buffer_size),
-      max_buffers_(buffer_count) {
+      max_buffers_(static_cast<size_t>(buffer_count)) {
   if (pipeline_ != nullptr) {
     vq_ = pipeline_->vq();
   } else {
-    owned_vq_ = mgr_->CreateExclusiveVq();
+    owned_vq_ = mgr->CreateExclusiveVq();
     vq_ = owned_vq_.get();
   }
-  // First buffer up front; the rest are allocated on demand, and reused
-  // once their transfers complete (Fig. 6 step 4).
-  auto b = std::make_unique<Buffer>();
-  b->data = mgr_->local()->AllocDram(buffer_size_);
-  DLSM_CHECK_MSG(b->data != nullptr, "compute DRAM exhausted (flush buffer)");
-  current_ = b.get();
-  all_buffers_.push_back(std::move(b));
+  // First buffer up front; the rest are taken on demand and go back to the
+  // pool once their transfers complete (Fig. 6 step 4).
+  TakeBuffer();
 }
 
 AsyncRemoteSink::~AsyncRemoteSink() {
-  // Buffers are DRAM-arena allocations; nothing to unmap. Destruction
-  // before Finish() (error unwind) is safe: each in-flight buffer's
-  // WrHandle cancels itself without blocking.
+  if (current_ != nullptr) pool_->Put(current_);
+}
+
+Status AsyncRemoteSink::TakeBuffer() {
+  current_ = pool_->Get();
+  if (current_ == nullptr) {
+    status_ = Status::OutOfMemory("compute DRAM exhausted (flush buffer)");
+  }
+  return status_;
 }
 
 Status AsyncRemoteSink::ReapCompletions(bool block_for_one) {
-  auto recycle = [this](Buffer* head) {
-    if (!head->wr.status().ok()) status_ = head->wr.status();
-    head->wr = rdma::WrHandle();
-    head->fill = 0;
-    free_buffers_.push_back(head);
-  };
-  if (block_for_one && !in_flight_.empty()) {
-    Buffer* head = in_flight_.front();
-    head->wr.Wait();
+  if (block_for_one && !in_flight_.empty()) in_flight_.front().wr.Wait();
+  // Also reap whatever is already ready (Fig. 6: "the writer thread checks
+  // for work request completions every time it submits").
+  while (!in_flight_.empty() && in_flight_.front().wr.Ready()) {
+    StagedWrite& head = in_flight_.front();
+    if (!head.wr.status().ok()) status_ = head.wr.status();
+    pool_->Put(head.buffer);
+    recycled_++;
     in_flight_.pop_front();
-    recycle(head);
-  }
-  // Opportunistically reap whatever is already ready (Fig. 6: "the writer
-  // thread checks for work request completions every time it submits").
-  while (!in_flight_.empty() && in_flight_.front()->wr.Ready()) {
-    Buffer* head = in_flight_.front();
-    in_flight_.pop_front();
-    recycle(head);
   }
   return status_;
+}
+
+void AsyncRemoteSink::Post() {
+  uint64_t remote_off = written_ - fill_;
+  in_flight_.push_back(StagedWrite{
+      current_,
+      vq_->Write(current_, chunk_.addr + remote_off, chunk_.rkey, fill_)});
+  current_ = nullptr;
+  fill_ = 0;
 }
 
 Status AsyncRemoteSink::FlushCurrent() {
-  if (current_->fill == 0) return status_;
-  uint64_t remote_off = written_ - current_->fill;
-  current_->wr = vq_->Write(current_->data, chunk_.addr + remote_off,
-                            chunk_.rkey, current_->fill);
-  in_flight_.push_back(current_);
-  current_ = nullptr;
-
+  Post();
   DLSM_RETURN_NOT_OK(ReapCompletions(false));
-  if (!free_buffers_.empty()) {
-    current_ = free_buffers_.back();
-    free_buffers_.pop_back();
-    recycled_++;
-  } else if (static_cast<int>(all_buffers_.size()) < max_buffers_) {
-    auto b = std::make_unique<Buffer>();
-    b->data = mgr_->local()->AllocDram(buffer_size_);
-    DLSM_CHECK_MSG(b->data != nullptr,
-                   "compute DRAM exhausted (flush buffer)");
-    current_ = b.get();
-    all_buffers_.push_back(std::move(b));
-  } else {
+  if (in_flight_.size() >= max_buffers_) {
     // All buffers in flight: wait for the queue head (backpressure).
     DLSM_RETURN_NOT_OK(ReapCompletions(true));
-    DLSM_CHECK(!free_buffers_.empty());
-    current_ = free_buffers_.back();
-    free_buffers_.pop_back();
-    recycled_++;
   }
-  return status_;
+  return TakeBuffer();
 }
 
 Status AsyncRemoteSink::Append(const char* data, size_t n) {
+  DLSM_RETURN_NOT_OK(status_);
   if (written_ + n > chunk_.size) {
     return Status::OutOfMemory("table exceeds remote chunk");
   }
+  const size_t buffer_size = pool_->buffer_size();
   while (n > 0) {
-    size_t space = buffer_size_ - current_->fill;
-    size_t take = n < space ? n : space;
+    size_t take = std::min(n, buffer_size - fill_);
     // Serialization writes directly into the registered staging buffer —
     // no intermediate copy (Fig. 6 step 1).
-    memcpy(current_->data + current_->fill, data, take);
-    current_->fill += take;
+    memcpy(current_ + fill_, data, take);
+    fill_ += take;
     written_ += take;
     data += take;
     n -= take;
-    if (current_->fill == buffer_size_) {
+    if (fill_ == buffer_size) {
       DLSM_RETURN_NOT_OK(FlushCurrent());
     }
   }
@@ -154,75 +157,22 @@ Status AsyncRemoteSink::Append(const char* data, size_t n) {
 }
 
 Status AsyncRemoteSink::Finish() {
+  DLSM_RETURN_NOT_OK(status_);
+  // The tail buffer's WRITE is posted directly — not via FlushCurrent,
+  // whose opportunistic reap could harvest it before adoption — so at
+  // least one handle per pipelined sink always reaches the pipeline and
+  // its outcome is checked by Drain(), never dropped.
+  if (fill_ > 0) Post();
   if (pipeline_ != nullptr) {
-    // Defer the tail: the pipeline owns the in-flight WRITEs from here and
-    // the job drains them once, before installing any output. The buffer
-    // memory is arena DRAM and the fabric captures payloads at post time,
-    // so the Buffer structs may die ahead of their completions. The tail
-    // buffer's WRITE is posted directly — not via FlushCurrent, whose
-    // opportunistic reap could harvest it before adoption — so at least
-    // one handle per sink always reaches the pipeline and its outcome is
-    // checked by Drain(), never dropped.
-    DLSM_RETURN_NOT_OK(status_);
-    if (current_ != nullptr && current_->fill > 0) {
-      uint64_t remote_off = written_ - current_->fill;
-      current_->wr = vq_->Write(current_->data, chunk_.addr + remote_off,
-                                chunk_.rkey, current_->fill);
-      in_flight_.push_back(current_);
-      current_ = nullptr;
-    }
-    while (!in_flight_.empty()) {
-      pipeline_->Adopt(std::move(in_flight_.front()->wr));
-      in_flight_.pop_front();
-    }
-    return status_;
-  }
-  DLSM_RETURN_NOT_OK(FlushCurrent());
-  while (!in_flight_.empty()) {
-    DLSM_RETURN_NOT_OK(ReapCompletions(true));
+    // Defer the tail: the pipeline owns the in-flight WRITEs and their
+    // buffers from here, and the job drains them once, before installing
+    // any output.
+    for (StagedWrite& w : in_flight_) pipeline_->Adopt(std::move(w));
+    in_flight_.clear();
+  } else {
+    while (!in_flight_.empty()) ReapCompletions(true);
   }
   return status_;
 }
-
-// ---------------------------------------------------------------------------
-// SyncRemoteSink
-// ---------------------------------------------------------------------------
-
-SyncRemoteSink::SyncRemoteSink(rdma::RdmaManager* mgr,
-                               const remote::RemoteChunk& chunk,
-                               size_t buffer_size)
-    : mgr_(mgr), chunk_(chunk), buffer_size_(buffer_size) {
-  buffer_.resize(buffer_size);
-}
-
-Status SyncRemoteSink::FlushCurrent() {
-  if (fill_ == 0) return Status::OK();
-  uint64_t remote_off = written_ - fill_;
-  Status s = mgr_->Write(buffer_.data(), chunk_.addr + remote_off,
-                         chunk_.rkey, fill_);
-  fill_ = 0;
-  return s;
-}
-
-Status SyncRemoteSink::Append(const char* data, size_t n) {
-  if (written_ + n > chunk_.size) {
-    return Status::OutOfMemory("table exceeds remote chunk");
-  }
-  while (n > 0) {
-    size_t space = buffer_size_ - fill_;
-    size_t take = n < space ? n : space;
-    memcpy(buffer_.data() + fill_, data, take);
-    fill_ += take;
-    written_ += take;
-    data += take;
-    n -= take;
-    if (fill_ == buffer_size_) {
-      DLSM_RETURN_NOT_OK(FlushCurrent());
-    }
-  }
-  return Status::OK();
-}
-
-Status SyncRemoteSink::Finish() { return FlushCurrent(); }
 
 }  // namespace dlsm

@@ -6,8 +6,8 @@
 //    and serialization continues in the next buffer. Each in-flight buffer
 //    holds its WRITE's WrHandle; buffers recycle as their handles become
 //    ready (oldest first — one QP completes FIFO, but the handle layer
-//    would tolerate any order).
-//  * SyncRemoteSink — ablation: one blocking RDMA WRITE per buffer.
+//    would tolerate any order). With one buffer it is the synchronous
+//    transport: one blocking WRITE per full buffer.
 //  * LocalMemorySink — near-data compaction output: the memory node
 //    serializes directly into its own DRAM; no wire traffic at all.
 //
@@ -16,6 +16,9 @@
 // and hand their tail WRITE handles over on Finish() instead of draining,
 // so serialization of the next output overlaps the previous output's wire
 // tail. The job drains the pipeline once, before installing any output.
+//
+// Staging buffers come from a StagingPool and go back to it once their
+// WRITE has completed (reaped by the sink or waited by Drain()).
 
 #ifndef DLSM_CORE_TABLE_SINK_H_
 #define DLSM_CORE_TABLE_SINK_H_
@@ -23,6 +26,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -63,6 +67,35 @@ class LocalMemorySink : public TableSink {
   uint64_t written_ = 0;
 };
 
+/// Registered staging buffers of one size, carved from a node's DRAM. That
+/// DRAM is a bump arena that never frees, so the sinks of one DB draw their
+/// buffers from, and return them to, one free list; it never holds more
+/// buffers than were in use at once. Thread-safe.
+class StagingPool {
+ public:
+  StagingPool(rdma::Node* node, size_t buffer_size)
+      : node_(node), buffer_size_(buffer_size) {}
+
+  /// A buffer of buffer_size() bytes; nullptr when the node's DRAM is
+  /// exhausted.
+  char* Get();
+  /// Returns a buffer no WRITE is still reading.
+  void Put(char* buffer);
+  size_t buffer_size() const { return buffer_size_; }
+
+ private:
+  rdma::Node* node_;
+  size_t buffer_size_;
+  std::mutex mu_;
+  std::vector<char*> free_;  // Guarded by mu_.
+};
+
+/// A staging buffer and the WRITE still reading it.
+struct StagedWrite {
+  char* buffer;
+  rdma::WrHandle wr;
+};
+
 /// Job-scoped wave state shared by every output sink of one flush or
 /// compute-side compaction: one exclusive verb queue plus the WRITE
 /// handles deferred by finished sinks. Single-owner, like the verb queue
@@ -73,7 +106,9 @@ class LocalMemorySink : public TableSink {
 /// counter so the outstanding gauge is never pinned.
 class FlushPipeline {
  public:
-  explicit FlushPipeline(rdma::RdmaManager* mgr);
+  /// Buffers adopted from sinks go back to `pool` once drained; without
+  /// Drain() they are dropped with their cancelled handles, never reused.
+  FlushPipeline(rdma::RdmaManager* mgr, StagingPool* pool);
   ~FlushPipeline() = default;  // Handles cancel, then the queue unwinds.
 
   FlushPipeline(const FlushPipeline&) = delete;
@@ -81,11 +116,12 @@ class FlushPipeline {
 
   rdma::VerbQueue* vq() { return vq_.get(); }
 
-  /// Takes ownership of a finished sink's in-flight WRITE handle.
-  void Adopt(rdma::WrHandle wr) { deferred_.push_back(std::move(wr)); }
+  /// Takes ownership of a finished sink's in-flight WRITE and its buffer.
+  void Adopt(StagedWrite w) { deferred_.push_back(std::move(w)); }
 
-  /// Waits out every deferred WRITE; returns the first failure. The
-  /// durability barrier before outputs are installed in the version.
+  /// Waits out every deferred WRITE and returns its buffer to the pool;
+  /// returns the first failure. The durability barrier before outputs are
+  /// installed in the version.
   Status Drain();
 
   /// Deferred handles not yet drained (exposed for tests).
@@ -94,60 +130,64 @@ class FlushPipeline {
  private:
   // Declared before the handles so they die first on unwind.
   rdma::ExclusiveVq vq_;
-  std::vector<rdma::WrHandle> deferred_;
+  StagingPool* pool_;
+  std::vector<StagedWrite> deferred_;
 };
 
 /// The asynchronous flush pipeline of paper Sec. X-C.
 class AsyncRemoteSink : public TableSink {
  public:
-  /// Streams into the remote chunk through buffer_count staging buffers of
-  /// buffer_size bytes each, allocated from the compute node's DRAM. With
-  /// a pipeline, the sink posts on the pipeline's shared verb queue and
+  /// Streams into the remote chunk through up to buffer_count staging
+  /// buffers drawn from `pool`. With a pipeline (which must share the
+  /// pool), the sink posts on the pipeline's shared verb queue and
   /// Finish() defers its in-flight WRITEs to the pipeline instead of
   /// draining them (the async write path); without one it owns an
-  /// exclusive queue and Finish() blocks until the last byte lands.
+  /// exclusive queue and Finish() blocks until the last byte lands. With
+  /// one buffer and no pipeline every full buffer is one blocking WRITE
+  /// (the synchronous transport).
   AsyncRemoteSink(rdma::RdmaManager* mgr, const remote::RemoteChunk& chunk,
-                  size_t buffer_size, int buffer_count,
+                  StagingPool* pool, int buffer_count,
                   FlushPipeline* pipeline = nullptr);
+  /// Returns its buffers to the pool, except any a WRITE may still be
+  /// reading (error unwind): those handles cancel without blocking and
+  /// their buffers are dropped, never reused.
   ~AsyncRemoteSink() override;
 
+  /// Fails with OutOfMemory when no staging buffer can be allocated.
   Status Append(const char* data, size_t n) override;
   Status Finish() override;
   uint64_t bytes_written() const override { return written_; }
 
-  /// Buffer-reuse statistic (how often a finished buffer was recycled
-  /// rather than a fresh one allocated); exposed for tests.
+  /// Buffer-reuse statistic (buffers this sink handed back to the pool
+  /// once their WRITE completed); exposed for tests.
   uint64_t recycled_buffers() const { return recycled_; }
 
  private:
-  struct Buffer {
-    char* data;
-    size_t fill = 0;
-    rdma::WrHandle wr;  // Live while its WRITE is in flight.
-  };
-
-  /// Posts the current buffer's contents as an async WRITE and rotates to
-  /// a recycled (or fresh) buffer.
+  /// Posts the current buffer's contents as an async WRITE.
+  void Post();
+  /// Posts the current buffer and takes the next one, waiting for the
+  /// oldest WRITE when all buffer_count buffers are in flight.
   Status FlushCurrent();
-  /// Reaps ready completions; if block_for_one, waits for the queue head.
+  /// Reaps ready completions, returning their buffers to the pool; if
+  /// block_for_one, waits for the queue head.
   Status ReapCompletions(bool block_for_one);
+  /// Takes the next current buffer from the pool.
+  Status TakeBuffer();
 
-  rdma::RdmaManager* mgr_;
   // Declared before the buffers so their handles die first on unwind.
   rdma::ExclusiveVq owned_vq_;  // Null when pipelined.
   rdma::VerbQueue* vq_ = nullptr;  // owned_vq_ or the pipeline's queue.
-  FlushPipeline* pipeline_ = nullptr;
+  StagingPool* pool_;
+  FlushPipeline* pipeline_;
   remote::RemoteChunk chunk_;
-  size_t buffer_size_;
-  int max_buffers_;
+  size_t max_buffers_;
   uint64_t written_ = 0;   // Stream offset (== remote offset of next byte).
   uint64_t recycled_ = 0;
-  Buffer* current_ = nullptr;
-  // FIFO of buffers whose WRITE is in flight, oldest first — mirrors the
-  // RDMA send queue order, so the head always completes first.
-  std::deque<Buffer*> in_flight_;
-  std::vector<Buffer*> free_buffers_;
-  std::vector<std::unique_ptr<Buffer>> all_buffers_;
+  char* current_ = nullptr;
+  size_t fill_ = 0;        // Bytes in current_.
+  // Buffers whose WRITE is in flight, oldest first — mirrors the RDMA send
+  // queue order, so the head always completes first.
+  std::deque<StagedWrite> in_flight_;
   Status status_;
 };
 
@@ -168,27 +208,6 @@ class CopySink : public TableSink {
  private:
   std::unique_ptr<TableSink> inner_;
   std::string staging_;
-};
-
-/// Ablation: same staging buffers, but each WRITE blocks until completion.
-class SyncRemoteSink : public TableSink {
- public:
-  SyncRemoteSink(rdma::RdmaManager* mgr, const remote::RemoteChunk& chunk,
-                 size_t buffer_size);
-
-  Status Append(const char* data, size_t n) override;
-  Status Finish() override;
-  uint64_t bytes_written() const override { return written_; }
-
- private:
-  Status FlushCurrent();
-
-  rdma::RdmaManager* mgr_;
-  remote::RemoteChunk chunk_;
-  size_t buffer_size_;
-  std::vector<char> buffer_;
-  size_t fill_ = 0;
-  uint64_t written_ = 0;
 };
 
 }  // namespace dlsm

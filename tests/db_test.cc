@@ -1165,12 +1165,13 @@ struct DbDump {
   uint64_t sequence = 0;
 };
 
-DbDump RunSeededWriteWorkload(bool async_write) {
+DbDump RunSeededWriteWorkload(bool async_write,
+                              WritePath path = WritePath::kWriterQueue) {
   DbDump dump;
   RunDbTest(
-      [async_write](Options* options) {
+      [async_write, path](Options* options) {
         options->async_write = async_write;
-        options->write_path = WritePath::kWriterQueue;
+        options->write_path = path;
       },
       [&dump](DB* db, Env*) {
         Random rnd(1234);
@@ -1207,13 +1208,68 @@ TEST(DBTest, WriteModesProduceIdenticalStateAndSequences) {
   // the two modes are compared dump-for-dump.
   DbDump sync_dump = RunSeededWriteWorkload(false);
   DbDump async_dump = RunSeededWriteWorkload(true);
-  EXPECT_EQ(sync_dump.sequence, async_dump.sequence);
-  ASSERT_EQ(sync_dump.entries.size(), async_dump.entries.size());
-  for (size_t i = 0; i < sync_dump.entries.size(); i++) {
-    EXPECT_EQ(sync_dump.entries[i].first, async_dump.entries[i].first)
-        << "entry " << i;
-    EXPECT_EQ(sync_dump.entries[i].second, async_dump.entries[i].second)
-        << "key " << sync_dump.entries[i].first;
+  // The lock-free path enters the same routing loop without a group
+  // window: it must land on the same sequences too.
+  DbDump lock_free_dump = RunSeededWriteWorkload(true, WritePath::kLockFree);
+  for (const DbDump* other : {&async_dump, &lock_free_dump}) {
+    EXPECT_EQ(sync_dump.sequence, other->sequence);
+    ASSERT_EQ(sync_dump.entries.size(), other->entries.size());
+    for (size_t i = 0; i < sync_dump.entries.size(); i++) {
+      EXPECT_EQ(sync_dump.entries[i].first, other->entries[i].first)
+          << "entry " << i;
+      EXPECT_EQ(sync_dump.entries[i].second, other->entries[i].second)
+          << "key " << sync_dump.entries[i].first;
+    }
+  }
+}
+
+TEST(DBTest, FlushesReuseStagingBuffers) {
+  // Compute DRAM is a bump arena that never frees, so flush sinks must
+  // recycle the DB's staging buffers: once the first rounds have sized the
+  // pool, further flushes must not grow compute DRAM. Both transports.
+  // At cpu_scale 0 virtual time moves with the wire alone, so every round
+  // overlaps its WRITEs alike and reaches the same peak of buffers in use.
+  SimEnv::Options sim_options;
+  sim_options.cpu_scale = 0;
+  for (bool async : {true, false}) {
+    SimEnv env(sim_options);
+    rdma::Fabric fabric(&env);
+    rdma::Node* compute = fabric.AddNode("compute", 24, 2ull << 30);
+    rdma::Node* memory = fabric.AddNode("memory", 4, 4ull << 30);
+    env.Run(0, [&] {
+      MemoryNodeService service(&fabric, memory, 4);
+      service.Start();
+      Options options = test::SmallOptions(&env);
+      options.async_write = async;
+      // Flushes only: no compaction, whose RPC windows size their own
+      // buffer pools.
+      options.l0_compaction_trigger = 1 << 30;
+      options.l0_stop_writes_trigger = 1 << 30;
+      DbDeps deps;
+      deps.fabric = &fabric;
+      deps.compute = compute;
+      deps.memory = &service;
+      DB* raw = nullptr;
+      ASSERT_TRUE(DLsmDB::Open(options, deps, &raw).ok());
+      std::unique_ptr<DB> db(raw);
+      std::vector<size_t> dram_used;
+      for (int round = 0; round < 4; round++) {
+        for (int i = 0; i < 2000; i++) {
+          uint64_t k = static_cast<uint64_t>(round) * 2000 + i;
+          ASSERT_TRUE(
+              db->Put(WriteOptions(), TestKey(k), TestValue(k, 100)).ok());
+        }
+        ASSERT_TRUE(db->Flush().ok());
+        dram_used.push_back(compute->dram_used());
+      }
+      EXPECT_GE(db->GetStats().flushes, 8u);
+      EXPECT_EQ(dram_used[1], dram_used[3])
+          << (async ? "async" : "sync") << " transport: round 2 "
+          << dram_used[1] << " B, round 4 " << dram_used[3] << " B";
+      ASSERT_TRUE(db->Close().ok());
+      db.reset();
+      service.Stop();
+    });
   }
 }
 

@@ -148,8 +148,8 @@ TEST_F(TableSimTest, AsyncSinkStreamsAndRecyclesBuffers) {
     rdma::RdmaManager mgr(f, compute, memory);
     remote::RemoteChunk chunk{mr.addr, 8 << 20, mr.rkey, compute->id()};
 
-    AsyncRemoteSink sink(&mgr, chunk, /*buffer_size=*/64 << 10,
-                         /*buffer_count=*/3);
+    StagingPool pool(compute, /*buffer_size=*/64 << 10);
+    AsyncRemoteSink sink(&mgr, chunk, &pool, /*buffer_count=*/3);
     std::string pattern;
     Random rnd(5);
     for (int i = 0; i < 4096; i++) {
@@ -165,6 +165,49 @@ TEST_F(TableSimTest, AsyncSinkStreamsAndRecyclesBuffers) {
   });
 }
 
+TEST_F(TableSimTest, DepthOneSinkIsOneBlockingWritePerBuffer) {
+  // The synchronous transport: one staging buffer and no pipeline, so each
+  // full buffer is one WRITE, waited before the buffer is refilled.
+  RunSim([](rdma::Fabric* f, rdma::Node* compute, rdma::Node* memory,
+            Env*) {
+    char* region = memory->AllocDram(8 << 20);
+    rdma::MemoryRegion mr = f->RegisterMemory(memory, region, 8 << 20);
+    rdma::RdmaManager mgr(f, compute, memory);
+    const size_t kBuffer = 64 << 10;
+    StagingPool pool(compute, kBuffer);
+    const uint64_t kChunk = 4 << 20;
+    std::string patterns[2];
+    Random rnd(13);
+    size_t dram_after_first = 0;
+    for (int out = 0; out < 2; out++) {
+      remote::RemoteChunk chunk{mr.addr + out * kChunk, kChunk, mr.rkey,
+                                compute->id()};
+      AsyncRemoteSink sink(&mgr, chunk, &pool, /*buffer_count=*/1);
+      for (int i = 0; i < 1500; i++) {
+        std::string piece(1000, static_cast<char>('a' + rnd.Uniform(26)));
+        patterns[out] += piece;
+        ASSERT_TRUE(sink.Append(piece.data(), piece.size()).ok());
+      }
+      ASSERT_TRUE(sink.Finish().ok());
+      if (out == 0) dram_after_first = compute->dram_used();
+    }
+    // The second sink refilled the first one's buffer from the pool.
+    EXPECT_EQ(dram_after_first, compute->dram_used());
+
+    rdma::RdmaVerbStats stats = mgr.StatsSnapshot();
+    const uint64_t per_sink = (patterns[0].size() + kBuffer - 1) / kBuffer;
+    EXPECT_EQ(2 * per_sink, stats.write.ops);
+    EXPECT_EQ(patterns[0].size() + patterns[1].size(), stats.write.bytes);
+    EXPECT_EQ(1u, stats.max_outstanding);
+    EXPECT_EQ(0u, stats.outstanding);
+    for (int out = 0; out < 2; out++) {
+      EXPECT_EQ(0, memcmp(region + out * kChunk, patterns[out].data(),
+                          patterns[out].size()))
+          << "output " << out;
+    }
+  });
+}
+
 TEST_F(TableSimTest, FlushPipelineDefersWritesAcrossSinks) {
   // Two outputs of one flush job share a FlushPipeline: each Finish()
   // hands its in-flight WRITE handles to the pipeline instead of draining,
@@ -174,7 +217,8 @@ TEST_F(TableSimTest, FlushPipelineDefersWritesAcrossSinks) {
     char* region = memory->AllocDram(8 << 20);
     rdma::MemoryRegion mr = f->RegisterMemory(memory, region, 8 << 20);
     rdma::RdmaManager mgr(f, compute, memory);
-    FlushPipeline pipeline(&mgr);
+    StagingPool pool(compute, /*buffer_size=*/64 << 10);
+    FlushPipeline pipeline(&mgr, &pool);
 
     const uint64_t kChunk = 4 << 20;
     std::string patterns[2];
@@ -182,8 +226,8 @@ TEST_F(TableSimTest, FlushPipelineDefersWritesAcrossSinks) {
     for (int out = 0; out < 2; out++) {
       remote::RemoteChunk chunk{mr.addr + out * kChunk, kChunk, mr.rkey,
                                 compute->id()};
-      AsyncRemoteSink sink(&mgr, chunk, /*buffer_size=*/64 << 10,
-                           /*buffer_count=*/3, &pipeline);
+      AsyncRemoteSink sink(&mgr, chunk, &pool, /*buffer_count=*/3,
+                           &pipeline);
       // Pieces that don't divide the buffer size, so the last buffer is
       // partial and its WRITE is posted by Finish() itself — a completion
       // can't beat the adoption no matter how virtual time advances.
@@ -220,10 +264,11 @@ TEST_F(TableSimTest, FlushPipelineCancelsDeferredWritesOnTeardown) {
     rdma::MemoryRegion mr = f->RegisterMemory(memory, region, 8 << 20);
     rdma::RdmaManager mgr(f, compute, memory);
     {
-      FlushPipeline pipeline(&mgr);
+      StagingPool pool(compute, /*buffer_size=*/64 << 10);
+      FlushPipeline pipeline(&mgr, &pool);
       remote::RemoteChunk chunk{mr.addr, 8 << 20, mr.rkey, compute->id()};
-      AsyncRemoteSink sink(&mgr, chunk, /*buffer_size=*/64 << 10,
-                           /*buffer_count=*/3, &pipeline);
+      AsyncRemoteSink sink(&mgr, chunk, &pool, /*buffer_count=*/3,
+                           &pipeline);
       // A partial tail buffer: Finish() posts its WRITE and defers the
       // handle, so at least one deferred WRITE survives to the unwind.
       std::string piece((512 << 10) + (60 << 10), 'q');
@@ -257,7 +302,8 @@ TEST_P(TableLayoutTest, BuildThenPointLookupEveryKey) {
     rdma::RdmaManager mgr(f, compute, memory);
     remote::RemoteChunk chunk{mr.addr, 8 << 20, mr.rkey, compute->id()};
 
-    AsyncRemoteSink sink(&mgr, chunk, 64 << 10, 3);
+    StagingPool pool(compute, 64 << 10);
+    AsyncRemoteSink sink(&mgr, chunk, &pool, 3);
     auto builder =
         param.format == TableFormat::kByteAddressable
             ? NewByteTableBuilder(&bloom, &sink)
@@ -326,7 +372,8 @@ TEST_P(TableLayoutTest, RemoteIteratorFullScanAndSeek) {
     rdma::RdmaManager mgr(f, compute, memory);
     remote::RemoteChunk chunk{mr.addr, 8 << 20, mr.rkey, compute->id()};
 
-    AsyncRemoteSink sink(&mgr, chunk, 64 << 10, 3);
+    StagingPool pool(compute, 64 << 10);
+    AsyncRemoteSink sink(&mgr, chunk, &pool, 3);
     auto builder =
         param.format == TableFormat::kByteAddressable
             ? NewByteTableBuilder(&bloom, &sink)
@@ -378,7 +425,8 @@ FileRef BuildRemoteTable(
     const LayoutParam& param,
     const std::vector<std::pair<std::string, std::string>>& records) {
   BloomFilterPolicy bloom(10);
-  AsyncRemoteSink sink(mgr, chunk, 64 << 10, 3);
+  StagingPool pool(mgr->local(), 64 << 10);
+  AsyncRemoteSink sink(mgr, chunk, &pool, 3);
   auto builder = param.format == TableFormat::kByteAddressable
                      ? NewByteTableBuilder(&bloom, &sink)
                      : NewBlockTableBuilder(&bloom, &sink, param.block_size);
