@@ -1,6 +1,6 @@
 // Wall-clock microbenchmarks (google-benchmark) of the data structures on
 // dLSM's hot paths: skiplist insert/lookup, bloom filter build/probe,
-// varint coding, CRC32C, byte-record vs block build and parse, and the
+// varint coding, CRC32C, the cached table index's key search, and the
 // SimEnv baton pass that every simulated scheduling point pays. These are
 // host-hardware numbers (not virtual time); they feed the CPU cost side of
 // the simulation and catch regressions in the real code.
@@ -15,6 +15,7 @@
 #include "src/core/dbformat.h"
 #include "src/core/memtable.h"
 #include "src/core/skiplist.h"
+#include "src/core/table_index.h"
 #include "src/sim/sim_env.h"
 #include "src/util/arena.h"
 #include "src/util/coding.h"
@@ -157,6 +158,38 @@ void BM_Crc32c(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(1 << 20);
+
+// One point lookup's local index search: a per-record index of 9450
+// consecutive 16-digit keys (one perfbench read_uniform table) probed at
+// uniform keys, as Get does after its bloom check passes.
+void BM_TableIndexFind(benchmark::State& state) {
+  constexpr uint64_t kEntries = 9450;
+  constexpr uint64_t kFirst = 271828;
+  InternalKeyComparator icmp(BytewiseComparator());
+  TableIndex::Builder builder(TableIndex::kPerRecord);
+  for (uint64_t i = 0; i < kEntries; i++) {
+    std::string ikey;
+    AppendInternalKey(&ikey,
+                      ParsedInternalKey(BenchKey(kFirst + i), i + 1,
+                                        kTypeValue));
+    builder.Add(ikey, i * 427, 427);
+  }
+  auto index = TableIndex::Parse(builder.Finish());
+  Random rnd(11);
+  std::vector<std::string> targets;
+  for (int i = 0; i < 4096; i++) {
+    LookupKey lkey(BenchKey(kFirst + rnd.Uniform(kEntries)),
+                   kMaxSequenceNumber);
+    targets.push_back(lkey.internal_key().ToString());
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(index->Find(icmp, targets[next]));
+    next = (next + 1) % targets.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TableIndexFind);
 
 uint64_t ProcessCpuNanos() {
   struct timespec ts;

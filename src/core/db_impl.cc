@@ -79,7 +79,9 @@ DLsmDB::DLsmDB(const Options& options, const DbDeps& deps)
     : options_(options),
       deps_(deps),
       env_(options.env),
-      icmp_(options.comparator),
+      // User keys sort bytewise: the memory node's near-data compaction
+      // and the compute-side key-word index search both rely on it.
+      icmp_(BytewiseComparator()),
       bloom_(options.bloom_bits_per_key),
       staging_(deps.compute, options.flush_buffer_size),
       mig_mu_(options.env),

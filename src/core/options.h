@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/comparator.h"
 #include "src/sim/env.h"
 
 namespace dlsm {
@@ -78,8 +77,6 @@ struct Options {
 
   /// Execution environment (never null when a DB is opened).
   Env* env = nullptr;
-
-  const Comparator* comparator = BytewiseComparator();
 
   // -- Write path -----------------------------------------------------------
 

@@ -42,13 +42,16 @@ std::shared_ptr<TableIndex> TableIndex::Parse(std::string blob) {
   uint32_t count;
   if (!GetVarint32(&input, &count)) return nullptr;
   index->starts_.reserve(count);
+  index->words_.Reserve(count);
   for (uint32_t i = 0; i < count; i++) {
     index->starts_.push_back(
         static_cast<uint32_t>(input.data() - b.data()));
     uint32_t key_len;
-    if (!GetVarint32(&input, &key_len) || input.size() < key_len) {
+    if (!GetVarint32(&input, &key_len) || input.size() < key_len ||
+        key_len < 8) {
       return nullptr;
     }
+    index->words_.Add(ExtractUserKey(Slice(input.data(), key_len)));
     input.remove_prefix(key_len);
     uint64_t offset;
     uint32_t length;
@@ -60,32 +63,39 @@ std::shared_ptr<TableIndex> TableIndex::Parse(std::string blob) {
   if (!GetVarint32(&input, &filter_len) || input.size() < filter_len) {
     return nullptr;
   }
+  index->words_.Finish();
   index->filter_ = Slice(input.data(), filter_len);
   return index;
 }
 
 TableIndex::Entry TableIndex::entry(size_t i) const {
   Entry e;
-  const char* p = blob_.data() + starts_[i];
+  e.key = key(i);
+  const char* p = e.key.data() + e.key.size();
   const char* limit = blob_.data() + blob_.size();
-  uint32_t key_len;
-  p = GetVarint32Ptr(p, limit, &key_len);
-  e.key = Slice(p, key_len);
-  p += key_len;
   p = GetVarint64Ptr(p, limit, &e.offset);
   GetVarint32Ptr(p, limit, &e.length);
   return e;
 }
 
+Slice TableIndex::key(size_t i) const {
+  const char* p = blob_.data() + starts_[i];
+  uint32_t key_len;
+  p = GetVarint32Ptr(p, blob_.data() + blob_.size(), &key_len);
+  return Slice(p, key_len);
+}
+
 size_t TableIndex::Find(const InternalKeyComparator& cmp,
                         const Slice& target) const {
-  // Binary search for the first entry with key >= target. For per-block
-  // indexes the entry key is the block's *last* key, so this lands on the
-  // first block that could contain the target — the same invariant.
-  size_t lo = 0, hi = starts_.size();
+  // The first entry with key >= target. For per-block indexes the entry
+  // key is the block's *last* key, so this lands on the first block that
+  // could contain the target — the same invariant. Entries before lo have
+  // smaller user keys and entries from hi on larger ones, so only the run
+  // sharing target's key word needs whole internal keys compared.
+  auto [lo, hi] = words_.EqualRange(ExtractUserKey(target));
   while (lo < hi) {
     size_t mid = lo + (hi - lo) / 2;
-    if (cmp.Compare(entry(mid).key, target) < 0) {
+    if (cmp.Compare(key(mid), target) < 0) {
       lo = mid + 1;
     } else {
       hi = mid;

@@ -21,6 +21,7 @@
 
 #include "src/core/bloom.h"
 #include "src/core/dbformat.h"
+#include "src/core/key_words.h"
 #include "src/util/slice.h"
 #include "src/util/status.h"
 
@@ -49,7 +50,9 @@ class TableIndex {
 
   /// Returns the position of the first entry whose key is >= target
   /// (per-record), or the first block that could contain target
-  /// (per-block). num_entries() if past the end.
+  /// (per-block). num_entries() if past the end. Searches the entries' key
+  /// words first, so user keys must be in bytewise order; cmp orders only
+  /// the entries that share target's word.
   size_t Find(const InternalKeyComparator& cmp, const Slice& target) const;
 
   /// Bloom probe over the user key. Returns true if absent filters.
@@ -83,9 +86,12 @@ class TableIndex {
  private:
   TableIndex() = default;
 
+  Slice key(size_t i) const;
+
   Kind kind_ = kPerRecord;
   std::string blob_;
   std::vector<uint32_t> starts_;  // Offset of each entry within blob_.
+  KeyWords words_;                // One per entry, of its user key.
   Slice filter_;                  // Points into blob_.
 };
 

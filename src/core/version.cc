@@ -157,8 +157,9 @@ void Version::CollectSearchOrder(const InternalKeyComparator& icmp,
   for (int level = 1; level < kNumLevels; level++) {
     const auto& files = levels_[level];
     if (files.empty()) continue;
-    // First file whose largest user key is >= user_key.
-    size_t lo = 0, hi = files.size();
+    // First file whose largest user key is >= user_key; only files whose
+    // largest key shares user_key's key word need their keys compared.
+    auto [lo, hi] = largest_words_[level].EqualRange(user_key);
     while (lo < hi) {
       size_t mid = lo + (hi - lo) / 2;
       if (ucmp->Compare(ExtractUserKey(files[mid]->largest.Encode()),
@@ -171,6 +172,17 @@ void Version::CollectSearchOrder(const InternalKeyComparator& icmp,
     if (lo < files.size() && !BeforeFile(ucmp, user_key, *files[lo])) {
       result->push_back(files[lo].get());
     }
+  }
+}
+
+void Version::BuildSearchWords() {
+  for (int level = 1; level < kNumLevels; level++) {
+    KeyWords& words = largest_words_[level];
+    words.Reserve(levels_[level].size());
+    for (const FileRef& f : levels_[level]) {
+      words.Add(ExtractUserKey(f->largest.Encode()));
+    }
+    words.Finish();
   }
 }
 
@@ -265,6 +277,7 @@ void VersionSet::Apply(const VersionEdit& edit) {
                                       b->smallest.Encode()) < 0;
               });
   }
+  next->BuildSearchWords();
   current_ = std::move(next);
 }
 
@@ -293,6 +306,7 @@ Status VersionSet::Replace(int level, uint64_t number, FileRef replacement) {
   auto next = std::make_shared<Version>();
   next->levels_ = current_->levels_;
   next->levels_[level][pos] = std::move(replacement);
+  next->BuildSearchWords();
   current_ = std::move(next);
   return Status::OK();
 }

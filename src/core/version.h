@@ -17,6 +17,7 @@
 #include "src/core/dbformat.h"
 #include "src/core/file_meta.h"
 #include "src/core/iterator.h"
+#include "src/core/key_words.h"
 #include "src/core/options.h"
 #include "src/core/table_reader.h"
 #include "src/rdma/rdma_manager.h"
@@ -61,7 +62,15 @@ class Version {
 
  private:
   friend class VersionSet;
+
+  /// Fills largest_words_ from levels_. VersionSet calls it once on each
+  /// Version it builds, after levels_ are final.
+  void BuildSearchWords();
+
   std::vector<std::vector<FileRef>> levels_;
+  // Levels >= 1: a key word per file of its largest user key, so a lookup
+  // binary-searches one array instead of chasing each file's metadata.
+  KeyWords largest_words_[kNumLevels];
 };
 
 using VersionRef = std::shared_ptr<const Version>;

@@ -576,7 +576,9 @@ size_t QueuePair::send_cq_depth() const {
 // Fabric
 // ---------------------------------------------------------------------------
 
-Fabric::Fabric(Env* env, LinkParams params) : env_(env), params_(params) {}
+Fabric::Fabric(Env* env, LinkParams params) : env_(env), params_(params) {
+  set_fault_params(FaultParams());
+}
 
 Fabric::~Fabric() = default;
 
@@ -629,7 +631,12 @@ size_t Fabric::num_qps() const {
 }
 
 void Fabric::set_fault_params(const FaultParams& fp) {
-  fault_params_ = fp;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    fault_params_history_.push_back(std::make_unique<const FaultParams>(fp));
+    fault_params_.store(fault_params_history_.back().get(),
+                        std::memory_order_release);
+  }
   faults_enabled_.store(fp.any(), std::memory_order_relaxed);
 }
 

@@ -398,10 +398,12 @@ class Fabric {
   Status CheckRemoteAccess(uint32_t rkey, uint64_t addr, size_t len,
                            uint32_t target_node) const;
 
-  /// Installs fault-injection parameters. Not synchronized against posts
-  /// in flight: set before traffic starts or from a quiesced state.
+  /// Installs fault-injection parameters; safe while posts are in flight.
+  /// Each post reads one whole FaultParams, the old or the new.
   void set_fault_params(const FaultParams& fp);
-  const FaultParams& fault_params() const { return fault_params_; }
+  const FaultParams& fault_params() const {
+    return *fault_params_.load(std::memory_order_acquire);
+  }
   bool faults_enabled() const {
     return faults_enabled_.load(std::memory_order_relaxed);
   }
@@ -455,7 +457,11 @@ class Fabric {
   std::vector<std::unique_ptr<QueuePair>> qps_;
   std::unordered_map<uint32_t, Registration> registrations_;
   uint32_t next_key_ = 0x1000;
-  FaultParams fault_params_;
+  // The current parameters: an immutable copy swapped in whole. Every copy
+  // ever installed lives as long as the fabric (guarded by mu_), so a post
+  // still reading an old one never sees it freed.
+  std::atomic<const FaultParams*> fault_params_;
+  std::vector<std::unique_ptr<const FaultParams>> fault_params_history_;
   std::atomic<bool> faults_enabled_{false};
   /// Admitted send-side posts, counted only while stuck_wr_nth is armed
   /// (the stuck-WR lottery's deterministic draw).

@@ -141,10 +141,43 @@ struct RpcClient::ThreadBuffers {
   }
 };
 
+// Zombies are abandoned or timed-out calls whose reply WRITE may still be
+// inbound; they become free once their reply stamp fires.
+struct RpcClient::ContextPool {
+  std::mutex mu;
+  std::vector<std::unique_ptr<ThreadBuffers>> all;
+  std::vector<ThreadBuffers*> free;
+  std::vector<ThreadBuffers*> zombie;
+
+  void Release(ThreadBuffers* ctx, bool completed) {
+    std::lock_guard<std::mutex> lock(mu);
+    (completed ? free : zombie).push_back(ctx);
+  }
+};
+
 namespace {
-// Per-thread buffers keyed by client instance id.
-ThreadLocal<std::unordered_map<uint64_t, RpcClient::ThreadBuffers*>>
-    thread_client_bufs;
+
+// A thread's cached buffers, keyed by client instance id. When the thread
+// ends, each goes back to its client's pool as a zombie: reusable as soon
+// as its last reply has landed, which for a completed call is at once.
+struct CachedBuffers {
+  struct Entry {
+    std::weak_ptr<RpcClient::ContextPool> pool;
+    RpcClient::ThreadBuffers* bufs;
+  };
+  std::unordered_map<uint64_t, Entry> by_client;
+
+  ~CachedBuffers() {
+    for (auto& [id, e] : by_client) {
+      if (auto pool = e.pool.lock()) {
+        pool->Release(e.bufs, /*completed=*/false);
+      }
+    }
+  }
+};
+
+ThreadLocal<CachedBuffers> thread_client_bufs;
+
 }  // namespace
 
 RpcClient::RpcClient(rdma::Fabric* fabric, rdma::Node* client_node,
@@ -153,7 +186,8 @@ RpcClient::RpcClient(rdma::Fabric* fabric, rdma::Node* client_node,
       client_node_(client_node),
       server_(server),
       instance_id_(next_instance_id_.fetch_add(1)),
-      wait_mu_(fabric->env()) {
+      wait_mu_(fabric->env()),
+      pool_(std::make_shared<ContextPool>()) {
   RpcServer::Channel* ch = server_->RegisterClient(client_node_);
   channel_ep_ = ch->client_ep;
   send_vq_ = std::make_unique<rdma::VerbQueue>(channel_ep_);
@@ -192,58 +226,55 @@ std::unique_ptr<RpcClient::ThreadBuffers> NewRegisteredBuffers(
 }  // namespace
 
 RpcClient::ThreadBuffers* RpcClient::GetThreadBuffers() {
-  auto& cache = thread_client_bufs.Get();
+  auto& cache = thread_client_bufs.Get().by_client;
   auto it = cache.find(instance_id_);
-  if (it != cache.end()) return it->second;
+  if (it != cache.end()) return it->second.bufs;
   ThreadBuffers* bufs = AcquireContext();
-  if (bufs != nullptr) cache[instance_id_] = bufs;
+  if (bufs != nullptr) cache[instance_id_] = {pool_, bufs};
   return bufs;
 }
 
 void RpcClient::InvalidateThreadBuffers() {
-  auto& cache = thread_client_bufs.Get();
+  auto& cache = thread_client_bufs.Get().by_client;
   auto it = cache.find(instance_id_);
   if (it == cache.end()) return;
-  ReleaseContext(it->second, /*completed=*/false);
+  ReleaseContext(it->second.bufs, /*completed=*/false);
   cache.erase(it);
 }
 
 RpcClient::ThreadBuffers* RpcClient::AcquireContext() {
+  ContextPool& pool = *pool_;
   {
-    std::lock_guard<std::mutex> lock(ctx_mu_);
+    std::lock_guard<std::mutex> lock(pool.mu);
     // Zombies become reusable once their abandoned call's reply stamp has
     // fired — only then is the server provably done writing the buffers.
-    for (size_t i = 0; i < zombie_ctx_.size();) {
-      auto* stamp = reinterpret_cast<const void*>(zombie_ctx_[i]->stamp_addr());
+    for (size_t i = 0; i < pool.zombie.size();) {
+      auto* stamp =
+          reinterpret_cast<const void*>(pool.zombie[i]->stamp_addr());
       if (rdma::QueuePair::ReadReadyStamp(stamp) != 0) {
-        free_ctx_.push_back(zombie_ctx_[i]);
-        zombie_ctx_[i] = zombie_ctx_.back();
-        zombie_ctx_.pop_back();
+        pool.free.push_back(pool.zombie[i]);
+        pool.zombie[i] = pool.zombie.back();
+        pool.zombie.pop_back();
       } else {
         i++;
       }
     }
-    if (!free_ctx_.empty()) {
-      ThreadBuffers* ctx = free_ctx_.back();
-      free_ctx_.pop_back();
+    if (!pool.free.empty()) {
+      ThreadBuffers* ctx = pool.free.back();
+      pool.free.pop_back();
       return ctx;
     }
   }
   auto bufs = NewRegisteredBuffers(fabric_, client_node_);
   if (bufs == nullptr) return nullptr;
   ThreadBuffers* raw = bufs.get();
-  std::lock_guard<std::mutex> lock(ctx_mu_);
-  all_ctx_.push_back(std::move(bufs));
+  std::lock_guard<std::mutex> lock(pool.mu);
+  pool.all.push_back(std::move(bufs));
   return raw;
 }
 
 void RpcClient::ReleaseContext(ThreadBuffers* ctx, bool completed) {
-  std::lock_guard<std::mutex> lock(ctx_mu_);
-  if (completed) {
-    free_ctx_.push_back(ctx);
-  } else {
-    zombie_ctx_.push_back(ctx);
-  }
+  pool_->Release(ctx, completed);
 }
 
 Status RpcClient::SendRequest(uint8_t type, const Slice& args, bool wake,

@@ -163,14 +163,18 @@ class RpcClient {
 
   rdma::Node* client_node() const { return client_node_; }
 
-  struct ThreadBuffers;  // Internal; public only for thread-local storage.
+  // Internal; public only for thread-local storage.
+  struct ThreadBuffers;
+  struct ContextPool;
 
  private:
   friend class PendingCall;
 
   /// Returns this thread's cached buffers, drawing from the context pool
   /// on first use (or after a timeout invalidated them). nullptr when
-  /// client DRAM is exhausted — callers fail the RPC, never abort.
+  /// client DRAM is exhausted — callers fail the RPC, never abort. The
+  /// buffers return to the pool when the thread ends, so a thread per
+  /// call (the blocking compaction scheduler's helpers) reuses them.
   ThreadBuffers* GetThreadBuffers();
   /// Retires this thread's cached buffers to the zombie list. Called when
   /// an attempt times out: the server's late reply WRITE may still land in
@@ -227,13 +231,10 @@ class RpcClient {
   std::atomic<uint64_t> timeouts_{0};
   std::atomic<uint64_t> retries_{0};
 
-  // Registered-buffer pool (guarded by ctx_mu_), shared by the per-thread
-  // cached buffers and CallAsync contexts; zombies are abandoned or
-  // timed-out calls whose reply WRITE may still be inbound.
-  std::mutex ctx_mu_;
-  std::vector<std::unique_ptr<ThreadBuffers>> all_ctx_;
-  std::vector<ThreadBuffers*> free_ctx_;
-  std::vector<ThreadBuffers*> zombie_ctx_;
+  // Registered-buffer pool, shared by the per-thread cached buffers and
+  // CallAsync contexts. Threads' caches hold it weakly: a thread that ends
+  // after its client finds the pool gone and returns nothing.
+  std::shared_ptr<ContextPool> pool_;
 
   static std::atomic<uint64_t> next_instance_id_;
 };

@@ -9,7 +9,9 @@
 
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "src/core/db.h"
 #include "src/core/db_impl.h"
@@ -17,6 +19,7 @@
 #include "src/core/shard.h"
 #include "src/rdma/fabric.h"
 #include "src/sim/sim_env.h"
+#include "src/util/random.h"
 
 namespace dlsm {
 namespace test {
@@ -153,6 +156,54 @@ inline std::string TestValue(uint64_t n, size_t len = 64) {
   while (v.size() < len) v.push_back('x');
   v.resize(len);
   return v;
+}
+
+/// n bytes that stress bytewise order: 0x00, 0xFF, the neighbours of the
+/// signed-char boundary, and two printable ones.
+inline std::string EdgeBytes(Random* rnd, size_t n) {
+  static const unsigned char kBytes[] = {0x00, 0x01, 'a',  'b',
+                                         0x7f, 0x80, 0xfe, 0xff};
+  std::string out;
+  for (size_t i = 0; i < n; i++) {
+    out.push_back(static_cast<char>(kBytes[rnd->Uniform(sizeof(kBytes))]));
+  }
+  return out;
+}
+
+/// Up to n distinct user keys in bytewise order, each `prefix` plus 0-12
+/// edge bytes, so keys end before, inside and past the 8 bytes that follow
+/// the prefix.
+inline std::vector<std::string> RandomSortedUserKeys(
+    Random* rnd, const std::string& prefix, size_t n) {
+  std::set<std::string> keys;
+  for (size_t i = 0; i < n; i++) {
+    keys.insert(prefix + EdgeBytes(rnd, rnd->Uniform(13)));
+  }
+  return std::vector<std::string>(keys.begin(), keys.end());
+}
+
+/// A lookup key for a run built by RandomSortedUserKeys: one of its keys,
+/// cut short, extended, with its last byte swapped, a fresh key under the
+/// prefix, or an unrelated one, so lookups land below, inside and above
+/// the run and between its keys.
+inline std::string RandomProbeKey(Random* rnd, const std::string& prefix,
+                                  const std::vector<std::string>& keys) {
+  std::string k = keys.empty() ? prefix : keys[rnd->Uniform(keys.size())];
+  switch (rnd->Uniform(6)) {
+    case 0:
+      return k;
+    case 1:
+      return k.substr(0, rnd->Uniform(k.size() + 1));
+    case 2:
+      return k + EdgeBytes(rnd, 1 + rnd->Uniform(3));
+    case 3:
+      if (!k.empty()) k.back() = EdgeBytes(rnd, 1)[0];
+      return k;
+    case 4:
+      return prefix + EdgeBytes(rnd, rnd->Uniform(13));
+    default:
+      return EdgeBytes(rnd, rnd->Uniform(25));
+  }
 }
 
 }  // namespace test

@@ -11,6 +11,7 @@
 #include "src/rdma/rdma_manager.h"
 #include "src/remote/rpc.h"
 #include "src/sim/sim_env.h"
+#include "tests/dlsm_test_util.h"
 
 namespace dlsm {
 namespace remote {
@@ -456,6 +457,59 @@ TEST_F(RpcTest, CallAsyncTeardownWithCallsInFlight) {
       }
     }  // Client destroyed with all four replies inbound.
     server.Stop();
+  });
+}
+
+// With async_write off, each near-data sub-compaction's RPC runs on a
+// helper thread that ends with its compaction. The helper's cached call
+// context (9 MiB of registered compute DRAM) must return to the client's
+// pool then, so round after round of compactions reuses a bounded set of
+// contexts instead of growing compute DRAM by one per sub-compaction.
+TEST(RpcContextTest, BlockingCompactionsKeepComputeDramBounded) {
+  SimEnv env;
+  rdma::Fabric fabric(&env);
+  rdma::Node* compute = fabric.AddNode("compute", 24, 2048 * kMB);
+  rdma::Node* memory = fabric.AddNode("memory", 4, 2048 * kMB);
+  env.Run(0, [&] {
+    dlsm::MemoryNodeService service(&fabric, memory, 4);
+    service.Start();
+    Options options = test::SmallOptions(&env);
+    options.async_write = false;
+    DbDeps deps;
+    deps.fabric = &fabric;
+    deps.compute = compute;
+    deps.memory = &service;
+    DB* raw = nullptr;
+    ASSERT_TRUE(DLsmDB::Open(options, deps, &raw).ok());
+    std::unique_ptr<DB> db(raw);
+    // Concurrent helpers at most: scheduler threads x sub-compactions.
+    const size_t kMaxContexts =
+        static_cast<size_t>(options.compaction_scheduler_threads) *
+        static_cast<size_t>(options.max_subcompactions);
+    const size_t kContextBytes = 9 * kMB;
+    size_t warm = 0;
+    uint64_t warm_compactions = 0;
+    for (int round = 0; round < 12; round++) {
+      for (uint64_t i = 0; i < 3000; i++) {
+        ASSERT_TRUE(db->Put(WriteOptions(), test::TestKey(i * 7 + round),
+                            test::TestValue(i))
+                        .ok());
+      }
+      ASSERT_TRUE(db->Flush().ok());
+      ASSERT_TRUE(db->WaitForBackgroundIdle().ok());
+      if (round == 1) {
+        warm = compute->dram_used();
+        warm_compactions = db->GetStats().compactions;
+      }
+    }
+    const uint64_t compactions = db->GetStats().compactions - warm_compactions;
+    // Enough compactions that one leaked context each would show.
+    ASSERT_GT(compactions, kMaxContexts);
+    EXPECT_LE(compute->dram_used(), warm + kMaxContexts * kContextBytes)
+        << compactions << " compactions after warm-up; warm " << warm;
+    ASSERT_TRUE(db->Close().ok());
+    db.reset();
+    service.Stop();
   });
 }
 

@@ -104,6 +104,58 @@ TEST(TableIndexTest, FindReturnsFirstGreaterOrEqual) {
   EXPECT_EQ(50u, index->Find(icmp, IKey(UKey(1000), kMaxSequenceNumber)));
 }
 
+// Find searches key words first; it must land where a plain binary search
+// over whole internal keys does. Seeded random indexes of both layouts:
+// user keys sharing a 0-20 byte prefix and ending before, inside or past
+// the 8-byte word, 0x00/0xFF bytes, 1-3 versions per user key, and
+// targets below, inside and above the table at assorted sequences.
+TEST(TableIndexTest, KeyWordFindMatchesFullKeyLowerBound) {
+  InternalKeyComparator icmp(BytewiseComparator());
+  auto less = [&icmp](const std::string& a, const std::string& b) {
+    return icmp.Compare(a, b) < 0;
+  };
+  Random rnd(301);
+  for (int trial = 0; trial < 400; trial++) {
+    const std::string prefix = test::EdgeBytes(&rnd, rnd.Uniform(21));
+    const std::vector<std::string> user_keys =
+        test::RandomSortedUserKeys(&rnd, prefix, rnd.Uniform(300));
+    // A per-block index holds each block's last key: a sparse subsequence.
+    const auto kind =
+        trial % 2 == 0 ? TableIndex::kPerRecord : TableIndex::kPerBlock;
+    std::vector<std::string> entries;
+    for (const std::string& u : user_keys) {
+      SequenceNumber seq = 10 + rnd.Uniform(1000);
+      for (uint64_t v = 1 + rnd.Uniform(3); v > 0; v--) {
+        if (kind == TableIndex::kPerRecord || rnd.OneIn(3)) {
+          entries.push_back(
+              IKey(u, seq, rnd.OneIn(4) ? kTypeDeletion : kTypeValue));
+        }
+        seq -= 1 + rnd.Uniform(3);
+      }
+    }
+    TableIndex::Builder builder(kind);
+    for (size_t i = 0; i < entries.size(); i++) {
+      builder.Add(entries[i], i, 1);
+    }
+    auto index = TableIndex::Parse(builder.Finish());
+    ASSERT_NE(nullptr, index);
+    for (int probe = 0; probe < 200; probe++) {
+      const std::string user_key =
+          test::RandomProbeKey(&rnd, prefix, user_keys);
+      const SequenceNumber seq = rnd.OneIn(3)   ? kMaxSequenceNumber
+                                 : rnd.OneIn(2) ? 0
+                                                : rnd.Uniform(1100);
+      const std::string target = IKey(user_key, seq, kValueTypeForSeek);
+      const size_t want =
+          std::lower_bound(entries.begin(), entries.end(), target, less) -
+          entries.begin();
+      ASSERT_EQ(want, index->Find(icmp, target))
+          << "trial " << trial << " prefix size " << prefix.size()
+          << " entries " << entries.size() << " seq " << seq;
+    }
+  }
+}
+
 TEST(TableIndexTest, ParseRejectsGarbage) {
   EXPECT_EQ(nullptr, TableIndex::Parse(""));
   EXPECT_EQ(nullptr, TableIndex::Parse("\x07garbage"));
@@ -115,6 +167,10 @@ TEST(TableIndexTest, ParseRejectsGarbage) {
   }
   truncated.resize(truncated.size() / 2);
   EXPECT_EQ(nullptr, TableIndex::Parse(truncated));
+  // An entry key too short to hold an internal-key trailer.
+  TableIndex::Builder builder(TableIndex::kPerRecord);
+  builder.Add("short", 0, 1);
+  EXPECT_EQ(nullptr, TableIndex::Parse(builder.Finish()));
 }
 
 TEST(TableSinkTest, LocalMemorySinkBounds) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <set>
@@ -15,6 +16,7 @@
 #include "src/core/write_batch.h"
 #include "src/sim/env.h"
 #include "src/util/random.h"
+#include "tests/dlsm_test_util.h"
 
 namespace dlsm {
 namespace {
@@ -26,16 +28,24 @@ std::string UKey(uint64_t n) {
   return std::string(buf);
 }
 
+FileRef MakeRangeFile(uint64_t number, const std::string& lo,
+                      const std::string& hi) {
+  auto f = std::make_shared<FileMetaData>();
+  f->number = number;
+  f->l0_order = number;
+  f->data_len = 1 << 20;
+  f->smallest = InternalKey(lo, kMaxSequenceNumber, kTypeValue);
+  f->largest = InternalKey(hi, 1, kTypeValue);
+  f->chunk.addr = 0x1000 * number;
+  return f;
+}
+
 FileRef MakeFile(uint64_t number, uint64_t lo, uint64_t hi,
                  uint64_t l0_order = 0, uint64_t bytes = 1 << 20,
                  std::function<void(const remote::RemoteChunk&)> gc = {}) {
-  auto f = std::make_shared<FileMetaData>();
-  f->number = number;
-  f->l0_order = l0_order != 0 ? l0_order : number;
+  FileRef f = MakeRangeFile(number, UKey(lo), UKey(hi));
+  if (l0_order != 0) f->l0_order = l0_order;
   f->data_len = bytes;
-  f->smallest = InternalKey(UKey(lo), kMaxSequenceNumber, kTypeValue);
-  f->largest = InternalKey(UKey(hi), 1, kTypeValue);
-  f->chunk.addr = 0x1000 * number;
   f->gc = std::move(gc);
   return f;
 }
@@ -306,6 +316,73 @@ TEST(VersionTest, CollectSearchOrderPrunesByRange) {
   // Reused across lookups: the vector is cleared, not appended to.
   vs.current()->CollectSearchOrder(icmp, UKey(700), &order);
   EXPECT_TRUE(order.empty());
+}
+
+// The deeper levels' file search runs over key words of each file's
+// largest user key; it must pick what a linear scan of the files picks.
+// Seeded random versions: keys sharing a 0-20 byte prefix, 0x00/0xFF
+// bytes, overlapping L0 files, disjoint 1-3 key files on deeper levels
+// with gaps between them, and lookups below, inside and above each level.
+TEST(VersionTest, KeyWordSearchOrderMatchesLinearScan) {
+  Options options = SmallVersionOptions();
+  InternalKeyComparator icmp(BytewiseComparator());
+  auto covers = [](const FileRef& f, const Slice& key) {
+    return f->smallest.user_key().compare(key) <= 0 &&
+           f->largest.user_key().compare(key) >= 0;
+  };
+  Random rnd(17);
+  for (int trial = 0; trial < 200; trial++) {
+    VersionSet vs(&icmp, &options);
+    const std::string prefix = test::EdgeBytes(&rnd, rnd.Uniform(21));
+    std::vector<std::string> all_keys;
+    VersionEdit edit;
+    uint64_t number = 1;
+    for (int level = 0; level < kNumLevels; level++) {
+      std::vector<std::string> keys =
+          test::RandomSortedUserKeys(&rnd, prefix, rnd.Uniform(60));
+      all_keys.insert(all_keys.end(), keys.begin(), keys.end());
+      if (keys.empty()) continue;
+      if (level == 0) {
+        for (uint64_t n = rnd.Uniform(5); n > 0; n--) {
+          size_t a = rnd.Uniform(keys.size()), b = rnd.Uniform(keys.size());
+          edit.AddFile(0, MakeRangeFile(number++, keys[std::min(a, b)],
+                                        keys[std::max(a, b)]));
+        }
+        continue;
+      }
+      for (size_t i = 0; i < keys.size();) {
+        size_t last = std::min(keys.size() - 1, i + rnd.Uniform(3));
+        if (!rnd.OneIn(4)) {
+          edit.AddFile(level, MakeRangeFile(number++, keys[i], keys[last]));
+        }
+        i = last + 1;
+      }
+    }
+    vs.Apply(edit);
+    VersionRef v = vs.current();
+    std::sort(all_keys.begin(), all_keys.end());
+    std::vector<const FileMetaData*> got;
+    for (int probe = 0; probe < 100; probe++) {
+      const std::string key = test::RandomProbeKey(&rnd, prefix, all_keys);
+      std::vector<const FileMetaData*> want;
+      for (const FileRef& f : v->files(0)) {
+        if (covers(f, key)) want.push_back(f.get());
+      }
+      const size_t want_l0 = want.size();
+      for (int level = 1; level < kNumLevels; level++) {
+        for (const FileRef& f : v->files(level)) {
+          if (f->largest.user_key().compare(key) >= 0) {
+            if (covers(f, key)) want.push_back(f.get());
+            break;
+          }
+        }
+      }
+      size_t got_l0 = 0;
+      v->CollectSearchOrder(icmp, key, &got, &got_l0);
+      ASSERT_EQ(want, got) << "trial " << trial << " probe " << probe;
+      ASSERT_EQ(want_l0, got_l0);
+    }
+  }
 }
 
 TEST(VersionTest, PickCompactionL0TakesAllAndOverlappingL1) {
