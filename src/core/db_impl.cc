@@ -717,9 +717,12 @@ void DLsmDB::ProbeKeys(const ReadOptions& options, std::span<const Slice> keys,
   // buffer; only large batches spill to the heap.
   alignas(std::max_align_t) char stack[4096];
   std::pmr::monotonic_buffer_resource arena(stack, sizeof(stack));
+  // Allocator-aware, so `state` hands its arena to each key's order too.
   struct KeyState {
+    using allocator_type = std::pmr::polymorphic_allocator<>;
+    explicit KeyState(const allocator_type& alloc) : order(alloc) {}
     std::optional<LookupKey> lkey;
-    std::vector<const FileMetaData*> order;  // Probe order: newest first.
+    std::pmr::vector<const FileMetaData*> order;  // Probe order: newest first.
     size_t num_l0 = 0;
     size_t cursor = 0;  // Next candidate in order.
     bool resolved = false;
@@ -1106,8 +1109,8 @@ Status DLsmDB::IssueCompactionRpc(remote::RpcClient* rpc,
   NoteCompactionRpcIssued();
   telemetry::WatchdogScope wd(watchdog_.get(), "compaction_rpc");
   std::string reply;
-  Status s = rpc->CallWithWakeup(remote::RpcType::kCompaction,
-                                 task.Serialize(), &reply);
+  Status s = rpc->CallAsync(remote::RpcType::kCompaction, task.Serialize())
+                 .Wait(&reply);
   if (s.ok()) s = ParseCompactionReply(reply, result);
   stat_comp_rpc_inflight_.fetch_sub(1, std::memory_order_relaxed);
   return s;
@@ -1255,7 +1258,8 @@ Status DLsmDB::RunNearDataCompaction(const CompactionPick& pick, size_t slot,
     while (!window.empty()) wait_oldest();
   } else {
     // Blocking scheduler (ablation): a helper thread per sub-compaction,
-    // each parked in its own two-sided call; this thread takes the first.
+    // each parked on its own call's reply stamp; this thread takes the
+    // first. A failed call fails the pick, as on the pipelined path.
     std::vector<ThreadHandle> helpers;
     for (size_t i = 1; i < tasks.size(); i++) {
       helpers.push_back(env_->StartThread(

@@ -43,8 +43,8 @@ class MemoryNodeService {
   uint64_t worker_busy_ns() const { return server_->worker_busy_ns(); }
   int compaction_workers() const { return workers_; }
 
-  /// Verb-layer telemetry of the server's reply path (the WRITEs and
-  /// wakeups it posts back to clients), aggregated across channels.
+  /// Verb-layer telemetry of the server's reply path (the argument READs
+  /// and reply WRITEs it posts to clients), aggregated across channels.
   rdma::RdmaVerbStats reply_verb_stats() const {
     return server_->reply_verb_stats();
   }

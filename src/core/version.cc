@@ -142,10 +142,11 @@ uint64_t Version::LevelBytes(int level) const {
 
 void Version::CollectSearchOrder(const InternalKeyComparator& icmp,
                                  const Slice& user_key,
-                                 std::vector<const FileMetaData*>* result,
+                                 std::pmr::vector<const FileMetaData*>* result,
                                  size_t* num_l0) const {
   const Comparator* ucmp = icmp.user_comparator();
   result->clear();
+  result->reserve(levels_[0].size() + kNumLevels - 1);
   // L0 is kept newest-first; all overlapping files must be probed in order.
   for (const FileRef& f : levels_[0]) {
     if (!AfterFile(ucmp, user_key, *f) && !BeforeFile(ucmp, user_key, *f)) {

@@ -10,6 +10,7 @@
 #define DLSM_CORE_VERSION_H_
 
 #include <memory>
+#include <memory_resource>
 #include <mutex>
 #include <set>
 #include <vector>
@@ -40,11 +41,11 @@ class Version {
   /// num_l0 is non-null it receives how many leading entries are L0 files
   /// (the set a batched reader may probe concurrently, newest-wins).
   /// `result` is cleared and filled with borrowed pointers that stay valid
-  /// for as long as the caller holds its VersionRef; passing the same
-  /// vector across lookups avoids reallocating on the read hot path.
+  /// for as long as the caller holds its VersionRef; it allocates from the
+  /// caller's memory resource (a Get's stack arena), at most once.
   void CollectSearchOrder(const InternalKeyComparator& icmp,
                           const Slice& user_key,
-                          std::vector<const FileMetaData*>* result,
+                          std::pmr::vector<const FileMetaData*>* result,
                           size_t* num_l0 = nullptr) const;
 
   /// Files in `level` overlapping [smallest, largest] (user-key range).

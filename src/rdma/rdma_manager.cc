@@ -294,13 +294,6 @@ WrHandle VerbQueue::WriteStamped(const void* src, uint64_t raddr,
                VerbClass::kWrite, len);
 }
 
-WrHandle VerbQueue::WriteWithImm(const void* src, uint64_t raddr,
-                                 uint32_t rkey, size_t len, uint32_t imm) {
-  MaybeSweep();
-  return Track(qp_->PostWriteWithImm(src, raddr, rkey, len, imm),
-               VerbClass::kSend, len);
-}
-
 WrHandle VerbQueue::Send(const void* src, size_t len) {
   MaybeSweep();
   return Track(qp_->PostSend(src, len), VerbClass::kSend, len);

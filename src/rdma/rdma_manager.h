@@ -139,8 +139,6 @@ class VerbQueue {
   /// (see QueuePair::PostWriteStamped / StampFuture).
   WrHandle WriteStamped(const void* src, uint64_t raddr, uint32_t rkey,
                         size_t len);
-  WrHandle WriteWithImm(const void* src, uint64_t raddr, uint32_t rkey,
-                        size_t len, uint32_t imm);
   WrHandle Send(const void* src, size_t len);
   WrHandle FetchAdd(uint64_t raddr, uint32_t rkey, uint64_t add,
                     uint64_t* prev);

@@ -16,8 +16,8 @@
 namespace dlsm {
 namespace rdma {
 
-/// Stats bucket a verb falls into. SEND covers the two-sided channel
-/// (SEND and WRITE_WITH_IMM wakeups); ATOMIC covers FETCH_ADD / CMP_SWAP.
+/// Stats bucket a verb falls into. SEND covers the two-sided channel's
+/// SENDs; ATOMIC covers FETCH_ADD / CMP_SWAP.
 enum class VerbClass : uint8_t { kRead = 0, kWrite = 1, kSend = 2, kAtomic = 3 };
 
 inline constexpr int kNumVerbClasses = 4;

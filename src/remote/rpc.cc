@@ -4,7 +4,6 @@
 
 #include "src/util/coding.h"
 #include "src/util/logging.h"
-#include "src/util/thread_slots.h"
 #include "src/util/trace.h"
 
 namespace dlsm {
@@ -14,8 +13,7 @@ namespace {
 
 // Request wire format (fits the 256-byte channel receive buffers):
 //   u8  type
-//   u8  wake
-//   u32 id
+//   u8  offload     (1 => run on the worker pool, args pulled by READ)
 //   u64 reply_addr
 //   u32 reply_rkey
 //   u32 reply_cap
@@ -27,7 +25,7 @@ namespace {
 //   u32 inline_len
 //   [inline bytes]
 constexpr size_t kRequestBufSize = 256;
-constexpr size_t kRequestHeader = 1 + 1 + 4 + 8 + 4 + 4 + 8 + 4 + 4 + 8 + 8 + 4;
+constexpr size_t kRequestHeader = 1 + 1 + 8 + 4 + 4 + 8 + 4 + 4 + 8 + 8 + 4;
 constexpr size_t kMaxInlineArgs = kRequestBufSize - kRequestHeader;
 // Generous receive depth: many shards share one channel, and the
 // dispatcher may be in its idle backoff when a burst of requests lands.
@@ -46,8 +44,7 @@ constexpr uint64_t kServerRetryBackoffNs = 50 * 1000;
 
 struct Request {
   uint8_t type = 0;
-  bool wake = false;
-  uint32_t id = 0;
+  bool offload = false;
   uint64_t reply_addr = 0;
   uint32_t reply_rkey = 0;
   uint32_t reply_cap = 0;
@@ -65,9 +62,7 @@ struct Request {
 size_t EncodeRequest(const Request& r, char* dst) {
   char* p = dst;
   *p++ = static_cast<char>(r.type);
-  *p++ = r.wake ? 1 : 0;
-  EncodeFixed32(p, r.id);
-  p += 4;
+  *p++ = r.offload ? 1 : 0;
   EncodeFixed64(p, r.reply_addr);
   p += 8;
   EncodeFixed32(p, r.reply_rkey);
@@ -95,9 +90,7 @@ bool DecodeRequest(const char* src, size_t len, Request* r) {
   if (len < kRequestHeader) return false;
   const char* p = src;
   r->type = static_cast<uint8_t>(*p++);
-  r->wake = (*p++ != 0);
-  r->id = DecodeFixed32(p);
-  p += 4;
+  r->offload = (*p++ != 0);
   r->reply_addr = DecodeFixed64(p);
   p += 8;
   r->reply_rkey = DecodeFixed32(p);
@@ -127,184 +120,96 @@ bool DecodeRequest(const char* src, size_t len, Request* r) {
 // RpcClient
 // ---------------------------------------------------------------------------
 
-std::atomic<uint64_t> RpcClient::next_instance_id_{1};
-
-/// Per-thread registered reply and argument staging buffers.
-struct RpcClient::ThreadBuffers {
+struct CallContext {
   char* reply = nullptr;
   rdma::MemoryRegion reply_mr;
   char* args = nullptr;
   rdma::MemoryRegion args_mr;
 
-  uint64_t stamp_addr() const {
-    return reply_mr.addr + kReplyBufSize - sizeof(uint64_t);
+  // The ready stamp: the last word of the reply buffer.
+  uint64_t* stamp() const {
+    return reinterpret_cast<uint64_t*>(reply_mr.addr + kReplyBufSize -
+                                       sizeof(uint64_t));
   }
 };
-
-// Zombies are abandoned or timed-out calls whose reply WRITE may still be
-// inbound; they become free once their reply stamp fires.
-struct RpcClient::ContextPool {
-  std::mutex mu;
-  std::vector<std::unique_ptr<ThreadBuffers>> all;
-  std::vector<ThreadBuffers*> free;
-  std::vector<ThreadBuffers*> zombie;
-
-  void Release(ThreadBuffers* ctx, bool completed) {
-    std::lock_guard<std::mutex> lock(mu);
-    (completed ? free : zombie).push_back(ctx);
-  }
-};
-
-namespace {
-
-// A thread's cached buffers, keyed by client instance id. When the thread
-// ends, each goes back to its client's pool as a zombie: reusable as soon
-// as its last reply has landed, which for a completed call is at once.
-struct CachedBuffers {
-  struct Entry {
-    std::weak_ptr<RpcClient::ContextPool> pool;
-    RpcClient::ThreadBuffers* bufs;
-  };
-  std::unordered_map<uint64_t, Entry> by_client;
-
-  ~CachedBuffers() {
-    for (auto& [id, e] : by_client) {
-      if (auto pool = e.pool.lock()) {
-        pool->Release(e.bufs, /*completed=*/false);
-      }
-    }
-  }
-};
-
-ThreadLocal<CachedBuffers> thread_client_bufs;
-
-}  // namespace
 
 RpcClient::RpcClient(rdma::Fabric* fabric, rdma::Node* client_node,
                      RpcServer* server)
-    : fabric_(fabric),
-      client_node_(client_node),
-      server_(server),
-      instance_id_(next_instance_id_.fetch_add(1)),
-      wait_mu_(fabric->env()),
-      pool_(std::make_shared<ContextPool>()) {
-  RpcServer::Channel* ch = server_->RegisterClient(client_node_);
-  channel_ep_ = ch->client_ep;
+    : fabric_(fabric), client_node_(client_node) {
+  channel_ep_ = server->RegisterClient(client_node_)->client_ep;
   send_vq_ = std::make_unique<rdma::VerbQueue>(channel_ep_);
-  // Pre-post receive slots for WRITE_WITH_IMM wakeups (notification only,
-  // no payload, but each consumes a posted receive).
-  for (int i = 0; i < kRecvSlots; i++) {
-    notify_bufs_.emplace_back(new char[8]);
-    channel_ep_->PostRecv(notify_bufs_.back().get(), 8, i + 1);
-  }
-  notifier_ = fabric_->env()->StartThread(
-      client_node_->env_node(), "rpc-notifier", [this] { NotifierLoop(); });
 }
 
-RpcClient::~RpcClient() {
-  stop_.store(true);
-  fabric_->env()->Join(notifier_);
-}
+RpcClient::~RpcClient() = default;
 
-namespace {
-
-std::unique_ptr<RpcClient::ThreadBuffers> NewRegisteredBuffers(
-    rdma::Fabric* fabric, rdma::Node* node) {
-  auto bufs = std::make_unique<RpcClient::ThreadBuffers>();
-  bufs->reply = node->AllocDram(kReplyBufSize);
-  bufs->args = node->AllocDram(kArgsBufSize);
-  if (bufs->reply == nullptr || bufs->args == nullptr) {
-    // DRAM exhausted (e.g. a long fault sweep stranding zombie contexts):
-    // the RPC fails with OutOfMemory instead of aborting the process.
-    return nullptr;
-  }
-  bufs->reply_mr = fabric->RegisterMemory(node, bufs->reply, kReplyBufSize);
-  bufs->args_mr = fabric->RegisterMemory(node, bufs->args, kArgsBufSize);
-  return bufs;
-}
-
-}  // namespace
-
-RpcClient::ThreadBuffers* RpcClient::GetThreadBuffers() {
-  auto& cache = thread_client_bufs.Get().by_client;
-  auto it = cache.find(instance_id_);
-  if (it != cache.end()) return it->second.bufs;
-  ThreadBuffers* bufs = AcquireContext();
-  if (bufs != nullptr) cache[instance_id_] = {pool_, bufs};
-  return bufs;
-}
-
-void RpcClient::InvalidateThreadBuffers() {
-  auto& cache = thread_client_bufs.Get().by_client;
-  auto it = cache.find(instance_id_);
-  if (it == cache.end()) return;
-  ReleaseContext(it->second.bufs, /*completed=*/false);
-  cache.erase(it);
-}
-
-RpcClient::ThreadBuffers* RpcClient::AcquireContext() {
-  ContextPool& pool = *pool_;
+CallContext* RpcClient::AcquireContext() {
   {
-    std::lock_guard<std::mutex> lock(pool.mu);
+    std::lock_guard<std::mutex> lock(pool_mu_);
     // Zombies become reusable once their abandoned call's reply stamp has
     // fired — only then is the server provably done writing the buffers.
-    for (size_t i = 0; i < pool.zombie.size();) {
-      auto* stamp =
-          reinterpret_cast<const void*>(pool.zombie[i]->stamp_addr());
-      if (rdma::QueuePair::ReadReadyStamp(stamp) != 0) {
-        pool.free.push_back(pool.zombie[i]);
-        pool.zombie[i] = pool.zombie.back();
-        pool.zombie.pop_back();
+    for (size_t i = 0; i < zombies_.size();) {
+      if (rdma::QueuePair::ReadReadyStamp(zombies_[i]->stamp()) != 0) {
+        free_.push_back(zombies_[i]);
+        zombies_[i] = zombies_.back();
+        zombies_.pop_back();
       } else {
         i++;
       }
     }
-    if (!pool.free.empty()) {
-      ThreadBuffers* ctx = pool.free.back();
-      pool.free.pop_back();
+    if (!free_.empty()) {
+      CallContext* ctx = free_.back();
+      free_.pop_back();
       return ctx;
     }
   }
-  auto bufs = NewRegisteredBuffers(fabric_, client_node_);
-  if (bufs == nullptr) return nullptr;
-  ThreadBuffers* raw = bufs.get();
-  std::lock_guard<std::mutex> lock(pool.mu);
-  pool.all.push_back(std::move(bufs));
+  auto ctx = std::make_unique<CallContext>();
+  ctx->reply = client_node_->AllocDram(kReplyBufSize);
+  ctx->args = client_node_->AllocDram(kArgsBufSize);
+  if (ctx->reply == nullptr || ctx->args == nullptr) {
+    // DRAM exhausted (e.g. a long fault sweep stranding zombie contexts):
+    // the RPC fails with OutOfMemory instead of aborting the process.
+    return nullptr;
+  }
+  ctx->reply_mr = fabric_->RegisterMemory(client_node_, ctx->reply,
+                                          kReplyBufSize);
+  ctx->args_mr = fabric_->RegisterMemory(client_node_, ctx->args,
+                                         kArgsBufSize);
+  CallContext* raw = ctx.get();
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  contexts_.push_back(std::move(ctx));
   return raw;
 }
 
-void RpcClient::ReleaseContext(ThreadBuffers* ctx, bool completed) {
-  pool_->Release(ctx, completed);
+void RpcClient::ReleaseContext(CallContext* ctx, bool completed) {
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  (completed ? free_ : zombies_).push_back(ctx);
 }
 
-Status RpcClient::SendRequest(uint8_t type, const Slice& args, bool wake,
-                              uint32_t id, ThreadBuffers* bufs,
-                              uint64_t trace_flow, uint64_t trace_span) {
+Status RpcClient::SendRequest(uint8_t type, const Slice& args, bool offload,
+                              CallContext* ctx, uint64_t trace_flow,
+                              uint64_t trace_span) {
   Request r;
   r.type = type;
-  r.wake = wake;
-  r.id = id;
+  r.offload = offload;
   r.trace_flow = trace_flow;
   r.trace_span = trace_span;
-  r.reply_addr = bufs->reply_mr.addr;
-  r.reply_rkey = bufs->reply_mr.rkey;
+  r.reply_addr = ctx->reply_mr.addr;
+  r.reply_rkey = ctx->reply_mr.rkey;
   r.reply_cap = kReplyBufSize;
-  if (args.size() <= kMaxInlineArgs && !wake) {
+  if (args.size() <= kMaxInlineArgs && !offload) {
     r.inline_args = args.ToString();
   } else {
     if (args.size() > kArgsBufSize) {
       return Status::InvalidArgument("RPC args exceed staging buffer");
     }
-    memcpy(bufs->args, args.data(), args.size());
-    r.args_addr = bufs->args_mr.addr;
-    r.args_rkey = bufs->args_mr.rkey;
+    memcpy(ctx->args, args.data(), args.size());
+    r.args_addr = ctx->args_mr.addr;
+    r.args_rkey = ctx->args_mr.rkey;
     r.args_len = static_cast<uint32_t>(args.size());
   }
 
   // Zero the ready stamp before the responder can write it.
-  uint64_t zero = 0;
-  __atomic_store(reinterpret_cast<uint64_t*>(bufs->stamp_addr()), &zero,
-                 __ATOMIC_RELEASE);
+  __atomic_store_n(ctx->stamp(), 0, __ATOMIC_RELEASE);
 
   char req[kRequestBufSize];
   size_t n = EncodeRequest(r, req);
@@ -320,8 +225,8 @@ Status RpcClient::SendRequest(uint8_t type, const Slice& args, bool wake,
     // CQ kept bounded) by the verb queue on subsequent posts. A fault at
     // post time (injected error, errored QP) is pollable immediately —
     // report it now, while the request provably never reached the server,
-    // so the caller can retry on these same buffers instead of timing out
-    // and stranding them on the zombie list.
+    // so the context is reused at once instead of timing out and stranding
+    // it on the zombie list.
     rdma::WrHandle h = send_vq_->Send(req, n);
     if (h.Ready()) {
       Status hs = h.status();
@@ -334,12 +239,12 @@ Status RpcClient::SendRequest(uint8_t type, const Slice& args, bool wake,
   return Status::OK();
 }
 
-Status RpcClient::ParseReply(ThreadBuffers* bufs, std::string* reply) {
-  uint32_t len = DecodeFixed32(bufs->reply);
+Status RpcClient::ParseReply(CallContext* ctx, std::string* reply) {
+  uint32_t len = DecodeFixed32(ctx->reply);
   if (len + 4 > kReplyBufSize - sizeof(uint64_t)) {
     return Status::Corruption("oversized RPC reply");
   }
-  reply->assign(bufs->reply + 4, len);
+  reply->assign(ctx->reply + 4, len);
   return Status::OK();
 }
 
@@ -348,146 +253,45 @@ uint64_t RpcClient::BackoffNs(int attempt) const {
   return policy_.retry_backoff_ns << shift;
 }
 
-Status RpcClient::Call(uint8_t type, const Slice& args, std::string* reply) {
-  Status s = CallOnce(type, args, reply);
-  for (int attempt = 0;
-       !s.ok() && s.IsIOError() && attempt < policy_.max_retries; attempt++) {
-    retries_.fetch_add(1, std::memory_order_relaxed);
-    fabric_->env()->SleepNanos(BackoffNs(attempt));
-    s = CallOnce(type, args, reply);
-  }
-  return s;
-}
-
-Status RpcClient::CallOnce(uint8_t type, const Slice& args,
-                           std::string* reply) {
-  trace::TraceSpan span("rpc_call", "rpc");
-  span.arg("type", type);
-  uint64_t flow = span.active() ? trace::Tracer::NextId() : 0;
-  ThreadBuffers* bufs = GetThreadBuffers();
-  if (bufs == nullptr) {
-    return Status::OutOfMemory("client DRAM exhausted for RPC buffers");
-  }
-  DLSM_RETURN_NOT_OK(
-      SendRequest(type, args, /*wake=*/false, 0, bufs, flow, span.id()));
-  if (flow != 0) trace::Tracer::EmitFlow('s', "rpc", "rpc", flow);
-  // The reply arrives as a one-sided WRITE; its completion handle is a
-  // stamp future over the ready word at the end of the reply buffer.
-  rdma::StampFuture reply_ready(
-      fabric_->env(), reinterpret_cast<const void*>(bufs->stamp_addr()));
-  if (policy_.timeout_ns == 0) {
-    DLSM_RETURN_NOT_OK(reply_ready.Wait());
-  } else {
-    Status s =
-        reply_ready.WaitUntil(fabric_->env()->NowNanos() + policy_.timeout_ns);
-    if (!s.ok()) {
-      timeouts_.fetch_add(1, std::memory_order_relaxed);
-      InvalidateThreadBuffers();
-      return s;
-    }
-  }
-  return ParseReply(bufs, reply);
-}
-
-Status RpcClient::CallWithWakeup(uint8_t type, const Slice& args,
-                                 std::string* reply) {
-  Status s = CallWithWakeupOnce(type, args, reply);
-  for (int attempt = 0;
-       !s.ok() && s.IsIOError() && attempt < policy_.max_retries; attempt++) {
-    retries_.fetch_add(1, std::memory_order_relaxed);
-    fabric_->env()->SleepNanos(BackoffNs(attempt));
-    s = CallWithWakeupOnce(type, args, reply);
-  }
-  return s;
-}
-
-Status RpcClient::CallWithWakeupOnce(uint8_t type, const Slice& args,
-                                     std::string* reply) {
-  trace::TraceSpan span("rpc_call_wake", "rpc");
-  span.arg("type", type);
-  uint64_t flow = span.active() ? trace::Tracer::NextId() : 0;
-  Env* env = fabric_->env();
-  ThreadBuffers* bufs = GetThreadBuffers();
-  if (bufs == nullptr) {
-    return Status::OutOfMemory("client DRAM exhausted for RPC buffers");
-  }
-  uint32_t id = next_id_.fetch_add(1);
-
-  CondVar cv(env, &wait_mu_);
-  Waiter waiter;
-  waiter.cv = &cv;
-  {
-    MutexLock l(&wait_mu_);
-    waiters_[id] = &waiter;
-  }
-  Status send =
-      SendRequest(type, args, /*wake=*/true, id, bufs, flow, span.id());
-  if (!send.ok()) {
-    MutexLock l(&wait_mu_);
-    waiters_.erase(id);
-    return send;
-  }
-  if (flow != 0) trace::Tracer::EmitFlow('s', "rpc", "rpc", flow);
-  uint64_t deadline =
-      policy_.timeout_ns == 0 ? 0 : env->NowNanos() + policy_.timeout_ns;
-  bool timed_out = false;
-  {
-    // Sleep until the notifier sees our WRITE_WITH_IMM (paper: "attaches a
-    // 4-byte number as the unique ID ... and goes to sleep").
-    MutexLock l(&wait_mu_);
-    while (!waiter.fired) {
-      if (deadline == 0) {
-        cv.Wait();
-        continue;
-      }
-      uint64_t now = env->NowNanos();
-      if (now >= deadline || cv.TimedWait(deadline - now)) {
-        timed_out = !waiter.fired;
-        break;
-      }
-    }
-    waiters_.erase(id);
-  }
-  if (timed_out) {
-    timeouts_.fetch_add(1, std::memory_order_relaxed);
-    InvalidateThreadBuffers();
-    return Status::IOError("RPC timed out");
-  }
-  // The payload write carries the ready stamp; its future must already be
-  // ready (the wakeup is posted after the stamped write completes).
-  rdma::StampFuture reply_ready(
-      env, reinterpret_cast<const void*>(bufs->stamp_addr()));
-  if (!reply_ready.Ready()) {
-    return Status::Corruption("wakeup before reply payload");
-  }
-  reply_ready.Wait();  // Adopts the writer's completion time.
-  return ParseReply(bufs, reply);
-}
-
-PendingCall RpcClient::CallAsync(uint8_t type, const Slice& args) {
+PendingCall RpcClient::Post(uint8_t type, const Slice& args, bool offload,
+                            uint64_t span_id) {
   PendingCall call;
   call.client_ = this;
-  ThreadBuffers* ctx = AcquireContext();
-  if (ctx == nullptr) {
+  call.ctx_ = AcquireContext();
+  if (call.ctx_ == nullptr) {
     call.send_status_ =
         Status::OutOfMemory("client DRAM exhausted for RPC buffers");
     return call;
   }
-  call.ctx_ = ctx;
-  trace::TraceSpan span("rpc_send", "rpc");
-  span.arg("type", type);
-  uint64_t flow = span.active() ? trace::Tracer::NextId() : 0;
-  // wake=true routes execution to the server's worker pool (long-running
-  // requests must not run inline on the dispatcher) and stages the args
-  // for the server's RDMA READ — but no waiter is registered, so the
-  // wakeup immediate is dropped by the notifier and completion is the
-  // reply stamp alone.
-  call.send_status_ = SendRequest(type, args, /*wake=*/true,
-                                  next_id_.fetch_add(1), ctx, flow, span.id());
+  uint64_t flow = span_id != 0 ? trace::Tracer::NextId() : 0;
+  call.send_status_ =
+      SendRequest(type, args, offload, call.ctx_, flow, span_id);
   if (flow != 0 && call.send_status_.ok()) {
     trace::Tracer::EmitFlow('s', "rpc", "rpc", flow);
   }
   return call;
+}
+
+Status RpcClient::Call(uint8_t type, const Slice& args, std::string* reply) {
+  for (int attempt = 0;; attempt++) {
+    Status s;
+    {
+      trace::TraceSpan span("rpc_call", "rpc");
+      span.arg("type", type);
+      s = Post(type, args, /*offload=*/false, span.id()).Complete(reply);
+    }
+    if (s.ok() || !s.IsIOError() || attempt >= policy_.max_retries) {
+      return s;
+    }
+    retries_.fetch_add(1, std::memory_order_relaxed);
+    fabric_->env()->SleepNanos(BackoffNs(attempt));
+  }
+}
+
+PendingCall RpcClient::CallAsync(uint8_t type, const Slice& args) {
+  trace::TraceSpan span("rpc_send", "rpc");
+  span.arg("type", type);
+  return Post(type, args, /*offload=*/true, span.id());
 }
 
 // ---------------------------------------------------------------------------
@@ -516,12 +320,11 @@ PendingCall::~PendingCall() { Release(); }
 
 void PendingCall::Release() {
   if (client_ == nullptr) return;
-  auto* ctx = static_cast<RpcClient::ThreadBuffers*>(ctx_);
-  if (ctx != nullptr) {
+  if (ctx_ != nullptr) {
     // Abandoned without Wait: the context can be reused immediately only if
     // the request never left or the reply already landed; otherwise it
     // waits on the zombie list for its stamp.
-    client_->ReleaseContext(ctx, !send_status_.ok() || Ready());
+    client_->ReleaseContext(ctx_, !send_status_.ok() || Ready());
   }
   client_ = nullptr;
   ctx_ = nullptr;
@@ -531,15 +334,18 @@ bool PendingCall::Ready() const {
   if (client_ == nullptr || ctx_ == nullptr || !send_status_.ok()) {
     return false;
   }
-  auto* ctx = static_cast<RpcClient::ThreadBuffers*>(ctx_);
-  return rdma::QueuePair::ReadReadyStamp(
-             reinterpret_cast<const void*>(ctx->stamp_addr())) != 0;
+  return rdma::QueuePair::ReadReadyStamp(ctx_->stamp()) != 0;
 }
 
 Status PendingCall::Wait(std::string* reply) {
+  trace::TraceSpan span("rpc_wait", "rpc");
+  return Complete(reply);
+}
+
+Status PendingCall::Complete(std::string* reply) {
   if (client_ == nullptr) return send_status_;
   RpcClient* client = client_;
-  auto* ctx = static_cast<RpcClient::ThreadBuffers*>(ctx_);
+  CallContext* ctx = ctx_;
   client_ = nullptr;
   ctx_ = nullptr;
   if (!send_status_.ok()) {
@@ -547,9 +353,7 @@ Status PendingCall::Wait(std::string* reply) {
     return send_status_;
   }
   Env* env = client->fabric_->env();
-  trace::TraceSpan span("rpc_wait", "rpc");
-  rdma::StampFuture reply_ready(
-      env, reinterpret_cast<const void*>(ctx->stamp_addr()));
+  rdma::StampFuture reply_ready(env, ctx->stamp());
   uint64_t timeout_ns = client->policy_.timeout_ns;
   Status s = timeout_ns == 0
                  ? reply_ready.Wait()
@@ -559,41 +363,11 @@ Status PendingCall::Wait(std::string* reply) {
     client->ReleaseContext(ctx, /*completed=*/true);
   } else {
     // Timed out: the reply WRITE may still be inbound, so the context goes
-    // to the zombie list. The caller re-issues the whole CallAsync.
+    // to the zombie list until its stamp fires.
     client->timeouts_.fetch_add(1, std::memory_order_relaxed);
     client->ReleaseContext(ctx, /*completed=*/false);
   }
   return s;
-}
-
-void RpcClient::NotifierLoop() {
-  Env* env = fabric_->env();
-  rdma::Completion c;
-  uint64_t idle_backoff_ns = 1000;
-  while (!stop_.load(std::memory_order_relaxed)) {
-    bool any = false;
-    while (channel_ep_->PollRecvCq(&c, 1) == 1) {
-      any = true;
-      // Re-post the consumed receive slot.
-      if (c.wr_id >= 1 && c.wr_id <= notify_bufs_.size()) {
-        channel_ep_->PostRecv(notify_bufs_[c.wr_id - 1].get(), 8, c.wr_id);
-      }
-      if (!c.has_imm) continue;
-      MutexLock l(&wait_mu_);
-      auto it = waiters_.find(c.imm);
-      if (it != waiters_.end()) {
-        it->second->fired = true;
-        it->second->cv->Signal();
-      }
-    }
-    if (!any) {
-      // Adaptive poll backoff: stays hot under load, cheap when idle.
-      env->SleepNanos(idle_backoff_ns);
-      if (idle_backoff_ns < 100000) idle_backoff_ns *= 2;
-    } else {
-      idle_backoff_ns = 1000;
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -634,7 +408,6 @@ RpcServer::Channel* RpcServer::RegisterClient(rdma::Node* client_node) {
   ch->server_ep = server_ep;
   ch->to_client = std::make_unique<rdma::RdmaManager>(fabric_, server_node_,
                                                       client_node);
-  ch->wake_vq = std::make_unique<rdma::VerbQueue>(ch->server_ep);
   for (int i = 0; i < kRecvSlots; i++) {
     ch->recv_bufs.emplace_back(new char[kRequestBufSize]);
     ch->server_ep->PostRecv(ch->recv_bufs.back().get(), kRequestBufSize,
@@ -721,27 +494,25 @@ void RpcServer::ProcessRequest(Channel* ch, const char* req, size_t len) {
     args = std::move(r.inline_args);
   }
 
-  if (r.wake) {
+  if (r.offload) {
     // Long-running request: hand off to the worker pool.
     pool_->Submit([this, ch, type = r.type, args = std::move(args),
                    reply_addr = r.reply_addr, reply_rkey = r.reply_rkey,
-                   reply_cap = r.reply_cap, id = r.id,
-                   trace_flow = r.trace_flow,
+                   reply_cap = r.reply_cap, trace_flow = r.trace_flow,
                    trace_span = r.trace_span]() mutable {
       ExecuteAndReply(ch, type, std::move(args), reply_addr, reply_rkey,
-                      reply_cap, /*wake=*/true, id, trace_flow, trace_span);
+                      reply_cap, trace_flow, trace_span);
     });
   } else {
     ExecuteAndReply(ch, r.type, std::move(args), r.reply_addr, r.reply_rkey,
-                    r.reply_cap, /*wake=*/false, r.id, r.trace_flow,
-                    r.trace_span);
+                    r.reply_cap, r.trace_flow, r.trace_span);
   }
 }
 
 void RpcServer::ExecuteAndReply(Channel* ch, uint8_t type, std::string args,
                                 uint64_t reply_addr, uint32_t reply_rkey,
-                                uint32_t reply_cap, bool wake, uint32_t id,
-                                uint64_t trace_flow, uint64_t trace_span) {
+                                uint32_t reply_cap, uint64_t trace_flow,
+                                uint64_t trace_span) {
   Env* env = fabric_->env();
   uint64_t start = env->NowNanos();
   // Close the cross-node flow started by the requester: the finish event
@@ -800,16 +571,6 @@ void RpcServer::ExecuteAndReply(Channel* ch, uint8_t type, std::string args,
     // The reply writes faulted (QP now in error): reconnect this thread's
     // QP for later replies and drop — the requester times out and retries.
     vq->Recover();
-    return;
-  }
-
-  if (wake) {
-    // Wake the sleeping requester through the channel QP so the client's
-    // notifier sees the immediate. Fire-and-forget through the channel's
-    // verb queue; sweeps on later posts keep the CQ bounded.
-    std::lock_guard<std::mutex> lock(ch->wake_mu_);
-    if (ch->server_ep->InError()) ch->wake_vq->Recover();
-    ch->wake_vq->WriteWithImm(nullptr, 0, 0, 0, id).Cancel();
   }
 }
 

@@ -1,28 +1,33 @@
 // RPC over the RDMA fabric (paper Sec. X-D).
 //
-// Two flavours, as in the paper:
+// Every call takes one path. The requester draws a call context (a
+// registered reply buffer and argument buffer) from its client's pool,
+// attaches the reply buffer's address/rkey to a small SEND, and waits on
+// the ready stamp at the end of the reply buffer (a rdma::StampFuture, the
+// one-sided analogue of a completion handle). The responder executes the
+// handler and returns the result with one-sided WRITEs, bypassing any
+// dispatcher on the requester side. A stamp wait parks the calling thread
+// (Env::WaitWord), so a long call holds no polling compute thread.
 //
-//  * General-purpose RPC: the requester attaches the address/rkey of a
-//    registered reply buffer to a small SEND; the responder executes the
-//    handler and returns the result with a one-sided WRITE, bypassing any
-//    dispatcher on the requester side. The requester waits on a
-//    rdma::StampFuture over the ready stamp at the end of the reply
-//    buffer (the one-sided analogue of a completion handle).
+// Two request shapes, as in the paper:
 //
-//  * Customized near-data-compaction RPC: compaction runs long and carries
-//    large arguments, so (a) the requester sleeps on a condition variable
-//    and is woken by a WRITE_WITH_IMM carrying its request id (a thread
-//    notifier polls the channel and wakes the right thread), and (b) the
-//    argument blob is not inlined: the responder pulls it from the
-//    requester's registered argument buffer with an RDMA READ.
+//  * General-purpose RPC (Call): small arguments travel inline and the
+//    server's dispatcher runs the handler itself.
 //
-// Requests travel over a per-client-node channel queue pair; replies,
-// argument reads and wakeups use the worker threads' own thread-local
-// queue pairs so the dispatcher never becomes a reply bottleneck. All
-// send-side verbs go through the unified handle layer (rdma::VerbQueue):
-// fire-and-forget posts (requests, wakeups) are cancelled handles whose
-// completions the queue sweeps on later posts, and replies are explicit
-// handle waits — no hand-rolled CQ scrubbing.
+//  * Customized near-data-compaction RPC (CallAsync): compaction runs long
+//    and carries large arguments, so the request runs on the server's
+//    worker pool and the argument blob is not inlined: the responder pulls
+//    it from the requester's argument buffer with an RDMA READ. The paper
+//    wakes the sleeping requester with a WRITE_WITH_IMM and a notifier
+//    thread; here the parked stamp wait already returns when the reply
+//    lands, so no wakeup verb is sent.
+//
+// Requests travel over a per-client-node channel queue pair; replies and
+// argument reads use the worker threads' own thread-local queue pairs so
+// the dispatcher never becomes a reply bottleneck. All send-side verbs go
+// through the unified handle layer (rdma::VerbQueue): requests are
+// cancelled handles whose completions the queue sweeps on later posts, and
+// replies are explicit handle waits.
 
 #ifndef DLSM_REMOTE_RPC_H_
 #define DLSM_REMOTE_RPC_H_
@@ -33,7 +38,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/rdma/fabric.h"
@@ -60,13 +64,15 @@ struct RpcType {
 
 class RpcServer;
 class RpcClient;
+/// One call's registered reply and argument buffers; defined in rpc.cc.
+struct CallContext;
 
 /// Client-side failure policy. The default (timeout_ns == 0) preserves the
 /// wait-forever fast path: no deadline arithmetic, no buffer invalidation,
 /// identical behavior to a fault-free fabric. With a timeout set, every
-/// call arms a deadline and transient failures (timeouts, flushed sends,
-/// QP errors) are retried up to max_retries times with exponential backoff
-/// before the last error is returned to the caller.
+/// reply wait arms a deadline, and Call retries transient failures
+/// (timeouts, flushed sends, QP errors) up to max_retries times with
+/// exponential backoff before the last error is returned to the caller.
 struct RpcPolicy {
   /// Per-attempt reply deadline; 0 waits forever (no retries either).
   uint64_t timeout_ns = 0;
@@ -76,12 +82,13 @@ struct RpcPolicy {
   uint64_t retry_backoff_ns = 100 * 1000;
 };
 
-/// An issued CallAsync awaiting its reply; move-only, like a WrHandle for
-/// a whole RPC. Wait() parks on the reply buffer's ready stamp (a
-/// rdma::StampFuture) and recycles the call's buffers. Dropping a live
-/// PendingCall never blocks: its context is parked on a zombie list and
-/// reclaimed only after the server's reply WRITE has landed, so a late
-/// reply can never scribble over a recycled buffer.
+/// A sent call awaiting its reply; move-only, like a WrHandle for a
+/// whole RPC. Wait() parks on the reply buffer's ready stamp (a
+/// rdma::StampFuture) and recycles the call's buffers; Call completes the
+/// same way. Dropping a live PendingCall never blocks: its context is
+/// parked on a zombie list and reclaimed only after the server's reply
+/// WRITE has landed, so a late reply can never scribble over a recycled
+/// buffer.
 class PendingCall {
  public:
   PendingCall() = default;
@@ -100,50 +107,48 @@ class PendingCall {
 
   /// Blocks until the reply lands, fills *reply, releases the call's
   /// buffers. Idempotent calls after the first return the send status.
+  /// Traced as an `rpc_wait` span.
   Status Wait(std::string* reply);
 
  private:
   friend class RpcClient;
+
+  /// Wait() without its span: Call's `rpc_call` span covers the wait.
+  Status Complete(std::string* reply);
 
   /// Returns the context to the pool (zombie if the reply is still
   /// inbound) and invalidates this handle. Never blocks.
   void Release();
 
   RpcClient* client_ = nullptr;
-  void* ctx_ = nullptr;   // RpcClient::ThreadBuffers, opaque here.
+  CallContext* ctx_ = nullptr;
   Status send_status_;
 };
 
 /// Client side of the RPC layer; one per (compute node, server) pair.
-/// Thread-safe: every calling thread gets its own registered reply and
-/// argument buffers.
+/// Thread-safe: each call draws its own registered reply and argument
+/// buffers from the client's pool.
 class RpcClient {
  public:
-  /// Connects client_node to the server, starting the wakeup notifier
-  /// thread on the client node.
+  /// Connects client_node to the server.
   RpcClient(rdma::Fabric* fabric, rdma::Node* client_node, RpcServer* server);
   ~RpcClient();
 
   RpcClient(const RpcClient&) = delete;
   RpcClient& operator=(const RpcClient&) = delete;
 
-  /// General-purpose RPC: inline args, poll-based completion.
+  /// General-purpose RPC: inline args, run by the server's dispatcher.
+  /// Sends and waits on the reply stamp, retrying transient failures as
+  /// the policy allows.
   Status Call(uint8_t type, const Slice& args, std::string* reply);
 
-  /// Compaction-style RPC: args staged in a registered buffer the server
-  /// pulls with RDMA READ; the caller sleeps until the WRITE_WITH_IMM
-  /// wakeup arrives.
-  Status CallWithWakeup(uint8_t type, const Slice& args, std::string* reply);
-
-  /// Pipelined RPC: sends now, returns a handle to wait later, so one
-  /// thread can keep several long-running server-side requests (near-data
-  /// compactions) in flight. The request is dispatched to the server's
-  /// worker pool like CallWithWakeup — args travel via the staging buffer
-  /// the server pulls with RDMA READ — but completion is detected through
-  /// the reply stamp (rdma::StampFuture), not a sleeping waiter; the
-  /// wakeup immediate finds no registered waiter and is dropped. Each call
-  /// draws its own registered buffers from a pool, so any number may be in
-  /// flight per thread.
+  /// Compaction-style RPC: sends now, returns a handle to wait later, so
+  /// one thread can keep several long-running server-side requests
+  /// (near-data compactions) in flight. The request runs on the server's
+  /// worker pool and its args travel via the staging buffer the server
+  /// pulls with RDMA READ. Each call draws its own registered buffers from
+  /// a pool, so any number may be in flight per thread. No retries: a
+  /// failed call is re-sent by its caller.
   PendingCall CallAsync(uint8_t type, const Slice& args);
 
   /// Installs the failure policy. Not thread-safe against in-flight calls;
@@ -163,84 +168,54 @@ class RpcClient {
 
   rdma::Node* client_node() const { return client_node_; }
 
-  // Internal; public only for thread-local storage.
-  struct ThreadBuffers;
-  struct ContextPool;
-
  private:
   friend class PendingCall;
 
-  /// Returns this thread's cached buffers, drawing from the context pool
-  /// on first use (or after a timeout invalidated them). nullptr when
-  /// client DRAM is exhausted — callers fail the RPC, never abort. The
-  /// buffers return to the pool when the thread ends, so a thread per
-  /// call (the blocking compaction scheduler's helpers) reuses them.
-  ThreadBuffers* GetThreadBuffers();
-  /// Retires this thread's cached buffers to the zombie list. Called when
-  /// an attempt times out: the server's late reply WRITE may still land in
-  /// them, so they are reused only after their stamp fires. (If the
-  /// request itself was lost the stamp never fires and the context is
-  /// stranded — a leak bounded by the retry budget.)
-  void InvalidateThreadBuffers();
+  /// Draws a context and sends one request on it; the returned call holds
+  /// the send status. offload runs the request on the server's worker
+  /// pool with its args pulled by READ. span_id is the caller's trace span
+  /// (0 = not tracing); its id travels in the wire header so the server
+  /// handler span stitches to it.
+  PendingCall Post(uint8_t type, const Slice& args, bool offload,
+                   uint64_t span_id);
   /// Call-context pool: reclaims zombies whose reply has since landed,
   /// reuses a free context, or registers fresh buffers. nullptr when
-  /// client DRAM is exhausted.
-  ThreadBuffers* AcquireContext();
+  /// client DRAM is exhausted — callers fail the RPC, never abort.
+  CallContext* AcquireContext();
   /// completed: the reply landed (or the request was never sent) and the
   /// buffers may be reused immediately; otherwise the context goes to the
-  /// zombie list until its stamp fires.
-  void ReleaseContext(ThreadBuffers* ctx, bool completed);
-  /// trace_flow/trace_span carry the caller's trace context in the wire
-  /// header (0 = not tracing) so the server handler span stitches to the
-  /// compute-side call span.
-  Status SendRequest(uint8_t type, const Slice& args, bool wake, uint32_t id,
-                     ThreadBuffers* bufs, uint64_t trace_flow = 0,
-                     uint64_t trace_span = 0);
-  Status ParseReply(ThreadBuffers* bufs, std::string* reply);
-  /// One attempt of Call / CallWithWakeup; the public wrappers add the
-  /// policy's retry-with-backoff loop around these.
-  Status CallOnce(uint8_t type, const Slice& args, std::string* reply);
-  Status CallWithWakeupOnce(uint8_t type, const Slice& args,
-                            std::string* reply);
+  /// zombie list until its stamp fires. (If the request itself was lost
+  /// the stamp never fires and the context is stranded — a leak bounded by
+  /// the retry budget.)
+  void ReleaseContext(CallContext* ctx, bool completed);
+  Status SendRequest(uint8_t type, const Slice& args, bool offload,
+                     CallContext* ctx, uint64_t trace_flow,
+                     uint64_t trace_span);
+  Status ParseReply(CallContext* ctx, std::string* reply);
   uint64_t BackoffNs(int attempt) const;
-  void NotifierLoop();
 
   rdma::Fabric* fabric_;
   rdma::Node* client_node_;
-  RpcServer* server_;
-  uint64_t instance_id_;
   rdma::QueuePair* channel_ep_ = nullptr;  // Client end of the channel.
 
   std::mutex send_mu_;  // Guards send_vq_ posts (quick, non-blocking).
   std::unique_ptr<rdma::VerbQueue> send_vq_;  // Channel sends, under send_mu_.
 
-  // Wakeup registry: request id -> waiter.
-  struct Waiter {
-    CondVar* cv;
-    bool fired = false;
-  };
-  Mutex wait_mu_;
-  std::unordered_map<uint32_t, Waiter*> waiters_;
-  std::atomic<uint32_t> next_id_{1};
-
-  std::atomic<bool> stop_{false};
-  ThreadHandle notifier_;
-  std::vector<std::unique_ptr<char[]>> notify_bufs_;
-
   RpcPolicy policy_;
   std::atomic<uint64_t> timeouts_{0};
   std::atomic<uint64_t> retries_{0};
 
-  // Registered-buffer pool, shared by the per-thread cached buffers and
-  // CallAsync contexts. Threads' caches hold it weakly: a thread that ends
-  // after its client finds the pool gone and returns nothing.
-  std::shared_ptr<ContextPool> pool_;
-
-  static std::atomic<uint64_t> next_instance_id_;
+  // Registered-buffer pool. Zombies are abandoned or timed-out calls whose
+  // reply WRITE may still be inbound; they become free once their reply
+  // stamp fires.
+  std::mutex pool_mu_;
+  std::vector<std::unique_ptr<CallContext>> contexts_;
+  std::vector<CallContext*> free_;
+  std::vector<CallContext*> zombies_;
 };
 
 /// Server side: a dispatcher thread polls the per-client channels; short
-/// requests are handled inline, wake-style requests are dispatched to the
+/// requests are handled inline, offloaded requests are dispatched to the
 /// worker pool (the memory node's weak CPU budget).
 class RpcServer {
  public:
@@ -273,7 +248,7 @@ class RpcServer {
   int worker_threads() const { return worker_threads_; }
 
   /// Verb-layer telemetry of the reply path, merged across all client
-  /// channels (argument READs, reply WRITEs, wakeups).
+  /// channels (argument READs, reply WRITEs).
   rdma::RdmaVerbStats reply_verb_stats();
 
  private:
@@ -284,8 +259,6 @@ class RpcServer {
     rdma::QueuePair* server_ep = nullptr;
     rdma::QueuePair* client_ep = nullptr;
     std::unique_ptr<rdma::RdmaManager> to_client;  // Server -> client verbs.
-    std::mutex wake_mu_;  // Guards wake_vq posts on server_ep.
-    std::unique_ptr<rdma::VerbQueue> wake_vq;  // WRITE_WITH_IMM wakeups.
     std::vector<std::unique_ptr<char[]>> recv_bufs;
   };
 
@@ -299,8 +272,8 @@ class RpcServer {
   /// a flow-finish event.
   void ExecuteAndReply(Channel* ch, uint8_t type, std::string args,
                        uint64_t reply_addr, uint32_t reply_rkey,
-                       uint32_t reply_cap, bool wake, uint32_t id,
-                       uint64_t trace_flow = 0, uint64_t trace_span = 0);
+                       uint32_t reply_cap, uint64_t trace_flow,
+                       uint64_t trace_span);
 
   rdma::Fabric* fabric_;
   rdma::Node* server_node_;

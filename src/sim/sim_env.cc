@@ -96,7 +96,7 @@ class SimMutexImpl : public MutexImpl {
       self->lvt = std::max(self->lvt, release_lvt_);
       return;
     }
-    waiters_.push_back(self);
+    parked_.push_back(self);
     env_->SetState(self, SimEnv::State::kBlocked);
     env_->SwitchOut(self);
     DLSM_CHECK(holder_ == self);  // FIFO handoff.
@@ -105,11 +105,11 @@ class SimMutexImpl : public MutexImpl {
   void UnlockHeld(SimEnv::SimThread* self) {
     DLSM_CHECK_MSG(holder_ == self, "unlock by non-holder");
     release_lvt_ = std::max(release_lvt_, self->lvt);
-    if (waiters_.empty()) {
+    if (parked_.empty()) {
       holder_ = nullptr;
     } else {
-      SimEnv::SimThread* next = waiters_.front();
-      waiters_.pop_front();
+      SimEnv::SimThread* next = parked_.front();
+      parked_.pop_front();
       holder_ = next;
       env_->MakeReady(next, self->lvt);
     }
@@ -118,7 +118,7 @@ class SimMutexImpl : public MutexImpl {
   SimEnv* env_;
   SimEnv::SimThread* holder_ = nullptr;
   uint64_t release_lvt_ = 0;
-  std::deque<SimEnv::SimThread*> waiters_;
+  std::deque<SimEnv::SimThread*> parked_;
 };
 
 /// Virtual-time condition variable. Signal() transfers causality: the woken
@@ -136,7 +136,7 @@ class SimCondVarImpl : public CondVarImpl {
   void Signal() override {
     SimEnv::SimThread* self = env_->Current();
     env_->ChargeCpu(self);
-    if (!waiters_.empty()) {
+    if (!parked_.empty()) {
       WakeOne(self->lvt);
     }
   }
@@ -144,16 +144,16 @@ class SimCondVarImpl : public CondVarImpl {
   void SignalAll() override {
     SimEnv::SimThread* self = env_->Current();
     env_->ChargeCpu(self);
-    while (!waiters_.empty()) {
+    while (!parked_.empty()) {
       WakeOne(self->lvt);
     }
   }
 
  private:
-  // Requires non-empty waiters_.
+  // Requires non-empty parked_.
   void WakeOne(uint64_t from_lvt) {
-    SimEnv::SimThread* w = waiters_.front();
-    waiters_.pop_front();
+    SimEnv::SimThread* w = parked_.front();
+    parked_.pop_front();
     w->timed_out = false;
     env_->MakeReady(w, from_lvt);
   }
@@ -162,7 +162,7 @@ class SimCondVarImpl : public CondVarImpl {
     SimEnv::SimThread* self = env_->Current();
     env_->ChargeCpu(self);
     mu_->UnlockHeld(self);
-    waiters_.push_back(self);
+    parked_.push_back(self);
     if (timeout_ns == UINT64_MAX) {
       env_->SetState(self, SimEnv::State::kBlocked);
     } else {
@@ -174,8 +174,8 @@ class SimCondVarImpl : public CondVarImpl {
     bool timed_out = self->timed_out;
     if (timed_out) {
       // Deadline expiry: remove ourselves from the wait list.
-      auto it = std::find(waiters_.begin(), waiters_.end(), self);
-      if (it != waiters_.end()) waiters_.erase(it);
+      auto it = std::find(parked_.begin(), parked_.end(), self);
+      if (it != parked_.end()) parked_.erase(it);
     }
     mu_->LockHeld(self);
     return timed_out;
@@ -183,7 +183,7 @@ class SimCondVarImpl : public CondVarImpl {
 
   SimEnv* env_;
   SimMutexImpl* mu_;
-  std::deque<SimEnv::SimThread*> waiters_;
+  std::deque<SimEnv::SimThread*> parked_;
 };
 
 /// Virtual-time barrier: all parties leave with LVT equal to the maximum
@@ -201,12 +201,12 @@ class SimBarrierImpl : public BarrierImpl {
       uint64_t m = max_lvt_;
       max_lvt_ = 0;
       self->lvt = m;
-      for (SimEnv::SimThread* w : waiters_) {
+      for (SimEnv::SimThread* w : parked_) {
         env_->MakeReady(w, m);
       }
-      waiters_.clear();
+      parked_.clear();
     } else {
-      waiters_.push_back(self);
+      parked_.push_back(self);
       env_->SetState(self, SimEnv::State::kBlocked);
       env_->SwitchOut(self);
     }
@@ -217,7 +217,7 @@ class SimBarrierImpl : public BarrierImpl {
   int parties_;
   int arrived_ = 0;
   uint64_t max_lvt_ = 0;
-  std::vector<SimEnv::SimThread*> waiters_;
+  std::vector<SimEnv::SimThread*> parked_;
 };
 
 // ---------------------------------------------------------------------------
@@ -634,7 +634,7 @@ uint64_t SimEnv::WaitWord(const void* addr, uint64_t deadline_ns) {
                               __ATOMIC_ACQUIRE)) == 0) {
     if (self->lvt >= deadline_ns) return 0;
     self->wait_word = addr;
-    word_waiters_.push_back(self);
+    word_parked_.push_back(self);
     if (deadline_ns == UINT64_MAX) {
       SetState(self, State::kBlocked);
     } else {
@@ -645,25 +645,25 @@ uint64_t SimEnv::WaitWord(const void* addr, uint64_t deadline_ns) {
     if (self->wait_word != nullptr) {
       // The deadline expired first.
       self->wait_word = nullptr;
-      word_waiters_.erase(
-          std::find(word_waiters_.begin(), word_waiters_.end(), self));
+      word_parked_.erase(
+          std::find(word_parked_.begin(), word_parked_.end(), self));
     }
   }
   return v;
 }
 
 void SimEnv::WakeWord(const void* addr) {
-  if (word_waiters_.empty()) return;
+  if (word_parked_.empty()) return;
   SimThread* self = Current();
   ChargeCpu(self);
-  for (size_t i = 0; i < word_waiters_.size();) {
-    SimThread* w = word_waiters_[i];
+  for (size_t i = 0; i < word_parked_.size();) {
+    SimThread* w = word_parked_[i];
     if (w->wait_word != addr) {
       i++;
       continue;
     }
     w->wait_word = nullptr;
-    word_waiters_.erase(word_waiters_.begin() + i);
+    word_parked_.erase(word_parked_.begin() + i);
     MakeReady(w, self->lvt);
   }
 }

@@ -222,7 +222,7 @@ class SimEnv : public Env {
   uint64_t next_thread_id_ = 1;
   int live_threads_ = 0;
   bool ran_ = false;
-  std::vector<SimThread*> word_waiters_;  // Parked in WaitWord.
+  std::vector<SimThread*> word_parked_;  // Parked in WaitWord.
   // Run()'s own context, resumed once every simulated thread has finished.
   ucontext_t host_ctx_;
   void* host_tsan_fiber_ = nullptr;

@@ -333,9 +333,8 @@ TEST(NearDataExecutorTest, CompactsViaMemoryNodeService) {
     task.bloom_bits_per_key = 10;
 
     std::string reply;
-    ASSERT_TRUE(client
-                    .CallWithWakeup(remote::RpcType::kCompaction,
-                                    task.Serialize(), &reply)
+    ASSERT_TRUE(client.CallAsync(remote::RpcType::kCompaction, task.Serialize())
+                    .Wait(&reply)
                     .ok());
     ASSERT_FALSE(reply.empty());
     ASSERT_EQ(1, reply[0]) << "compaction failed: "
@@ -385,9 +384,8 @@ TEST(NearDataExecutorTest, MalformedTaskGetsErrorReplyNotAbort) {
     remote::RpcClient client(&fabric, compute, service.rpc_server());
     auto call = [&](const std::string& args) {
       std::string reply;
-      EXPECT_TRUE(client
-                      .CallWithWakeup(remote::RpcType::kCompaction, args,
-                                      &reply)
+      EXPECT_TRUE(client.CallAsync(remote::RpcType::kCompaction, args)
+                      .Wait(&reply)
                       .ok());
       CompactionResult result;
       return std::make_pair(reply, ParseCompactionReply(reply, &result));

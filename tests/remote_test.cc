@@ -181,7 +181,7 @@ TEST_F(RpcTest, WakeupPathRoundTrips) {
     RpcClient client(f, compute, &server);
 
     std::string reply;
-    Status s = client.CallWithWakeup(RpcType::kCompaction, "t1,t2", &reply);
+    Status s = client.CallAsync(RpcType::kCompaction, "t1,t2").Wait(&reply);
     ASSERT_TRUE(s.ok()) << s.ToString();
     EXPECT_EQ("compacted:t1,t2", reply);
     server.Stop();
@@ -202,8 +202,7 @@ TEST_F(RpcTest, LargeArgumentsTravelViaRdmaRead) {
     RpcClient client(f, compute, &server);
 
     std::string reply;
-    ASSERT_TRUE(
-        client.CallWithWakeup(RpcType::kCompaction, big, &reply).ok());
+    ASSERT_TRUE(client.CallAsync(RpcType::kCompaction, big).Wait(&reply).ok());
     EXPECT_EQ(std::to_string(big.size()), reply);
     server.Stop();
   });
@@ -229,10 +228,10 @@ TEST_F(RpcTest, ConcurrentCallersGetTheirOwnReplies) {
         for (int k = 0; k < 5; k++) {
           std::string arg = std::to_string(i) + "." + std::to_string(k);
           std::string reply;
-          Status s = (k % 2 == 0)
-                         ? client.Call(RpcType::kStats, arg, &reply)
-                         : client.CallWithWakeup(RpcType::kCompaction, arg,
-                                                 &reply);
+          Status s =
+              (k % 2 == 0)
+                  ? client.Call(RpcType::kStats, arg, &reply)
+                  : client.CallAsync(RpcType::kCompaction, arg).Wait(&reply);
           if (!s.ok() || reply != "r:" + arg) failures++;
         }
       }));
@@ -343,9 +342,52 @@ TEST_F(RpcTest, WorkerBusyTimeIsTracked) {
     server.Start();
     RpcClient client(f, compute, &server);
     std::string reply;
-    ASSERT_TRUE(
-        client.CallWithWakeup(RpcType::kCompaction, "x", &reply).ok());
+    ASSERT_TRUE(client.CallAsync(RpcType::kCompaction, "x").Wait(&reply).ok());
     EXPECT_GE(server.worker_busy_ns(), 10'000'000u);
+    server.Stop();
+  });
+}
+
+// A blocking call to a long worker-pool handler returns as soon as its
+// reply stamp lands: the caller parks on the stamp word itself, not on a
+// poller that notices the reply later. At cpu_scale = 0 virtual time
+// moves only with modeled costs, so the gap between the handler finishing
+// and the caller resuming is the reply's wire time alone: two WRITEs
+// posted back to back (the framed payload, then the 8-byte stamp), i.e.
+// their NIC occupancy and serialization plus one write latency.
+TEST(RpcStampTest, BlockingWorkerPoolCallReturnsWhenItsReplyStampLands) {
+  SimEnv::Options so;
+  so.cpu_scale = 0.0;
+  SimEnv env(so);
+  rdma::Fabric fabric(&env);
+  rdma::Node* compute = fabric.AddNode("compute", 24, 1024 * kMB);
+  rdma::Node* memory = fabric.AddNode("memory", 4, 1024 * kMB);
+  const std::string kReply = "compacted";
+  const rdma::LinkParams& link = fabric.params();
+  const uint64_t reply_wire_ns =
+      2 * link.per_op_overhead_ns +
+      static_cast<uint64_t>((4 + kReply.size() + 8) / link.BytesPerNano()) +
+      1 + link.write_latency_ns;
+  env.Run(0, [&] {
+    RpcServer server(&fabric, memory, 2);
+    uint64_t handler_done = 0;
+    server.set_handler([&](uint8_t, const Slice&, std::string* reply) {
+      env.SleepNanos(5'000'000);
+      *reply = kReply;
+      handler_done = env.NowNanos();
+    });
+    server.Start();
+    RpcClient client(&fabric, compute, &server);
+    for (int i = 0; i < 8; i++) {
+      std::string reply;
+      ASSERT_TRUE(
+          client.CallAsync(RpcType::kCompaction, "x").Wait(&reply).ok());
+      const uint64_t returned = env.NowNanos();
+      EXPECT_EQ(kReply, reply);
+      ASSERT_GT(handler_done, 0u);
+      EXPECT_GE(returned, handler_done + link.write_latency_ns);
+      EXPECT_LE(returned - handler_done, reply_wire_ns) << "call " << i;
+    }
     server.Stop();
   });
 }
@@ -413,8 +455,8 @@ TEST_F(RpcTest, CallAsyncDroppedCallsAreReclaimed) {
 }
 
 TEST_F(RpcTest, CallAsyncLargeArgumentsTravelViaRdmaRead) {
-  // CallAsync args never inline: they stage in the per-call registered
-  // buffer the server pulls with an RDMA READ, same as CallWithWakeup.
+  // CallAsync args never inline, however small: they stage in the
+  // per-call registered buffer the server pulls with an RDMA READ.
   RunSim([](rdma::Fabric* f, rdma::Node* compute, rdma::Node* memory) {
     std::string big(64 * 1024, '\0');
     for (size_t i = 0; i < big.size(); i++) {
@@ -461,7 +503,7 @@ TEST_F(RpcTest, CallAsyncTeardownWithCallsInFlight) {
 }
 
 // With async_write off, each near-data sub-compaction's RPC runs on a
-// helper thread that ends with its compaction. The helper's cached call
+// helper thread that ends with its compaction. The helper's call
 // context (9 MiB of registered compute DRAM) must return to the client's
 // pool then, so round after round of compactions reuses a bounded set of
 // contexts instead of growing compute DRAM by one per sub-compaction.

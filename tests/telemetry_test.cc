@@ -635,10 +635,14 @@ TEST(DbStatsTest, SamplerExportsEveryCounterAsAColumn) {
 
 TEST(WatchdogTest, NoFalsePositiveUnderRnrDelays) {
   // 200 us injected retransmission delays against a 5 ms virtual-time
-  // deadline: slow, but alive — the watchdog must stay quiet. The
-  // deadline is virtual time, so running this under tsan/asan (CI does)
-  // cannot push real ops over it.
-  SimEnv env;
+  // deadline: slow, but alive — the watchdog must stay quiet. At
+  // cpu_scale = 0 virtual time holds only modeled costs (the RNR delays,
+  // the wire, sleeps), so a sanitizer build (CI runs asan and tsan) whose
+  // measured host CPU is several times slower cannot push a flush past
+  // the deadline.
+  SimEnv::Options so;
+  so.cpu_scale = 0.0;
+  SimEnv env(so);
   rdma::Fabric fabric(&env);
   rdma::Node* compute = fabric.AddNode("compute", 24, 2ull << 30);
   rdma::Node* memory = fabric.AddNode("memory", 4, 4ull << 30);

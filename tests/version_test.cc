@@ -305,7 +305,7 @@ TEST(VersionTest, CollectSearchOrderPrunesByRange) {
   edit.AddFile(2, MakeFile(5, 0, 500));
   vs.Apply(edit);
 
-  std::vector<const FileMetaData*> order;
+  std::pmr::vector<const FileMetaData*> order;
   vs.current()->CollectSearchOrder(icmp, UKey(50), &order);
   // L0 file 1 overlaps; L1 file 3; L2 file 5. L0 file 2 and L1 file 4 do not.
   ASSERT_EQ(3u, order.size());
@@ -361,10 +361,10 @@ TEST(VersionTest, KeyWordSearchOrderMatchesLinearScan) {
     vs.Apply(edit);
     VersionRef v = vs.current();
     std::sort(all_keys.begin(), all_keys.end());
-    std::vector<const FileMetaData*> got;
+    std::pmr::vector<const FileMetaData*> got;
     for (int probe = 0; probe < 100; probe++) {
       const std::string key = test::RandomProbeKey(&rnd, prefix, all_keys);
-      std::vector<const FileMetaData*> want;
+      std::pmr::vector<const FileMetaData*> want;
       for (const FileRef& f : v->files(0)) {
         if (covers(f, key)) want.push_back(f.get());
       }
