@@ -713,8 +713,9 @@ void DLsmDB::ProbeKeys(const ReadOptions& options, std::span<const Slice> keys,
           ? options.snapshot_sequence
           : sequence_.load(std::memory_order_acquire);
 
-  // A Get (n = 1) keeps its key state and wave slots in this stack
-  // buffer; only large batches spill to the heap.
+  // A Get (n = 1) keeps its key state, wave slots and probe buffers in
+  // this stack buffer; only large batches and large records spill to the
+  // heap.
   alignas(std::max_align_t) char stack[4096];
   std::pmr::monotonic_buffer_resource arena(stack, sizeof(stack));
   // Allocator-aware, so `state` hands its arena to each key's order too.
@@ -804,8 +805,8 @@ void DLsmDB::ProbeKeys(const ReadOptions& options, std::span<const Slice> keys,
         const RemoteReadPath& path = router_.route(*f);
         TableProbe probe;
         bool bloom_skip = false;
-        Status s = TableProbePrepare(icmp_, bloom_, *f, *ks.lkey, &probe,
-                                     &bloom_skip);
+        Status s = TableProbePrepare(icmp_, bloom_, *f, *ks.lkey, &arena,
+                                     &probe, &bloom_skip);
         if (bloom_skip) {
           stat_bloom_useful_.fetch_add(1, std::memory_order_relaxed);
         } else if (s.ok() && path.uncached_index) {

@@ -782,7 +782,8 @@ class LocalBlockTableIterator : public BlockTableIterator {
 Status TableProbePrepare(const InternalKeyComparator& icmp,
                          const BloomFilterPolicy& bloom,
                          const FileMetaData& file, const LookupKey& lkey,
-                         TableProbe* probe, bool* skipped_by_bloom) {
+                         std::pmr::memory_resource* mem, TableProbe* probe,
+                         bool* skipped_by_bloom) {
   probe->need_read = false;
   probe->definitive = false;
   probe->file = &file;
@@ -814,7 +815,8 @@ Status TableProbePrepare(const InternalKeyComparator& icmp,
   }
   probe->need_read = true;
   probe->read_off = e.offset;
-  probe->buf.assign(e.length, '\0');
+  // Uninitialized: the read overwrites every byte.
+  probe->buf = {static_cast<char*>(mem->allocate(e.length)), e.length};
   probe->index_key = e.key;
   return Status::OK();
 }

@@ -18,6 +18,8 @@
 
 #include <atomic>
 #include <memory>
+#include <memory_resource>
+#include <span>
 
 #include "src/core/block_cache.h"
 #include "src/core/bloom.h"
@@ -114,11 +116,13 @@ Status FetchIndexBlock(const RemoteReadPath& read_path,
                        const FileMetaData& file);
 
 /// One table's share of a point lookup. Prepare() consults the locally
-/// cached bloom filter and index; when the table needs bytes it sizes buf
-/// and records the read's table-relative offset so the caller can read
+/// cached bloom filter and index; when the table needs bytes it takes buf
+/// from the caller's memory resource (uninitialized) and records the read's
+/// table-relative offset so the caller can read
 /// [file.chunk.addr + read_off, +buf.size()) into buf. Once the read
 /// completes, Finish() resolves the fetched bytes. The probed file must
-/// outlive the probe (callers pin it via FileRef).
+/// outlive the probe (callers pin it via FileRef), and the memory resource
+/// must outlive buf.
 struct TableProbe {
   bool need_read = false;
   /// The per-record index matched the user key, so the posted read alone
@@ -126,20 +130,21 @@ struct TableProbe {
   /// probed. Block-format probes are never definitive before the read.
   bool definitive = false;
   uint64_t read_off = 0;
-  std::string buf;
+  std::span<char> buf;
   // Resolution context for Finish(). index_key points into the cached
   // index blob, stable while `file` stays pinned.
   const FileMetaData* file = nullptr;
   Slice index_key;
 };
 
-/// Phase 1: local filtering; fills *probe. Callers that model uncached
+/// Phase 1: local filtering; fills *probe, allocating buf from mem (never
+/// deallocated: pass a monotonic resource). Callers that model uncached
 /// indexes must call FetchIndexBlock after a bloom pass, before reading
 /// data.
 Status TableProbePrepare(const InternalKeyComparator& icmp,
                          const BloomFilterPolicy& bloom,
                          const FileMetaData& file, const LookupKey& lkey,
-                         TableProbe* probe,
+                         std::pmr::memory_resource* mem, TableProbe* probe,
                          bool* skipped_by_bloom = nullptr);
 
 /// Phase 2: resolves a probe whose read (if any) has completed into buf.

@@ -1,10 +1,20 @@
+// glibc's fortified siglongjmp (__longjmp_chk) aborts a jump to a lower
+// address on another stack, which a jump to another fiber often is.
+#ifdef _FORTIFY_SOURCE
+#undef _FORTIFY_SOURCE
+#endif
+
 #include "src/sim/sim_env.h"
 
 #include <pthread.h>
 #include <sched.h>
 #include <sys/mman.h>
 #include <time.h>
+#include <ucontext.h>
 #include <unistd.h>
+#if defined(__x86_64__) || defined(__i386__)
+#include <x86intrin.h>
+#endif
 
 #include <algorithm>
 #include <cinttypes>
@@ -31,6 +41,7 @@
 #endif
 #endif
 #ifdef DLSM_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #ifdef DLSM_TSAN_FIBERS
@@ -60,6 +71,46 @@ uint64_t MonotonicNanos() {
   clock_gettime(CLOCK_MONOTONIC, &ts);
   return static_cast<uint64_t>(ts.tv_sec) * 1000000000ull +
          static_cast<uint64_t>(ts.tv_nsec);
+}
+
+// Host time NanosPerTick counts ticks over.
+constexpr uint64_t kTickCalibrationNs = 2'000'000;
+
+// A tick read and the CLOCK_MONOTONIC time it was taken at: the midpoint of
+// the tightest of a few monotonic reads around it, so a preemption between
+// two reads cannot skew the pair.
+uint64_t TickAt(uint64_t* mono) {
+  uint64_t tick = 0;
+  uint64_t best = UINT64_MAX;
+  for (int i = 0; i < 16; i++) {
+    const uint64_t before = MonotonicNanos();
+    const uint64_t t = SimEnv::Ticks();
+    const uint64_t after = MonotonicNanos();
+    if (after - before < best) {
+      best = after - before;
+      tick = t;
+      *mono = before + best / 2;
+    }
+  }
+  return tick;
+}
+
+// A thread's first run: FiberMain on the thread's own stack. The jump
+// leaves the switching context as a siglongjmp would.
+[[noreturn]] void EnterFiber(SimEnv::SimThread* t) {
+  ucontext_t ctx;
+  DLSM_CHECK(getcontext(&ctx) == 0);
+  ctx.uc_stack.ss_sp = t->stack + GuardBytes();
+  ctx.uc_stack.ss_size = SimEnv::kStackBytes;
+  ctx.uc_link = nullptr;  // FiberMain never returns.
+  makecontext(&ctx, &SimEnv::FiberMain, 0);
+#ifdef DLSM_ASAN_FIBERS
+  // ASan's siglongjmp does this too: clear the poison of the frames left
+  // behind, which a finished thread's unmapped stack would otherwise keep.
+  __asan_handle_no_return();
+#endif
+  setcontext(&ctx);
+  std::abort();
 }
 }  // namespace
 
@@ -224,7 +275,11 @@ class SimBarrierImpl : public BarrierImpl {
 // SimEnv
 // ---------------------------------------------------------------------------
 
-SimEnv::SimEnv(Options options) : options_(options) {
+SimEnv::SimEnv(Options options)
+    : options_(options),
+      ns_per_tick_q32_(static_cast<uint64_t>(NanosPerTick() * 0x1p32)),
+      gate_ticks_(static_cast<uint64_t>(kCpuClockGateNs / NanosPerTick())),
+      pin_period_ticks_(static_cast<uint64_t>(kPinPeriodNs / NanosPerTick())) {
   auto node0 = std::make_unique<SimNode>();
   node0->name = "default";
   node0->cores = 0;  // Unlimited.
@@ -249,17 +304,41 @@ uint64_t SimEnv::ThreadCpuNanos() {
          static_cast<uint64_t>(ts.tv_nsec);
 }
 
+uint64_t SimEnv::Ticks() {
+#if defined(__x86_64__) || defined(__i386__)
+  return __rdtsc();
+#else
+  return MonotonicNanos();
+#endif
+}
+
+double SimEnv::NanosPerTick() {
+  static const double ns_per_tick = [] {
+    uint64_t mono0 = 0;
+    uint64_t mono1 = 0;
+    const uint64_t tick0 = TickAt(&mono0);
+    while (MonotonicNanos() - mono0 < kTickCalibrationNs) {
+    }
+    const uint64_t tick1 = TickAt(&mono1);
+    DLSM_CHECK_MSG(tick1 > tick0, "the tick counter does not advance");
+    return static_cast<double>(mono1 - mono0) /
+           static_cast<double>(tick1 - tick0);
+  }();
+  return ns_per_tick;
+}
+
 uint64_t SimEnv::CpuNanos() {
   uint64_t cpu;
-  const uint64_t since = MonotonicNanos() - anchor_mono_;
-  if (since < kCpuClockGateNs) {
-    cpu = anchor_cpu_ + since;
+  const uint64_t now = Ticks();
+  // A tick before the anchor (another CPU's counter) wraps past the gate.
+  const uint64_t since = now - anchor_tick_;
+  if (since < gate_ticks_) {
+    cpu = anchor_cpu_ + ((since * ns_per_tick_q32_) >> 32);
   } else {
     // The kernel samples the clock inside the read: anchor at the read's
     // midpoint (its end would drop half a read from the next charge).
-    const uint64_t before = MonotonicNanos();
     cpu = anchor_cpu_ = ThreadCpuNanos();
-    anchor_mono_ = before + (MonotonicNanos() - before) / 2;
+    anchor_tick_ = now + (Ticks() - now) / 2;
   }
   cpu_read_ = std::max(cpu_read_, cpu);
   return cpu_read_;
@@ -299,12 +378,15 @@ void SimEnv::ChargeCpu(SimThread* self) {
 
 void SimEnv::RotatePin() {
   if (pin_cpus_.size() < 2) return;
-  const uint64_t now = MonotonicNanos();
-  if (now < pin_until_ns_) return;
+  const uint64_t now = Ticks();
+  if (now < pin_until_tick_) return;
   pin_ = (pin_ + 1) % pin_cpus_.size();
-  pin_until_ns_ = now + kPinPeriodNs;
+  pin_until_tick_ = now + pin_period_ticks_;
   // Between two slices: the migration is host scheduling, not modeled work.
   PinSelfTo(pin_cpus_[pin_]);
+  // The new CPU's counter may be offset from the old one's: the next
+  // CpuNanos is a real read.
+  anchor_tick_ = Ticks() - gate_ticks_;
 }
 
 void SimEnv::StartSlice(SimThread* t) {
@@ -361,8 +443,12 @@ void SimEnv::Resume(SimThread* t) {
 }
 
 void SimEnv::SwitchTo(SimThread* from, SimThread* to) {
-  ucontext_t* from_ctx = from != nullptr ? &from->ctx : &host_ctx_;
-  ucontext_t* to_ctx = to != nullptr ? &to->ctx : &host_ctx_;
+  // No signal mask is saved or restored, so the switch makes no syscall.
+  // `from` resumes here, with sigsetjmp returning 1.
+  if (sigsetjmp(from != nullptr ? from->jmp : host_jmp_, 0) != 0) {
+    SwitchedIn(from);
+    return;
+  }
   tls_current = to;
   ThreadSlots::Install(to != nullptr ? &to->slots : nullptr);
 #ifdef DLSM_ASAN_FIBERS
@@ -384,8 +470,11 @@ void SimEnv::SwitchTo(SimThread* from, SimThread* to) {
   __tsan_switch_to_fiber(to != nullptr ? to->tsan_fiber : host_tsan_fiber_,
                          0);
 #endif
-  swapcontext(from_ctx, to_ctx);
-  SwitchedIn(from);
+  if (to != nullptr && !to->entered) {
+    to->entered = true;
+    EnterFiber(to);
+  }
+  siglongjmp(to != nullptr ? to->jmp : host_jmp_, 1);
 }
 
 void SimEnv::SwitchedIn(SimThread* self) {
@@ -475,11 +564,6 @@ SimEnv::SimThread* SimEnv::NewThread(int node_id, const std::string& name,
   DLSM_CHECK_MSG(m != MAP_FAILED, "cannot map a simulated thread's stack");
   DLSM_CHECK(mprotect(m, GuardBytes(), PROT_NONE) == 0);
   t->stack = static_cast<char*>(m);
-  DLSM_CHECK(getcontext(&t->ctx) == 0);
-  t->ctx.uc_stack.ss_sp = t->stack + GuardBytes();
-  t->ctx.uc_stack.ss_size = kStackBytes;
-  t->ctx.uc_link = nullptr;  // FiberMain never returns.
-  makecontext(&t->ctx, &SimEnv::FiberMain, 0);
 #ifdef DLSM_TSAN_FIBERS
   t->tsan_fiber = __tsan_create_fiber(0);
 #endif
@@ -535,7 +619,7 @@ void SimEnv::Run(int node_id, std::function<void()> root) {
       if (c == cpu) pin_ = pin_cpus_.size();
       pin_cpus_.push_back(c);
     }
-    pin_until_ns_ = MonotonicNanos() + kPinPeriodNs;
+    pin_until_tick_ = Ticks() + pin_period_ticks_;
   }
 
   SimThread* t = NewThread(node_id, "root", std::move(root));

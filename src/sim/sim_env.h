@@ -8,10 +8,11 @@
 //  * Every simulated thread is a fiber with a stack of its own, and all of
 //    them run on Run()'s calling OS thread, one at a time. Each carries a
 //    "local virtual time" (LVT). Passing control to the next thread is one
-//    user-space context switch (swapcontext): no kernel wake and no kernel
-//    context switch. Run() pins that OS thread to one host CPU at a time
-//    and rotates the pin over the caller's mask every kPinPeriodNs of host
-//    time.
+//    user-space jump (sigsetjmp/siglongjmp, saving no signal mask): no
+//    syscall, no kernel wake and no kernel context switch. A fiber is
+//    entered the first time with makecontext/setcontext. Run() pins that OS
+//    thread to one host CPU at a time and rotates the pin over the caller's
+//    mask every kPinPeriodNs of host time.
 //  * CPU cost is *measured*: at every scheduling point the thread's
 //    CLOCK_THREAD_CPUTIME_ID delta since its slice started is added to its
 //    LVT, scaled by the processor-sharing factor of its node
@@ -19,8 +20,8 @@
 //    inserts, memcmp, memcpy and bloom probes therefore cost what they
 //    really cost, and the context switch between two slices is charged to
 //    neither. Where that clock is a syscall, a read within kCpuClockGateNs
-//    of the last real one is extrapolated from CLOCK_MONOTONIC instead (see
-//    kCpuClockGateNs).
+//    of the last real one is extrapolated from the CPU's tick counter
+//    instead (see kCpuClockGateNs).
 //  * Synchronization transfers causality: acquiring a mutex or receiving a
 //    signal advances the receiver's LVT to at least the sender's LVT; the
 //    scheduler always resumes the thread with the smallest LVT, so lock
@@ -49,7 +50,7 @@
 #ifndef DLSM_SIM_SIM_ENV_H_
 #define DLSM_SIM_SIM_ENV_H_
 
-#include <ucontext.h>
+#include <setjmp.h>
 
 #include <cstdint>
 #include <functional>
@@ -105,16 +106,18 @@ class SimEnv : public Env {
   /// than the period (a unit test's measurement) stays on one CPU.
   static constexpr uint64_t kPinPeriodNs = 200'000'000;
 
-  /// Window of host monotonic time after a real CLOCK_THREAD_CPUTIME_ID read
-  /// in which a simulated thread's CPU clock is read as that value plus the
-  /// monotonic time since, instead of another read (a syscall where the
-  /// clock is not in the vDSO). A thread's CPU time grows no faster than
-  /// wall time, so the estimate runs ahead only by time the thread spent
-  /// off-CPU inside the window (plus under half a read, for when inside the
-  /// read the kernel sampled); host preemptions last milliseconds, so the
-  /// gate leaves them to the next real read. Reads never decrease. Every
-  /// simulated thread shares the one OS thread's clock, so a slice starts on
-  /// a gated read too.
+  /// Window of host time after a real CLOCK_THREAD_CPUTIME_ID read in which
+  /// a simulated thread's CPU clock is read as that value plus the time
+  /// since, instead of another read (a syscall where the clock is not in the
+  /// vDSO). The time since is the CPU's tick counter (Ticks) scaled by
+  /// NanosPerTick: a register read, where CLOCK_MONOTONIC is a vDSO call. A
+  /// thread's CPU time grows no faster than wall time, so the estimate runs
+  /// ahead only by time the thread spent off-CPU inside the window (plus
+  /// under half a read, for when inside the read the kernel sampled); host
+  /// preemptions last milliseconds, so the gate leaves them to the next real
+  /// read. Moving the pin to another CPU, whose counter may be offset,
+  /// ends the window. Reads never decrease. Every simulated thread shares
+  /// the one OS thread's clock, so a slice starts on a gated read too.
   static constexpr uint64_t kCpuClockGateNs = 10'000;
 
   // Env interface -----------------------------------------------------------
@@ -161,9 +164,11 @@ class SimEnv : public Env {
     const void* wait_word = nullptr;  // Parked in WaitWord on this word.
     std::function<void()> fn;
     std::vector<SimThread*> joiners;
-    // The fiber: saved context and stack mapping (guard page first), freed
-    // by the next fiber to run once the thread has finished.
-    ucontext_t ctx;
+    // The fiber: where it resumes, saved each time it switches out (until
+    // it is first entered, at FiberMain), and its stack mapping (guard page
+    // first), freed by the next fiber to run once the thread has finished.
+    sigjmp_buf jmp;
+    bool entered = false;
     char* stack = nullptr;
     ThreadSlots slots;
     void* tsan_fiber = nullptr;      // ThreadSanitizer builds only.
@@ -177,6 +182,12 @@ class SimEnv : public Env {
   };
 
   static uint64_t ThreadCpuNanos();
+  /// The CPU's time-stamp counter (CLOCK_MONOTONIC nanoseconds where there
+  /// is none). Counters of different CPUs may be offset from one another.
+  static uint64_t Ticks();
+  /// Host nanoseconds per Ticks() tick, calibrated against CLOCK_MONOTONIC
+  /// once per process, on first use.
+  static double NanosPerTick();
   /// The OS thread's CPU clock, gated by kCpuClockGateNs. Never less than
   /// an earlier return.
   uint64_t CpuNanos();
@@ -199,14 +210,16 @@ class SimEnv : public Env {
   void SwitchOut(SimThread* self);
   void Resume(SimThread* t);
   /// Switches the OS thread from the running fiber (nullptr: Run's own
-  /// context) to `to` (nullptr: back to Run). A finished `from` never
-  /// returns.
+  /// context) to `to` (nullptr: back to Run): saves where `from` resumes
+  /// and jumps to where `to` does, or enters `to` at FiberMain on its first
+  /// run. A finished `from` never returns.
   void SwitchTo(SimThread* from, SimThread* to);
   /// First thing a context does once switched to: completes the sanitizer
   /// hand-off and unmaps the stack of a thread that just finished.
   void SwitchedIn(SimThread* self);
   /// Moves the pin to the next CPU once kPinPeriodNs has passed since the
-  /// last move. Called on a switch between threads.
+  /// last move, and ends CpuNanos's gate window. Called on a switch between
+  /// threads.
   void RotatePin();
   /// A thread with its fiber, not yet runnable.
   SimThread* NewThread(int node_id, const std::string& name,
@@ -223,23 +236,29 @@ class SimEnv : public Env {
   int live_threads_ = 0;
   bool ran_ = false;
   std::vector<SimThread*> word_parked_;  // Parked in WaitWord.
-  // Run()'s own context, resumed once every simulated thread has finished.
-  ucontext_t host_ctx_;
+  // Where Run()'s own context resumes once every simulated thread has
+  // finished.
+  sigjmp_buf host_jmp_;
   void* host_tsan_fiber_ = nullptr;
   void* host_asan_fake_stack_ = nullptr;
   const void* host_stack_bottom_ = nullptr;
   size_t host_stack_size_ = 0;
   SimThread* finished_ = nullptr;  // Its stack awaits SwitchedIn.
-  // Gated CPU clock (CpuNanos): the last real thread-CPU read, the
-  // monotonic time it was taken at, and the largest value returned.
+  // NanosPerTick in 32.32 fixed point (a gated read's ticks times it fit
+  // 64 bits), and kCpuClockGateNs and kPinPeriodNs in ticks.
+  uint64_t ns_per_tick_q32_;
+  uint64_t gate_ticks_;
+  uint64_t pin_period_ticks_;
+  // Gated CPU clock (CpuNanos): the last real thread-CPU read, the tick it
+  // was taken at, and the largest value returned.
   uint64_t anchor_cpu_ = 0;
-  uint64_t anchor_mono_ = 0;
+  uint64_t anchor_tick_ = 0;
   uint64_t cpu_read_ = 0;
   // The caller's CPUs, in order; empty when Run could not pin. The pin is
-  // pin_cpus_[pin_] until host monotonic time pin_until_ns_.
+  // pin_cpus_[pin_] until tick pin_until_tick_.
   std::vector<int> pin_cpus_;
   size_t pin_ = 0;
-  uint64_t pin_until_ns_ = 0;
+  uint64_t pin_until_tick_ = 0;
 };
 
 }  // namespace dlsm

@@ -6,14 +6,41 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <map>
 #include <memory>
+#include <new>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "src/util/random.h"
 #include "tests/dlsm_test_util.h"
+
+// Counts every unaligned operator new in the test binary (array and nothrow
+// forms reach these too), for the per-Get allocation test. All of them pair
+// malloc with free, so sanitizer builds see consistent pairs. They stay
+// out of line, where GCC cannot mistake a malloc'd pointer's free for a
+// mismatch.
+static std::atomic<uint64_t> g_operator_news{0};
+
+[[gnu::noinline]] void* operator new(size_t size) {
+  g_operator_news.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+[[gnu::noinline]] void* operator new(size_t size,
+                                     const std::nothrow_t&) noexcept {
+  g_operator_news.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
 
 namespace dlsm {
 namespace {
@@ -1271,6 +1298,60 @@ TEST(DBTest, FlushesReuseStagingBuffers) {
       service.Stop();
     });
   }
+}
+
+// A Get keeps its key state, wave slots and probe buffers in its stack
+// arena: on a flushed tree, where every Get reads a table, a Get makes
+// almost no heap allocation. Background work has drained before the Gets,
+// and at cpu_scale 0 the count repeats run to run.
+TEST(DBTest, GetsOnAFlushedTreeBarelyAllocate) {
+  SimEnv::Options sim_options;
+  sim_options.cpu_scale = 0;
+  SimEnv env(sim_options);
+  rdma::Fabric fabric(&env);
+  rdma::Node* compute = fabric.AddNode("compute", 24, 2ull << 30);
+  rdma::Node* memory = fabric.AddNode("memory", 4, 4ull << 30);
+  env.Run(0, [&] {
+    MemoryNodeService service(&fabric, memory, 4);
+    service.Start();
+    Options options = test::SmallOptions(&env);
+    DbDeps deps;
+    deps.fabric = &fabric;
+    deps.compute = compute;
+    deps.memory = &service;
+    DB* raw = nullptr;
+    ASSERT_TRUE(DLsmDB::Open(options, deps, &raw).ok());
+    std::unique_ptr<DB> db(raw);
+    constexpr uint64_t kKeys = 20000;
+    for (uint64_t k = 0; k < kKeys; k++) {
+      ASSERT_TRUE(db->Put(WriteOptions(), TestKey(k), TestValue(k)).ok());
+    }
+    ASSERT_TRUE(db->Flush().ok());
+    ASSERT_TRUE(db->WaitForBackgroundIdle().ok());
+    int files = 0;
+    for (int level = 0; level < kNumLevels; level++) {
+      files += db->NumFilesAtLevel(level);
+    }
+    ASSERT_GT(files, 0);
+    constexpr uint64_t kGets = 1000;
+    std::string value;
+    value.reserve(256);
+    uint64_t news = 0;
+    for (uint64_t i = 0; i < kGets; i++) {
+      const uint64_t k = i * (kKeys / kGets) + i % 7;
+      const std::string key = TestKey(k);
+      const uint64_t before = g_operator_news.load();
+      const Status s = db->Get(ReadOptions(), key, &value);
+      news += g_operator_news.load() - before;
+      ASSERT_TRUE(s.ok()) << key << ": " << s.ToString();
+      ASSERT_EQ(TestValue(k), value);
+    }
+    EXPECT_LT(static_cast<double>(news) / kGets, 0.5)
+        << news << " operator new calls over " << kGets << " Gets";
+    ASSERT_TRUE(db->Close().ok());
+    db.reset();
+    service.Stop();
+  });
 }
 
 TEST(DBTest, WriterQueueGroupCommitKeepsProgramOrder) {

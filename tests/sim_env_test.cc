@@ -5,6 +5,7 @@
 #include <pthread.h>
 #include <sched.h>
 #include <sys/syscall.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -417,7 +418,7 @@ TEST(SimEnvTest, SimulatedThreadsShareOneHostCpuAtATime) {
 }
 
 // Within SimEnv::kCpuClockGateNs of a real CLOCK_THREAD_CPUTIME_ID read the
-// thread's CPU clock is extrapolated from CLOCK_MONOTONIC. With a host
+// thread's CPU clock is extrapolated from the CPU's tick counter. With a host
 // thread competing for the same CPU, time off-CPU inside a window could
 // inflate an estimate, but by less than one gate: measured from the slice's
 // real start read, NowNanos never runs more than a gate ahead of the real
@@ -463,6 +464,64 @@ TEST(SimEnvTest, GatedCpuClockNeverRunsAheadOfThreadCpu) {
   });
   stop = true;
   busy.join();
+}
+
+uint64_t MonotonicNanos() {
+  struct timespec ts;
+  clock_gettime(CLOCK_MONOTONIC, &ts);
+  return static_cast<uint64_t>(ts.tv_sec) * 1000000000ull +
+         static_cast<uint64_t>(ts.tv_nsec);
+}
+
+// The gate's tick counter, scaled by its once-per-process calibration,
+// measures host time as CLOCK_MONOTONIC does: over 25 ms on Run's pinned
+// CPU the two agree within 1%.
+TEST(SimEnvTest, TickClockTracksMonotonic) {
+  SimEnv env;
+  env.Run(0, [&] {
+    const uint64_t mono0 = MonotonicNanos();
+    const uint64_t tick0 = SimEnv::Ticks();
+    while (MonotonicNanos() - mono0 < 25'000'000) {
+    }
+    const uint64_t tick1 = SimEnv::Ticks();
+    const double elapsed = static_cast<double>(MonotonicNanos() - mono0);
+    const double ticked =
+        static_cast<double>(tick1 - tick0) * SimEnv::NanosPerTick();
+    EXPECT_NEAR(ticked, elapsed, 0.01 * elapsed);
+  });
+}
+
+// Another CPU's tick counter may be offset from this one's, so a pin move
+// ends the gate's window: the next CpuNanos is a real read (a new anchor),
+// however little time has passed. The window is widened here so that only
+// the move can end it.
+TEST(SimEnvTest, PinMoveMakesTheNextCpuClockReadReal) {
+  if (!CanPinToOneCpu()) GTEST_SKIP() << "host refuses sched_setaffinity";
+  cpu_set_t mask;
+  ASSERT_EQ(0, pthread_getaffinity_np(pthread_self(), sizeof(mask), &mask));
+  if (CPU_COUNT(&mask) < 2) GTEST_SKIP() << "one CPU: the pin never moves";
+  SimEnv env;
+  const uint64_t gate = env.gate_ticks_;
+  env.Run(0, [&] {
+    for (int move = 0; move < 8; move++) {
+      // Past the window, so this read is a real one.
+      const uint64_t start = MonotonicNanos();
+      while (MonotonicNanos() - start < 2 * SimEnv::kCpuClockGateNs) {
+      }
+      env.CpuNanos();
+      const uint64_t anchor = env.anchor_cpu_;
+      env.gate_ticks_ = UINT64_MAX >> 1;
+      env.CpuNanos();
+      ASSERT_EQ(anchor, env.anchor_cpu_) << "no gated read, move " << move;
+      const int cpu = sched_getcpu();
+      env.pin_until_tick_ = 0;  // The pin period is over.
+      env.RotatePin();
+      ASSERT_NE(cpu, sched_getcpu()) << "the pin did not move, move " << move;
+      env.CpuNanos();
+      EXPECT_NE(anchor, env.anchor_cpu_) << "a gated read after move " << move;
+      env.gate_ticks_ = gate;
+    }
+  });
 }
 
 // Four producer/consumer pairs over bounded queues, all eight threads also

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <memory_resource>
 #include <string>
 #include <utility>
 #include <vector>
@@ -49,8 +50,9 @@ Status ProbeTable(const RemoteReadPath& read_path,
                   const LookupKey& lkey, TableLookupResult* result,
                   std::string* value) {
   *result = TableLookupResult::kNotPresent;
+  std::pmr::monotonic_buffer_resource mem;
   TableProbe probe;
-  Status s = TableProbePrepare(icmp, bloom, file, lkey, &probe);
+  Status s = TableProbePrepare(icmp, bloom, file, lkey, &mem, &probe);
   if (!s.ok() || !probe.need_read) return s;
   s = read_path.Read(probe.buf.data(), file.chunk.addr + probe.read_off,
                      file.chunk.rkey, probe.buf.size());
