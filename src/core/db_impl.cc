@@ -257,7 +257,7 @@ Status DLsmDB::Init() {
   mem->Ref();
   {
     MutexLock l(&mem_mu_);
-    PublishMemViewLocked(mem);
+    PublishLocked(mem);
     mem_.store(mem, std::memory_order_release);
   }
 
@@ -493,28 +493,35 @@ void DLsmDB::SwitchMemTableLocked() {
   old->MarkImmutable();
   imms_.push_back(old);  // Transfers our reference.
   // Publish before writers can reach `next`: a Put acknowledged from it
-  // must be in the view of every reader pinned after the ack.
-  PublishMemViewLocked(next);
+  // must be in the ReadState of every reader pinned after the ack.
+  PublishLocked(next);
   mem_.store(next, std::memory_order_release);
   ScheduleFlushLocked(old);
 }
 
-void DLsmDB::PublishMemViewLocked(MemTable* cur) {
-  auto view = std::make_shared<MemTableView>();
-  view->tables.reserve(1 + imms_.size());
-  view->tables.push_back(cur);
+void DLsmDB::PublishLocked(MemTable* cur) {
+  auto state = std::make_shared<ReadState>();
+  state->mems.reserve(1 + imms_.size());
+  state->mems.push_back(cur);
   for (auto it = imms_.rbegin(); it != imms_.rend(); ++it) {
-    view->tables.push_back(*it);
+    state->mems.push_back(*it);
   }
-  for (MemTable* m : view->tables) m->Ref();
-  std::shared_ptr<const MemTableView> old;  // Released after the unlock.
-  std::lock_guard<std::mutex> lock(mem_view_mu_);
-  old = std::exchange(mem_view_, std::move(view));
+  for (MemTable* m : state->mems) m->Ref();
+  state->version = versions_->current();
+  std::shared_ptr<const ReadState> old;  // Released after the unlock.
+  std::lock_guard<std::mutex> lock(read_mu_);
+  old = std::exchange(read_state_, std::move(state));
 }
 
-std::shared_ptr<const DLsmDB::MemTableView> DLsmDB::PinMemTables() const {
-  std::lock_guard<std::mutex> lock(mem_view_mu_);
-  return mem_view_;
+Status DLsmDB::InstallLocked(const VersionEdit& edit) {
+  Status s = versions_->Apply(edit);
+  if (s.ok()) PublishLocked(mem_.load(std::memory_order_acquire));
+  return s;
+}
+
+std::shared_ptr<const DLsmDB::ReadState> DLsmDB::Pin() const {
+  std::lock_guard<std::mutex> lock(read_mu_);
+  return read_state_;
 }
 
 void DLsmDB::ScheduleFlushLocked(MemTable* mem) {
@@ -610,41 +617,32 @@ void DLsmDB::FlushJob(MemTable* mem, uint64_t l0_order) {
     }
   }
 
-  // Flushes BUILD in parallel but INSTALL in MemTable age order: if a
-  // newer table's tombstone reached L0 (and possibly a bottommost
-  // compaction) while an older table holding a shadowed value were still
-  // unflushed, the deleted value would resurrect once that older table
-  // landed. imms_ is oldest-first; install only at its head. The flush
-  // pool is FIFO over switch order, so the head's job is always already
-  // running — no deadlock.
-  {
-    trace::TraceSpan install_wait("flush_install_wait", "flush");
-    MutexLock l(&mem_mu_);
-    while (!(imms_.front() == mem)) {
-      backpressure_cv_.Wait();
-    }
-  }
-  if (!outputs.empty()) {
-    VersionEdit edit;
-    for (const CompactionOutput& out : outputs) {
-      edit.AddFile(0, InstallOutput(out, l0_order));
-    }
-    versions_->Apply(edit);
-    stat_flushes_.fetch_add(1, std::memory_order_relaxed);
+  VersionEdit edit;
+  for (const CompactionOutput& out : outputs) {
+    edit.AddFile(0, InstallOutput(out, l0_order));
   }
   // GC's remote frees go out while this job still counts as pending, so a
   // caller that saw the DB idle (Flush, WaitForBackgroundIdle) sees no
   // late kFreeBatch RPC from it.
   DrainGc();
   {
+    // Flushes BUILD in parallel but INSTALL in MemTable age order: if a
+    // newer table's tombstone reached L0 (and possibly a bottommost
+    // compaction) while an older table holding a shadowed value were
+    // still unflushed, the deleted value would resurrect once that older
+    // table landed. imms_ is oldest-first; install only at its head. The
+    // flush pool is FIFO over switch order, so the head's job is always
+    // already running — no deadlock.
+    trace::TraceSpan install_wait("flush_install_wait", "flush");
     MutexLock l(&mem_mu_);
-    DLSM_CHECK(imms_.front() == mem);
+    while (!(imms_.front() == mem)) {
+      backpressure_cv_.Wait();
+    }
+    install_wait.End();
+    // One publish swaps `mem` for its L0 files.
     imms_.pop_front();
-    // Only now, after Apply above, may readers stop probing `mem`: a
-    // reader pins the view before the version, so a view without `mem`
-    // implies a version holding its L0 files. Publishing earlier opens a
-    // window where a key is in neither.
-    PublishMemViewLocked(mem_.load(std::memory_order_acquire));
+    DLSM_CHECK(InstallLocked(edit).ok());
+    if (!outputs.empty()) stat_flushes_.fetch_add(1, std::memory_order_relaxed);
     pending_flushes_--;
     backpressure_cv_.SignalAll();
   }
@@ -708,6 +706,8 @@ void DLsmDB::ProbeKeys(const ReadOptions& options, std::span<const Slice> keys,
     return;
   }
   stat_reads_.fetch_add(n, std::memory_order_relaxed);
+  // Pin, then the sequence (see Pin).
+  const std::shared_ptr<const ReadState> pinned = Pin();
   const SequenceNumber snapshot =
       options.snapshot_sequence != ~0ull
           ? options.snapshot_sequence
@@ -736,20 +736,14 @@ void DLsmDB::ProbeKeys(const ReadOptions& options, std::span<const Slice> keys,
     unresolved--;
   };
 
-  // Pin the MemTable chain, then the version — in that order. FlushJob
-  // drops a table from the view only after its L0 files are in the
-  // version, so every acknowledged key is in one of the two pins.
   trace::TraceSpan mem_span("mem_probe", "db");
-  {
-    std::shared_ptr<const MemTableView> mems = PinMemTables();
-    for (size_t k = 0; k < n; k++) {
-      state[k].lkey.emplace(keys[k], snapshot);
-      for (MemTable* m : mems->tables) {
-        Status s;
-        if (m->Get(*state[k].lkey, &values[k], &s)) {
-          resolve(k, std::move(s));
-          break;
-        }
+  for (size_t k = 0; k < n; k++) {
+    state[k].lkey.emplace(keys[k], snapshot);
+    for (MemTable* m : pinned->mems) {
+      Status s;
+      if (m->Get(*state[k].lkey, &values[k], &s)) {
+        resolve(k, std::move(s));
+        break;
       }
     }
   }
@@ -758,12 +752,11 @@ void DLsmDB::ProbeKeys(const ReadOptions& options, std::span<const Slice> keys,
 
   // SSTables, pinned by the version reference. Bloom and index filtering
   // is local; only may-match probes cost a remote read.
-  VersionRef version = versions_->current();
   size_t max_wave = 0;
   for (size_t k = 0; k < n; k++) {
     if (state[k].resolved) continue;
-    version->CollectSearchOrder(icmp_, keys[k], &state[k].order,
-                                &state[k].num_l0);
+    pinned->version->CollectSearchOrder(icmp_, keys[k], &state[k].order,
+                                        &state[k].num_l0);
     max_wave += std::max<size_t>(state[k].num_l0, 1);
   }
   const bool async =
@@ -903,24 +896,20 @@ Iterator* DLsmDB::NewIterator(const ReadOptions& options) {
   trace::TraceSpan span("NewIterator", "db");
   Status bg = BgError();
   if (!bg.ok()) return NewErrorIterator(bg);
+  // Pin, then the sequence (see Pin).
+  std::shared_ptr<const ReadState> pinned = Pin();
   SequenceNumber snapshot = options.snapshot_sequence != ~0ull
                                 ? options.snapshot_sequence
                                 : sequence_.load(std::memory_order_acquire);
 
-  // MemTable view before version, as in ProbeKeys (see FlushJob).
-  std::shared_ptr<const MemTableView> mems = PinMemTables();
   std::vector<Iterator*> children;
-  for (MemTable* m : mems->tables) children.push_back(m->NewIterator());
-  VersionRef version = versions_->current();
-  version->AddIterators(router_, icmp_, options_.scan_prefetch_size,
-                        &children);
+  for (MemTable* m : pinned->mems) children.push_back(m->NewIterator());
+  pinned->version->AddIterators(router_, icmp_, options_.scan_prefetch_size,
+                                &children);
 
   Iterator* merged = NewMergingIterator(&icmp_, children.data(),
                                         static_cast<int>(children.size()));
-  auto cleanup = [mems = std::move(mems), version]() mutable {
-    mems.reset();
-    version.reset();
-  };
+  auto cleanup = [pinned = std::move(pinned)]() mutable { pinned.reset(); };
   return NewDBIterator(&icmp_, merged, snapshot, std::move(cleanup));
 }
 
@@ -1062,7 +1051,10 @@ Status DLsmDB::RunCompaction(const CompactionPick& pick) {
     edit.AddFile(pick.level + 1, InstallOutput(out, 0));
     stat_comp_out_.fetch_add(out.data_len, std::memory_order_relaxed);
   }
-  versions_->Apply(edit);
+  {
+    MutexLock l(&mem_mu_);
+    DLSM_CHECK(InstallLocked(edit).ok());
+  }
   // Version-install invalidation: the inputs left the live set, so drop
   // their cached bytes now rather than waiting for the last reader to
   // release them (file numbers are never reused, so this is hygiene — a
@@ -1572,7 +1564,12 @@ Status DLsmDB::MigrateOne(int level, const FileRef& f, size_t dst_slot) {
     FileGone(chunk);
   };
 
-  s = versions_->Replace(level, number, std::move(moved));
+  VersionEdit edit;
+  edit.ReplaceFile(level, std::move(moved));
+  {
+    MutexLock l(&mem_mu_);
+    s = InstallLocked(edit);
+  }
   if (!s.ok()) {
     // Busy (live compaction input) or NotFound (already left the tree):
     // the dropped replacement's gc frees the copied chunk.
@@ -1865,8 +1862,8 @@ Status DLsmDB::Close() {
   {
     MutexLock l(&mem_mu_);
     {
-      std::lock_guard<std::mutex> lock(mem_view_mu_);
-      mem_view_.reset();
+      std::lock_guard<std::mutex> lock(read_mu_);
+      read_state_.reset();
     }
     MemTable* cur = mem_.load();
     if (cur != nullptr) cur->Unref();

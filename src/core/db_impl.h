@@ -118,22 +118,25 @@ class DLsmDB : public DB {
   Status HandleSwitch(SequenceNumber seq);
   void SwitchMemTableLocked();  // Requires mem_mu_.
 
-  /// What a reader probes before the SSTables: the current MemTable, then
-  /// the immutables, newest first. Immutable once published; holds one
-  /// Ref on each table and drops it when the last reader lets go.
-  struct MemTableView {
-    std::vector<MemTable*> tables;
-    ~MemTableView() {
-      for (MemTable* m : tables) m->Unref();
+  /// What a read pins, as one object: the MemTable chain (the current
+  /// table, then the immutables newest first, one Ref each) and the version.
+  struct ReadState {
+    std::vector<MemTable*> mems;
+    VersionRef version;
+    ~ReadState() {
+      for (MemTable* m : mems) m->Unref();
     }
   };
-  /// Publishes a view of `cur` + imms_. Requires mem_mu_; every change to
-  /// the chain a reader must see republishes before it takes effect.
-  void PublishMemViewLocked(MemTable* cur);
-  /// The reader's pin: a copy of the published view, taken under a host
-  /// mutex (no virtual-time ordering, no clock read), like
-  /// VersionSet::current().
-  std::shared_ptr<const MemTableView> PinMemTables() const;
+  /// Publishes a ReadState of `cur`, imms_ and the current version; every
+  /// change a reader must see is published before it takes effect.
+  void PublishLocked(MemTable* cur);  // Requires mem_mu_.
+  /// The one version install: applies `edit`, then publishes.
+  Status InstallLocked(const VersionEdit& edit);  // Requires mem_mu_.
+  /// A read's pin: a copy under a host mutex (no clock read). A read loads
+  /// its sequence only after it: each table in the pinned version was
+  /// built at an OldestSnapshot() taken before that version was published,
+  /// so it dropped nothing the read's snapshot can see.
+  std::shared_ptr<const ReadState> Pin() const;
 
   // -- Flush (Sec. X-C) --------------------------------------------------------
   void ScheduleFlushLocked(MemTable* mem);
@@ -277,11 +280,11 @@ class DLsmDB : public DB {
   // Write state.
   std::atomic<uint64_t> sequence_{0};  // Last allocated sequence number.
   std::atomic<MemTable*> mem_{nullptr};
-  Mutex mem_mu_;  // Writer side: the switch, imms_, flush & stall state.
-  // Readers' MemTable chain (PinMemTables). mem_view_mu_ is a host mutex
-  // that is never held across an Env call.
-  mutable std::mutex mem_view_mu_;
-  std::shared_ptr<const MemTableView> mem_view_;  // Guarded by mem_view_mu_.
+  Mutex mem_mu_;  // The switch, imms_, flush & stall state, publishing.
+  // Readers' pin (Pin). read_mu_ is a host mutex that is never held
+  // across an Env call.
+  mutable std::mutex read_mu_;
+  std::shared_ptr<const ReadState> read_state_;  // Guarded by read_mu_.
   CondVar backpressure_cv_;  // Signalled when flush/compaction frees room.
   std::deque<MemTable*> imms_;  // Oldest first; referenced.
   int pending_flushes_ = 0;     // Guarded by mem_mu_.

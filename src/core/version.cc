@@ -244,7 +244,7 @@ uint64_t VersionSet::MaxBytesForLevel(int level) const {
   return static_cast<uint64_t>(result);
 }
 
-void VersionSet::Apply(const VersionEdit& edit) {
+Status VersionSet::Apply(const VersionEdit& edit) {
   std::lock_guard<std::mutex> lock(mu_);
   auto next = std::make_shared<Version>();
   // Copy-on-write: carry forward all files except the deleted ones.
@@ -259,6 +259,20 @@ void VersionSet::Apply(const VersionEdit& edit) {
       }
       if (!deleted) next->levels_[level].push_back(f);
     }
+  }
+  // A busy file is a compaction input in flight: its bytes are being read
+  // at the old address, so swapping its metadata now would tear the
+  // compaction. The migrator just retries a different victim later.
+  for (const auto& [level, r] : edit.replaced) {
+    if (busy_files_.count(r->number) != 0) {
+      return Status::Busy("file is a compaction input");
+    }
+    std::vector<FileRef>& files = next->levels_[level];
+    auto it = std::find_if(files.begin(), files.end(), [&](const FileRef& f) {
+      return f->number == r->number;
+    });
+    if (it == files.end()) return Status::NotFound("file left the version");
+    *it = r;
   }
   for (const auto& [level, f] : edit.added) {
     next->levels_[level].push_back(f);
@@ -278,35 +292,6 @@ void VersionSet::Apply(const VersionEdit& edit) {
                                       b->smallest.Encode()) < 0;
               });
   }
-  next->BuildSearchWords();
-  current_ = std::move(next);
-}
-
-Status VersionSet::Replace(int level, uint64_t number, FileRef replacement) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // A busy file is a compaction input in flight: its bytes are being read
-  // at the old address, so swapping the metadata now would tear the
-  // compaction. The migrator just retries a different victim later.
-  if (busy_files_.count(number) != 0) {
-    return Status::Busy("file is a compaction input");
-  }
-  const auto& files = current_->levels_[level];
-  size_t pos = files.size();
-  for (size_t i = 0; i < files.size(); i++) {
-    if (files[i]->number == number) {
-      pos = i;
-      break;
-    }
-  }
-  if (pos == files.size()) {
-    return Status::NotFound("file left the version");
-  }
-  // Copy-on-write swap: in-flight readers keep their pinned version (and
-  // the old chunk, which the old FileMetaData's gc only frees once the
-  // last reader drops it); new readers route to the new node immediately.
-  auto next = std::make_shared<Version>();
-  next->levels_ = current_->levels_;
-  next->levels_[level][pos] = std::move(replacement);
   next->BuildSearchWords();
   current_ = std::move(next);
   return Status::OK();

@@ -80,10 +80,15 @@ using VersionRef = std::shared_ptr<const Version>;
 struct VersionEdit {
   std::vector<std::pair<int, FileRef>> added;            // (level, file)
   std::vector<std::pair<int, uint64_t>> deleted;         // (level, number)
+  /// Migration: swaps in for the same-numbered file (new chunk and node).
+  std::vector<std::pair<int, FileRef>> replaced;         // (level, file)
 
   void AddFile(int level, FileRef f) { added.emplace_back(level, std::move(f)); }
   void DeleteFile(int level, uint64_t number) {
     deleted.emplace_back(level, number);
+  }
+  void ReplaceFile(int level, FileRef f) {
+    replaced.emplace_back(level, std::move(f));
   }
 };
 
@@ -110,15 +115,10 @@ class VersionSet {
   /// The current tree snapshot (pin by holding the returned reference).
   VersionRef current() const;
 
-  /// Applies edit copy-on-write, making the result current.
-  void Apply(const VersionEdit& edit);
-
-  /// Atomically swaps one file's metadata for a same-number replacement
-  /// (the migration install: same keys/index, new chunk + memory_node).
-  /// Fails with Busy when the file is a live compaction input and
-  /// NotFound when it already left the version; the caller drops the
-  /// replacement, whose gc callback then frees the copied chunk.
-  Status Replace(int level, uint64_t number, FileRef replacement);
+  /// Applies edit copy-on-write, making the result current. Fails, and
+  /// changes nothing, when a replaced file is a live compaction input
+  /// (Busy) or already left the version (NotFound).
+  Status Apply(const VersionEdit& edit);
 
   uint64_t NewFileNumber() {
     return next_file_number_.fetch_add(1, std::memory_order_relaxed);

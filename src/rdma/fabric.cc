@@ -108,12 +108,12 @@ void QueuePair::SetError(const Status& cause) {
 void QueuePair::FlushSendCqLocked(uint64_t now) {
   // Entries whose completion time has passed already happened on the wire
   // and keep their outcome; everything still in flight flushes: status
-  // rewritten, pollable immediately, deque (= post) order preserved.
-  for (Completion& c : send_cq_) {
-    if (c.completion_ns <= now) continue;
+  // rewritten, pollable immediately, queue (= post) order preserved.
+  send_cq_.ForEach([now](Completion& c) {
+    if (c.completion_ns <= now) return;
     if (c.status.ok()) c.status = FlushErr();
     c.completion_ns = now;
-  }
+  });
   if (last_completion_ns_ > now) last_completion_ns_ = now;
 }
 

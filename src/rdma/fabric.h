@@ -38,7 +38,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -47,6 +46,7 @@
 #include <vector>
 
 #include "src/sim/env.h"
+#include "src/util/fifo.h"
 #include "src/util/status.h"
 
 namespace dlsm {
@@ -351,9 +351,9 @@ class QueuePair {
   uint32_t qp_id_ = 0;  // Creation index; seeds the fault RNG.
 
   mutable std::mutex mu_;  // Guards the queues; never held across Env calls.
-  std::deque<Completion> send_cq_;
-  std::deque<Completion> recv_cq_;
-  std::deque<PendingRecv> recv_queue_;
+  Fifo<Completion> send_cq_;
+  Fifo<Completion> recv_cq_;
+  Fifo<PendingRecv> recv_queue_;
   uint64_t last_completion_ns_ = 0;  // Enforces per-QP FIFO completion order.
   uint64_t last_post_ns_ = 0;        // Owner-thread only; see last_post_ns().
   uint64_t auto_wr_id_ = 1;

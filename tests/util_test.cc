@@ -11,6 +11,7 @@
 #include "src/util/arena.h"
 #include "src/util/coding.h"
 #include "src/util/crc32c.h"
+#include "src/util/fifo.h"
 #include "src/util/hash.h"
 #include "src/util/histogram.h"
 #include "src/util/logging.h"
@@ -218,6 +219,29 @@ TEST(HashTest, SignedUnsignedIssue) {
   uint32_t h4 = Hash(reinterpret_cast<const char*>(data4), 4, 0xbc9f1d34);
   std::set<uint32_t> distinct = {h1, h2, h3, h4};
   EXPECT_EQ(4u, distinct.size());
+}
+
+// FIFO order holds while the ring wraps and while it grows with the head
+// mid-ring; the walk visits entries front to back.
+TEST(FifoTest, KeepsOrderAcrossWrapAndGrowth) {
+  Fifo<int> q;
+  int next_in = 0, next_out = 0;
+  for (int round = 0; round < 50; round++) {
+    for (int i = 0; i < 3 + round % 7; i++) q.push_back(next_in++);
+    EXPECT_EQ(next_in - 1, q.back());
+    int expect = next_out;
+    q.ForEach([&](int& v) { EXPECT_EQ(expect++, v); });
+    EXPECT_EQ(next_in, expect);
+    while (q.size() > static_cast<size_t>(round % 5)) {
+      EXPECT_EQ(next_out++, q.front());
+      q.pop_front();
+    }
+  }
+  while (!q.empty()) {
+    EXPECT_EQ(next_out++, q.front());
+    q.pop_front();
+  }
+  EXPECT_EQ(next_in, next_out);
 }
 
 TEST(ArenaTest, Empty) { Arena arena; }

@@ -277,6 +277,38 @@ TEST(VersionTest, ApplyAddsAndDeletes) {
   EXPECT_EQ(2u, vs.current()->files(0)[0]->number);
 }
 
+// A migration's replacement swaps in for its same-numbered file, and fails
+// without changing the version when the file is a compaction input or gone.
+TEST(VersionTest, ApplyReplacesOnlyALiveIdleFile) {
+  Options options = SmallVersionOptions();
+  InternalKeyComparator icmp(BytewiseComparator());
+  VersionSet vs(&icmp, &options);
+  VersionEdit add;
+  for (uint64_t n = 1; n <= 4; n++) add.AddFile(0, MakeFile(n, 0, 100));
+  add.AddFile(1, MakeFile(5, 0, 50));
+  ASSERT_TRUE(vs.Apply(add).ok());
+
+  FileRef moved = MakeFile(5, 0, 50);
+  VersionEdit replace;
+  replace.ReplaceFile(1, moved);
+  ASSERT_TRUE(vs.Apply(replace).ok());
+  ASSERT_EQ(1, vs.current()->NumFiles(1));
+  EXPECT_EQ(moved, vs.current()->files(1)[0]);
+
+  VersionEdit gone;
+  gone.ReplaceFile(1, MakeFile(9, 0, 50));
+  EXPECT_TRUE(vs.Apply(gone).IsNotFound());
+
+  CompactionPick pick = vs.PickCompaction();  // L0 at the trigger: 1-5 busy.
+  ASSERT_TRUE(pick.valid());
+  VersionRef before = vs.current();
+  VersionEdit busy;
+  busy.ReplaceFile(1, MakeFile(5, 0, 50));
+  EXPECT_TRUE(vs.Apply(busy).IsBusy());
+  EXPECT_EQ(before, vs.current());
+  vs.ReleaseCompaction(pick);
+}
+
 TEST(VersionTest, L0OrderedNewestFirstByL0Order) {
   Options options = SmallVersionOptions();
   InternalKeyComparator icmp(BytewiseComparator());
