@@ -1,9 +1,10 @@
 // Wall-clock microbenchmarks (google-benchmark) of the data structures on
 // dLSM's hot paths: skiplist insert/lookup, bloom filter build/probe,
-// varint coding, CRC32C, the cached table index's key search, and the
-// SimEnv baton pass that every simulated scheduling point pays. These are
-// host-hardware numbers (not virtual time); they feed the CPU cost side of
-// the simulation and catch regressions in the real code.
+// varint coding, CRC32C, the cached table index's key search, one table
+// build (flush and compaction output), and the SimEnv baton pass that
+// every simulated scheduling point pays. These are host-hardware numbers
+// (not virtual time); they feed the CPU cost side of the simulation and
+// catch regressions in the real code.
 
 #include <benchmark/benchmark.h>
 #include <time.h>
@@ -15,7 +16,9 @@
 #include "src/core/dbformat.h"
 #include "src/core/memtable.h"
 #include "src/core/skiplist.h"
+#include "src/core/table_builder.h"
 #include "src/core/table_index.h"
+#include "src/core/table_sink.h"
 #include "src/sim/sim_env.h"
 #include "src/util/arena.h"
 #include "src/util/coding.h"
@@ -59,7 +62,7 @@ void BM_SkipListInsert(benchmark::State& state) {
 BENCHMARK(BM_SkipListInsert)->Arg(1000)->Arg(10000);
 
 void BM_MemTableAdd(benchmark::State& state) {
-  InternalKeyComparator icmp(BytewiseComparator());
+  InternalKeyComparator icmp;
   std::string value(400, 'v');
   for (auto _ : state) {
     state.PauseTiming();
@@ -79,7 +82,7 @@ void BM_MemTableAdd(benchmark::State& state) {
 BENCHMARK(BM_MemTableAdd)->Arg(10000);
 
 void BM_MemTableGet(benchmark::State& state) {
-  InternalKeyComparator icmp(BytewiseComparator());
+  InternalKeyComparator icmp;
   MemTable* mem = new MemTable(icmp, 0, kMaxSequenceNumber);
   mem->Ref();
   std::string value(400, 'v');
@@ -165,7 +168,7 @@ BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(1 << 20);
 void BM_TableIndexFind(benchmark::State& state) {
   constexpr uint64_t kEntries = 9450;
   constexpr uint64_t kFirst = 271828;
-  InternalKeyComparator icmp(BytewiseComparator());
+  InternalKeyComparator icmp;
   TableIndex::Builder builder(TableIndex::kPerRecord);
   for (uint64_t i = 0; i < kEntries; i++) {
     std::string ikey;
@@ -190,6 +193,38 @@ void BM_TableIndexFind(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TableIndexFind);
+
+// One flush or compaction output as the memory node builds it: a byte
+// table of 9450 consecutive 16-digit keys with 400-byte values (one
+// perfbench read_uniform table, 427-byte records) serialized into local
+// memory, then its index and bloom filter. Time is per table.
+void BM_TableBuild(benchmark::State& state) {
+  constexpr uint64_t kRecords = 9450;
+  BloomFilterPolicy bloom(10);
+  std::vector<std::string> keys;
+  for (uint64_t i = 0; i < kRecords; i++) {
+    std::string ikey;
+    AppendInternalKey(&ikey, ParsedInternalKey(BenchKey(314159 + i), i + 1,
+                                               kTypeValue));
+    keys.push_back(std::move(ikey));
+  }
+  const std::string value(400, 'v');
+  std::string storage(kRecords * 427 + 4096, '\0');
+  for (auto _ : state) {
+    LocalMemorySink sink(storage.data(), storage.size());
+    auto builder = NewByteTableBuilder(&bloom, &sink);
+    for (const std::string& key : keys) {
+      benchmark::DoNotOptimize(builder->Add(key, value));
+    }
+    TableBuildResult result;
+    benchmark::DoNotOptimize(builder->Finish(&result));
+    benchmark::DoNotOptimize(storage.data());
+    benchmark::DoNotOptimize(result.index_blob.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kRecords);
+}
+BENCHMARK(BM_TableBuild)->Unit(benchmark::kMicrosecond);
 
 uint64_t ProcessCpuNanos() {
   struct timespec ts;

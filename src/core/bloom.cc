@@ -1,14 +1,14 @@
 #include "src/core/bloom.h"
 
+#include <vector>
+
 #include "src/util/hash.h"
 
 namespace dlsm {
 
-namespace {
-uint32_t BloomHash(const Slice& key) {
+uint32_t BloomFilterPolicy::KeyHash(const Slice& key) {
   return Hash(key.data(), key.size(), 0xbc9f1d34);
 }
-}  // namespace
 
 BloomFilterPolicy::BloomFilterPolicy(int bits_per_key)
     : bits_per_key_(bits_per_key) {
@@ -18,9 +18,10 @@ BloomFilterPolicy::BloomFilterPolicy(int bits_per_key)
   if (k_ > 30) k_ = 30;
 }
 
-void BloomFilterPolicy::CreateFilter(const Slice* keys, int n,
-                                     std::string* dst) const {
-  size_t bits = static_cast<size_t>(n) * bits_per_key_;
+void BloomFilterPolicy::CreateFilterFromHashes(const uint32_t* hashes,
+                                               size_t n,
+                                               std::string* dst) const {
+  size_t bits = n * bits_per_key_;
   if (bits < 64) bits = 64;
   size_t bytes = (bits + 7) / 8;
   bits = bytes * 8;
@@ -29,9 +30,9 @@ void BloomFilterPolicy::CreateFilter(const Slice* keys, int n,
   dst->resize(init_size + bytes, 0);
   dst->push_back(static_cast<char>(k_));  // Probe count in the last byte.
   char* array = &(*dst)[init_size];
-  for (int i = 0; i < n; i++) {
+  for (size_t i = 0; i < n; i++) {
     // Double hashing: h, h+delta, h+2*delta, ...
-    uint32_t h = BloomHash(keys[i]);
+    uint32_t h = hashes[i];
     const uint32_t delta = (h >> 17) | (h << 15);
     for (int j = 0; j < k_; j++) {
       const uint32_t bitpos = h % bits;
@@ -39,6 +40,13 @@ void BloomFilterPolicy::CreateFilter(const Slice* keys, int n,
       h += delta;
     }
   }
+}
+
+void BloomFilterPolicy::CreateFilter(const Slice* keys, int n,
+                                     std::string* dst) const {
+  std::vector<uint32_t> hashes(n);
+  for (int i = 0; i < n; i++) hashes[i] = KeyHash(keys[i]);
+  CreateFilterFromHashes(hashes.data(), hashes.size(), dst);
 }
 
 bool BloomFilterPolicy::KeyMayMatch(const Slice& key,
@@ -55,7 +63,7 @@ bool BloomFilterPolicy::KeyMayMatch(const Slice& key,
     return true;
   }
 
-  uint32_t h = BloomHash(key);
+  uint32_t h = KeyHash(key);
   const uint32_t delta = (h >> 17) | (h << 15);
   for (int j = 0; j < k; j++) {
     const uint32_t bitpos = h % bits;

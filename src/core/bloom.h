@@ -5,8 +5,9 @@
 #ifndef DLSM_CORE_BLOOM_H_
 #define DLSM_CORE_BLOOM_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/util/slice.h"
 
@@ -16,6 +17,15 @@ namespace dlsm {
 class BloomFilterPolicy {
  public:
   explicit BloomFilterPolicy(int bits_per_key);
+
+  /// The hash a filter keeps of a key. Table builders keep one per record
+  /// and build the filter from them at Finish.
+  static uint32_t KeyHash(const Slice& key);
+
+  /// Appends a filter over the keys whose KeyHash values are
+  /// hashes[0..n) to *dst.
+  void CreateFilterFromHashes(const uint32_t* hashes, size_t n,
+                              std::string* dst) const;
 
   /// Appends a filter over keys[0..n) to *dst.
   void CreateFilter(const Slice* keys, int n, std::string* dst) const;

@@ -76,22 +76,27 @@ bool CompactionTask::Deserialize(const Slice& in, CompactionTask* task) {
   return true;
 }
 
-std::string CompactionResult::Serialize() const {
-  std::string out;
-  PutVarint32(&out, static_cast<uint32_t>(outputs.size()));
+void CompactionResult::AppendTo(std::string* out) const {
+  // Sized once: the index blobs are most of the reply.
+  size_t size = out->size() + 5;
   for (const CompactionOutput& o : outputs) {
-    PutFixed64(&out, o.chunk.addr);
-    PutFixed64(&out, o.chunk.size);
-    PutFixed32(&out, o.chunk.rkey);
-    PutFixed32(&out, o.chunk.owner_node);
-    PutFixed32(&out, o.chunk.home_node);
-    PutVarint64(&out, o.data_len);
-    PutVarint64(&out, o.num_entries);
-    PutLengthPrefixedSlice(&out, o.smallest.Encode());
-    PutLengthPrefixedSlice(&out, o.largest.Encode());
-    PutLengthPrefixedSlice(&out, o.index_blob);
+    size += 28 + 2 * 10 + 3 * 5 + o.smallest.Encode().size() +
+            o.largest.Encode().size() + o.index_blob.size();
   }
-  return out;
+  out->reserve(size);
+  PutVarint32(out, static_cast<uint32_t>(outputs.size()));
+  for (const CompactionOutput& o : outputs) {
+    PutFixed64(out, o.chunk.addr);
+    PutFixed64(out, o.chunk.size);
+    PutFixed32(out, o.chunk.rkey);
+    PutFixed32(out, o.chunk.owner_node);
+    PutFixed32(out, o.chunk.home_node);
+    PutVarint64(out, o.data_len);
+    PutVarint64(out, o.num_entries);
+    PutLengthPrefixedSlice(out, o.smallest.Encode());
+    PutLengthPrefixedSlice(out, o.largest.Encode());
+    PutLengthPrefixedSlice(out, o.index_blob);
+  }
 }
 
 bool CompactionResult::Deserialize(const Slice& in, CompactionResult* result) {
@@ -144,9 +149,9 @@ Status ParseCompactionReply(const std::string& reply,
 // ---------------------------------------------------------------------------
 
 Status MergeAndBuild(
-    Env* env, Iterator* merged, const InternalKeyComparator& icmp,
-    const BloomFilterPolicy& bloom, uint64_t smallest_snapshot,
-    bool drop_tombstones, uint64_t target_file_size, TableFormat format,
+    Env* env, Iterator* merged, const BloomFilterPolicy& bloom,
+    uint64_t smallest_snapshot, bool drop_tombstones,
+    uint64_t target_file_size, TableFormat format,
     size_t block_size,
     const std::function<Status(const Slice& first_key,
                                remote::RemoteChunk* chunk,
@@ -186,7 +191,6 @@ Status MergeAndBuild(
   std::string current_user_key;
   bool has_current_user_key = false;
   SequenceNumber last_sequence_for_key = kMaxSequenceNumber;
-  const Comparator* ucmp = icmp.user_comparator();
 
   for (input->SeekToFirst(); input->Valid(); input->Next()) {
     // Scheduling point: keeps the virtual-time processor-sharing model
@@ -201,8 +205,7 @@ Status MergeAndBuild(
     }
 
     bool user_key_changed =
-        !has_current_user_key ||
-        ucmp->Compare(ikey.user_key, Slice(current_user_key)) != 0;
+        !has_current_user_key || ikey.user_key != Slice(current_user_key);
     if (user_key_changed) {
       current_user_key.assign(ikey.user_key.data(), ikey.user_key.size());
       has_current_user_key = true;
@@ -299,7 +302,7 @@ Status ExecuteCompactionTask(
   };
 
   Status s = MergeAndBuild(
-      env, merged, icmp, bloom, task.smallest_snapshot, task.drop_tombstones,
+      env, merged, bloom, task.smallest_snapshot, task.drop_tombstones,
       task.target_file_size,
       task.output_format == 1 ? TableFormat::kByteAddressable
                               : TableFormat::kBlock,

@@ -74,7 +74,8 @@ struct CompactionOutput {
 struct CompactionResult {
   std::vector<CompactionOutput> outputs;
 
-  std::string Serialize() const;
+  /// Appends the serialized outputs to *out (the RPC reply).
+  void AppendTo(std::string* out) const;
   static bool Deserialize(const Slice& in, CompactionResult* result);
 };
 
@@ -89,9 +90,9 @@ Status ParseCompactionReply(const std::string& reply,
 /// (the merge iterator is positioned on it) so range-based placement can
 /// pick the output's memory node. Outputs are appended to *outputs.
 Status MergeAndBuild(
-    Env* env, Iterator* merged, const InternalKeyComparator& icmp,
-    const BloomFilterPolicy& bloom, uint64_t smallest_snapshot,
-    bool drop_tombstones, uint64_t target_file_size, TableFormat format,
+    Env* env, Iterator* merged, const BloomFilterPolicy& bloom,
+    uint64_t smallest_snapshot, bool drop_tombstones,
+    uint64_t target_file_size, TableFormat format,
     size_t block_size,
     const std::function<Status(const Slice& first_key,
                                remote::RemoteChunk* chunk,

@@ -79,9 +79,6 @@ DLsmDB::DLsmDB(const Options& options, const DbDeps& deps)
     : options_(options),
       deps_(deps),
       env_(options.env),
-      // User keys sort bytewise: the memory node's near-data compaction
-      // and the compute-side key-word index search both rely on it.
-      icmp_(BytewiseComparator()),
       bloom_(options.bloom_bits_per_key),
       staging_(deps.compute, options.flush_buffer_size),
       mig_mu_(options.env),
@@ -526,7 +523,9 @@ std::shared_ptr<const DLsmDB::ReadState> DLsmDB::Pin() const {
 
 void DLsmDB::ScheduleFlushLocked(MemTable* mem) {
   pending_flushes_++;
-  uint64_t l0_order = mem->seq_base();
+  // A table's age is the order it was sealed in. Its sequence base is not
+  // that under kDoubleCheckedSize, where every table's base is 0.
+  uint64_t l0_order = ++sealed_tables_;
   flush_pool_->Submit([this, mem, l0_order] { FlushJob(mem, l0_order); });
 }
 
@@ -603,10 +602,10 @@ void DLsmDB::FlushJob(MemTable* mem, uint64_t l0_order) {
         return Status::OK();
       };
 
-      s = MergeAndBuild(env_, mem->NewIterator(), icmp_, bloom_,
-                        OldestSnapshot(), /*drop_tombstones=*/false,
-                        options_.sstable_size, options_.table_format,
-                        options_.block_size, new_output, &outputs);
+      s = MergeAndBuild(env_, mem->NewIterator(), bloom_, OldestSnapshot(),
+                        /*drop_tombstones=*/false, options_.sstable_size,
+                        options_.table_format, options_.block_size,
+                        new_output, &outputs);
       if (s.ok()) s = DrainPipelines(&pipelines);
       if (s.ok() || !s.IsIOError()) break;
     }
@@ -618,8 +617,8 @@ void DLsmDB::FlushJob(MemTable* mem, uint64_t l0_order) {
   }
 
   VersionEdit edit;
-  for (const CompactionOutput& out : outputs) {
-    edit.AddFile(0, InstallOutput(out, l0_order));
+  for (CompactionOutput& out : outputs) {
+    edit.AddFile(0, InstallOutput(std::move(out), l0_order));
   }
   // GC's remote frees go out while this job still counts as pending, so a
   // caller that saw the DB idle (Flush, WaitForBackgroundIdle) sees no
@@ -755,7 +754,7 @@ void DLsmDB::ProbeKeys(const ReadOptions& options, std::span<const Slice> keys,
   size_t max_wave = 0;
   for (size_t k = 0; k < n; k++) {
     if (state[k].resolved) continue;
-    pinned->version->CollectSearchOrder(icmp_, keys[k], &state[k].order,
+    pinned->version->CollectSearchOrder(keys[k], &state[k].order,
                                         &state[k].num_l0);
     max_wave += std::max<size_t>(state[k].num_l0, 1);
   }
@@ -910,7 +909,7 @@ Iterator* DLsmDB::NewIterator(const ReadOptions& options) {
   Iterator* merged = NewMergingIterator(&icmp_, children.data(),
                                         static_cast<int>(children.size()));
   auto cleanup = [pinned = std::move(pinned)]() mutable { pinned.reset(); };
-  return NewDBIterator(&icmp_, merged, snapshot, std::move(cleanup));
+  return NewDBIterator(merged, snapshot, std::move(cleanup));
 }
 
 const Snapshot* DLsmDB::GetSnapshot() {
@@ -1047,9 +1046,9 @@ Status DLsmDB::RunCompaction(const CompactionPick& pick) {
       edit.DeleteFile(pick.level + which, f->number);
     }
   }
-  for (const CompactionOutput& out : outputs) {
-    edit.AddFile(pick.level + 1, InstallOutput(out, 0));
+  for (CompactionOutput& out : outputs) {
     stat_comp_out_.fetch_add(out.data_len, std::memory_order_relaxed);
+    edit.AddFile(pick.level + 1, InstallOutput(std::move(out), 0));
   }
   {
     MutexLock l(&mem_mu_);
@@ -1185,7 +1184,6 @@ Status DLsmDB::RunNearDataCompaction(const CompactionPick& pick, size_t slot,
     }
     tasks.push_back(make_task(std::move(inputs)));
   } else {
-    const Comparator* ucmp = icmp_.user_comparator();
     size_t ranges = bounds.size() + 1;
     for (size_t r = 0; r < ranges; r++) {
       const std::string* lo = r == 0 ? nullptr : &bounds[r - 1];
@@ -1202,8 +1200,8 @@ Status DLsmDB::RunNearDataCompaction(const CompactionPick& pick, size_t slot,
       for (const FileRef& f : pick.inputs[1]) {
         // An L1 file belongs to range r iff its smallest key is in it.
         Slice s = ExtractUserKey(f->smallest.Encode());
-        bool ge_lo = lo == nullptr || ucmp->Compare(s, Slice(*lo)) >= 0;
-        bool lt_hi = hi == nullptr || ucmp->Compare(s, Slice(*hi)) < 0;
+        bool ge_lo = lo == nullptr || s.compare(*lo) >= 0;
+        bool lt_hi = hi == nullptr || s.compare(*hi) < 0;
         if (ge_lo && lt_hi) {
           inputs.push_back(MakeInput(f, nullptr, nullptr));
         }
@@ -1310,7 +1308,7 @@ Status DLsmDB::RunComputeSideCompaction(
     return Status::OK();
   };
 
-  Status s = MergeAndBuild(env_, merged, icmp_, bloom_, OldestSnapshot(),
+  Status s = MergeAndBuild(env_, merged, bloom_, OldestSnapshot(),
                            pick.bottommost, options_.sstable_size,
                            options_.table_format, options_.block_size,
                            new_output, outputs);
@@ -1324,17 +1322,16 @@ Status DLsmDB::RunComputeSideCompaction(
 // Files & GC (Sec. V-B)
 // ---------------------------------------------------------------------------
 
-FileRef DLsmDB::InstallOutput(const CompactionOutput& out,
-                              uint64_t l0_order) {
+FileRef DLsmDB::InstallOutput(CompactionOutput&& out, uint64_t l0_order) {
   auto file = std::make_shared<FileMetaData>();
   file->number = versions_->NewFileNumber();
   file->l0_order = l0_order;
   file->chunk = out.chunk;
   file->data_len = out.data_len;
   file->num_entries = out.num_entries;
-  file->smallest = out.smallest;
-  file->largest = out.largest;
-  file->index = TableIndex::Parse(out.index_blob);
+  file->smallest = std::move(out.smallest);
+  file->largest = std::move(out.largest);
+  file->index = TableIndex::Parse(std::move(out.index_blob));
   DLSM_CHECK_MSG(file->index != nullptr, "unparseable table index");
   // Stamp the routing slot from where the bytes actually live, so reads
   // and near-data compactions follow the placement decision.

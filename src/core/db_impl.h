@@ -166,7 +166,7 @@ class DLsmDB : public DB {
                             const Slice* hi) const;
 
   // -- Files & GC (Sec. V-B) ---------------------------------------------------
-  FileRef InstallOutput(const CompactionOutput& out, uint64_t l0_order);
+  FileRef InstallOutput(CompactionOutput&& out, uint64_t l0_order);
   void FileGone(const remote::RemoteChunk& chunk);  // gc enqueue; non-blocking
   void DrainGc();  // Issues batched remote frees; blocking-safe points only.
 
@@ -288,6 +288,7 @@ class DLsmDB : public DB {
   CondVar backpressure_cv_;  // Signalled when flush/compaction frees room.
   std::deque<MemTable*> imms_;  // Oldest first; referenced.
   int pending_flushes_ = 0;     // Guarded by mem_mu_.
+  uint64_t sealed_tables_ = 0;  // Guarded by mem_mu_; the next L0 age rank.
   // Stall-interval union (guarded by mem_mu_): concurrent stalled writers
   // share one open interval so stat_stall_ns_ measures stalled wall time,
   // not the sum over writers (which could exceed elapsed time).

@@ -13,11 +13,9 @@ namespace {
 /// (user_key, seq, type) stream into the newest visible value per user key.
 class DBIter : public Iterator {
  public:
-  DBIter(const InternalKeyComparator* icmp, Iterator* iter,
-         SequenceNumber sequence, std::function<void()> cleanup)
-      : icmp_(icmp),
-        ucmp_(icmp->user_comparator()),
-        iter_(iter),
+  DBIter(Iterator* iter, SequenceNumber sequence,
+         std::function<void()> cleanup)
+      : iter_(iter),
         sequence_(sequence),
         cleanup_(std::move(cleanup)),
         direction_(kForward),
@@ -87,8 +85,7 @@ class DBIter : public Iterator {
           ClearSavedValue();
           return;
         }
-        if (ucmp_->Compare(ExtractUserKey(iter_->key()),
-                           Slice(saved_key_)) < 0) {
+        if (ExtractUserKey(iter_->key()).compare(saved_key_) < 0) {
           break;
         }
       }
@@ -159,7 +156,7 @@ class DBIter : public Iterator {
             break;
           case kTypeValue:
             if (skipping &&
-                ucmp_->Compare(ikey.user_key, Slice(*skip)) <= 0) {
+                ikey.user_key.compare(*skip) <= 0) {
               // Hidden by a newer deletion or an already-emitted key.
             } else {
               valid_ = true;
@@ -183,7 +180,7 @@ class DBIter : public Iterator {
         ParsedInternalKey ikey;
         if (ParseKey(&ikey) && ikey.sequence <= sequence_) {
           if ((value_type != kTypeDeletion) &&
-              ucmp_->Compare(ikey.user_key, Slice(saved_key_)) < 0) {
+              ikey.user_key.compare(saved_key_) < 0) {
             break;  // We encountered a previous user key; emit the saved.
           }
           value_type = ikey.type;
@@ -209,8 +206,6 @@ class DBIter : public Iterator {
     }
   }
 
-  const InternalKeyComparator* icmp_;
-  const Comparator* ucmp_;
   std::unique_ptr<Iterator> iter_;
   SequenceNumber sequence_;
   std::function<void()> cleanup_;
@@ -224,10 +219,9 @@ class DBIter : public Iterator {
 
 }  // namespace
 
-Iterator* NewDBIterator(const InternalKeyComparator* icmp,
-                        Iterator* internal_iter, SequenceNumber snapshot,
+Iterator* NewDBIterator(Iterator* internal_iter, SequenceNumber snapshot,
                         std::function<void()> cleanup) {
-  return new DBIter(icmp, internal_iter, snapshot, std::move(cleanup));
+  return new DBIter(internal_iter, snapshot, std::move(cleanup));
 }
 
 }  // namespace dlsm

@@ -14,8 +14,7 @@ namespace dlsm {
 
 /// Wraps internal_iter (owned). cleanup runs at destruction (releases
 /// MemTable references and the pinned version).
-Iterator* NewDBIterator(const InternalKeyComparator* icmp,
-                        Iterator* internal_iter, SequenceNumber snapshot,
+Iterator* NewDBIterator(Iterator* internal_iter, SequenceNumber snapshot,
                         std::function<void()> cleanup);
 
 }  // namespace dlsm

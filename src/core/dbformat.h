@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <string>
 
-#include "src/core/comparator.h"
 #include "src/util/coding.h"
 #include "src/util/logging.h"
 #include "src/util/slice.h"
@@ -66,14 +65,13 @@ inline SequenceNumber ExtractSequence(const Slice& internal_key) {
   return ExtractTrailer(internal_key) >> 8;
 }
 
-/// Orders internal keys by (user key asc, sequence desc, type desc).
+/// Orders internal keys by (user key asc, sequence desc, type desc). User
+/// keys sort bytewise: the memory node's near-data compaction and the
+/// compute-side key-word searches rely on that order.
 class InternalKeyComparator {
  public:
-  explicit InternalKeyComparator(const Comparator* user_comparator)
-      : user_comparator_(user_comparator) {}
-
   int Compare(const Slice& a, const Slice& b) const {
-    int r = user_comparator_->Compare(ExtractUserKey(a), ExtractUserKey(b));
+    int r = ExtractUserKey(a).compare(ExtractUserKey(b));
     if (r == 0) {
       const uint64_t anum = ExtractTrailer(a);
       const uint64_t bnum = ExtractTrailer(b);
@@ -85,11 +83,6 @@ class InternalKeyComparator {
     }
     return r;
   }
-
-  const Comparator* user_comparator() const { return user_comparator_; }
-
- private:
-  const Comparator* user_comparator_;
 };
 
 /// An owned internal key.

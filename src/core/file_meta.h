@@ -26,7 +26,8 @@ namespace dlsm {
 struct FileMetaData {
   uint64_t number = 0;           ///< Unique file id.
   /// Age rank for L0 ordering: flushes may complete out of order, so L0 is
-  /// sorted by the source MemTable's sequence base, not by file number.
+  /// sorted by the order the source MemTables were sealed in, not by file
+  /// number.
   uint64_t l0_order = 0;
   remote::RemoteChunk chunk;     ///< Where the data region lives.
   uint64_t data_len = 0;         ///< Bytes of key-value records.

@@ -15,8 +15,7 @@ MemoryNodeService::MemoryNodeService(rdma::Fabric* fabric, rdma::Node* node,
                                      int compaction_workers)
     : fabric_(fabric),
       node_(node),
-      workers_(compaction_workers),
-      icmp_(BytewiseComparator()) {
+      workers_(compaction_workers) {
   server_ = std::make_unique<remote::RpcServer>(fabric_, node_, workers_);
   server_->set_handler(
       [this](uint8_t type, const Slice& args, std::string* reply) {
@@ -148,7 +147,7 @@ void MemoryNodeService::HandleCompaction(const Slice& args,
                                    free_chunk, node_->id(), &result);
   if (!s.ok()) return fail(s.ToString());
   reply->push_back(1);
-  reply->append(result.Serialize());
+  result.AppendTo(reply);
 }
 
 void MemoryNodeService::HandleReadBlock(const Slice& args,

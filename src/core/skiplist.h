@@ -30,14 +30,14 @@ struct SkipListRandom {
   Random rnd{0xdecafbad ^ reinterpret_cast<uintptr_t>(this)};
 };
 
-template <typename Key, class Comparator>
+template <typename Key, class Compare>
 class SkipList {
  private:
   struct Node;
 
  public:
   /// Creates a list that uses cmp for ordering and arena for node storage.
-  explicit SkipList(Comparator cmp, Arena* arena);
+  explicit SkipList(Compare cmp, Arena* arena);
 
   SkipList(const SkipList&) = delete;
   SkipList& operator=(const SkipList&) = delete;
@@ -84,14 +84,14 @@ class SkipList {
     return max_height_.load(std::memory_order_relaxed);
   }
 
-  Comparator const compare_;
+  Compare const compare_;
   Arena* const arena_;
   Node* const head_;
   std::atomic<int> max_height_;
 };
 
-template <typename Key, class Comparator>
-struct SkipList<Key, Comparator>::Node {
+template <typename Key, class Compare>
+struct SkipList<Key, Compare>::Node {
   explicit Node(const Key& k) : key(k) {}
 
   Key const key;
@@ -121,39 +121,39 @@ struct SkipList<Key, Comparator>::Node {
   std::atomic<Node*> next_[1];
 };
 
-template <typename Key, class Comparator>
-typename SkipList<Key, Comparator>::Node*
-SkipList<Key, Comparator>::NewNode(const Key& key, int height) {
+template <typename Key, class Compare>
+typename SkipList<Key, Compare>::Node*
+SkipList<Key, Compare>::NewNode(const Key& key, int height) {
   char* const node_memory = arena_->AllocateAligned(
       sizeof(Node) + sizeof(std::atomic<Node*>) * (height - 1));
   return new (node_memory) Node(key);
 }
 
-template <typename Key, class Comparator>
-inline SkipList<Key, Comparator>::Iterator::Iterator(const SkipList* list) {
+template <typename Key, class Compare>
+inline SkipList<Key, Compare>::Iterator::Iterator(const SkipList* list) {
   list_ = list;
   node_ = nullptr;
 }
 
-template <typename Key, class Comparator>
-inline bool SkipList<Key, Comparator>::Iterator::Valid() const {
+template <typename Key, class Compare>
+inline bool SkipList<Key, Compare>::Iterator::Valid() const {
   return node_ != nullptr;
 }
 
-template <typename Key, class Comparator>
-inline const Key& SkipList<Key, Comparator>::Iterator::key() const {
+template <typename Key, class Compare>
+inline const Key& SkipList<Key, Compare>::Iterator::key() const {
   DLSM_CHECK(Valid());
   return node_->key;
 }
 
-template <typename Key, class Comparator>
-inline void SkipList<Key, Comparator>::Iterator::Next() {
+template <typename Key, class Compare>
+inline void SkipList<Key, Compare>::Iterator::Next() {
   DLSM_CHECK(Valid());
   node_ = node_->Next(0);
 }
 
-template <typename Key, class Comparator>
-inline void SkipList<Key, Comparator>::Iterator::Prev() {
+template <typename Key, class Compare>
+inline void SkipList<Key, Compare>::Iterator::Prev() {
   // No back links; search for the last node before node_.
   DLSM_CHECK(Valid());
   node_ = list_->FindLessThan(node_->key);
@@ -162,26 +162,26 @@ inline void SkipList<Key, Comparator>::Iterator::Prev() {
   }
 }
 
-template <typename Key, class Comparator>
-inline void SkipList<Key, Comparator>::Iterator::Seek(const Key& target) {
+template <typename Key, class Compare>
+inline void SkipList<Key, Compare>::Iterator::Seek(const Key& target) {
   node_ = list_->FindGreaterOrEqual(target, nullptr);
 }
 
-template <typename Key, class Comparator>
-inline void SkipList<Key, Comparator>::Iterator::SeekToFirst() {
+template <typename Key, class Compare>
+inline void SkipList<Key, Compare>::Iterator::SeekToFirst() {
   node_ = list_->head_->Next(0);
 }
 
-template <typename Key, class Comparator>
-inline void SkipList<Key, Comparator>::Iterator::SeekToLast() {
+template <typename Key, class Compare>
+inline void SkipList<Key, Compare>::Iterator::SeekToLast() {
   node_ = list_->FindLast();
   if (node_ == list_->head_) {
     node_ = nullptr;
   }
 }
 
-template <typename Key, class Comparator>
-int SkipList<Key, Comparator>::RandomHeight() {
+template <typename Key, class Compare>
+int SkipList<Key, Compare>::RandomHeight() {
   // Per-thread generator: height choice needs no cross-thread agreement.
   static ThreadLocal<SkipListRandom> thread_rnd;
   Random& rnd = thread_rnd.Get().rnd;
@@ -195,15 +195,15 @@ int SkipList<Key, Comparator>::RandomHeight() {
   return height;
 }
 
-template <typename Key, class Comparator>
-bool SkipList<Key, Comparator>::KeyIsAfterNode(const Key& key,
+template <typename Key, class Compare>
+bool SkipList<Key, Compare>::KeyIsAfterNode(const Key& key,
                                                Node* n) const {
   return (n != nullptr) && (compare_(n->key, key) < 0);
 }
 
-template <typename Key, class Comparator>
-typename SkipList<Key, Comparator>::Node*
-SkipList<Key, Comparator>::FindGreaterOrEqual(const Key& key,
+template <typename Key, class Compare>
+typename SkipList<Key, Compare>::Node*
+SkipList<Key, Compare>::FindGreaterOrEqual(const Key& key,
                                               Node** prev) const {
   Node* x = head_;
   int level = GetMaxHeight() - 1;
@@ -221,9 +221,9 @@ SkipList<Key, Comparator>::FindGreaterOrEqual(const Key& key,
   }
 }
 
-template <typename Key, class Comparator>
-typename SkipList<Key, Comparator>::Node*
-SkipList<Key, Comparator>::FindLessThan(const Key& key) const {
+template <typename Key, class Compare>
+typename SkipList<Key, Compare>::Node*
+SkipList<Key, Compare>::FindLessThan(const Key& key) const {
   Node* x = head_;
   int level = GetMaxHeight() - 1;
   for (;;) {
@@ -239,9 +239,9 @@ SkipList<Key, Comparator>::FindLessThan(const Key& key) const {
   }
 }
 
-template <typename Key, class Comparator>
-typename SkipList<Key, Comparator>::Node*
-SkipList<Key, Comparator>::FindLast() const {
+template <typename Key, class Compare>
+typename SkipList<Key, Compare>::Node*
+SkipList<Key, Compare>::FindLast() const {
   Node* x = head_;
   int level = GetMaxHeight() - 1;
   for (;;) {
@@ -257,8 +257,8 @@ SkipList<Key, Comparator>::FindLast() const {
   }
 }
 
-template <typename Key, class Comparator>
-SkipList<Key, Comparator>::SkipList(Comparator cmp, Arena* arena)
+template <typename Key, class Compare>
+SkipList<Key, Compare>::SkipList(Compare cmp, Arena* arena)
     : compare_(cmp),
       arena_(arena),
       head_(NewNode(Key() /* any key will do */, kMaxHeight)),
@@ -268,8 +268,8 @@ SkipList<Key, Comparator>::SkipList(Comparator cmp, Arena* arena)
   }
 }
 
-template <typename Key, class Comparator>
-void SkipList<Key, Comparator>::Insert(const Key& key) {
+template <typename Key, class Compare>
+void SkipList<Key, Compare>::Insert(const Key& key) {
   Node* prev[kMaxHeight];
   int height = RandomHeight();
 
@@ -301,8 +301,8 @@ void SkipList<Key, Comparator>::Insert(const Key& key) {
   }
 }
 
-template <typename Key, class Comparator>
-bool SkipList<Key, Comparator>::Contains(const Key& key) const {
+template <typename Key, class Compare>
+bool SkipList<Key, Compare>::Contains(const Key& key) const {
   Node* x = FindGreaterOrEqual(key, nullptr);
   return x != nullptr && Equal(key, x->key);
 }

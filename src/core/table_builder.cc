@@ -10,6 +10,36 @@ namespace dlsm {
 
 namespace {
 
+/// What both layouts keep of every key: the first and last internal key,
+/// and one bloom hash per user key, from which Finish builds the filter.
+class KeyLog {
+ public:
+  void Add(const Slice& internal_key) {
+    if (hashes_.empty()) smallest_.DecodeFrom(internal_key);
+    largest_.DecodeFrom(internal_key);
+    hashes_.push_back(
+        BloomFilterPolicy::KeyHash(ExtractUserKey(internal_key)));
+  }
+
+  uint64_t size() const { return hashes_.size(); }
+
+  /// Fills *result from the finished sink and index.
+  void Finish(const BloomFilterPolicy& bloom, const TableSink& sink,
+              TableIndex::Builder* index, TableBuildResult* result) {
+    std::string filter;
+    bloom.CreateFilterFromHashes(hashes_.data(), hashes_.size(), &filter);
+    result->num_entries = hashes_.size();
+    result->data_len = sink.bytes_written();
+    result->smallest = std::move(smallest_);
+    result->largest = std::move(largest_);
+    result->index_blob = index->Finish(filter);
+  }
+
+ private:
+  std::vector<uint32_t> hashes_;
+  InternalKey smallest_, largest_;
+};
+
 // ---------------------------------------------------------------------------
 // Byte-addressable builder
 // ---------------------------------------------------------------------------
@@ -23,57 +53,35 @@ class ByteTableBuilder : public TableBuilder {
       : bloom_(bloom), sink_(sink), index_(TableIndex::kPerRecord) {}
 
   Status Add(const Slice& internal_key, const Slice& value) override {
-    uint64_t offset = sink_->bytes_written();
-    char hdr[10];
-    char* p = EncodeVarint32(hdr, static_cast<uint32_t>(internal_key.size()));
-    DLSM_RETURN_NOT_OK(sink_->Append(hdr, p - hdr));
-    DLSM_RETURN_NOT_OK(sink_->Append(internal_key.data(),
-                                     internal_key.size()));
-    p = EncodeVarint32(hdr, static_cast<uint32_t>(value.size()));
-    DLSM_RETURN_NOT_OK(sink_->Append(hdr, p - hdr));
+    const uint64_t offset = sink_->bytes_written();
+    // Everything before the value goes out in one append.
+    head_.clear();
+    PutVarint32(&head_, static_cast<uint32_t>(internal_key.size()));
+    head_.append(internal_key.data(), internal_key.size());
+    PutVarint32(&head_, static_cast<uint32_t>(value.size()));
+    DLSM_RETURN_NOT_OK(sink_->Append(head_.data(), head_.size()));
     DLSM_RETURN_NOT_OK(sink_->Append(value.data(), value.size()));
-
-    uint32_t record_len =
-        static_cast<uint32_t>(sink_->bytes_written() - offset);
-    index_.Add(internal_key, offset, record_len);
-    user_keys_.push_back(ExtractUserKey(internal_key).ToString());
-
-    if (num_entries_ == 0) {
-      smallest_.DecodeFrom(internal_key);
-    }
-    largest_.DecodeFrom(internal_key);
-    num_entries_++;
+    index_.Add(internal_key, offset,
+               static_cast<uint32_t>(head_.size() + value.size()));
+    keys_.Add(internal_key);
     return Status::OK();
   }
 
   Status Finish(TableBuildResult* result) override {
     DLSM_RETURN_NOT_OK(sink_->Finish());
-    std::string filter;
-    std::vector<Slice> key_slices;
-    key_slices.reserve(user_keys_.size());
-    for (const std::string& k : user_keys_) key_slices.emplace_back(k);
-    bloom_->CreateFilter(key_slices.data(),
-                         static_cast<int>(key_slices.size()), &filter);
-    index_.SetFilter(filter);
-
-    result->num_entries = num_entries_;
-    result->data_len = sink_->bytes_written();
-    result->smallest = smallest_;
-    result->largest = largest_;
-    result->index_blob = index_.Finish();
+    keys_.Finish(*bloom_, *sink_, &index_, result);
     return Status::OK();
   }
 
   uint64_t EstimatedSize() const override { return sink_->bytes_written(); }
-  uint64_t NumEntries() const override { return num_entries_; }
+  uint64_t NumEntries() const override { return keys_.size(); }
 
  private:
   const BloomFilterPolicy* bloom_;
   TableSink* sink_;
   TableIndex::Builder index_;
-  std::vector<std::string> user_keys_;
-  uint64_t num_entries_ = 0;
-  InternalKey smallest_, largest_;
+  KeyLog keys_;
+  std::string head_;  // The record being appended, up to its value.
 };
 
 // ---------------------------------------------------------------------------
@@ -154,12 +162,7 @@ class BlockTableBuilder : public TableBuilder {
 
   Status Add(const Slice& internal_key, const Slice& value) override {
     block_.Add(internal_key, value);
-    user_keys_.push_back(ExtractUserKey(internal_key).ToString());
-    if (num_entries_ == 0) {
-      smallest_.DecodeFrom(internal_key);
-    }
-    largest_.DecodeFrom(internal_key);
-    num_entries_++;
+    keys_.Add(internal_key);
     if (block_.CurrentSizeEstimate() >= block_size_) {
       DLSM_RETURN_NOT_OK(EmitBlock());
     }
@@ -171,36 +174,23 @@ class BlockTableBuilder : public TableBuilder {
       DLSM_RETURN_NOT_OK(EmitBlock());
     }
     DLSM_RETURN_NOT_OK(sink_->Finish());
-    std::string filter;
-    std::vector<Slice> key_slices;
-    key_slices.reserve(user_keys_.size());
-    for (const std::string& k : user_keys_) key_slices.emplace_back(k);
-    bloom_->CreateFilter(key_slices.data(),
-                         static_cast<int>(key_slices.size()), &filter);
-    index_.SetFilter(filter);
-
-    result->num_entries = num_entries_;
-    result->data_len = sink_->bytes_written();
-    result->smallest = smallest_;
-    result->largest = largest_;
-    result->index_blob = index_.Finish();
+    keys_.Finish(*bloom_, *sink_, &index_, result);
     return Status::OK();
   }
 
   uint64_t EstimatedSize() const override {
     return sink_->bytes_written() + block_.CurrentSizeEstimate();
   }
-  uint64_t NumEntries() const override { return num_entries_; }
+  uint64_t NumEntries() const override { return keys_.size(); }
 
  private:
   Status EmitBlock() {
-    std::string last_key = block_.last_key();  // Copy before Finish.
     Slice contents = block_.Finish();
     uint64_t offset = sink_->bytes_written();
     // The block-wrapping copy the byte-addressable layout avoids: block
     // contents accumulate in a local buffer and are copied out whole.
     DLSM_RETURN_NOT_OK(sink_->Append(contents.data(), contents.size()));
-    index_.Add(Slice(last_key), offset,
+    index_.Add(block_.last_key(), offset,
                static_cast<uint32_t>(contents.size()));
     block_.Reset();
     return Status::OK();
@@ -211,9 +201,7 @@ class BlockTableBuilder : public TableBuilder {
   size_t block_size_;
   TableIndex::Builder index_;
   BlockBuilder block_;
-  std::vector<std::string> user_keys_;
-  uint64_t num_entries_ = 0;
-  InternalKey smallest_, largest_;
+  KeyLog keys_;
 };
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "src/core/table_index.h"
 
+#include <cstring>
+
 #include "src/util/coding.h"
 
 namespace dlsm {
@@ -10,23 +12,36 @@ namespace dlsm {
 //   count * [ varint32 key_len | key | varint64 offset | varint32 length ]
 //   varint32 filter_len | filter bytes
 
+namespace {
+// Room for the kind byte and the longest count varint.
+constexpr size_t kHeaderGap = 1 + 5;
+}  // namespace
+
+TableIndex::Builder::Builder(Kind kind) : kind_(kind), blob_(kHeaderGap, 0) {}
+
 void TableIndex::Builder::Add(const Slice& key, uint64_t offset,
                               uint32_t length) {
-  PutVarint32(&entries_, static_cast<uint32_t>(key.size()));
-  entries_.append(key.data(), key.size());
-  PutVarint64(&entries_, offset);
-  PutVarint32(&entries_, length);
+  PutVarint32(&blob_, static_cast<uint32_t>(key.size()));
+  blob_.append(key.data(), key.size());
+  char buf[10 + 5];
+  char* p = EncodeVarint64(buf, offset);
+  p = EncodeVarint32(p, length);
+  blob_.append(buf, p - buf);
   count_++;
 }
 
-std::string TableIndex::Builder::Finish() {
-  std::string blob;
-  blob.push_back(static_cast<char>(kind_));
-  PutVarint32(&blob, count_);
-  blob.append(entries_);
-  PutVarint32(&blob, static_cast<uint32_t>(filter_.size()));
-  blob.append(filter_);
-  return blob;
+std::string TableIndex::Builder::Finish(const Slice& filter) {
+  PutVarint32(&blob_, static_cast<uint32_t>(filter.size()));
+  blob_.append(filter.data(), filter.size());
+  // The count is known only now: write the header right before the
+  // entries and drop the part of the gap it does not fill.
+  char count[5];
+  const size_t count_len = EncodeVarint32(count, count_) - count;
+  const size_t start = kHeaderGap - 1 - count_len;
+  blob_[start] = static_cast<char>(kind_);
+  std::memcpy(&blob_[start + 1], count, count_len);
+  blob_.erase(0, start);
+  return std::move(blob_);
 }
 
 std::shared_ptr<TableIndex> TableIndex::Parse(std::string blob) {

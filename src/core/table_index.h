@@ -62,25 +62,22 @@ class TableIndex {
   /// The serialized form (for RPC shipping and accounting).
   const std::string& blob() const { return blob_; }
 
-  /// Builder-side serialization.
+  /// Builder-side serialization, straight into the blob it returns.
   class Builder {
    public:
-    explicit Builder(Kind kind) : kind_(kind) {}
+    explicit Builder(Kind kind);
 
     /// Records must be appended in key order.
     void Add(const Slice& key, uint64_t offset, uint32_t length);
 
-    /// Attaches the bloom filter bytes.
-    void SetFilter(const std::string& filter) { filter_ = filter; }
-
-    /// Produces the serialized blob.
-    std::string Finish();
+    /// Appends the bloom filter bytes and returns the serialized blob; the
+    /// builder is spent.
+    std::string Finish(const Slice& filter = Slice());
 
    private:
     Kind kind_;
-    std::string entries_;
+    std::string blob_;  // A header gap, then the entries.
     uint32_t count_ = 0;
-    std::string filter_;
   };
 
  private:

@@ -805,8 +805,7 @@ Status TableProbePrepare(const InternalKeyComparator& icmp,
   }
   TableIndex::Entry e = index.entry(pos);
   if (index.kind() == TableIndex::kPerRecord) {
-    if (icmp.user_comparator()->Compare(ExtractUserKey(e.key),
-                                        lkey.user_key()) != 0) {
+    if (ExtractUserKey(e.key) != lkey.user_key()) {
       return Status::OK();  // Next entry is a different user key.
     }
     // The cached index already proved a visible version lives here, so
@@ -857,8 +856,7 @@ Status TableProbeFinish(const InternalKeyComparator& icmp,
   if (!iter.Valid()) {
     return iter.status();
   }
-  if (icmp.user_comparator()->Compare(ExtractUserKey(iter.key()),
-                                      lkey.user_key()) != 0) {
+  if (ExtractUserKey(iter.key()) != lkey.user_key()) {
     return Status::OK();
   }
   ParsedInternalKey parsed;

@@ -118,14 +118,12 @@ class LevelConcatIterator : public Iterator {
   Status status_;
 };
 
-bool AfterFile(const Comparator* ucmp, const Slice& user_key,
-               const FileMetaData& f) {
-  return ucmp->Compare(user_key, ExtractUserKey(f.largest.Encode())) > 0;
+bool AfterFile(const Slice& user_key, const FileMetaData& f) {
+  return user_key.compare(ExtractUserKey(f.largest.Encode())) > 0;
 }
 
-bool BeforeFile(const Comparator* ucmp, const Slice& user_key,
-                const FileMetaData& f) {
-  return ucmp->Compare(user_key, ExtractUserKey(f.smallest.Encode())) < 0;
+bool BeforeFile(const Slice& user_key, const FileMetaData& f) {
+  return user_key.compare(ExtractUserKey(f.smallest.Encode())) < 0;
 }
 
 }  // namespace
@@ -140,16 +138,14 @@ uint64_t Version::LevelBytes(int level) const {
   return total;
 }
 
-void Version::CollectSearchOrder(const InternalKeyComparator& icmp,
-                                 const Slice& user_key,
+void Version::CollectSearchOrder(const Slice& user_key,
                                  std::pmr::vector<const FileMetaData*>* result,
                                  size_t* num_l0) const {
-  const Comparator* ucmp = icmp.user_comparator();
   result->clear();
   result->reserve(levels_[0].size() + kNumLevels - 1);
   // L0 is kept newest-first; all overlapping files must be probed in order.
   for (const FileRef& f : levels_[0]) {
-    if (!AfterFile(ucmp, user_key, *f) && !BeforeFile(ucmp, user_key, *f)) {
+    if (!AfterFile(user_key, *f) && !BeforeFile(user_key, *f)) {
       result->push_back(f.get());
     }
   }
@@ -163,14 +159,13 @@ void Version::CollectSearchOrder(const InternalKeyComparator& icmp,
     auto [lo, hi] = largest_words_[level].EqualRange(user_key);
     while (lo < hi) {
       size_t mid = lo + (hi - lo) / 2;
-      if (ucmp->Compare(ExtractUserKey(files[mid]->largest.Encode()),
-                        user_key) < 0) {
+      if (ExtractUserKey(files[mid]->largest.Encode()).compare(user_key) < 0) {
         lo = mid + 1;
       } else {
         hi = mid;
       }
     }
-    if (lo < files.size() && !BeforeFile(ucmp, user_key, *files[lo])) {
+    if (lo < files.size() && !BeforeFile(user_key, *files[lo])) {
       result->push_back(files[lo].get());
     }
   }
@@ -187,14 +182,13 @@ void Version::BuildSearchWords() {
   }
 }
 
-std::vector<FileRef> Version::GetOverlappingInputs(
-    const InternalKeyComparator& icmp, int level, const Slice& smallest,
-    const Slice& largest) const {
-  const Comparator* ucmp = icmp.user_comparator();
+std::vector<FileRef> Version::GetOverlappingInputs(int level,
+                                                   const Slice& smallest,
+                                                   const Slice& largest) const {
   std::vector<FileRef> result;
   for (const FileRef& f : levels_[level]) {
-    if (ucmp->Compare(ExtractUserKey(f->largest.Encode()), smallest) < 0 ||
-        ucmp->Compare(ExtractUserKey(f->smallest.Encode()), largest) > 0) {
+    if (ExtractUserKey(f->largest.Encode()).compare(smallest) < 0 ||
+        ExtractUserKey(f->smallest.Encode()).compare(largest) > 0) {
       continue;
     }
     result.push_back(f);
@@ -278,7 +272,7 @@ Status VersionSet::Apply(const VersionEdit& edit) {
     next->levels_[level].push_back(f);
   }
   // L0: newest first, so readers probe in time order. Flushes can finish
-  // out of order, so age is the source MemTable's sequence base.
+  // out of order, so age is the order the source MemTables were sealed in.
   std::sort(next->levels_[0].begin(), next->levels_[0].end(),
             [](const FileRef& a, const FileRef& b) {
               if (a->l0_order != b->l0_order) return a->l0_order > b->l0_order;
@@ -359,15 +353,14 @@ CompactionPick VersionSet::PickCompactionLocked() {
     }
     std::string smallest = ExtractUserKey(l0[0]->smallest.Encode()).ToString();
     std::string largest = ExtractUserKey(l0[0]->largest.Encode()).ToString();
-    const Comparator* ucmp = icmp_->user_comparator();
     for (const FileRef& f : l0) {
       Slice s = ExtractUserKey(f->smallest.Encode());
       Slice l = ExtractUserKey(f->largest.Encode());
-      if (ucmp->Compare(s, smallest) < 0) smallest = s.ToString();
-      if (ucmp->Compare(l, largest) > 0) largest = l.ToString();
+      if (s.compare(smallest) < 0) smallest = s.ToString();
+      if (l.compare(largest) > 0) largest = l.ToString();
     }
     std::vector<FileRef> l1 =
-        v.GetOverlappingInputs(*icmp_, 1, smallest, largest);
+        v.GetOverlappingInputs(1, smallest, largest);
     for (const FileRef& f : l1) {
       if (is_busy(f)) return pick;
     }
@@ -398,7 +391,7 @@ CompactionPick VersionSet::PickCompactionLocked() {
     }
     if (chosen == nullptr) return pick;
     std::vector<FileRef> next_level = v.GetOverlappingInputs(
-        *icmp_, best_level + 1, ExtractUserKey(chosen->smallest.Encode()),
+        best_level + 1, ExtractUserKey(chosen->smallest.Encode()),
         ExtractUserKey(chosen->largest.Encode()));
     for (const FileRef& f : next_level) {
       if (is_busy(f)) return pick;

@@ -43,15 +43,13 @@ class Version {
   /// `result` is cleared and filled with borrowed pointers that stay valid
   /// for as long as the caller holds its VersionRef; it allocates from the
   /// caller's memory resource (a Get's stack arena), at most once.
-  void CollectSearchOrder(const InternalKeyComparator& icmp,
-                          const Slice& user_key,
+  void CollectSearchOrder(const Slice& user_key,
                           std::pmr::vector<const FileMetaData*>* result,
                           size_t* num_l0 = nullptr) const;
 
   /// Files in `level` overlapping [smallest, largest] (user-key range).
-  std::vector<FileRef> GetOverlappingInputs(
-      const InternalKeyComparator& icmp, int level, const Slice& smallest,
-      const Slice& largest) const;
+  std::vector<FileRef> GetOverlappingInputs(int level, const Slice& smallest,
+                                            const Slice& largest) const;
 
   /// Appends the iterators needed for a full scan of this version:
   /// per-file iterators for L0, one concatenating iterator per deeper

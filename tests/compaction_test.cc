@@ -85,8 +85,10 @@ TEST(CompactionProtoTest, ResultRoundTrip) {
   out.index_blob = "indexbytes";
   result.outputs.push_back(out);
 
+  std::string wire;
+  result.AppendTo(&wire);
   CompactionResult parsed;
-  ASSERT_TRUE(CompactionResult::Deserialize(result.Serialize(), &parsed));
+  ASSERT_TRUE(CompactionResult::Deserialize(wire, &parsed));
   ASSERT_EQ(1u, parsed.outputs.size());
   EXPECT_EQ(out.chunk.addr, parsed.outputs[0].chunk.addr);
   EXPECT_EQ(out.chunk.rkey, parsed.outputs[0].chunk.rkey);
@@ -150,7 +152,7 @@ class MergeTest : public ::testing::Test {
                               bool drop_tombstones,
                               uint64_t target_file_size = 1 << 20,
                               std::vector<CompactionOutput>* outs = nullptr) {
-    InternalKeyComparator icmp(BytewiseComparator());
+    InternalKeyComparator icmp;
     BloomFilterPolicy bloom(10);
     std::vector<Iterator*> children;
     for (LocalTable* t : tables) {
@@ -171,7 +173,7 @@ class MergeTest : public ::testing::Test {
           outputs_storage.back()->data(), outputs_storage.back()->size());
       return Status::OK();
     };
-    Status s = MergeAndBuild(nullptr, merged, icmp, bloom,
+    Status s = MergeAndBuild(nullptr, merged, bloom,
                              smallest_snapshot, drop_tombstones,
                              target_file_size,
                              TableFormat::kByteAddressable, 4096, new_output,
@@ -182,7 +184,7 @@ class MergeTest : public ::testing::Test {
     for (const CompactionOutput& out : outputs) {
       std::unique_ptr<Iterator> it(NewLocalByteTableIterator(
           reinterpret_cast<const char*>(out.chunk.addr), out.data_len,
-          InternalKeyComparator(BytewiseComparator())));
+          InternalKeyComparator()));
       for (it->SeekToFirst(); it->Valid(); it->Next()) {
         ParsedInternalKey ikey;
         EXPECT_TRUE(ParseInternalKey(it->key(), &ikey));
@@ -244,7 +246,7 @@ TEST_F(MergeTest, CutsFilesAtTargetWithoutSplittingUserKeys) {
   EXPECT_EQ(500u, survivors.size());
   EXPECT_GT(outputs.size(), 2u);
   // Output ranges must not overlap.
-  InternalKeyComparator icmp(BytewiseComparator());
+  InternalKeyComparator icmp;
   for (size_t i = 1; i < outputs.size(); i++) {
     EXPECT_LT(icmp.Compare(outputs[i - 1].largest.Encode(),
                            outputs[i].smallest.Encode()),
@@ -301,7 +303,6 @@ TEST(NearDataExecutorTest, CompactsViaMemoryNodeService) {
     remote::RpcClient client(&fabric, compute, service.rpc_server());
 
     // Stage two byte tables directly in memory-node DRAM.
-    InternalKeyComparator icmp(BytewiseComparator());
     BloomFilterPolicy bloom(10);
     auto stage = [&](int offset_keys,
                      SequenceNumber seq) -> std::pair<uint64_t, uint64_t> {
@@ -351,7 +352,7 @@ TEST(NearDataExecutorTest, CompactsViaMemoryNodeService) {
     // Verify the merged contents straight out of memory-node DRAM.
     std::unique_ptr<Iterator> it(NewLocalByteTableIterator(
         reinterpret_cast<const char*>(out.chunk.addr), out.data_len,
-        InternalKeyComparator(BytewiseComparator())));
+        InternalKeyComparator()));
     int count = 0;
     for (it->SeekToFirst(); it->Valid(); it->Next()) {
       ParsedInternalKey ikey;
@@ -481,7 +482,7 @@ TEST(NearDataExecutorTest, SubRangeSlicesCompactIndependently) {
   rdma::Fabric fabric(&env);
   rdma::Node* memory = fabric.AddNode("memory", 4, 1ull << 30);
   env.Run(0, [&] {
-    InternalKeyComparator icmp(BytewiseComparator());
+    InternalKeyComparator icmp;
     BloomFilterPolicy bloom(10);
     char* base = memory->AllocDram(1 << 20);
     LocalMemorySink sink(base, 1 << 20);

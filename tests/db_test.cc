@@ -6,41 +6,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <map>
 #include <memory>
-#include <new>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "src/util/random.h"
+#include "tests/alloc_counter.h"
 #include "tests/dlsm_test_util.h"
-
-// Counts every unaligned operator new in the test binary (array and nothrow
-// forms reach these too), for the per-Get allocation test. All of them pair
-// malloc with free, so sanitizer builds see consistent pairs. They stay
-// out of line, where GCC cannot mistake a malloc'd pointer's free for a
-// mismatch.
-static std::atomic<uint64_t> g_operator_news{0};
-
-[[gnu::noinline]] void* operator new(size_t size) {
-  g_operator_news.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-[[gnu::noinline]] void* operator new(size_t size,
-                                     const std::nothrow_t&) noexcept {
-  g_operator_news.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, size_t) noexcept {
-  std::free(p);
-}
 
 namespace dlsm {
 namespace {
@@ -526,6 +500,53 @@ TEST(DBTest, DoubleCheckedSwitchPolicyIsFunctional) {
           EXPECT_EQ(TestValue(i), value);
         }
       });
+}
+
+// Under the size switch every MemTable's sequence base is 0, so L0 age
+// cannot come from it. A full 1 MiB table and a newer, half-full one flush
+// at once; their WRITEs share the link, so the smaller one finishes first.
+// Its L0 file must still be probed first. cpu_scale 0 makes the finishing
+// order the same on every run.
+TEST(DBTest, DoubleCheckedSwitchProbesNewestL0First) {
+  SimEnv::Options sim_options;
+  sim_options.cpu_scale = 0;
+  SimEnv env(sim_options);
+  rdma::Fabric fabric(&env);
+  rdma::Node* compute = fabric.AddNode("compute", 24, 2ull << 30);
+  rdma::Node* memory = fabric.AddNode("memory", 4, 4ull << 30);
+  env.Run(0, [&] {
+    MemoryNodeService service(&fabric, memory, 4);
+    service.Start();
+    Options options = test::SmallOptions(&env);
+    options.switch_policy = MemTableSwitchPolicy::kDoubleCheckedSize;
+    options.memtable_size = 1 << 20;
+    options.sstable_size = 4 << 20;      // One L0 file per MemTable.
+    options.l0_compaction_trigger = 64;  // No compaction merges L0.
+    options.l0_stop_writes_trigger = 128;
+    DbDeps deps;
+    deps.fabric = &fabric;
+    deps.compute = compute;
+    deps.memory = &service;
+    DB* raw = nullptr;
+    ASSERT_TRUE(DLsmDB::Open(options, deps, &raw).ok());
+    std::unique_ptr<DB> db(raw);
+    // 4 KiB values: the MemTable switches after ~256 of the 384, so the
+    // table holding "old" is full and the one holding "new" about half so.
+    const std::string filler(4 << 10, 'f');
+    ASSERT_TRUE(db->Put(WriteOptions(), "key", "old").ok());
+    for (int i = 0; i < 384; i++) {
+      ASSERT_TRUE(db->Put(WriteOptions(), TestKey(i), filler).ok());
+    }
+    ASSERT_TRUE(db->Put(WriteOptions(), "key", "new").ok());
+    ASSERT_TRUE(db->Flush().ok());
+    ASSERT_EQ(2, db->NumFilesAtLevel(0));
+    std::string value;
+    ASSERT_TRUE(db->Get(ReadOptions(), "key", &value).ok());
+    EXPECT_EQ("new", value);
+    ASSERT_TRUE(db->Close().ok());
+    db.reset();
+    service.Stop();
+  });
 }
 
 TEST(DBTest, StatsAreAccounted) {
@@ -1343,9 +1364,9 @@ TEST(DBTest, GetsOnAFlushedTreeBarelyAllocate) {
     for (uint64_t i = 0; i < kGets; i++) {
       const uint64_t k = i * (kKeys / kGets) + i % 7;
       const std::string key = TestKey(k);
-      const uint64_t before = g_operator_news.load();
+      const uint64_t before = test::OperatorNewCount();
       const Status s = db->Get(ReadOptions(), key, &value);
-      news += g_operator_news.load() - before;
+      news += test::OperatorNewCount() - before;
       ASSERT_TRUE(s.ok()) << key << ": " << s.ToString();
       ASSERT_EQ(TestValue(k), value);
     }
@@ -1569,6 +1590,10 @@ void ReadersVersusSwitchAndFlush(DB* db, Env* env, uint64_t writes,
       written.store(i + 1, std::memory_order_release);
       if (i % 64 == 0) env->MaybeYield();
     }
+    // The flushes and compactions the writes set off finish before the
+    // readers may stop, so the counts asserted below are settled.
+    Status s = db->WaitForBackgroundIdle();
+    if (!s.ok()) ADD_FAILURE() << "WaitForBackgroundIdle: " << s.ToString();
     done.store(true);
   });
 
@@ -1639,11 +1664,17 @@ void ReadersVersusSwitchAndFlush(DB* db, Env* env, uint64_t writes,
     return true;
   };
 
+  // Readers stop once the writer is done and they have made the reads the
+  // checks below ask for.
+  auto reads_done = [&] {
+    return done.load() && gets.load() > 1000u &&
+           (multiget || scans.load() > 100u);
+  };
   std::vector<ThreadHandle> readers;
   for (int r = 0; r < 3; r++) {
     readers.push_back(env->StartThread(0, "reader", [&, r] {
       Random rnd(7 + r);
-      for (uint64_t n = 1; !done.load(); n++) {
+      for (uint64_t n = 1; !reads_done(); n++) {
         if (multiget) {
           if (!check_multiget()) return;
           env->MaybeYield();

@@ -150,7 +150,7 @@ TEST(IteratorEdgeTest, OverwritesCollapseToNewestInScan) {
 }
 
 TEST(MergerEdgeTest, EmptyAndSingleChildren) {
-  InternalKeyComparator icmp(BytewiseComparator());
+  InternalKeyComparator icmp;
   Iterator* none = NewMergingIterator(&icmp, nullptr, 0);
   none->SeekToFirst();
   EXPECT_FALSE(none->Valid());

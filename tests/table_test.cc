@@ -23,6 +23,7 @@
 #include "src/sim/sim_env.h"
 #include "src/util/coding.h"
 #include "src/util/random.h"
+#include "tests/alloc_counter.h"
 #include "tests/dlsm_test_util.h"
 
 namespace dlsm {
@@ -72,8 +73,7 @@ TEST(TableIndexTest, BuildParseRoundTrip) {
   for (int i = 0; i < 100; i++) {
     builder.Add(IKey(UKey(i), 100 - i), i * 10, 42 + i);
   }
-  builder.SetFilter("fake-filter-bytes");
-  std::string blob = builder.Finish();
+  std::string blob = builder.Finish("fake-filter-bytes");
 
   auto index = TableIndex::Parse(blob);
   ASSERT_NE(nullptr, index);
@@ -88,7 +88,7 @@ TEST(TableIndexTest, BuildParseRoundTrip) {
 }
 
 TEST(TableIndexTest, FindReturnsFirstGreaterOrEqual) {
-  InternalKeyComparator icmp(BytewiseComparator());
+  InternalKeyComparator icmp;
   TableIndex::Builder builder(TableIndex::kPerRecord);
   for (int i = 0; i < 50; i++) {
     builder.Add(IKey(UKey(i * 2), 7), i, 1);  // Even keys only.
@@ -112,7 +112,7 @@ TEST(TableIndexTest, FindReturnsFirstGreaterOrEqual) {
 // the 8-byte word, 0x00/0xFF bytes, 1-3 versions per user key, and
 // targets below, inside and above the table at assorted sequences.
 TEST(TableIndexTest, KeyWordFindMatchesFullKeyLowerBound) {
-  InternalKeyComparator icmp(BytewiseComparator());
+  InternalKeyComparator icmp;
   auto less = [&icmp](const std::string& a, const std::string& b) {
     return icmp.Compare(a, b) < 0;
   };
@@ -352,7 +352,7 @@ TEST_P(TableLayoutTest, BuildThenPointLookupEveryKey) {
   RunSim([&](rdma::Fabric* f, rdma::Node* compute, rdma::Node* memory,
              Env*) {
     const LayoutParam param = GetParam();
-    InternalKeyComparator icmp(BytewiseComparator());
+    InternalKeyComparator icmp;
     BloomFilterPolicy bloom(10);
 
     char* region = memory->AllocDram(8 << 20);
@@ -422,7 +422,7 @@ TEST_P(TableLayoutTest, RemoteIteratorFullScanAndSeek) {
   RunSim([&](rdma::Fabric* f, rdma::Node* compute, rdma::Node* memory,
              Env*) {
     const LayoutParam param = GetParam();
-    InternalKeyComparator icmp(BytewiseComparator());
+    InternalKeyComparator icmp;
     BloomFilterPolicy bloom(10);
 
     char* region = memory->AllocDram(8 << 20);
@@ -509,7 +509,7 @@ TEST_P(TableLayoutTest, ReverseScanReadsWindowsNotRecords) {
   // at least its size minus the largest record.
   RunSim([&](rdma::Fabric* f, rdma::Node* compute, rdma::Node* memory,
              Env*) {
-    InternalKeyComparator icmp(BytewiseComparator());
+    InternalKeyComparator icmp;
     char* region = memory->AllocDram(8 << 20);
     rdma::MemoryRegion mr = f->RegisterMemory(memory, region, 8 << 20);
     rdma::RdmaManager mgr(f, compute, memory);
@@ -553,7 +553,7 @@ TEST_P(TableLayoutTest, FailedWindowFetchNeverServesStaleBytes) {
   // the record again instead of parsing a zero-filled buffer.
   RunSim([&](rdma::Fabric* f, rdma::Node* compute, rdma::Node* memory,
              Env*) {
-    InternalKeyComparator icmp(BytewiseComparator());
+    InternalKeyComparator icmp;
     char* region = memory->AllocDram(8 << 20);
     rdma::MemoryRegion mr = f->RegisterMemory(memory, region, 8 << 20);
     rdma::RdmaManager mgr(f, compute, memory);
@@ -599,7 +599,7 @@ TEST_P(TableLayoutTest, ScansAreByteIdenticalOnBothTransports) {
   // full forward pass on the async transport reads each byte once.
   RunSim([&](rdma::Fabric* f, rdma::Node* compute, rdma::Node* memory,
              Env*) {
-    InternalKeyComparator icmp(BytewiseComparator());
+    InternalKeyComparator icmp;
     char* region = memory->AllocDram(8 << 20);
     rdma::MemoryRegion mr = f->RegisterMemory(memory, region, 8 << 20);
     rdma::RdmaManager mgr(f, compute, memory);
@@ -711,7 +711,6 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(LocalIteratorTest, ByteTableLocalScan) {
   // Build into plain memory, iterate without an index — the executor path.
-  InternalKeyComparator icmp(BytewiseComparator());
   BloomFilterPolicy bloom(10);
   std::string storage(1 << 20, '\0');
   LocalMemorySink sink(storage.data(), storage.size());
@@ -725,7 +724,7 @@ TEST(LocalIteratorTest, ByteTableLocalScan) {
 
   std::unique_ptr<Iterator> it(
       NewLocalByteTableIterator(storage.data(), result.data_len,
-                                InternalKeyComparator(BytewiseComparator())));
+                                InternalKeyComparator()));
   int count = 0;
   for (it->SeekToFirst(); it->Valid(); it->Next()) {
     EXPECT_EQ(UKey(count), ExtractUserKey(it->key()).ToString());
@@ -736,7 +735,7 @@ TEST(LocalIteratorTest, ByteTableLocalScan) {
 }
 
 TEST(LocalIteratorTest, ByteTableSeekAndSeekToLast) {
-  InternalKeyComparator icmp(BytewiseComparator());
+  InternalKeyComparator icmp;
   BloomFilterPolicy bloom(10);
   std::string storage(1 << 20, '\0');
   LocalMemorySink sink(storage.data(), storage.size());
@@ -781,7 +780,7 @@ TEST(LocalIteratorTest, ByteTableSeekAndSeekToLast) {
 
 TEST(LocalIteratorTest, ByteTableSliceScan) {
   // Sub-compaction slices: iterate a record-aligned [start, end) window.
-  InternalKeyComparator icmp(BytewiseComparator());
+  InternalKeyComparator icmp;
   BloomFilterPolicy bloom(10);
   std::string storage(1 << 20, '\0');
   LocalMemorySink sink(storage.data(), storage.size());
@@ -811,7 +810,7 @@ TEST(LocalIteratorTest, ByteTableSliceScan) {
 }
 
 TEST(LocalIteratorTest, BlockTableLocalScan) {
-  InternalKeyComparator icmp(BytewiseComparator());
+  InternalKeyComparator icmp;
   BloomFilterPolicy bloom(10);
   std::string storage(1 << 20, '\0');
   LocalMemorySink sink(storage.data(), storage.size());
@@ -840,7 +839,7 @@ TEST(LocalIteratorTest, BlockTableLocalScan) {
 TEST(LocalIteratorTest, ZeroFilledBlockIsCorruptionNotAHang) {
   // A zero-filled block decodes a restart count of 0; every positioning
   // call must report Corruption instead of indexing restart 0 - 1.
-  InternalKeyComparator icmp(BytewiseComparator());
+  InternalKeyComparator icmp;
   BloomFilterPolicy bloom(10);
   std::string storage(1 << 16, '\0');
   LocalMemorySink sink(storage.data(), storage.size());
@@ -895,7 +894,7 @@ std::shared_ptr<TableIndex> BuildThreeBlocksCorruptMiddle(
 // yields a key from the block beyond it.
 void ExpectScansStopAtCorruptMiddleBlock(Iterator* it,
                                          const TableIndex& index) {
-  InternalKeyComparator icmp(BytewiseComparator());
+  InternalKeyComparator icmp;
   int yielded = 0;
   for (it->SeekToFirst(); it->Valid(); it->Next()) {
     EXPECT_EQ(0u, index.Find(icmp, it->key())) << "scanned past corruption";
@@ -919,7 +918,7 @@ TEST(LocalIteratorTest, CorruptMiddleBlockStopsScansBothWays) {
   ASSERT_EQ(3u, index->num_entries());
   std::unique_ptr<Iterator> it(NewLocalBlockTableIterator(
       storage.data(), data_len, index,
-      InternalKeyComparator(BytewiseComparator())));
+      InternalKeyComparator()));
   ExpectScansStopAtCorruptMiddleBlock(it.get(), *index);
 }
 
@@ -930,7 +929,7 @@ TEST(LocalIteratorTest, IndexEntryPastTableIsCorruption) {
   uint64_t data_len = 0;
   auto index = BuildThreeBlocksCorruptMiddle(&storage, &data_len);
   ASSERT_EQ(3u, index->num_entries());
-  InternalKeyComparator icmp(BytewiseComparator());
+  InternalKeyComparator icmp;
   // Cut the table inside its last block: entry 2 now ends past it.
   const uint64_t cut = index->entry(2).offset + 1;
   std::unique_ptr<Iterator> fwd(
@@ -970,7 +969,7 @@ TEST_F(TableSimTest, RemoteCorruptMiddleBlockStopsScansBothWays) {
     RemoteReadPath read_path;
     read_path.mgr = &mgr;
     std::unique_ptr<Iterator> it(NewRemoteTableIterator(
-        read_path, InternalKeyComparator(BytewiseComparator()), file, 4096));
+        read_path, InternalKeyComparator(), file, 4096));
     ExpectScansStopAtCorruptMiddleBlock(it.get(), *index);
   });
 }
@@ -999,7 +998,7 @@ TEST_F(TableSimTest, RemoteFailedFetchNeverPairsWithValid) {
     read_path.mgr = &mgr;
     read_path.max_retries = 1;  // Recovers the QP once the fault clears.
     std::unique_ptr<Iterator> it(NewRemoteTableIterator(
-        read_path, InternalKeyComparator(BytewiseComparator()), file, 4096));
+        read_path, InternalKeyComparator(), file, 4096));
 
     rdma::FaultParams fail_all;
     fail_all.wr_error_rate = 1.0;
@@ -1038,6 +1037,116 @@ TEST(BloomInTableTest, NoFalseNegativesAndLowFalsePositives) {
   }
   // 10 bits/key should give ~1% FPR; allow generous slack.
   EXPECT_LT(false_positives, 250);
+}
+
+TEST(BloomTest, FilterFromHashesEqualsFilterFromKeys) {
+  for (int bits_per_key : {1, 10, 23}) {
+    BloomFilterPolicy policy(bits_per_key);
+    for (int n : {0, 1, 7, 1000}) {
+      std::vector<std::string> keys;
+      std::vector<Slice> slices;
+      std::vector<uint32_t> hashes;
+      for (int i = 0; i < n; i++) keys.push_back(UKey(i * 7919));
+      for (const auto& k : keys) {
+        slices.emplace_back(k);
+        hashes.push_back(BloomFilterPolicy::KeyHash(k));
+      }
+      std::string from_keys = "prefix";
+      std::string from_hashes = "prefix";
+      policy.CreateFilter(slices.data(), n, &from_keys);
+      policy.CreateFilterFromHashes(hashes.data(), hashes.size(),
+                                    &from_hashes);
+      ASSERT_EQ(from_keys, from_hashes) << bits_per_key << " bits, " << n;
+      const Slice filter(from_hashes.data() + 6, from_hashes.size() - 6);
+      for (const auto& k : keys) {
+        ASSERT_TRUE(policy.KeyMayMatch(k, filter)) << "false negative: " << k;
+      }
+    }
+  }
+}
+
+// Seeded records in internal-key order: ascending user keys, up to three
+// versions each (newest first), one in eight a tombstone, values of 0 to
+// 199 bytes.
+std::vector<std::pair<std::string, std::string>> SeededRecords(
+    uint64_t seed, int n) {
+  Random rnd(seed);
+  std::vector<std::pair<std::string, std::string>> records;
+  records.reserve(n);
+  uint64_t user = 0;
+  while (static_cast<int>(records.size()) < n) {
+    user += 1 + rnd.Uniform(5);
+    SequenceNumber seq = 1000000 + rnd.Uniform(1000);
+    const int versions = 1 + static_cast<int>(rnd.Uniform(3));
+    for (int v = 0; v < versions && static_cast<int>(records.size()) < n;
+         v++) {
+      seq -= 1 + rnd.Uniform(10);
+      const ValueType type = rnd.OneIn(8) ? kTypeDeletion : kTypeValue;
+      std::string value;
+      if (type == kTypeValue) {
+        value.resize(rnd.Uniform(200));
+        for (char& c : value) c = static_cast<char>('a' + rnd.Uniform(26));
+      }
+      records.emplace_back(IKey(UKey(user), seq, type), std::move(value));
+    }
+  }
+  return records;
+}
+
+uint64_t Fnv1a(uint64_t h, const Slice& bytes) {
+  for (size_t i = 0; i < bytes.size(); i++) {
+    h ^= static_cast<uint8_t>(bytes[i]);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Builds the records into one table in *storage (block_size 0 = the byte
+// layout); returns a digest of its data region and index blob.
+uint64_t BuildTableDigest(
+    const std::vector<std::pair<std::string, std::string>>& records,
+    size_t block_size, std::string* storage) {
+  BloomFilterPolicy bloom(10);
+  LocalMemorySink sink(storage->data(), storage->size());
+  auto builder = block_size == 0
+                     ? NewByteTableBuilder(&bloom, &sink)
+                     : NewBlockTableBuilder(&bloom, &sink, block_size);
+  for (const auto& [key, value] : records) {
+    EXPECT_TRUE(builder->Add(key, value).ok());
+  }
+  TableBuildResult result;
+  EXPECT_TRUE(builder->Finish(&result).ok());
+  EXPECT_EQ(records.size(), result.num_entries);
+  uint64_t h = Fnv1a(0xcbf29ce484222325ull,
+                     Slice(storage->data(), result.data_len));
+  return Fnv1a(h, result.index_blob);
+}
+
+// The bytes a table build writes (data region, index and filter) are
+// pinned: these digests were computed before the builders kept bloom
+// hashes instead of keys and built the index blob in place.
+TEST(TableBuildTest, SeededBuildsWriteThePinnedBytes) {
+  const auto records = SeededRecords(2027, 10000);
+  std::string storage(4 << 20, '\0');
+  EXPECT_EQ(0x242aec5dfc20667eull, BuildTableDigest(records, 0, &storage));
+  EXPECT_EQ(0x7808254aa67cdc4bull, BuildTableDigest(records, 4096, &storage));
+}
+
+// A table build keeps no per-record heap allocation: its buffers grow
+// geometrically and are reused, so the operator new count stays far below
+// one per 100 records.
+TEST(TableBuildTest, BuildHeapTrafficDoesNotGrowWithRecords) {
+  constexpr int kRecords = 20000;
+  const auto records = SeededRecords(7, kRecords);
+  std::string storage(8 << 20, '\0');
+  for (size_t block_size : {size_t{0}, size_t{4096}}) {
+    const uint64_t before = test::OperatorNewCount();
+    BuildTableDigest(records, block_size, &storage);
+    const uint64_t news = test::OperatorNewCount() - before;
+    EXPECT_LT(news, kRecords / 100)
+        << news << " operator new calls over " << kRecords
+        << " records, block_size " << block_size;
+  }
 }
 
 }  // namespace

@@ -10,10 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 
 #include "src/core/db.h"
@@ -22,22 +19,8 @@
 #include "src/rdma/fabric.h"
 #include "src/sim/sim_env.h"
 #include "src/util/trace.h"
+#include "tests/alloc_counter.h"
 #include "tests/dlsm_test_util.h"
-
-// Global allocation counter for the no-allocation test. Counts every
-// operator new in the test binary; the disabled-tracing block asserts a
-// zero delta.
-static std::atomic<uint64_t> g_alloc_count{0};
-
-void* operator new(size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
 
 namespace dlsm {
 namespace {
@@ -99,7 +82,7 @@ TEST(TraceTest, DisabledTracingRecordsNothingAndAllocatesNothing) {
   ASSERT_FALSE(trace::Tracer::enabled());
   // The counted block is pure tracing API; gtest assertions stay outside
   // so the only possible allocations are the recorder's.
-  uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  uint64_t before = test::OperatorNewCount();
   bool any_active = false;
   uint64_t id_sum = 0;
   for (int i = 0; i < 10000; i++) {
@@ -111,7 +94,7 @@ TEST(TraceTest, DisabledTracingRecordsNothingAndAllocatesNothing) {
     any_active |= span.active();
     id_sum += span.id();
   }
-  uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+  uint64_t after = test::OperatorNewCount();
   EXPECT_EQ(before, after);
   EXPECT_FALSE(any_active);
   EXPECT_EQ(0u, id_sum);

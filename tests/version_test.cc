@@ -72,7 +72,7 @@ TEST(DbFormatTest, InternalKeyRoundTrip) {
 }
 
 TEST(DbFormatTest, InternalKeyOrdering) {
-  InternalKeyComparator icmp(BytewiseComparator());
+  InternalKeyComparator icmp;
   // Same user key: larger sequence sorts first.
   InternalKey a("k", 10, kTypeValue), b("k", 5, kTypeValue);
   EXPECT_LT(icmp.Compare(a.Encode(), b.Encode()), 0);
@@ -169,7 +169,7 @@ TEST(SkipListTest, ConcurrentInsertersUnderRealThreads) {
 }
 
 TEST(MemTableTest, AddGetAndSequenceVisibility) {
-  InternalKeyComparator icmp(BytewiseComparator());
+  InternalKeyComparator icmp;
   MemTable* mem = new MemTable(icmp, 1, 1000);
   mem->Ref();
   mem->Add(10, kTypeValue, "k", "v10");
@@ -203,7 +203,7 @@ TEST(MemTableTest, AddGetAndSequenceVisibility) {
 }
 
 TEST(MemTableTest, SequenceRangeRouting) {
-  InternalKeyComparator icmp(BytewiseComparator());
+  InternalKeyComparator icmp;
   MemTable* mem = new MemTable(icmp, 1000, 2000);
   mem->Ref();
   EXPECT_FALSE(mem->AcceptsSequence(999));
@@ -239,7 +239,7 @@ TEST(WriteBatchTest, CountAndIterate) {
 }
 
 TEST(WriteBatchTest, InsertIntoAssignsConsecutiveSequences) {
-  InternalKeyComparator icmp(BytewiseComparator());
+  InternalKeyComparator icmp;
   MemTable* mem = new MemTable(icmp, 0, kMaxSequenceNumber);
   mem->Ref();
   WriteBatch batch;
@@ -259,7 +259,7 @@ TEST(WriteBatchTest, InsertIntoAssignsConsecutiveSequences) {
 
 TEST(VersionTest, ApplyAddsAndDeletes) {
   Options options = SmallVersionOptions();
-  InternalKeyComparator icmp(BytewiseComparator());
+  InternalKeyComparator icmp;
   VersionSet vs(&icmp, &options);
 
   VersionEdit add;
@@ -281,7 +281,7 @@ TEST(VersionTest, ApplyAddsAndDeletes) {
 // without changing the version when the file is a compaction input or gone.
 TEST(VersionTest, ApplyReplacesOnlyALiveIdleFile) {
   Options options = SmallVersionOptions();
-  InternalKeyComparator icmp(BytewiseComparator());
+  InternalKeyComparator icmp;
   VersionSet vs(&icmp, &options);
   VersionEdit add;
   for (uint64_t n = 1; n <= 4; n++) add.AddFile(0, MakeFile(n, 0, 100));
@@ -311,7 +311,7 @@ TEST(VersionTest, ApplyReplacesOnlyALiveIdleFile) {
 
 TEST(VersionTest, L0OrderedNewestFirstByL0Order) {
   Options options = SmallVersionOptions();
-  InternalKeyComparator icmp(BytewiseComparator());
+  InternalKeyComparator icmp;
   VersionSet vs(&icmp, &options);
   VersionEdit edit;
   // Out-of-order flush completion: file 5 from an older memtable.
@@ -327,7 +327,7 @@ TEST(VersionTest, L0OrderedNewestFirstByL0Order) {
 
 TEST(VersionTest, CollectSearchOrderPrunesByRange) {
   Options options = SmallVersionOptions();
-  InternalKeyComparator icmp(BytewiseComparator());
+  InternalKeyComparator icmp;
   VersionSet vs(&icmp, &options);
   VersionEdit edit;
   edit.AddFile(0, MakeFile(1, 0, 100));
@@ -338,7 +338,7 @@ TEST(VersionTest, CollectSearchOrderPrunesByRange) {
   vs.Apply(edit);
 
   std::pmr::vector<const FileMetaData*> order;
-  vs.current()->CollectSearchOrder(icmp, UKey(50), &order);
+  vs.current()->CollectSearchOrder(UKey(50), &order);
   // L0 file 1 overlaps; L1 file 3; L2 file 5. L0 file 2 and L1 file 4 do not.
   ASSERT_EQ(3u, order.size());
   EXPECT_EQ(1u, order[0]->number);
@@ -346,7 +346,7 @@ TEST(VersionTest, CollectSearchOrderPrunesByRange) {
   EXPECT_EQ(5u, order[2]->number);
 
   // Reused across lookups: the vector is cleared, not appended to.
-  vs.current()->CollectSearchOrder(icmp, UKey(700), &order);
+  vs.current()->CollectSearchOrder(UKey(700), &order);
   EXPECT_TRUE(order.empty());
 }
 
@@ -357,7 +357,7 @@ TEST(VersionTest, CollectSearchOrderPrunesByRange) {
 // with gaps between them, and lookups below, inside and above each level.
 TEST(VersionTest, KeyWordSearchOrderMatchesLinearScan) {
   Options options = SmallVersionOptions();
-  InternalKeyComparator icmp(BytewiseComparator());
+  InternalKeyComparator icmp;
   auto covers = [](const FileRef& f, const Slice& key) {
     return f->smallest.user_key().compare(key) <= 0 &&
            f->largest.user_key().compare(key) >= 0;
@@ -410,7 +410,7 @@ TEST(VersionTest, KeyWordSearchOrderMatchesLinearScan) {
         }
       }
       size_t got_l0 = 0;
-      v->CollectSearchOrder(icmp, key, &got, &got_l0);
+      v->CollectSearchOrder(key, &got, &got_l0);
       ASSERT_EQ(want, got) << "trial " << trial << " probe " << probe;
       ASSERT_EQ(want_l0, got_l0);
     }
@@ -419,7 +419,7 @@ TEST(VersionTest, KeyWordSearchOrderMatchesLinearScan) {
 
 TEST(VersionTest, PickCompactionL0TakesAllAndOverlappingL1) {
   Options options = SmallVersionOptions();
-  InternalKeyComparator icmp(BytewiseComparator());
+  InternalKeyComparator icmp;
   VersionSet vs(&icmp, &options);
   VersionEdit edit;
   for (int i = 1; i <= 4; i++) {
@@ -450,7 +450,7 @@ TEST(VersionTest, PickCompactionL0TakesAllAndOverlappingL1) {
 
 TEST(VersionTest, StallTriggersAtThreshold) {
   Options options = SmallVersionOptions();
-  InternalKeyComparator icmp(BytewiseComparator());
+  InternalKeyComparator icmp;
   VersionSet vs(&icmp, &options);
   VersionEdit edit;
   for (int i = 1; i <= options.l0_stop_writes_trigger - 1; i++) {
@@ -466,7 +466,7 @@ TEST(VersionTest, StallTriggersAtThreshold) {
 
 TEST(VersionTest, FileGcFiresWhenLastReferenceDrops) {
   Options options = SmallVersionOptions();
-  InternalKeyComparator icmp(BytewiseComparator());
+  InternalKeyComparator icmp;
   std::atomic<int> gc_count{0};
   auto gc = [&](const remote::RemoteChunk&) { gc_count++; };
   {
@@ -495,7 +495,7 @@ TEST(VersionTest, LevelTargetsGrowGeometrically) {
   Options options = SmallVersionOptions();
   options.max_bytes_for_level_base = 10 << 20;
   options.level_size_multiplier = 10.0;
-  InternalKeyComparator icmp(BytewiseComparator());
+  InternalKeyComparator icmp;
   VersionSet vs(&icmp, &options);
   EXPECT_EQ(10u << 20, vs.MaxBytesForLevel(1));
   EXPECT_EQ(100u << 20, vs.MaxBytesForLevel(2));
