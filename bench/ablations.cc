@@ -94,7 +94,7 @@ void AblateRpc(int calls) {
   env.Run(0, [&] {
     remote::RpcServer server(&fabric, memory, 2);
     server.set_handler([](uint8_t, const Slice& args, std::string* reply) {
-      *reply = args.ToString();
+      reply->append(args.data(), args.size());
     });
     server.Start();
     remote::RpcClient client(&fabric, compute, &server);

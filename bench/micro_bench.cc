@@ -162,22 +162,26 @@ void BM_Crc32c(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(1 << 20);
 
-// One point lookup's local index search: a per-record index of 9450
-// consecutive 16-digit keys (one perfbench read_uniform table) probed at
-// uniform keys, as Get does after its bloom check passes.
+// A per-record index of consecutive 16-digit keys from `first` (one
+// perfbench read_uniform table holds 9450), 427-byte records.
+std::shared_ptr<TableIndex> BenchIndex(uint64_t first, uint64_t entries) {
+  TableIndex::Builder builder(TableIndex::kPerRecord);
+  for (uint64_t i = 0; i < entries; i++) {
+    std::string ikey;
+    AppendInternalKey(&ikey, ParsedInternalKey(BenchKey(first + i), i + 1,
+                                               kTypeValue));
+    builder.Add(ikey, i * 427, 427);
+  }
+  return TableIndex::Parse(builder.Finish());
+}
+
+// One point lookup's local index search: one 9450-entry table probed at
+// uniform keys, as Get does after its bloom check passes. The index stays
+// in cache across lookups.
 void BM_TableIndexFind(benchmark::State& state) {
   constexpr uint64_t kEntries = 9450;
   constexpr uint64_t kFirst = 271828;
-  InternalKeyComparator icmp;
-  TableIndex::Builder builder(TableIndex::kPerRecord);
-  for (uint64_t i = 0; i < kEntries; i++) {
-    std::string ikey;
-    AppendInternalKey(&ikey,
-                      ParsedInternalKey(BenchKey(kFirst + i), i + 1,
-                                        kTypeValue));
-    builder.Add(ikey, i * 427, 427);
-  }
-  auto index = TableIndex::Parse(builder.Finish());
+  auto index = BenchIndex(kFirst, kEntries);
   Random rnd(11);
   std::vector<std::string> targets;
   for (int i = 0; i < 4096; i++) {
@@ -187,12 +191,53 @@ void BM_TableIndexFind(benchmark::State& state) {
   }
   size_t next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(index->Find(icmp, targets[next]));
+    benchmark::DoNotOptimize(index->Find(targets[next]));
     next = (next + 1) % targets.size();
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TableIndexFind);
+
+// The same search as a Get meets it on read_uniform: 65 such tables
+// (~40 MiB of indexes, past the host caches), a random table per lookup,
+// and the probe's use of the result: the entry's offset, length and
+// trailer, once the entry holds the lookup's user key.
+void BM_TableIndexFindCold(benchmark::State& state) {
+  constexpr uint64_t kTables = 65;
+  constexpr uint64_t kEntries = 9450;
+  constexpr uint64_t kFirst = 271828;
+  std::vector<std::shared_ptr<TableIndex>> indexes;
+  for (uint64_t t = 0; t < kTables; t++) {
+    indexes.push_back(BenchIndex(kFirst + t * kEntries, kEntries));
+  }
+  Random rnd(13);
+  struct Target {
+    const TableIndex* index;
+    std::string key;
+  };
+  std::vector<Target> targets;
+  for (int i = 0; i < 1 << 16; i++) {
+    const uint64_t t = rnd.Uniform(kTables);
+    LookupKey lkey(BenchKey(kFirst + t * kEntries + rnd.Uniform(kEntries)),
+                   kMaxSequenceNumber);
+    targets.push_back({indexes[t].get(), lkey.internal_key().ToString()});
+  }
+  size_t next = 0;
+  uint64_t sum = 0;
+  for (auto _ : state) {
+    const Target& target = targets[next];
+    bool same_user_key = false;
+    const size_t pos = target.index->Find(target.key, &same_user_key);
+    if (same_user_key) {
+      const TableIndex::Entry& e = target.index->entry(pos);
+      sum += e.offset + e.length + e.trailer;
+    }
+    next = (next + 1) % targets.size();
+  }
+  benchmark::DoNotOptimize(sum);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TableIndexFindCold);
 
 // One flush or compaction output as the memory node builds it: a byte
 // table of 9450 consecutive 16-digit keys with 400-byte values (one

@@ -1,8 +1,10 @@
 #include "src/core/bloom.h"
 
+#include <cstdint>
 #include <vector>
 
 #include "src/util/hash.h"
+#include "src/util/logging.h"
 
 namespace dlsm {
 
@@ -25,6 +27,10 @@ void BloomFilterPolicy::CreateFilterFromHashes(const uint32_t* hashes,
   if (bits < 64) bits = 64;
   size_t bytes = (bits + 7) / 8;
   bits = bytes * 8;
+  // Bit positions are taken modulo bits in 32-bit arithmetic, here and in
+  // HashMayMatch: a filter stays under 512 MiB.
+  DLSM_CHECK(bits <= UINT32_MAX);
+  const uint32_t nbits = static_cast<uint32_t>(bits);
 
   const size_t init_size = dst->size();
   dst->resize(init_size + bytes, 0);
@@ -35,7 +41,7 @@ void BloomFilterPolicy::CreateFilterFromHashes(const uint32_t* hashes,
     uint32_t h = hashes[i];
     const uint32_t delta = (h >> 17) | (h << 15);
     for (int j = 0; j < k_; j++) {
-      const uint32_t bitpos = h % bits;
+      const uint32_t bitpos = h % nbits;
       array[bitpos / 8] |= (1 << (bitpos % 8));
       h += delta;
     }
@@ -49,21 +55,21 @@ void BloomFilterPolicy::CreateFilter(const Slice* keys, int n,
   CreateFilterFromHashes(hashes.data(), hashes.size(), dst);
 }
 
-bool BloomFilterPolicy::KeyMayMatch(const Slice& key,
-                                    const Slice& filter) const {
+bool BloomFilterPolicy::HashMayMatch(uint32_t hash,
+                                     const Slice& filter) const {
   const size_t len = filter.size();
   if (len < 2) return false;
 
   const char* array = filter.data();
-  const size_t bits = (len - 1) * 8;
-
   const int k = array[len - 1];
-  if (k > 30) {
-    // Reserved for future encodings; treat as a match.
+  if (k > 30 || len - 1 > UINT32_MAX / 8) {
+    // Reserved for future encodings, or larger than any filter built:
+    // treat as a match.
     return true;
   }
+  const uint32_t bits = static_cast<uint32_t>(len - 1) * 8;
 
-  uint32_t h = KeyHash(key);
+  uint32_t h = hash;
   const uint32_t delta = (h >> 17) | (h << 15);
   for (int j = 0; j < k; j++) {
     const uint32_t bitpos = h % bits;

@@ -31,7 +31,13 @@ class BloomFilterPolicy {
   void CreateFilter(const Slice* keys, int n, std::string* dst) const;
 
   /// Returns false only if key is definitely not in the filter.
-  bool KeyMayMatch(const Slice& key, const Slice& filter) const;
+  bool KeyMayMatch(const Slice& key, const Slice& filter) const {
+    return HashMayMatch(KeyHash(key), filter);
+  }
+
+  /// KeyMayMatch for the key whose KeyHash is hash, so a lookup probing
+  /// several tables hashes its key once.
+  bool HashMayMatch(uint32_t hash, const Slice& filter) const;
 
   int bits_per_key() const { return bits_per_key_; }
 

@@ -722,6 +722,7 @@ void DLsmDB::ProbeKeys(const ReadOptions& options, std::span<const Slice> keys,
     using allocator_type = std::pmr::polymorphic_allocator<>;
     explicit KeyState(const allocator_type& alloc) : order(alloc) {}
     std::optional<LookupKey> lkey;
+    uint32_t bloom_hash = 0;  // KeyHash of the user key, once per lookup.
     std::pmr::vector<const FileMetaData*> order;  // Probe order: newest first.
     size_t num_l0 = 0;
     size_t cursor = 0;  // Next candidate in order.
@@ -756,6 +757,7 @@ void DLsmDB::ProbeKeys(const ReadOptions& options, std::span<const Slice> keys,
     if (state[k].resolved) continue;
     pinned->version->CollectSearchOrder(keys[k], &state[k].order,
                                         &state[k].num_l0);
+    state[k].bloom_hash = BloomFilterPolicy::KeyHash(keys[k]);
     max_wave += std::max<size_t>(state[k].num_l0, 1);
   }
   const bool async =
@@ -797,8 +799,8 @@ void DLsmDB::ProbeKeys(const ReadOptions& options, std::span<const Slice> keys,
         const RemoteReadPath& path = router_.route(*f);
         TableProbe probe;
         bool bloom_skip = false;
-        Status s = TableProbePrepare(icmp_, bloom_, *f, *ks.lkey, &arena,
-                                     &probe, &bloom_skip);
+        Status s = TableProbePrepare(bloom_, *f, *ks.lkey, ks.bloom_hash,
+                                     &arena, &probe, &bloom_skip);
         if (bloom_skip) {
           stat_bloom_useful_.fetch_add(1, std::memory_order_relaxed);
         } else if (s.ok() && path.uncached_index) {
@@ -1086,7 +1088,7 @@ CompactionInput DLsmDB::MakeInput(const FileRef& f, const Slice* lo,
   in.format = 1;
   auto offset_of = [&](const Slice& user_key) -> uint64_t {
     InternalKey ik(user_key, kMaxSequenceNumber, kValueTypeForSeek);
-    size_t pos = f->index->Find(icmp_, ik.Encode());
+    size_t pos = f->index->Find(ik.Encode());
     if (pos >= f->index->num_entries()) return f->data_len;
     return f->index->entry(pos).offset;
   };
@@ -1165,8 +1167,7 @@ Status DLsmDB::RunNearDataCompaction(const CompactionPick& pick, size_t slot,
       size_t k = std::min<size_t>(options_.max_subcompactions, 4);
       for (size_t i = 1; i < k && index.num_entries() > k; i++) {
         size_t pos = i * index.num_entries() / k;
-        bounds.push_back(
-            ExtractUserKey(index.entry(pos).key).ToString());
+        bounds.push_back(index.user_key(pos).ToString());
       }
     }
     std::sort(bounds.begin(), bounds.end());

@@ -39,6 +39,10 @@ class KeyWords {
   /// is below user_key and every key from hi on is above it.
   std::pair<size_t, size_t> EqualRange(const Slice& user_key) const;
 
+  /// After Finish: the length of the prefix every key shares. Keys in one
+  /// EqualRange agree on their first prefix_size() + 8 bytes, zero-padded.
+  size_t prefix_size() const { return prefix_.size(); }
+
  private:
   // Until Finish, the first key whole; prefix_len_ is how much of it every
   // key added so far shares.

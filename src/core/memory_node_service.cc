@@ -162,7 +162,7 @@ void MemoryNodeService::HandleReadBlock(const Slice& args,
   auto base = reinterpret_cast<uint64_t>(node_->dram_base());
   uint64_t size = node_->dram_size();
   if (addr < base || len > size || addr - base > size - len) return;
-  reply->assign(reinterpret_cast<const char*>(addr), len);
+  reply->append(reinterpret_cast<const char*>(addr), len);
 }
 
 void MemoryNodeService::HandleStats(std::string* reply) {

@@ -55,25 +55,35 @@ std::shared_ptr<TableIndex> TableIndex::Parse(std::string blob) {
   index->kind_ = static_cast<Kind>(kind);
   input.remove_prefix(1);
   uint32_t count;
-  if (!GetVarint32(&input, &count)) return nullptr;
-  index->starts_.reserve(count);
+  // An entry takes at least 11 bytes (three varints and a trailer), so a
+  // count the blob cannot hold is corruption, not a reservation to make.
+  if (!GetVarint32(&input, &count) || count > input.size() / 11) {
+    return nullptr;
+  }
+  index->entries_.reserve(count);
   index->words_.Reserve(count);
+  const char* p = input.data();
+  const char* const limit = p + input.size();
   for (uint32_t i = 0; i < count; i++) {
-    index->starts_.push_back(
-        static_cast<uint32_t>(input.data() - b.data()));
     uint32_t key_len;
-    if (!GetVarint32(&input, &key_len) || input.size() < key_len ||
+    p = GetVarint32Ptr(p, limit, &key_len);
+    if (p == nullptr || static_cast<size_t>(limit - p) < key_len ||
         key_len < 8) {
       return nullptr;
     }
-    index->words_.Add(ExtractUserKey(Slice(input.data(), key_len)));
-    input.remove_prefix(key_len);
+    const Slice key(p, key_len);
+    const uint32_t key_start = static_cast<uint32_t>(p - b.data());
+    index->words_.Add(ExtractUserKey(key));
+    p += key_len;
     uint64_t offset;
     uint32_t length;
-    if (!GetVarint64(&input, &offset) || !GetVarint32(&input, &length)) {
-      return nullptr;
-    }
+    p = GetVarint64Ptr(p, limit, &offset);
+    if (p != nullptr) p = GetVarint32Ptr(p, limit, &length);
+    if (p == nullptr) return nullptr;
+    index->entries_.push_back(
+        Entry{offset, ExtractTrailer(key), length, key_start, key_len - 8});
   }
+  input = Slice(p, limit - p);
   uint32_t filter_len;
   if (!GetVarint32(&input, &filter_len) || input.size() < filter_len) {
     return nullptr;
@@ -83,46 +93,51 @@ std::shared_ptr<TableIndex> TableIndex::Parse(std::string blob) {
   return index;
 }
 
-TableIndex::Entry TableIndex::entry(size_t i) const {
-  Entry e;
-  e.key = key(i);
-  const char* p = e.key.data() + e.key.size();
-  const char* limit = blob_.data() + blob_.size();
-  p = GetVarint64Ptr(p, limit, &e.offset);
-  GetVarint32Ptr(p, limit, &e.length);
-  return e;
-}
-
-Slice TableIndex::key(size_t i) const {
-  const char* p = blob_.data() + starts_[i];
-  uint32_t key_len;
-  p = GetVarint32Ptr(p, blob_.data() + blob_.size(), &key_len);
-  return Slice(p, key_len);
-}
-
-size_t TableIndex::Find(const InternalKeyComparator& cmp,
-                        const Slice& target) const {
+size_t TableIndex::Find(const Slice& target, bool* same_user_key) const {
   // The first entry with key >= target. For per-block indexes the entry
   // key is the block's *last* key, so this lands on the first block that
   // could contain the target — the same invariant. Entries before lo have
-  // smaller user keys and entries from hi on larger ones, so only the run
-  // sharing target's key word needs whole internal keys compared.
-  auto [lo, hi] = words_.EqualRange(ExtractUserKey(target));
+  // smaller user keys and entries from run_end on larger ones.
+  const Slice user_key = ExtractUserKey(target);
+  const uint64_t trailer = ExtractTrailer(target);
+  auto [lo, run_end] = words_.EqualRange(user_key);
+  // Inside the run every user key agrees with target's on its first
+  // `covered` bytes, a key that ends sooner reading as zero-padded. So
+  // when either key ends within them, it is a prefix of the other and the
+  // lengths order the two; only keys that both run past need their tails
+  // compared, from the blob.
+  const size_t covered = words_.prefix_size() + 8;
+  auto compare_user_keys = [&](const Entry& e) {
+    if (e.user_key_len <= covered || user_key.size() <= covered) {
+      return (e.user_key_len > user_key.size()) -
+             (e.user_key_len < user_key.size());
+    }
+    return Slice(blob_.data() + e.key_start + covered,
+                 e.user_key_len - covered)
+        .compare(Slice(user_key.data() + covered, user_key.size() - covered));
+  };
+  // Internal-key order: user key ascending, then trailer descending.
+  size_t hi = run_end;
   while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    if (cmp.Compare(key(mid), target) < 0) {
+    const size_t mid = lo + (hi - lo) / 2;
+    const Entry& e = entries_[mid];
+    const int c = compare_user_keys(e);
+    if (c < 0 || (c == 0 && e.trailer > trailer)) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
+  if (same_user_key != nullptr) {
+    *same_user_key = lo < run_end && compare_user_keys(entries_[lo]) == 0;
+  }
   return lo;
 }
 
-bool TableIndex::KeyMayMatch(const BloomFilterPolicy& policy,
-                             const Slice& user_key) const {
+bool TableIndex::HashMayMatch(const BloomFilterPolicy& policy,
+                              uint32_t hash) const {
   if (filter_.empty()) return true;
-  return policy.KeyMayMatch(user_key, filter_);
+  return policy.HashMayMatch(hash, filter_);
 }
 
 }  // namespace dlsm

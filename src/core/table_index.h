@@ -35,29 +35,44 @@ class TableIndex {
     kPerBlock = 2,   // Block layout.
   };
 
+  /// One entry, decoded once by Parse into a fixed-width array so a lookup
+  /// reads no varint. The key stays in the blob; key(i) points at it.
   struct Entry {
-    Slice key;        ///< Internal key (per-record) or block's last key.
-    uint64_t offset;  ///< Byte offset inside the table's data region.
-    uint32_t length;  ///< Record length or block length.
+    uint64_t offset;        ///< Byte offset inside the table's data region.
+    uint64_t trailer;       ///< The key's (sequence << 8 | type) trailer.
+    uint32_t length;        ///< Record length or block length.
+    uint32_t key_start;     ///< Where the internal key starts in blob().
+    uint32_t user_key_len;  ///< The key's length less its 8-byte trailer.
   };
 
   /// Parses a serialized index blob; returns nullptr on corruption.
   static std::shared_ptr<TableIndex> Parse(std::string blob);
 
   Kind kind() const { return kind_; }
-  size_t num_entries() const { return starts_.size(); }
-  Entry entry(size_t i) const;
+  size_t num_entries() const { return entries_.size(); }
+  const Entry& entry(size_t i) const { return entries_[i]; }
+  /// Internal key (per-record) or block's last key, inside blob().
+  Slice key(size_t i) const {
+    return Slice(blob_.data() + entries_[i].key_start,
+                 entries_[i].user_key_len + 8);
+  }
+  Slice user_key(size_t i) const {
+    return Slice(blob_.data() + entries_[i].key_start,
+                 entries_[i].user_key_len);
+  }
 
-  /// Returns the position of the first entry whose key is >= target
-  /// (per-record), or the first block that could contain target
-  /// (per-block). num_entries() if past the end. Searches the entries' key
-  /// words first, so user keys must be in bytewise order; cmp orders only
-  /// the entries that share target's word.
-  size_t Find(const InternalKeyComparator& cmp, const Slice& target) const;
+  /// Returns the position of the first entry whose internal key is >=
+  /// target (per-record), or the first block that could contain target
+  /// (per-block). num_entries() if past the end. User keys must be in
+  /// bytewise order. If same_user_key is set, *same_user_key tells whether
+  /// that entry's user key equals target's. The entries' key words narrow
+  /// the search; inside a run of equal words, lengths and trailers decide
+  /// unless both keys run past the word, and only then is the blob read.
+  size_t Find(const Slice& target, bool* same_user_key = nullptr) const;
 
-  /// Bloom probe over the user key. Returns true if absent filters.
-  bool KeyMayMatch(const BloomFilterPolicy& policy,
-                   const Slice& user_key) const;
+  /// Bloom probe of a user key by its BloomFilterPolicy::KeyHash. Returns
+  /// true if the table has no filter.
+  bool HashMayMatch(const BloomFilterPolicy& policy, uint32_t hash) const;
 
   /// The serialized form (for RPC shipping and accounting).
   const std::string& blob() const { return blob_; }
@@ -83,13 +98,11 @@ class TableIndex {
  private:
   TableIndex() = default;
 
-  Slice key(size_t i) const;
-
   Kind kind_ = kPerRecord;
   std::string blob_;
-  std::vector<uint32_t> starts_;  // Offset of each entry within blob_.
-  KeyWords words_;                // One per entry, of its user key.
-  Slice filter_;                  // Points into blob_.
+  std::vector<Entry> entries_;
+  KeyWords words_;  // One per entry, of its user key.
+  Slice filter_;    // Points into blob_.
 };
 
 }  // namespace dlsm

@@ -452,10 +452,9 @@ class PrefetchWindow {
 /// index; the data region is consumed through a prefetch window.
 class RemoteByteTableIterator : public Iterator {
  public:
-  RemoteByteTableIterator(const RemoteReadPath& read_path,
-                          const InternalKeyComparator& icmp, FileRef file,
+  RemoteByteTableIterator(const RemoteReadPath& read_path, FileRef file,
                           size_t prefetch)
-      : icmp_(icmp), file_(std::move(file)),
+      : file_(std::move(file)),
         window_(read_path, file_->chunk.addr, file_->chunk.rkey,
                 file_->data_len, prefetch < 4096 ? 4096 : prefetch) {}
 
@@ -474,7 +473,7 @@ class RemoteByteTableIterator : public Iterator {
     Position(n - 1, Move::kLast);
   }
   void Seek(const Slice& target) override {
-    Position(file_->index->Find(icmp_, target), Move::kSeek);
+    Position(file_->index->Find(target), Move::kSeek);
   }
   void Next() override {
     DLSM_CHECK(Valid());
@@ -496,7 +495,7 @@ class RemoteByteTableIterator : public Iterator {
       valid_ = false;
       return;
     }
-    TableIndex::Entry e = index.entry(ordinal);
+    const TableIndex::Entry& e = index.entry(ordinal);
     // Sequential chunk prefetch (Sec. VI): one RDMA READ covers many
     // upcoming records, and the window double-buffers the next chunk.
     const char* p = nullptr;
@@ -515,7 +514,6 @@ class RemoteByteTableIterator : public Iterator {
     valid_ = true;
   }
 
-  InternalKeyComparator icmp_;
   FileRef file_;
   PrefetchWindow window_;
   size_t ordinal_ = 0;
@@ -557,7 +555,7 @@ class BlockTableIterator : public Iterator {
 
   void Seek(const Slice& target) override {
     BeginPositioning();
-    size_t b = index_->Find(icmp_, target);
+    size_t b = index_->Find(target);
     if (!LoadBlock(b, Move::kSeek)) return;
     inner_->Seek(target);
     SkipForwardEmpty();
@@ -615,7 +613,7 @@ class BlockTableIterator : public Iterator {
       inner_.reset();
       return false;
     }
-    TableIndex::Entry e = index_->entry(b);
+    const TableIndex::Entry& e = index_->entry(b);
     const char* p = nullptr;
     Status s = BlockBytes(e, move, &p);
     if (!s.ok()) {
@@ -779,11 +777,10 @@ class LocalBlockTableIterator : public BlockTableIterator {
 // Point lookup
 // ---------------------------------------------------------------------------
 
-Status TableProbePrepare(const InternalKeyComparator& icmp,
-                         const BloomFilterPolicy& bloom,
+Status TableProbePrepare(const BloomFilterPolicy& bloom,
                          const FileMetaData& file, const LookupKey& lkey,
-                         std::pmr::memory_resource* mem, TableProbe* probe,
-                         bool* skipped_by_bloom) {
+                         uint32_t key_hash, std::pmr::memory_resource* mem,
+                         TableProbe* probe, bool* skipped_by_bloom) {
   probe->need_read = false;
   probe->definitive = false;
   probe->file = &file;
@@ -794,18 +791,19 @@ Status TableProbePrepare(const InternalKeyComparator& icmp,
   const TableIndex& index = *file.index;
 
   // Bloom filters skip remote reads for absent keys (Sec. III).
-  if (!index.KeyMayMatch(bloom, lkey.user_key())) {
+  if (!index.HashMayMatch(bloom, key_hash)) {
     if (skipped_by_bloom != nullptr) *skipped_by_bloom = true;
     return Status::OK();
   }
 
-  size_t pos = index.Find(icmp, lkey.internal_key());
+  bool same_user_key = false;
+  size_t pos = index.Find(lkey.internal_key(), &same_user_key);
   if (pos >= index.num_entries()) {
     return Status::OK();
   }
-  TableIndex::Entry e = index.entry(pos);
+  const TableIndex::Entry& e = index.entry(pos);
   if (index.kind() == TableIndex::kPerRecord) {
-    if (ExtractUserKey(e.key) != lkey.user_key()) {
+    if (!same_user_key) {
       return Status::OK();  // Next entry is a different user key.
     }
     // The cached index already proved a visible version lives here, so
@@ -816,7 +814,7 @@ Status TableProbePrepare(const InternalKeyComparator& icmp,
   probe->read_off = e.offset;
   // Uninitialized: the read overwrites every byte.
   probe->buf = {static_cast<char*>(mem->allocate(e.length)), e.length};
-  probe->index_key = e.key;
+  probe->index_trailer = e.trailer;
   return Status::OK();
 }
 
@@ -830,10 +828,14 @@ Status TableProbeFinish(const InternalKeyComparator& icmp,
   const TableIndex& index = *probe->file->index;
 
   if (index.kind() == TableIndex::kPerRecord) {
+    // The record must carry the key the index named: the lookup's user
+    // key (Prepare matched it) and the entry's trailer.
+    const Slice user_key = lkey.user_key();
     Slice ikey, v;
     if (ParseRecord(probe->buf.data(), probe->buf.data() + probe->buf.size(),
                     &ikey, &v) == nullptr ||
-        ikey != probe->index_key) {
+        ikey.size() != user_key.size() + 8 || !ikey.starts_with(user_key) ||
+        ExtractTrailer(ikey) != probe->index_trailer) {
       return Status::Corruption("record/index mismatch");
     }
     ParsedInternalKey parsed;
@@ -884,8 +886,7 @@ Iterator* NewRemoteTableIterator(const RemoteReadPath& read_path,
   RemoteReadPath rp = read_path;
   rp.cache_table = file->number;
   if (file->index->kind() == TableIndex::kPerRecord) {
-    return new RemoteByteTableIterator(rp, icmp, std::move(file),
-                                       prefetch_bytes);
+    return new RemoteByteTableIterator(rp, std::move(file), prefetch_bytes);
   }
   return new RemoteBlockTableIterator(rp, icmp, std::move(file),
                                       prefetch_bytes);

@@ -131,20 +131,21 @@ struct TableProbe {
   bool definitive = false;
   uint64_t read_off = 0;
   std::span<char> buf;
-  // Resolution context for Finish(). index_key points into the cached
-  // index blob, stable while `file` stays pinned.
+  // Resolution context for Finish(). A per-record read must hold the
+  // lookup's user key with the index entry's trailer.
   const FileMetaData* file = nullptr;
-  Slice index_key;
+  uint64_t index_trailer = 0;
 };
 
 /// Phase 1: local filtering; fills *probe, allocating buf from mem (never
-/// deallocated: pass a monotonic resource). Callers that model uncached
-/// indexes must call FetchIndexBlock after a bloom pass, before reading
-/// data.
-Status TableProbePrepare(const InternalKeyComparator& icmp,
-                         const BloomFilterPolicy& bloom,
+/// deallocated: pass a monotonic resource). key_hash is
+/// BloomFilterPolicy::KeyHash(lkey.user_key()), computed once per lookup.
+/// Callers that model uncached indexes must call FetchIndexBlock after a
+/// bloom pass, before reading data.
+Status TableProbePrepare(const BloomFilterPolicy& bloom,
                          const FileMetaData& file, const LookupKey& lkey,
-                         std::pmr::memory_resource* mem, TableProbe* probe,
+                         uint32_t key_hash, std::pmr::memory_resource* mem,
+                         TableProbe* probe,
                          bool* skipped_by_bloom = nullptr);
 
 /// Phase 2: resolves a probe whose read (if any) has completed into buf.

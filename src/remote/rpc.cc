@@ -521,9 +521,11 @@ void RpcServer::ExecuteAndReply(Channel* ch, uint8_t type, std::string args,
   if (trace_flow != 0 && trace::Tracer::enabled()) {
     trace::Tracer::EmitFlow('f', "rpc", "rpc", trace_flow);
   }
-  std::string reply;
+  // The reply goes out as [u32 len][payload] in one WRITE: the handler
+  // appends the payload after a gap for the length, filled in below.
+  std::string reply(4, '\0');
   if (type == RpcType::kPing) {
-    reply = args;  // Echo.
+    reply.append(args);  // Echo.
   } else {
     DLSM_CHECK_MSG(handler_ != nullptr, "no RPC handler installed");
     handler_(type, Slice(args), &reply);
@@ -537,15 +539,13 @@ void RpcServer::ExecuteAndReply(Channel* ch, uint8_t type, std::string args,
 
   // Reply: [u32 len][payload], then the ready stamp at reply_cap-8, all via
   // one-sided writes on this thread's own QP (bypassing dispatchers).
-  if (reply.size() + 4 + sizeof(uint64_t) > reply_cap) {
+  if (reply.size() + sizeof(uint64_t) > reply_cap) {
     return;  // Oversized reply: drop; the requester fails by timeout.
   }
-  std::string framed;
-  PutFixed32(&framed, static_cast<uint32_t>(reply.size()));
-  framed.append(reply);
+  EncodeFixed32(reply.data(), static_cast<uint32_t>(reply.size() - 4));
   rdma::VerbQueue* vq = ch->to_client->ThreadVq();
   rdma::WrHandle payload =
-      vq->Write(framed.data(), reply_addr, reply_rkey, framed.size());
+      vq->Write(reply.data(), reply_addr, reply_rkey, reply.size());
   // Zero-length stamped write: releases only the 8-byte ready stamp. The
   // stamp must be posted after the payload (same QP => FIFO on the wire),
   // but the handles may be waited in either order.
@@ -561,7 +561,7 @@ void RpcServer::ExecuteAndReply(Channel* ch, uint8_t type, std::string args,
        attempt++) {
     if (!vq->Recover().ok()) break;
     env->SleepNanos(kServerRetryBackoffNs << attempt);
-    payload = vq->Write(framed.data(), reply_addr, reply_rkey, framed.size());
+    payload = vq->Write(reply.data(), reply_addr, reply_rkey, reply.size());
     stamp = vq->WriteStamped(
         nullptr, reply_addr + reply_cap - sizeof(uint64_t), reply_rkey, 0);
     s = payload.Wait();

@@ -220,7 +220,9 @@ class RpcClient {
 class RpcServer {
  public:
   /// The handler implements all non-kPing request types. It runs on the
-  /// server node's threads and may take arbitrarily long (compaction).
+  /// server node's threads and may take arbitrarily long (compaction). It
+  /// appends its reply to *reply, which arrives holding the reply frame's
+  /// 4-byte header: the server sends header and reply in one WRITE.
   using Handler =
       std::function<void(uint8_t type, const Slice& args, std::string* reply)>;
 

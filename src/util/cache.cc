@@ -329,6 +329,10 @@ size_t ShardedClockCache::EraseKey1(uint64_t k1) {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mu);
+    // Entries are never empty, so a shard with no bytes holds none: skip
+    // its slot walk (an empty cache is the common case at table deletion
+    // while a dataset loads).
+    if (shard.usage == 0) continue;
     for (auto& slot : shard.slots) {
       uint64_t cur = slot.state.load(std::memory_order_acquire);
       if (!(cur & kReady)) continue;

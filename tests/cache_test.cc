@@ -185,6 +185,31 @@ TEST(CacheTest, EraseKey1DropsOnlyThatTable) {
   }
 }
 
+// Invalidation skips shards that hold nothing; it must still find every
+// entry of the table wherever it lives, and only those.
+TEST(CacheTest, EraseKey1WithEmptyShardsDropsExactlyThatTable) {
+  ShardedClockCache cache(1 << 20, 16, true);
+  const size_t kLen = 100;
+  EXPECT_EQ(0u, cache.EraseKey1(1));  // Every shard empty.
+  // Few entries over 16 shards, so most shards stay empty.
+  for (uint64_t off = 0; off < 3; off++) {
+    std::string a = Payload(1, off, kLen), b = Payload(2, off, kLen + 1);
+    cache.Insert(1, off, a.data(), kLen);
+    cache.Insert(2, off, b.data(), kLen + 1);
+  }
+  ASSERT_EQ(3 * (2 * kLen + 1), cache.usage());
+  EXPECT_EQ(0u, cache.EraseKey1(3));  // No such table.
+  EXPECT_EQ(3u, cache.EraseKey1(1));
+  EXPECT_EQ(3 * (kLen + 1), cache.usage());
+  std::string got(kLen + 1, '\0');
+  for (uint64_t off = 0; off < 3; off++) {
+    EXPECT_FALSE(cache.Lookup(1, off, got.data(), kLen));
+    ASSERT_TRUE(cache.Lookup(2, off, got.data(), kLen + 1));
+    EXPECT_EQ(Payload(2, off, kLen + 1), got);
+  }
+  EXPECT_EQ(0u, cache.EraseKey1(1));  // Already gone.
+}
+
 TEST(CacheTest, ClearEmptiesEverything) {
   ShardedClockCache cache(1 << 20, 4, true);
   const size_t kLen = 128;

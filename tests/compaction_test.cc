@@ -495,7 +495,7 @@ TEST(NearDataExecutorTest, SubRangeSlicesCompactIndependently) {
     auto index = TableIndex::Parse(built.index_blob);
 
     auto offset_of = [&](int key) {
-      size_t pos = index->Find(icmp, IKey(UKey(key), kMaxSequenceNumber));
+      size_t pos = index->Find(IKey(UKey(key), kMaxSequenceNumber));
       return pos >= index->num_entries() ? built.data_len
                                          : index->entry(pos).offset;
     };

@@ -6,6 +6,7 @@
 
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "tests/dlsm_test_util.h"
@@ -32,6 +33,12 @@ struct EngineConfig {
   size_t value_size = 64;
   const char* name = "";
 };
+
+// gtest prints a parameter into each test's name. Printed as raw bytes, a
+// config would show its padding, which differs from build to build.
+void PrintTo(const EngineConfig& config, std::ostream* os) {
+  *os << config.name;
+}
 
 class EngineMatrixTest : public ::testing::TestWithParam<EngineConfig> {};
 

@@ -155,7 +155,7 @@ TEST_F(RpcTest, HandlerReceivesTypeAndArgs) {
     RpcServer server(f, memory, 2);
     server.set_handler(
         [](uint8_t type, const Slice& args, std::string* reply) {
-          *reply = std::to_string(type) + ":" + args.ToString();
+          reply->append(std::to_string(type) + ":" + args.ToString());
         });
     server.Start();
     RpcClient client(f, compute, &server);
@@ -175,7 +175,7 @@ TEST_F(RpcTest, WakeupPathRoundTrips) {
           EXPECT_EQ(RpcType::kCompaction, type);
           // Simulate a long compaction.
           f->env()->SleepNanos(5'000'000);
-          *reply = "compacted:" + args.ToString();
+          reply->append("compacted:" + args.ToString());
         });
     server.Start();
     RpcClient client(f, compute, &server);
@@ -196,7 +196,7 @@ TEST_F(RpcTest, LargeArgumentsTravelViaRdmaRead) {
         [&](uint8_t, const Slice& args, std::string* reply) {
           EXPECT_EQ(big.size(), args.size());
           EXPECT_EQ(big, args.ToString());
-          *reply = std::to_string(args.size());
+          reply->append(std::to_string(args.size()));
         });
     server.Start();
     RpcClient client(f, compute, &server);
@@ -215,7 +215,7 @@ TEST_F(RpcTest, ConcurrentCallersGetTheirOwnReplies) {
     server.set_handler(
         [env](uint8_t, const Slice& args, std::string* reply) {
           env->SleepNanos(1'000'000);
-          *reply = "r:" + args.ToString();
+          reply->append("r:" + args.ToString());
         });
     server.Start();
     RpcClient client(f, compute, &server);
@@ -253,7 +253,7 @@ TEST_F(RpcTest, SimulatedThreadsKeepTheirOwnVerbQueueAndReplyBuffers) {
     server.set_handler(
         [env](uint8_t, const Slice& args, std::string* reply) {
           env->SleepNanos(50'000);
-          *reply = "r:" + args.ToString();
+          reply->append("r:" + args.ToString());
         });
     server.Start();
     RpcClient client(f, compute, &server);
@@ -317,7 +317,7 @@ TEST_F(RpcTest, MultipleClientNodesOneServer) {
   env.Run(0, [&] {
     RpcServer server(&fabric, memory, 2);
     server.set_handler([](uint8_t, const Slice& args, std::string* reply) {
-      *reply = "ok:" + args.ToString();
+      reply->append("ok:" + args.ToString());
     });
     server.Start();
     RpcClient client1(&fabric, c1, &server);
@@ -337,7 +337,7 @@ TEST_F(RpcTest, WorkerBusyTimeIsTracked) {
     RpcServer server(f, memory, 2);
     server.set_handler([f](uint8_t, const Slice&, std::string* reply) {
       f->env()->SleepNanos(10'000'000);  // 10 ms of "work".
-      *reply = "done";
+      reply->append("done");
     });
     server.Start();
     RpcClient client(f, compute, &server);
@@ -373,7 +373,7 @@ TEST(RpcStampTest, BlockingWorkerPoolCallReturnsWhenItsReplyStampLands) {
     uint64_t handler_done = 0;
     server.set_handler([&](uint8_t, const Slice&, std::string* reply) {
       env.SleepNanos(5'000'000);
-      *reply = kReply;
+      reply->append(kReply);
       handler_done = env.NowNanos();
     });
     server.Start();
@@ -403,7 +403,7 @@ TEST_F(RpcTest, CallAsyncPipelinesCallsOnOneThread) {
         [env](uint8_t type, const Slice& args, std::string* reply) {
           EXPECT_EQ(RpcType::kCompaction, type);
           env->SleepNanos(2'000'000);
-          *reply = "r:" + args.ToString();
+          reply->append("r:" + args.ToString());
         });
     server.Start();
     RpcClient client(f, compute, &server);
@@ -434,7 +434,7 @@ TEST_F(RpcTest, CallAsyncDroppedCallsAreReclaimed) {
   RunSim([](rdma::Fabric* f, rdma::Node* compute, rdma::Node* memory) {
     RpcServer server(f, memory, 2);
     server.set_handler([](uint8_t, const Slice& args, std::string* reply) {
-      *reply = "r:" + args.ToString();
+      reply->append("r:" + args.ToString());
     });
     server.Start();
     RpcClient client(f, compute, &server);
@@ -465,7 +465,7 @@ TEST_F(RpcTest, CallAsyncLargeArgumentsTravelViaRdmaRead) {
     RpcServer server(f, memory, 2);
     server.set_handler([&](uint8_t, const Slice& args, std::string* reply) {
       EXPECT_EQ(big, args.ToString());
-      *reply = std::to_string(args.size());
+      reply->append(std::to_string(args.size()));
     });
     server.Start();
     RpcClient client(f, compute, &server);
@@ -487,7 +487,7 @@ TEST_F(RpcTest, CallAsyncTeardownWithCallsInFlight) {
     RpcServer server(f, memory, 2);
     server.set_handler([env](uint8_t, const Slice&, std::string* reply) {
       env->SleepNanos(10'000'000);  // Replies arrive long after the drop.
-      *reply = "late";
+      reply->append("late");
     });
     server.Start();
     {

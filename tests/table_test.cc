@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <memory_resource>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,7 +54,10 @@ Status ProbeTable(const RemoteReadPath& read_path,
   *result = TableLookupResult::kNotPresent;
   std::pmr::monotonic_buffer_resource mem;
   TableProbe probe;
-  Status s = TableProbePrepare(icmp, bloom, file, lkey, &mem, &probe);
+  Status s =
+      TableProbePrepare(bloom, file, lkey,
+                        BloomFilterPolicy::KeyHash(lkey.user_key()), &mem,
+                        &probe);
   if (!s.ok() || !probe.need_read) return s;
   s = read_path.Read(probe.buf.data(), file.chunk.addr + probe.read_off,
                      file.chunk.rkey, probe.buf.size());
@@ -80,15 +84,14 @@ TEST(TableIndexTest, BuildParseRoundTrip) {
   EXPECT_EQ(TableIndex::kPerRecord, index->kind());
   ASSERT_EQ(100u, index->num_entries());
   for (int i = 0; i < 100; i++) {
-    TableIndex::Entry e = index->entry(i);
-    EXPECT_EQ(IKey(UKey(i), 100 - i), e.key.ToString());
+    const TableIndex::Entry& e = index->entry(i);
+    EXPECT_EQ(IKey(UKey(i), 100 - i), index->key(i).ToString());
     EXPECT_EQ(static_cast<uint64_t>(i) * 10, e.offset);
     EXPECT_EQ(42u + i, e.length);
   }
 }
 
 TEST(TableIndexTest, FindReturnsFirstGreaterOrEqual) {
-  InternalKeyComparator icmp;
   TableIndex::Builder builder(TableIndex::kPerRecord);
   for (int i = 0; i < 50; i++) {
     builder.Add(IKey(UKey(i * 2), 7), i, 1);  // Even keys only.
@@ -97,13 +100,13 @@ TEST(TableIndexTest, FindReturnsFirstGreaterOrEqual) {
   ASSERT_NE(nullptr, index);
 
   // Exact hit.
-  EXPECT_EQ(5u, index->Find(icmp, IKey(UKey(10), kMaxSequenceNumber)));
+  EXPECT_EQ(5u, index->Find(IKey(UKey(10), kMaxSequenceNumber)));
   // Between keys: first greater.
-  EXPECT_EQ(6u, index->Find(icmp, IKey(UKey(11), kMaxSequenceNumber)));
+  EXPECT_EQ(6u, index->Find(IKey(UKey(11), kMaxSequenceNumber)));
   // Before all.
-  EXPECT_EQ(0u, index->Find(icmp, IKey(UKey(0), kMaxSequenceNumber)));
+  EXPECT_EQ(0u, index->Find(IKey(UKey(0), kMaxSequenceNumber)));
   // Past the end.
-  EXPECT_EQ(50u, index->Find(icmp, IKey(UKey(1000), kMaxSequenceNumber)));
+  EXPECT_EQ(50u, index->Find(IKey(UKey(1000), kMaxSequenceNumber)));
 }
 
 // Find searches key words first; it must land where a plain binary search
@@ -151,10 +154,196 @@ TEST(TableIndexTest, KeyWordFindMatchesFullKeyLowerBound) {
       const size_t want =
           std::lower_bound(entries.begin(), entries.end(), target, less) -
           entries.begin();
-      ASSERT_EQ(want, index->Find(icmp, target))
+      ASSERT_EQ(want, index->Find(target))
           << "trial " << trial << " prefix size " << prefix.size()
           << " entries " << entries.size() << " seq " << seq;
     }
+  }
+}
+
+// A reference decode of a serialized index: each entry's internal key,
+// offset and length, read with the blob's own varint layout.
+struct RefEntry {
+  std::string key;
+  uint64_t offset;
+  uint32_t length;
+};
+
+std::vector<RefEntry> DecodeIndexBlob(const std::string& blob) {
+  Slice in(blob);
+  in.remove_prefix(1);  // Kind.
+  uint32_t count = 0;
+  EXPECT_TRUE(GetVarint32(&in, &count));
+  std::vector<RefEntry> out;
+  for (uint32_t i = 0; i < count; i++) {
+    Slice key;
+    RefEntry e;
+    EXPECT_TRUE(GetLengthPrefixedSlice(&in, &key));
+    EXPECT_TRUE(GetVarint64(&in, &e.offset));
+    EXPECT_TRUE(GetVarint32(&in, &e.length));
+    e.key = key.ToString();
+    out.push_back(e);
+  }
+  return out;
+}
+
+// Find settles most lookups from key words, lengths and trailers alone.
+// Seeded indexes aimed at where that could go wrong, each checked against
+// a reference decode of the blob: Find's position and same-user-key
+// answer, each entry's fields, and the point probe built from them.
+//   0: keys longer than prefix + 8 that share a word (the tails decide);
+//   1: keys that differ only by trailing \0 bytes (the lengths decide);
+//   2: runs of many versions, searched at older snapshots;
+//   3: the block layout, over keys of all three kinds.
+TEST(TableIndexTest, FindAndProbeMatchAReferenceDecode) {
+  InternalKeyComparator icmp;
+  auto less = [&icmp](const RefEntry& a, const std::string& b) {
+    return icmp.Compare(a.key, b) < 0;
+  };
+  BloomFilterPolicy bloom(10);
+  Random rnd(29);
+  for (int trial = 0; trial < 200; trial++) {
+    const int shape = trial % 4;
+    const std::string prefix = test::EdgeBytes(&rnd, rnd.Uniform(21));
+    std::set<std::string> keyset;
+    for (int n = 0; n < 120; n++) {
+      const int kind = shape == 3 ? rnd.Uniform(3) : shape;
+      if (kind == 0) {
+        // Two words, told apart by their first byte so the prefix ends
+        // where the words start; 1-6 tail bytes past each word.
+        const std::string word =
+            rnd.OneIn(2) ? std::string("a\x00\xff\x01zz\x80\x00", 8)
+                         : std::string("b\x00\x00\x00\x00\x00\x00\x01", 8);
+        keyset.insert(prefix + word +
+                      test::EdgeBytes(&rnd, 1 + rnd.Uniform(6)));
+      } else if (kind == 1) {
+        // A base ending inside the word, then 0-12 trailing \0 bytes.
+        const std::string base =
+            prefix + (rnd.OneIn(2) ? "c" : "d") + test::EdgeBytes(&rnd, 2);
+        keyset.insert(base + std::string(rnd.Uniform(13), '\0'));
+      } else {
+        keyset.insert(prefix + test::EdgeBytes(&rnd, rnd.Uniform(13)));
+      }
+    }
+    const std::vector<std::string> user_keys(keyset.begin(), keyset.end());
+    const auto kind =
+        shape == 3 ? TableIndex::kPerBlock : TableIndex::kPerRecord;
+    std::vector<std::string> ikeys;
+    for (const std::string& u : user_keys) {
+      SequenceNumber seq = 300 + rnd.Uniform(1000);
+      const uint64_t versions = shape == 2 ? 4 + rnd.Uniform(8) : 1;
+      for (uint64_t v = 0; v < versions; v++) {
+        if (kind == TableIndex::kPerRecord || rnd.OneIn(3)) {
+          ikeys.push_back(
+              IKey(u, seq, rnd.OneIn(4) ? kTypeDeletion : kTypeValue));
+        }
+        seq -= 1 + rnd.Uniform(20);
+      }
+    }
+    TableIndex::Builder builder(kind);
+    for (const std::string& k : ikeys) {
+      builder.Add(k, rnd.Next64() >> rnd.Uniform(64), 1 + rnd.Uniform(512));
+    }
+    FileMetaData file;
+    file.index = TableIndex::Parse(builder.Finish());
+    const TableIndex& index = *file.index;
+    ASSERT_NE(nullptr, file.index);
+    const std::vector<RefEntry> ref = DecodeIndexBlob(index.blob());
+    ASSERT_EQ(ref.size(), index.num_entries());
+    for (size_t i = 0; i < ref.size(); i++) {
+      ASSERT_EQ(ref[i].key, index.key(i).ToString());
+      ASSERT_EQ(ExtractUserKey(ref[i].key), index.user_key(i));
+      ASSERT_EQ(ref[i].offset, index.entry(i).offset);
+      ASSERT_EQ(ref[i].length, index.entry(i).length);
+      ASSERT_EQ(ExtractTrailer(ref[i].key), index.entry(i).trailer);
+    }
+
+    for (int probe_no = 0; probe_no < 300; probe_no++) {
+      std::string user_key = test::RandomProbeKey(&rnd, prefix, user_keys);
+      if (shape == 1 && rnd.OneIn(2)) {
+        user_key += std::string(1 + rnd.Uniform(4), '\0');
+      }
+      // Older snapshots land inside a key's run of versions.
+      const SequenceNumber seq = rnd.OneIn(4)   ? kMaxSequenceNumber
+                                 : rnd.OneIn(8) ? 0
+                                                : rnd.Uniform(1400);
+      const LookupKey lkey(user_key, seq);
+      const size_t want =
+          std::lower_bound(ref.begin(), ref.end(),
+                           lkey.internal_key().ToString(), less) -
+          ref.begin();
+      const bool want_same =
+          want < ref.size() && ExtractUserKey(ref[want].key) == user_key;
+      bool same = !want_same;
+      ASSERT_EQ(want, index.Find(lkey.internal_key(), &same))
+          << "trial " << trial << " probe " << probe_no;
+      ASSERT_EQ(want_same, same) << "trial " << trial << " probe " << probe_no;
+
+      std::pmr::monotonic_buffer_resource mem;
+      TableProbe probe;
+      ASSERT_TRUE(TableProbePrepare(bloom, file, lkey,
+                                    BloomFilterPolicy::KeyHash(user_key), &mem,
+                                    &probe)
+                      .ok());
+      const bool want_read =
+          kind == TableIndex::kPerRecord ? want_same : want < ref.size();
+      ASSERT_EQ(want_read, probe.need_read);
+      ASSERT_EQ(want_read && kind == TableIndex::kPerRecord, probe.definitive);
+      if (want_read) {
+        EXPECT_EQ(ref[want].offset, probe.read_off);
+        EXPECT_EQ(ref[want].length, probe.buf.size());
+        EXPECT_EQ(ExtractTrailer(ref[want].key), probe.index_trailer);
+      }
+    }
+  }
+}
+
+// A probe resolves its READ against the lookup's user key and the index
+// entry's trailer: a record that carries any other key is Corruption,
+// including one that differs from the index only in its trailer.
+TEST(TableIndexTest, ProbeRejectsARecordWhoseKeyDiffersFromTheIndex) {
+  InternalKeyComparator icmp;
+  BloomFilterPolicy bloom(10);
+  auto record = [](const std::string& ikey, const std::string& value) {
+    std::string r;
+    PutVarint32(&r, static_cast<uint32_t>(ikey.size()));
+    r.append(ikey);
+    PutVarint32(&r, static_cast<uint32_t>(value.size()));
+    r.append(value);
+    return r;
+  };
+  const std::string good = record(IKey("user-key", 7), "value");
+  TableIndex::Builder builder(TableIndex::kPerRecord);
+  builder.Add(IKey("user-key", 7), 0, static_cast<uint32_t>(good.size()));
+  FileMetaData file;
+  file.index = TableIndex::Parse(builder.Finish());
+  ASSERT_NE(nullptr, file.index);
+
+  auto finish_with = [&](const std::string& bytes, TableLookupResult* result,
+                         std::string* value) {
+    const LookupKey lkey("user-key", kMaxSequenceNumber);
+    std::pmr::monotonic_buffer_resource mem;
+    TableProbe probe;
+    Status s = TableProbePrepare(bloom, file, lkey,
+                                 BloomFilterPolicy::KeyHash(lkey.user_key()),
+                                 &mem, &probe);
+    EXPECT_TRUE(s.ok());
+    EXPECT_TRUE(probe.need_read);
+    EXPECT_EQ(bytes.size(), probe.buf.size());  // Records of equal length.
+    std::memcpy(probe.buf.data(), bytes.data(),
+                std::min(bytes.size(), probe.buf.size()));
+    return TableProbeFinish(icmp, lkey, &probe, result, value);
+  };
+  TableLookupResult result;
+  std::string value;
+  ASSERT_TRUE(finish_with(good, &result, &value).ok());
+  EXPECT_EQ(TableLookupResult::kFound, result);
+  EXPECT_EQ("value", value);
+  for (const std::string& bad :
+       {record(IKey("user-key", 6), "value"),
+        record(IKey("user-key", 7, kTypeDeletion), "value"),
+        record(IKey("user-kez", 7), "value")}) {
+    EXPECT_TRUE(finish_with(bad, &result, &value).IsCorruption());
   }
 }
 
@@ -794,10 +983,10 @@ TEST(LocalIteratorTest, ByteTableSliceScan) {
 
   // Slice covering keys [30, 60).
   uint64_t start =
-      index->entry(index->Find(icmp, IKey(UKey(30), kMaxSequenceNumber)))
+      index->entry(index->Find(IKey(UKey(30), kMaxSequenceNumber)))
           .offset;
   uint64_t end =
-      index->entry(index->Find(icmp, IKey(UKey(60), kMaxSequenceNumber)))
+      index->entry(index->Find(IKey(UKey(60), kMaxSequenceNumber)))
           .offset;
   std::unique_ptr<Iterator> it(
       NewLocalByteTableIterator(storage.data() + start, end - start, icmp));
@@ -894,17 +1083,16 @@ std::shared_ptr<TableIndex> BuildThreeBlocksCorruptMiddle(
 // yields a key from the block beyond it.
 void ExpectScansStopAtCorruptMiddleBlock(Iterator* it,
                                          const TableIndex& index) {
-  InternalKeyComparator icmp;
   int yielded = 0;
   for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    EXPECT_EQ(0u, index.Find(icmp, it->key())) << "scanned past corruption";
+    EXPECT_EQ(0u, index.Find(it->key())) << "scanned past corruption";
     yielded++;
   }
   EXPECT_GT(yielded, 0);
   EXPECT_TRUE(it->status().IsCorruption()) << it->status().ToString();
   yielded = 0;
   for (it->SeekToLast(); it->Valid(); it->Prev()) {
-    EXPECT_EQ(2u, index.Find(icmp, it->key())) << "scanned past corruption";
+    EXPECT_EQ(2u, index.Find(it->key())) << "scanned past corruption";
     yielded++;
   }
   EXPECT_GT(yielded, 0);
